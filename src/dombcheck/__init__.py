@@ -28,8 +28,6 @@ from .padic import (
     binomial_int,
     binomial_rational,
     is_prime,
-    jacobi3,
-    pochhammer,
 )
 from .quadform import QuadDecomposition, decompose_x2_3y2, sqrt_mod
 from .special import (
@@ -67,11 +65,9 @@ __all__ = [
     "fermat_quotient",
     "harmonic",
     "is_prime",
-    "jacobi3",
     "liu_integrality_check",
     "padic_gamma_int",
     "padic_gamma_rational",
-    "pochhammer",
     "rogers_series_check",
     "sqrt_mod",
     "sweep",

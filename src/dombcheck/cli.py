@@ -14,33 +14,18 @@ import os
 import sys
 from time import perf_counter
 
-from .congruences import Target, sieve_primes, sweep
+from .congruences import SPECS, Target, sieve_primes, sweep
 from .domb import domb_exact
 from .identities import check_all_identities
 from .padic import is_prime
 from .quadform import NotRepresentable, decompose_x2_3y2
 
+# The group labels of --targets, in catalog order, plus "all".
 _LABELS = {
-    "thm1.1": (Target.THM11_4K, Target.THM11_16K),
-    "thm1.2": (Target.THM12_4K, Target.THM12_16K),
-    "thm1.3": (
-        Target.THM13_K2_4K,
-        Target.THM13_K2_16K,
-        Target.THM13_K_4K,
-        Target.THM13_K_16K,
-    ),
-    "conj1": (Target.CONJ1_DP1,),
-    "conj2": (Target.CONJ2_MODP2,),
-    "musun": (Target.MUSUN_P5,),
-    "lemmas": (
-        Target.LEMMA22,
-        Target.LEMMA_MPT,
-        Target.LEMMA_P2J,
-        Target.LEMMA_SUNH,
-        Target.LEMMA_SH55,
-    ),
-    "all": tuple(Target),
+    group: tuple(t for t in Target if SPECS[t].group == group)
+    for group in dict.fromkeys(SPECS[t].group for t in Target)
 }
+_LABELS["all"] = tuple(Target)
 
 
 def _parse_targets(spec: str) -> list[Target]:
@@ -193,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--targets",
         type=_parse_targets,
         default=list(Target),
-        help="comma list: thm1.1, thm1.2, thm1.3, conj1, conj2, musun, lemmas, "
-        "all, or explicit target ids (default all)",
+        help=f"comma list: {', '.join(_LABELS)}, or explicit target ids (default all)",
     )
     v.add_argument("--workers", type=int, default=min(8, os.cpu_count() or 1))
     v.add_argument("--guard", type=int, default=1, help="extra precision digits")

@@ -10,6 +10,7 @@ closed forms cannot silently cancel against one in the sums.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,7 +35,8 @@ __all__ = [
     "verify_prime",
     "sweep",
     "sieve_primes",
-    "DEFAULT_CAPS",
+    "SPECS",
+    "TargetSpec",
     "applicable",
     "modulus_exponent",
 ]
@@ -65,45 +67,72 @@ class Target(str, Enum):
 
 _TARGET_INDEX = {t: i for i, t in enumerate(Target)}
 
-# Sweeps skip the O(p^2)-table targets beyond these bounds unless overridden.
-DEFAULT_CAPS = {
-    Target.CONJ1_DP1: 1000,
-    Target.MUSUN_P5: 1000,
-    Target.LEMMA_SUNH: 1000,
+
+@dataclass(frozen=True)
+class TargetSpec:
+    """Every fact about a target except its closed form: the CLI group it
+    belongs to, the primes it is stated for, the exponent m of its modulus
+    p^m, the PrimeVerifier method that evaluates it (by name, so the method
+    is looked up on the verifier at call time), and the prime bound above
+    which sweeps skip it by default (None: never skipped)."""
+
+    group: str
+    applies: Callable[[int], bool]
+    mod_exp: Callable[[int], int]
+    method: str
+    cap: int | None = None
+
+
+def _every(p: int) -> bool:
+    return True
+
+
+def _one_mod_3(p: int) -> bool:
+    return p % 3 == 1
+
+
+def _two_mod_3(p: int) -> bool:
+    return p % 3 == 2
+
+
+def _exp(m: int) -> Callable[[int], int]:
+    return lambda p: m
+
+
+def _k2_exp(p: int) -> int:
+    return 3 if p % 3 == 1 else 2
+
+
+# The catalog.  A new target is one entry here plus the method it names.
+# The capped targets build O(p^2) Bernoulli/Euler tables.
+SPECS: dict[Target, TargetSpec] = {
+    Target.THM11_4K: TargetSpec("thm1.1", _every, _exp(3), "thm11_4k"),
+    Target.THM11_16K: TargetSpec("thm1.1", _every, _exp(3), "thm11_16k"),
+    Target.THM12_4K: TargetSpec("thm1.2", _one_mod_3, _exp(3), "thm12"),
+    Target.THM12_16K: TargetSpec("thm1.2", _one_mod_3, _exp(3), "thm12"),
+    Target.THM13_K2_4K: TargetSpec("thm1.3", _every, _k2_exp, "thm13_all"),
+    Target.THM13_K2_16K: TargetSpec("thm1.3", _every, _k2_exp, "thm13_all"),
+    Target.THM13_K_4K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all"),
+    Target.THM13_K_16K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all"),
+    Target.CONJ1_DP1: TargetSpec("conj1", _every, _exp(4), "conj1_dp1", cap=1000),
+    Target.CONJ2_MODP2: TargetSpec("conj2", _every, _exp(2), "conj2_mod_p2"),
+    Target.MUSUN_P5: TargetSpec("musun", _every, _exp(5), "musun", cap=1000),
+    Target.LEMMA22: TargetSpec("lemmas", _one_mod_3, _exp(3), "lemma22_check"),
+    Target.LEMMA_MPT: TargetSpec("lemmas", _one_mod_3, _exp(2), "lemma_mpt_check"),
+    Target.LEMMA_P2J: TargetSpec("lemmas", _every, _exp(3), "lemma_p2j_check"),
+    Target.LEMMA_SUNH: TargetSpec("lemmas", lambda p: p > 5, _exp(2), "lemma_sunh_check", cap=1000),
+    Target.LEMMA_SH55: TargetSpec("lemmas", _every, _exp(3), "lemma_sh55_check"),
 }
 
 
 def applicable(target: Target, p: int) -> bool:
     """Whether the congruence is stated at all for this prime."""
-    if target in (Target.THM12_4K, Target.THM12_16K, Target.LEMMA22, Target.LEMMA_MPT):
-        return p % 3 == 1
-    if target in (Target.THM13_K_4K, Target.THM13_K_16K):
-        return p % 3 == 2
-    if target is Target.LEMMA_SUNH:
-        return p > 5
-    return True
+    return SPECS[target].applies(p)
 
 
 def modulus_exponent(target: Target, p: int) -> int:
     """The exponent m such that the target is a congruence mod p^m."""
-    if target in (Target.THM13_K2_4K, Target.THM13_K2_16K):
-        return 3 if p % 3 == 1 else 2
-    return {
-        Target.THM11_4K: 3,
-        Target.THM11_16K: 3,
-        Target.THM12_4K: 3,
-        Target.THM12_16K: 3,
-        Target.THM13_K_4K: 2,
-        Target.THM13_K_16K: 2,
-        Target.CONJ1_DP1: 4,
-        Target.CONJ2_MODP2: 2,
-        Target.MUSUN_P5: 5,
-        Target.LEMMA22: 3,
-        Target.LEMMA_MPT: 2,
-        Target.LEMMA_P2J: 3,
-        Target.LEMMA_SUNH: 2,
-        Target.LEMMA_SH55: 3,
-    }[target]
+    return SPECS[target].mod_exp(p)
 
 
 @dataclass
@@ -205,162 +234,115 @@ class PrimeVerifier:
             self._r3 = core * c * c
         return self._r3
 
-    def _report(self, target, m, lhs, rhs, t0) -> CongruenceReport:
+    def _exponent(self, target: Target) -> int:
+        """The target's m at this prime; WrongPrimeClass where it is not stated."""
+        spec = SPECS[target]
+        if not spec.applies(self.p):
+            raise WrongPrimeClass(f"{target.value} is not stated for p = {self.p}")
+        return spec.mod_exp(self.p)
+
+    def _report(self, target, lhs: int, rhs, t0) -> CongruenceReport:
+        """One row: lhs reduced mod p^m, rhs an int reduced the same way or
+        a PAdicValue read off to m digits."""
+        m = self._exponent(target)
+        lhs %= self.p**m
+        rhs = rhs.residue(m) if isinstance(rhs, PAdicValue) else rhs % self.p**m
         ms = (perf_counter() - t0) * 1000.0
         return CongruenceReport(self.p, target, m, lhs, rhs, lhs == rhs, ms)
+
+    def _first_failure(self, target, cases, t0) -> CongruenceReport:
+        """One row for a target checked case by case: the (lhs, rhs) of the
+        first failing case, or of the last case when every case passed."""
+        lhs, rhs = next((c for c in cases if c[0] != c[1]), cases[-1] if cases else (0, 0))
+        return self._report(target, lhs, rhs, t0)
 
     # ---- theorem-level targets ----
 
     def thm11_4k(self) -> CongruenceReport:
         t0 = perf_counter()
-        p = self.p
-        pm = p**3
-        lhs = self.weighted_sum(4, "1") % pm
-        rhs = self._thm11_rhs(sign_for_16k=False)
-        return self._report(Target.THM11_4K, 3, lhs, rhs, t0)
+        lhs = self.weighted_sum(4, "1")
+        return self._report(Target.THM11_4K, lhs, self._thm11_rhs(sign_for_16k=False), t0)
 
     def thm11_16k(self) -> CongruenceReport:
         t0 = perf_counter()
-        p = self.p
-        pm = p**3
-        lhs = self.weighted_sum(16, "1") % pm
-        rhs = self._thm11_rhs(sign_for_16k=True)
-        return self._report(Target.THM11_16K, 3, lhs, rhs, t0)
+        lhs = self.weighted_sum(16, "1")
+        return self._report(Target.THM11_16K, lhs, self._thm11_rhs(sign_for_16k=True), t0)
 
-    def _thm11_rhs(self, sign_for_16k: bool) -> int:
+    def _thm11_rhs(self, sign_for_16k: bool) -> PAdicValue:
         ctx = self.ctx
         p = self.p
         if p % 3 == 1:
             x = self.decomposition.x
             q = Fraction(4 * x * x) - 2 * p - Fraction(p * p, 4 * x * x)
-            return PAdicValue.from_fraction(q, ctx).residue(3)
+            return PAdicValue.from_fraction(q, ctx)
         c = binomial_int((p - 1) // 2, (p - 5) // 6, ctx)
         scale = Fraction(-p * p, 4) if sign_for_16k else Fraction(p * p, 2)
-        return (PAdicValue.from_fraction(scale, ctx) / (c * c)).residue(3)
+        return PAdicValue.from_fraction(scale, ctx) / (c * c)
 
     def conj2_mod_p2(self) -> CongruenceReport:
         """Both weighted sums against the mod p^2 closed form; the stored
         lhs is the 4^k sum, and passing requires the 16^k sum to match too."""
         t0 = perf_counter()
         p = self.p
-        pm = p * p
-        lhs4 = self.weighted_sum(4, "1") % pm
-        lhs16 = self.weighted_sum(16, "1") % pm
         if p % 3 == 1:
             x = self.decomposition.x
-            rhs = (4 * x * x - 2 * p) % pm
+            rhs = 4 * x * x - 2 * p
         else:
             rhs = 0
-        rep = self._report(Target.CONJ2_MODP2, 2, lhs4, rhs, t0)
-        rep.passed = rep.passed and lhs16 == rhs
+        lhs4 = self.weighted_sum(4, "1")
+        lhs16 = self.weighted_sum(16, "1")
+        rep = self._report(Target.CONJ2_MODP2, lhs4, rhs, t0)
+        rep.passed = rep.passed and lhs16 % p**rep.modulus_exponent == rep.rhs
         return rep
 
     def thm12(self) -> list[CongruenceReport]:
         t0 = perf_counter()
+        self._exponent(Target.THM12_4K)  # WrongPrimeClass before any table is built
         p = self.p
-        if p % 3 != 1:
-            raise WrongPrimeClass("stated for p = 1 (mod 3) only")
-        ctx = self.ctx
-        pm = p**3
-        c = binomial_int((p - 1) // 2, (p - 1) // 6, ctx)
-        base = PAdicValue.from_int(p * p, ctx) / (c * c)
-        rhs4 = (2 * base).residue(3)
-        rhs16 = base.residue(3)
-        lhs4 = self.weighted_sum(4, "3k+2") % pm
-        lhs16 = self.weighted_sum(16, "3k+1") % pm
+        c = binomial_int((p - 1) // 2, (p - 1) // 6, self.ctx)
+        base = PAdicValue.from_int(p * p, self.ctx) / (c * c)
         return [
-            self._report(Target.THM12_4K, 3, lhs4, rhs4, t0),
-            self._report(Target.THM12_16K, 3, lhs16, rhs16, t0),
+            self._report(Target.THM12_4K, self.weighted_sum(4, "3k+2"), 2 * base, t0),
+            self._report(Target.THM12_16K, self.weighted_sum(16, "3k+1"), base, t0),
         ]
 
     def thm13_all(self) -> list[CongruenceReport]:
         t0 = perf_counter()
         p = self.p
-        ctx = self.ctx
-        out = []
         if p % 3 == 1:
             x = self.decomposition.x
-            pm = p**3
             qa = Fraction(16 * x * x, 9) - Fraction(8 * p, 9) - Fraction(7 * p * p, 18 * x * x)
             qb = Fraction(4 * x * x, 9) - Fraction(2 * p, 9) - Fraction(p * p, 18 * x * x)
-            out.append(
-                self._report(
-                    Target.THM13_K2_4K,
-                    3,
-                    self.weighted_sum(4, "k2") % pm,
-                    PAdicValue.from_fraction(qa, ctx).residue(3),
-                    t0,
-                )
-            )
-            out.append(
-                self._report(
-                    Target.THM13_K2_16K,
-                    3,
-                    self.weighted_sum(16, "k2") % pm,
-                    PAdicValue.from_fraction(qb, ctx).residue(3),
-                    t0,
-                )
-            )
+            cases = [
+                (Target.THM13_K2_4K, 4, "k2", PAdicValue.from_fraction(qa, self.ctx)),
+                (Target.THM13_K2_16K, 16, "k2", PAdicValue.from_fraction(qb, self.ctx)),
+            ]
         else:
-            pm = p * p
             r3 = self.r3()
-            out.append(
-                self._report(
-                    Target.THM13_K2_4K,
-                    2,
-                    self.weighted_sum(4, "k2") % pm,
-                    (Fraction(-20, 9) * r3).residue(2),
-                    t0,
-                )
-            )
-            out.append(
-                self._report(
-                    Target.THM13_K2_16K,
-                    2,
-                    self.weighted_sum(16, "k2") % pm,
-                    (Fraction(4, 9) * r3).residue(2),
-                    t0,
-                )
-            )
-            out.append(
-                self._report(
-                    Target.THM13_K_4K,
-                    2,
-                    self.weighted_sum(4, "k") % pm,
-                    (Fraction(4, 3) * r3).residue(2),
-                    t0,
-                )
-            )
-            out.append(
-                self._report(
-                    Target.THM13_K_16K,
-                    2,
-                    self.weighted_sum(16, "k") % pm,
-                    (Fraction(-4, 3) * r3).residue(2),
-                    t0,
-                )
-            )
-        return out
+            cases = [
+                (Target.THM13_K2_4K, 4, "k2", Fraction(-20, 9) * r3),
+                (Target.THM13_K2_16K, 16, "k2", Fraction(4, 9) * r3),
+                (Target.THM13_K_4K, 4, "k", Fraction(4, 3) * r3),
+                (Target.THM13_K_16K, 16, "k", Fraction(-4, 3) * r3),
+            ]
+        return [self._report(t, self.weighted_sum(b, w), rhs, t0) for t, b, w, rhs in cases]
 
     def conj1_dp1(self) -> CongruenceReport:
         """D_(p-1) against 64^(p-1) - (p^3/6) B_(p-3) mod p^4."""
         t0 = perf_counter()
         p = self.p
-        pm = p**4
-        lhs = self.domb_table[p - 1] % pm
+        lhs = self.domb_table[p - 1]
         b = bernoulli_table(self.ctx)[p - 3]
-        rhs = (pow(64, p - 1, pm) - p**3 * (b * pow(6, -1, p) % p)) % pm
-        return self._report(Target.CONJ1_DP1, 4, lhs, rhs, t0)
+        rhs = pow(64, p - 1, self.ctx.pk) - p**3 * (b * pow(6, -1, p) % p)
+        return self._report(Target.CONJ1_DP1, lhs, rhs, t0)
 
     def musun(self) -> CongruenceReport:
         """sum (3k^2+k) D_k / 16^k against -4 p^4 q_p(2) mod p^5."""
         t0 = perf_counter()
-        p = self.p
-        pm = p**5
-        lhs = self.weighted_sum(16, "3k2+k") % pm
+        lhs = self.weighted_sum(16, "3k2+k")
         q = fermat_quotient(2, self.ctx)
-        rhs = (-4 * PAdicValue.from_int(p, self.ctx) ** 4 * q).residue(5)
-        return self._report(Target.MUSUN_P5, 5, lhs, rhs, t0)
+        rhs = -4 * PAdicValue.from_int(self.p, self.ctx) ** 4 * q
+        return self._report(Target.MUSUN_P5, lhs, rhs, t0)
 
     # ---- lemma-level targets ----
 
@@ -369,29 +351,24 @@ class PrimeVerifier:
         every 0 <= j <= (p-1)/2.  The j with 3j+1 = p is included; the
         valuation bookkeeping makes that term regular."""
         t0 = perf_counter()
+        m = self._exponent(Target.LEMMA22)
         p = self.p
-        if p % 3 != 1:
-            raise WrongPrimeClass("stated for p = 1 (mod 3) only")
         ctx = self.ctx
-        lhs = rhs = 0
-        fail = None
+        cases = []
         for j in range((p - 1) // 2 + 1):
-            lhs = (binomial_int(3 * j, j, ctx) * binomial_int(p + j, 3 * j + 1, ctx)).residue(3)
+            lhs = (binomial_int(3 * j, j, ctx) * binomial_int(p + j, 3 * j + 1, ctx)).residue(m)
             hterm = 1 + p * (harmonic(j, 1, ctx) - harmonic(2 * j, 1, ctx))
-            rhs = (PAdicValue.from_fraction(Fraction(p, 3 * j + 1), ctx) * hterm).residue(3)
-            if lhs != rhs and fail is None:
-                fail = (lhs, rhs)
-        if fail:
-            lhs, rhs = fail
-        return self._report(Target.LEMMA22, 3, lhs, rhs, t0)
+            rhs = (PAdicValue.from_fraction(Fraction(p, 3 * j + 1), ctx) * hterm).residue(m)
+            cases.append((lhs, rhs))
+        return self._first_failure(Target.LEMMA22, cases, t0)
 
     def lemma_mpt_check(self, t_samples=None) -> CongruenceReport:
         """C((2p-2)/3 + pt, (p-1)/2) against its first-order expansion in t
-        mod p^2, at small fixed t plus deterministic pseudo-random t."""
+        mod p^2, at small fixed t plus deterministic pseudo-random t.  The
+        top index (2p-2)/3 is integral only for p = 1 (mod 3)."""
         t0 = perf_counter()
+        m = self._exponent(Target.LEMMA_MPT)
         p = self.p
-        if p % 3 != 1:
-            raise WrongPrimeClass("the top index (2p-2)/3 is integral only for p = 1 (mod 3)")
         ctx = self.ctx
         base = (2 * p - 2) // 3
         half = (p - 1) // 2
@@ -400,16 +377,14 @@ class PrimeVerifier:
             t_samples = [0, 1, -1, 2, -2] + [rng.randrange(-10000, 10001) for _ in range(4)]
         c0 = binomial_int(base, half, ctx)
         slope = harmonic(base, 1, ctx) - harmonic((p - 1) // 6, 1, ctx)
-        lhs = rhs = 0
-        fail = None
-        for t in t_samples:
-            lhs = binomial_rational(Fraction(base + p * t), half, ctx).residue(2)
-            rhs = (c0 * (1 + p * t * slope)).residue(2)
-            if lhs != rhs and fail is None:
-                fail = (lhs, rhs)
-        if fail:
-            lhs, rhs = fail
-        return self._report(Target.LEMMA_MPT, 2, lhs, rhs, t0)
+        cases = [
+            (
+                binomial_rational(Fraction(base + p * t), half, ctx).residue(m),
+                (c0 * (1 + p * t * slope)).residue(m),
+            )
+            for t in t_samples
+        ]
+        return self._first_failure(Target.LEMMA_MPT, cases, t0)
 
     def lemma_p2j_check(self) -> CongruenceReport:
         """(3j+1) C(3j,j) C(p+2j,3j+1) mod p^3 for all 0 <= j <= p-1:
@@ -417,29 +392,25 @@ class PrimeVerifier:
         2 p^2 (-1)^j (H_2j - H_j) on the upper half, where H_2j is no
         longer p-integral and the negative valuation must cancel the p^2."""
         t0 = perf_counter()
+        m = self._exponent(Target.LEMMA_P2J)
         p = self.p
         ctx = self.ctx
         half = (p - 1) // 2
-        lhs = rhs = 0
-        fail = None
+        cases = []
         for j in range(p):
             sign = -1 if j % 2 else 1
             lhs = (
                 (3 * j + 1)
                 * binomial_int(3 * j, j, ctx)
                 * binomial_int(p + 2 * j, 3 * j + 1, ctx)
-            ).residue(3)
+            ).residue(m)
             hdiff = harmonic(2 * j, 1, ctx) - harmonic(j, 1, ctx)
             if j <= half:
                 rv = sign * PAdicValue.from_int(p, ctx) * (1 + p * hdiff)
             else:
                 rv = sign * PAdicValue.from_int(2 * p * p, ctx) * hdiff
-            rhs = rv.residue(3)
-            if lhs != rhs and fail is None:
-                fail = (lhs, rhs)
-        if fail:
-            lhs, rhs = fail
-        return self._report(Target.LEMMA_P2J, 3, lhs, rhs, t0)
+            cases.append((lhs, rv.residue(m)))
+        return self._first_failure(Target.LEMMA_P2J, cases, t0)
 
     def lemma_sh55_check(self) -> CongruenceReport:
         """The full Domb sum against the central-binomial expansion:
@@ -449,7 +420,7 @@ class PrimeVerifier:
         p = self.p
         ctx = self.ctx
         pk = ctx.pk
-        lhs = self.weighted_sum(16, "1") % p**3
+        lhs = self.weighted_sum(16, "1")
         i16 = pow(16, -1, pk)
         w = 1
         acc = PAdicValue.zero(ctx)
@@ -459,17 +430,15 @@ class PrimeVerifier:
             factor = PAdicValue.from_fraction(Fraction(p, 3 * k + 1), ctx)
             acc = acc + cb * cb * PAdicValue.from_residue(w, ctx) * factor * hterm
             w = w * i16 % pk
-        rhs = acc.residue(3)
-        return self._report(Target.LEMMA_SH55, 3, lhs, rhs, t0)
+        return self._report(Target.LEMMA_SH55, lhs, acc, t0)
 
     def lemma_sunh_check(self) -> CongruenceReport:
         """The harmonic-number evaluations at p/6, p/4, p/3, 2p/3 and the
         half/full range, against Fermat quotients, B_(p-2)(1/3) and
         E_(p-3).  All sub-congruences must hold; p = 5 is excluded."""
         t0 = perf_counter()
+        m = self._exponent(Target.LEMMA_SUNH)
         p = self.p
-        if p <= 5:
-            raise WrongPrimeClass("stated for p > 5")
         ctx = self.ctx
         q2 = fermat_quotient(2, ctx)
         q3 = fermat_quotient(3, ctx)
@@ -481,7 +450,7 @@ class PrimeVerifier:
         checks = [
             (harmonic(p - 1, 2, ctx).residue(1), 0),
             (harmonic((p - 1) // 2, 2, ctx).residue(1), 0),
-            (harmonic(p - 1, 1, ctx).residue(2), 0),
+            (harmonic(p - 1, 1, ctx).residue(m), 0),
             (
                 (Fraction(1, 5) * harmonic(p // 6, 2, ctx)).residue(1),
                 harmonic(p // 3, 2, ctx).residue(1),
@@ -491,78 +460,52 @@ class PrimeVerifier:
                 (Fraction(1, 2) * wv).residue(1),
             ),
             (
-                harmonic(p // 6, 1, ctx).residue(2),
+                harmonic(p // 6, 1, ctx).residue(m),
                 (
                     -2 * q2
                     - Fraction(3, 2) * q3
                     + p * q2 * q2
                     + Fraction(3 * p, 4) * q3 * q3
                     - Fraction(5 * p, 12) * wv
-                ).residue(2),
+                ).residue(m),
             ),
             (
-                harmonic(p // 3, 1, ctx).residue(2),
+                harmonic(p // 3, 1, ctx).residue(m),
                 (
                     -Fraction(3, 2) * q3
                     + Fraction(3 * p, 4) * q3 * q3
                     - Fraction(p, 6) * wv
-                ).residue(2),
+                ).residue(m),
             ),
             (
-                harmonic((p - 1) // 2, 1, ctx).residue(2),
-                (-2 * q2 + p * q2 * q2).residue(2),
+                harmonic((p - 1) // 2, 1, ctx).residue(m),
+                (-2 * q2 + p * q2 * q2).residue(m),
             ),
             (
                 harmonic(p // 4, 2, ctx).residue(1),
                 sign * 4 * e % p,
             ),
             (
-                harmonic(2 * p // 3, 1, ctx).residue(2),
+                harmonic(2 * p // 3, 1, ctx).residue(m),
                 (
                     -Fraction(3, 2) * q3
                     + Fraction(3 * p, 4) * q3 * q3
                     + Fraction(p, 3) * wv
-                ).residue(2),
+                ).residue(m),
             ),
         ]
-        lhs = rhs = 0
-        fail = None
-        for lhs, rhs in checks:
-            if lhs != rhs and fail is None:
-                fail = (lhs, rhs)
-        if fail:
-            lhs, rhs = fail
-        return self._report(Target.LEMMA_SUNH, 2, lhs, rhs, t0)
+        return self._first_failure(Target.LEMMA_SUNH, checks, t0)
 
     # ---- dispatch ----
 
     def run(self) -> list[CongruenceReport]:
-        want = set(t for t in self.targets if applicable(t, self.p))
+        """Each evaluating method once, in catalog order; a method that
+        covers several targets keeps only the rows that were asked for."""
+        want = {t for t in self.targets if applicable(t, self.p)}
         rows: list[CongruenceReport] = []
-        if want & {Target.THM11_4K}:
-            rows.append(self.thm11_4k())
-        if want & {Target.THM11_16K}:
-            rows.append(self.thm11_16k())
-        if want & {Target.THM12_4K, Target.THM12_16K}:
-            rows.extend(r for r in self.thm12() if r.target in want)
-        if want & {Target.THM13_K2_4K, Target.THM13_K2_16K, Target.THM13_K_4K, Target.THM13_K_16K}:
-            rows.extend(r for r in self.thm13_all() if r.target in want)
-        if want & {Target.CONJ1_DP1}:
-            rows.append(self.conj1_dp1())
-        if want & {Target.CONJ2_MODP2}:
-            rows.append(self.conj2_mod_p2())
-        if want & {Target.MUSUN_P5}:
-            rows.append(self.musun())
-        if want & {Target.LEMMA22}:
-            rows.append(self.lemma22_check())
-        if want & {Target.LEMMA_MPT}:
-            rows.append(self.lemma_mpt_check())
-        if want & {Target.LEMMA_P2J}:
-            rows.append(self.lemma_p2j_check())
-        if want & {Target.LEMMA_SUNH}:
-            rows.append(self.lemma_sunh_check())
-        if want & {Target.LEMMA_SH55}:
-            rows.append(self.lemma_sh55_check())
+        for method in dict.fromkeys(SPECS[t].method for t in Target if t in want):
+            out = getattr(self, method)()
+            rows.extend(r for r in (out if isinstance(out, list) else [out]) if r.target in want)
         rows.sort(key=lambda r: _TARGET_INDEX[r.target])
         return rows
 
@@ -607,17 +550,16 @@ def sweep(
 ) -> list[CongruenceReport]:
     """Verify every prime in [lo, hi] (primes below 5 are never swept).
 
-    Per-target caps (DEFAULT_CAPS unless overridden) drop expensive targets
-    for large primes.  Rows come back sorted by (prime, catalog order) no
-    matter how the work was scheduled, so output is reproducible.
+    A target is skipped at primes above its cap: ``caps[target]`` if given,
+    else ``SPECS[target].cap``; ``verify_prime`` itself never caps.  Rows
+    come back sorted by (prime, catalog order) no matter how the work was
+    scheduled, so output is reproducible.
     """
-    effective_caps = dict(DEFAULT_CAPS)
-    if caps:
-        effective_caps.update(caps)
+    caps = {t: s.cap for t, s in SPECS.items() if s.cap is not None} | (caps or {})
     targets = list(Target) if targets is None else list(targets)
     tasks = []
     for p in sieve_primes(max(lo, 5), hi):
-        want = [t for t in targets if p <= effective_caps.get(t, hi)]
+        want = [t for t in targets if p <= caps.get(t, hi)]
         if want:
             tasks.append((p, want, guard))
     if workers > 1 and len(tasks) > 1:

@@ -25,12 +25,13 @@ __all__ = [
     "split_p",
     "binomial_int",
     "binomial_rational",
-    "pochhammer",
-    "jacobi3",
 ]
 
 # Valuation bound reported for an exact zero; far above any working precision.
 EXACT_ZERO = 10**9
+
+# Entries kept in each context's memo of unit inverses mod p^K.
+INVERSE_CACHE_BOUND = 4096
 
 
 class PAdicError(ArithmeticError):
@@ -88,11 +89,6 @@ def split_p(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def jacobi3(p: int) -> int:
-    """Legendre symbol (p/3) for a prime p > 3: +1 iff p = 1 (mod 3)."""
-    return 1 if p % 3 == 1 else -1
-
-
 class PrimeContext:
     """A prime p > 3 together with the working modulus p^K and unit caches.
 
@@ -101,7 +97,7 @@ class PrimeContext:
     helpers inside a single process is safe.
     """
 
-    def __init__(self, p: int, precision: int, inverse_cache_bound: int = 4096):
+    def __init__(self, p: int, precision: int):
         if precision < 1:
             raise ValueError("precision must be at least 1")
         if p <= 3 or not is_prime(p):
@@ -110,7 +106,6 @@ class PrimeContext:
         self.precision = precision
         self.pk = p**precision
         self.powers = tuple(p**i for i in range(precision + 1))
-        self._inv_bound = inverse_cache_bound
         self._inv: dict[int, int] = {}
         # factorial caches: valuation of n! and the p-free part of n! mod p^K
         self._fact_val = [0]
@@ -126,7 +121,7 @@ class PrimeContext:
         if hit is not None:
             return hit
         r = pow(u, -1, self.pk)
-        if len(self._inv) < self._inv_bound:
+        if len(self._inv) < INVERSE_CACHE_BOUND:
             self._inv[u] = r
         return r
 
@@ -233,11 +228,6 @@ class PAdicValue:
             raise ValueError("zero has no finite valuation")
         return self.v
 
-    @property
-    def abs_bound(self) -> int:
-        """Exponent up to which the value is known: O(p^abs_bound) error."""
-        return self.v if self.unit == 0 else self.v + self.prec
-
     def residue(self, m: int) -> int:
         """The canonical residue in [0, p^m), for 1 <= m <= K.
 
@@ -262,6 +252,9 @@ class PAdicValue:
 
     def _coerce(self, other):
         if isinstance(other, PAdicValue):
+            a, b = self.ctx, other.ctx
+            if b is not a and (b.p, b.precision) != (a.p, a.precision):
+                raise ValueError(f"cannot mix {a} and {b}")
             return other
         if isinstance(other, int):
             return PAdicValue.from_int(other, self.ctx)
@@ -414,26 +407,3 @@ def binomial_rational(a, m: int, ctx: PrimeContext) -> PAdicValue:
     fv, fu = ctx.factorial_decomposed(m)
     unit = unit * ctx.inverse_unit(pow(den, m, pk) * fu % pk) % pk
     return PAdicValue(ctx, val - fv, unit, ctx.precision)
-
-
-def pochhammer(a, k: int, ctx: PrimeContext) -> PAdicValue:
-    """Rising factorial (a)_k = a(a+1)...(a+k-1) for rational a."""
-    if k < 0:
-        raise ValueError("pochhammer needs k >= 0")
-    a = Fraction(a)
-    if a.denominator % ctx.p == 0:
-        raise DenominatorDivisibleByP(f"denominator of {a} is divisible by {ctx.p}")
-    num = a.numerator
-    den = a.denominator
-    pk = ctx.pk
-    val = 0
-    unit = 1
-    for i in range(k):
-        f = num + i * den
-        if f == 0:
-            return PAdicValue.zero(ctx)
-        w, u = split_p(f, ctx.p)
-        val += w
-        unit = unit * u % pk
-    unit = unit * ctx.inverse_unit(pow(den, k, pk)) % pk
-    return PAdicValue(ctx, val, unit, ctx.precision)

@@ -41,17 +41,15 @@ class HarmonicCache:
 
     Indices at and beyond p make the valuation go negative (the 1/p term),
     which the valuation-aware addition tracks; nothing is skipped.  The
-    arrays grow on demand, so the initial ceiling is only a hint.
+    arrays are prefilled to index 4p/3 + 2 and grow on demand beyond it.
     """
 
-    def __init__(self, ctx: PrimeContext, ceiling: int | None = None):
+    def __init__(self, ctx: PrimeContext):
         self.ctx = ctx
         zero = PAdicValue.zero(ctx)
         self._h = [zero]
         self._h2 = [zero]
-        if ceiling is None:
-            ceiling = 4 * ctx.p // 3 + 2
-        self._extend(ceiling)
+        self._extend(4 * ctx.p // 3 + 2)
 
     def _extend(self, n: int) -> None:
         ctx = self.ctx

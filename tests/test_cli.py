@@ -4,8 +4,28 @@ import json
 
 import pytest
 
-from dombcheck.cli import main, render_rows
+from dombcheck.cli import _LABELS, _parse_targets, main, render_rows
 from dombcheck.congruences import Target, verify_prime
+
+T = Target
+
+# The --targets group labels, written out target by target.
+GROUPS = {
+    "thm1.1": (T.THM11_4K, T.THM11_16K),
+    "thm1.2": (T.THM12_4K, T.THM12_16K),
+    "thm1.3": (T.THM13_K2_4K, T.THM13_K2_16K, T.THM13_K_4K, T.THM13_K_16K),
+    "conj1": (T.CONJ1_DP1,),
+    "conj2": (T.CONJ2_MODP2,),
+    "musun": (T.MUSUN_P5,),
+    "lemmas": (T.LEMMA22, T.LEMMA_MPT, T.LEMMA_P2J, T.LEMMA_SUNH, T.LEMMA_SH55),
+    "all": tuple(Target),
+}
+
+
+def test_group_labels():
+    assert list(_LABELS) == list(GROUPS)
+    for label, targets in GROUPS.items():
+        assert tuple(_parse_targets(label.upper())) == targets, label
 
 
 def test_domb_subcommand(capsys):

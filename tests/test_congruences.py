@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from dombcheck.congruences import (
-    DEFAULT_CAPS,
+    SPECS,
     CongruenceReport,
     PrimeVerifier,
     Target,
@@ -86,6 +86,15 @@ def test_modulus_exponent():
     assert modulus_exponent(T.THM13_K2_4K, 5) == 2
     assert modulus_exponent(T.CONJ1_DP1, 7) == 4
     assert modulus_exponent(T.MUSUN_P5, 7) == 5
+
+
+def test_specs_cover_every_target_once():
+    assert list(SPECS) == list(Target)
+
+
+def test_spec_methods_exist():
+    for target, spec in SPECS.items():
+        assert callable(getattr(PrimeVerifier, spec.method, None)), target
 
 
 def test_row_counts():
@@ -246,7 +255,7 @@ def test_sweep_workers_agree():
 
 
 def test_sweep_caps():
-    assert T.CONJ1_DP1 in DEFAULT_CAPS
+    assert SPECS[T.CONJ1_DP1].cap == 1000
     rows = sweep(995, 1010, targets=[T.CONJ1_DP1])
     assert [r.prime for r in rows] == [997]
     rows = sweep(995, 1010, targets=[T.CONJ1_DP1], caps={T.CONJ1_DP1: 1010})

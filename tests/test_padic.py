@@ -17,8 +17,6 @@ from dombcheck.padic import (
     binomial_int,
     binomial_rational,
     is_prime,
-    jacobi3,
-    pochhammer,
     split_p,
 )
 
@@ -210,21 +208,14 @@ def test_binomial_rational_denominator_check():
         binomial_rational(Fraction(1, 5), 2, CTX5)
 
 
-def test_pochhammer_spots():
-    assert pochhammer(Fraction(1, 3), 2, CTX5).residue(3) == 56  # 4/9
-    assert pochhammer(Fraction(2, 7), 0, CTX5).residue(3) == 1
-    for k in range(1, 8):
-        fact = 1
-        for i in range(2, k + 1):
-            fact *= i
-        assert pochhammer(1, k, CTX5).residue(3) == fact % 125
-
-
-def test_jacobi3():
-    assert jacobi3(7) == 1
-    assert jacobi3(13) == 1
-    assert jacobi3(5) == -1
-    assert jacobi3(11) == -1
+def test_mixed_contexts_raise():
+    three5 = PAdicValue.from_int(3, CTX5)
+    with pytest.raises(ValueError):
+        three5 + PAdicValue.from_int(3, CTX7)
+    with pytest.raises(ValueError):
+        three5 * PAdicValue.from_int(3, PrimeContext(5, 4))
+    # a separate context with the same p and precision is the same ring
+    assert (three5 + PAdicValue.from_int(3, PrimeContext(5, 3))).residue(3) == 6
 
 
 rationals = st.fractions(
