@@ -116,7 +116,7 @@ SPECS: dict[Target, TargetSpec] = {
     Target.THM13_K_16K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all"),
     Target.CONJ1_DP1: TargetSpec("conj1", _every, _exp(4), "conj1_dp1", cap=1000),
     Target.CONJ2_MODP2: TargetSpec("conj2", _every, _exp(2), "conj2_mod_p2"),
-    Target.MUSUN_P5: TargetSpec("musun", _every, _exp(5), "musun", cap=1000),
+    Target.MUSUN_P5: TargetSpec("musun", _every, _exp(5), "musun"),
     Target.LEMMA22: TargetSpec("lemmas", _one_mod_3, _exp(3), "lemma22_check"),
     Target.LEMMA_MPT: TargetSpec("lemmas", _one_mod_3, _exp(2), "lemma_mpt_check"),
     Target.LEMMA_P2J: TargetSpec("lemmas", _every, _exp(3), "lemma_p2j_check"),
@@ -235,11 +235,15 @@ class PrimeVerifier:
         return self._r3
 
     def _exponent(self, target: Target) -> int:
-        """The target's m at this prime; WrongPrimeClass where it is not stated."""
+        """The target's m at this prime; WrongPrimeClass where it is not stated,
+        ValueError where the working precision leaves no guard digit above m."""
         spec = SPECS[target]
         if not spec.applies(self.p):
             raise WrongPrimeClass(f"{target.value} is not stated for p = {self.p}")
-        return spec.mod_exp(self.p)
+        m = spec.mod_exp(self.p)
+        if self.ctx.precision < m + 1:
+            raise ValueError(f"{target.value} needs precision {m + 1}, not {self.ctx.precision}")
+        return m
 
     def _report(self, target, lhs: int, rhs, t0) -> CongruenceReport:
         """One row: lhs reduced mod p^m, rhs an int reduced the same way or

@@ -110,9 +110,22 @@ class PrimeContext:
         # factorial caches: valuation of n! and the p-free part of n! mod p^K
         self._fact_val = [0]
         self._fact_unit = [1]
+        # per-prime tables that special.py builds on first use
+        self._harmonic_cache = None
+        self._fact_mod_p = None
+        self._bernoulli_mod_p = None
+        self._euler_mod_p = None
 
     def __repr__(self) -> str:
         return f"PrimeContext(p={self.p}, precision={self.precision})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PrimeContext):
+            return NotImplemented
+        return (self.p, self.precision) == (other.p, other.precision)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.precision))
 
     def inverse_unit(self, u: int) -> int:
         """Inverse of a p-free residue modulo p^K, with a small memo table."""
@@ -253,7 +266,7 @@ class PAdicValue:
     def _coerce(self, other):
         if isinstance(other, PAdicValue):
             a, b = self.ctx, other.ctx
-            if b is not a and (b.p, b.precision) != (a.p, a.precision):
+            if b is not a and b != a:
                 raise ValueError(f"cannot mix {a} and {b}")
             return other
         if isinstance(other, int):

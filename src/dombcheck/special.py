@@ -71,11 +71,9 @@ class HarmonicCache:
 
 
 def _harmonic_cache(ctx: PrimeContext) -> HarmonicCache:
-    cache = getattr(ctx, "_harmonic_cache", None)
-    if cache is None:
-        cache = HarmonicCache(ctx)
-        ctx._harmonic_cache = cache
-    return cache
+    if ctx._harmonic_cache is None:
+        ctx._harmonic_cache = HarmonicCache(ctx)
+    return ctx._harmonic_cache
 
 
 def harmonic(n: int, order: int, ctx: PrimeContext) -> PAdicValue:
@@ -99,8 +97,7 @@ def fermat_quotient(a: int, ctx: PrimeContext) -> PAdicValue:
 
 def _fact_tables_mod_p(ctx: PrimeContext) -> tuple[list[int], list[int]]:
     # factorials and inverse factorials of 0..p-1 modulo p, shared per prime
-    tables = getattr(ctx, "_fact_mod_p", None)
-    if tables is None:
+    if ctx._fact_mod_p is None:
         p = ctx.p
         f = [1] * p
         for i in range(2, p):
@@ -109,9 +106,8 @@ def _fact_tables_mod_p(ctx: PrimeContext) -> tuple[list[int], list[int]]:
         fi[p - 1] = pow(f[p - 1], -1, p)
         for i in range(p - 1, 0, -1):
             fi[i - 1] = fi[i] * i % p
-        tables = (f, fi)
-        ctx._fact_mod_p = tables
-    return tables
+        ctx._fact_mod_p = (f, fi)
+    return ctx._fact_mod_p
 
 
 def _binom_mod_p(n: int, k: int, f: list[int], fi: list[int], p: int) -> int:
@@ -125,9 +121,8 @@ def bernoulli_table(ctx: PrimeContext) -> list[int]:
     Built from the defining recurrence sum_{k<n} C(n,k) B_k = 0; odd indices
     beyond 1 stay zero, so only even rows cost anything.  O(p^2) overall.
     """
-    table = getattr(ctx, "_bernoulli_mod_p", None)
-    if table is not None:
-        return table
+    if ctx._bernoulli_mod_p is not None:
+        return ctx._bernoulli_mod_p
     p = ctx.p
     f, fi = _fact_tables_mod_p(ctx)
     size = p - 2  # indices 0..p-3
@@ -152,9 +147,8 @@ def euler_table(ctx: PrimeContext) -> list[int]:
     E_0 = 1, E_2 = -1, E_4 = 5, odd indices zero, via the recurrence
     sum_j C(2n, 2j) E_2j = 0.
     """
-    table = getattr(ctx, "_euler_mod_p", None)
-    if table is not None:
-        return table
+    if ctx._euler_mod_p is not None:
+        return ctx._euler_mod_p
     p = ctx.p
     f, fi = _fact_tables_mod_p(ctx)
     size = p - 2

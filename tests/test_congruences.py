@@ -204,6 +204,14 @@ def test_wrong_prime_class_raises():
         PrimeVerifier(5, [T.LEMMA_SUNH]).lemma_sunh_check()
 
 
+def test_precision_below_target_raises():
+    # precision 3 cannot carry CONJ1_DP1's mod 7^4 plus a guard digit; read
+    # off anyway it gives lhs=232, rhs=1261 where the true residues are equal
+    with pytest.raises(ValueError, match="CONJ1_DP1"):
+        PrimeVerifier(7, [T.LEMMA_MPT]).conj1_dp1()
+    assert PrimeVerifier(7, [T.CONJ1_DP1]).conj1_dp1().lhs == 575
+
+
 def test_verify_prime_skips_inapplicable():
     rows = verify_prime(5, [T.THM12_4K, T.LEMMA_SUNH])
     assert rows == []
@@ -259,5 +267,9 @@ def test_sweep_caps():
     rows = sweep(995, 1010, targets=[T.CONJ1_DP1])
     assert [r.prime for r in rows] == [997]
     rows = sweep(995, 1010, targets=[T.CONJ1_DP1], caps={T.CONJ1_DP1: 1010})
+    assert [r.prime for r in rows] == [997, 1009]
+    assert all(r.passed for r in rows)
+    # MUSUN_P5 reads only the Domb table and q_p(2), so it has no cap
+    rows = sweep(995, 1010, targets=[T.MUSUN_P5])
     assert [r.prime for r in rows] == [997, 1009]
     assert all(r.passed for r in rows)

@@ -44,20 +44,38 @@ def test_table_spot_values():
     assert list(table.residues) == [1, 4, 28, 6, 91]
 
 
-@pytest.mark.parametrize("p,K", [(7, 3), (13, 2), (31, 2)])
-def test_table_matches_exact(p, K):
+@pytest.mark.parametrize(
+    "p,K,sample",
+    [(7, 3, None), (13, 2, None), (31, 2, None), (997, 6, (2, 498, 995, 996))],
+    ids=["7-3", "13-2", "31-2", "997-6"],
+)
+def test_table_matches_exact(p, K, sample):
     ctx = PrimeContext(p, K)
     table = DombTable(ctx)
     assert len(table) == p
-    for n in range(p):
+    for n in range(p) if sample is None else sample:
         assert table[n] == domb_exact(n) % ctx.pk
 
 
 def test_table_custom_size():
-    ctx = PrimeContext(5, 2)
-    table = DombTable(ctx, size=12)
-    for n in range(12):
-        assert table[n] == domb_exact(n) % 25
+    # past p the recurrence divides by p-powers of (n+1)^3; 40 crosses 25
+    for p, K, size in [(5, 2, 12), (5, 3, 40), (7, 6, 60)]:
+        ctx = PrimeContext(p, K)
+        table = DombTable(ctx, size=size)
+        for n in range(size):
+            assert table[n] == domb_exact(n) % ctx.pk
+
+
+def test_table_uses_no_padic_kernel(monkeypatch):
+    # the left sides must not share code with the right sides' kernel
+    def refuse(*args):
+        raise AssertionError("DombTable called the p-adic kernel")
+
+    monkeypatch.setattr(PrimeContext, "factorial_decomposed", refuse)
+    monkeypatch.setattr(PrimeContext, "inverse_unit", refuse)
+    ctx = PrimeContext(101, 4)
+    table = DombTable(ctx)
+    assert table.residues == [domb_exact(n) % ctx.pk for n in range(101)]
 
 
 def test_prime_index_reduction():

@@ -218,6 +218,14 @@ def test_mixed_contexts_raise():
     assert (three5 + PAdicValue.from_int(3, PrimeContext(5, 3))).residue(3) == 6
 
 
+def test_equal_contexts_compare_equal():
+    other = PrimeContext(5, 3)
+    assert other == CTX5 and hash(other) == hash(CTX5)
+    assert other != PrimeContext(5, 4) and other != CTX7
+    assert PAdicValue.from_int(3, CTX5) == PAdicValue.from_int(3, other)
+    assert PAdicValue.from_int(3, CTX5) != PAdicValue.from_int(3, PrimeContext(5, 4))
+
+
 rationals = st.fractions(
     min_value=Fraction(-300), max_value=Fraction(300), max_denominator=60
 )
