@@ -60,14 +60,6 @@ def _parse_primes(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_cap(spec: str) -> tuple[Target, int]:
-    try:
-        name, value = spec.split("=")
-        return Target(name.strip().upper()), int(value)
-    except (ValueError, KeyError):
-        raise argparse.ArgumentTypeError("expected TARGET=BOUND")
-
-
 _FIELDS = ("prime", "target", "modulus_exponent", "lhs", "rhs", "pass", "millis")
 
 
@@ -112,11 +104,10 @@ def render_rows(rows, fmt: str, timings: bool) -> str:
 
 def _cmd_verify(args) -> int:
     lo, hi = args.primes
-    caps = dict(args.cap or [])
     t0 = perf_counter()
     if not sieve_primes(max(lo, 5), hi):
         print("warning: no primes in range", file=sys.stderr)
-    rows = sweep(lo, hi, args.targets, guard=args.guard, caps=caps, workers=args.workers)
+    rows = sweep(lo, hi, args.targets, guard=args.guard, workers=args.workers)
     elapsed = perf_counter() - t0
     text = render_rows(rows, args.format, args.timings)
     if args.out:
@@ -184,13 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--guard", type=int, default=1, help="extra precision digits")
     v.add_argument("--out", help="write the report to this path instead of stdout")
     v.add_argument("--format", choices=("table", "csv", "jsonl"), default="table")
-    v.add_argument(
-        "--cap",
-        type=_parse_cap,
-        action="append",
-        metavar="TARGET=BOUND",
-        help="override a per-target prime cap (repeatable)",
-    )
     v.add_argument(
         "--timings",
         action="store_true",

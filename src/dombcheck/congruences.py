@@ -72,15 +72,13 @@ _TARGET_INDEX = {t: i for i, t in enumerate(Target)}
 class TargetSpec:
     """Every fact about a target except its closed form: the CLI group it
     belongs to, the primes it is stated for, the exponent m of its modulus
-    p^m, the PrimeVerifier method that evaluates it (by name, so the method
-    is looked up on the verifier at call time), and the prime bound above
-    which sweeps skip it by default (None: never skipped)."""
+    p^m, and the PrimeVerifier method that evaluates it (by name, so the
+    method is looked up on the verifier at call time)."""
 
     group: str
     applies: Callable[[int], bool]
     mod_exp: Callable[[int], int]
     method: str
-    cap: int | None = None
 
 
 def _every(p: int) -> bool:
@@ -104,7 +102,6 @@ def _k2_exp(p: int) -> int:
 
 
 # The catalog.  A new target is one entry here plus the method it names.
-# The capped targets build O(p^2) Bernoulli/Euler tables.
 SPECS: dict[Target, TargetSpec] = {
     Target.THM11_4K: TargetSpec("thm1.1", _every, _exp(3), "thm11_4k"),
     Target.THM11_16K: TargetSpec("thm1.1", _every, _exp(3), "thm11_16k"),
@@ -114,13 +111,13 @@ SPECS: dict[Target, TargetSpec] = {
     Target.THM13_K2_16K: TargetSpec("thm1.3", _every, _k2_exp, "thm13_all"),
     Target.THM13_K_4K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all"),
     Target.THM13_K_16K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all"),
-    Target.CONJ1_DP1: TargetSpec("conj1", _every, _exp(4), "conj1_dp1", cap=1000),
+    Target.CONJ1_DP1: TargetSpec("conj1", _every, _exp(4), "conj1_dp1"),
     Target.CONJ2_MODP2: TargetSpec("conj2", _every, _exp(2), "conj2_mod_p2"),
     Target.MUSUN_P5: TargetSpec("musun", _every, _exp(5), "musun"),
     Target.LEMMA22: TargetSpec("lemmas", _one_mod_3, _exp(3), "lemma22_check"),
     Target.LEMMA_MPT: TargetSpec("lemmas", _one_mod_3, _exp(2), "lemma_mpt_check"),
     Target.LEMMA_P2J: TargetSpec("lemmas", _every, _exp(3), "lemma_p2j_check"),
-    Target.LEMMA_SUNH: TargetSpec("lemmas", lambda p: p > 5, _exp(2), "lemma_sunh_check", cap=1000),
+    Target.LEMMA_SUNH: TargetSpec("lemmas", lambda p: p > 5, _exp(2), "lemma_sunh_check"),
     Target.LEMMA_SH55: TargetSpec("lemmas", _every, _exp(3), "lemma_sh55_check"),
 }
 
@@ -549,23 +546,16 @@ def sweep(
     hi: int,
     targets=None,
     guard: int = 1,
-    caps: dict | None = None,
     workers: int = 1,
 ) -> list[CongruenceReport]:
-    """Verify every prime in [lo, hi] (primes below 5 are never swept).
+    """Verify every prime in [lo, hi] (primes below 5 are never swept)
+    against every given target that applies there.
 
-    A target is skipped at primes above its cap: ``caps[target]`` if given,
-    else ``SPECS[target].cap``; ``verify_prime`` itself never caps.  Rows
-    come back sorted by (prime, catalog order) no matter how the work was
-    scheduled, so output is reproducible.
+    Rows come back sorted by (prime, catalog order) no matter how the work
+    was scheduled, so output is reproducible.
     """
-    caps = {t: s.cap for t, s in SPECS.items() if s.cap is not None} | (caps or {})
     targets = list(Target) if targets is None else list(targets)
-    tasks = []
-    for p in sieve_primes(max(lo, 5), hi):
-        want = [t for t in targets if p <= caps.get(t, hi)]
-        if want:
-            tasks.append((p, want, guard))
+    tasks = [(p, targets, guard) for p in sieve_primes(max(lo, 5), hi)]
     if workers > 1 and len(tasks) > 1:
         import multiprocessing
 

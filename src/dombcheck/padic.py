@@ -30,9 +30,6 @@ __all__ = [
 # Valuation bound reported for an exact zero; far above any working precision.
 EXACT_ZERO = 10**9
 
-# Entries kept in each context's memo of unit inverses mod p^K.
-INVERSE_CACHE_BOUND = 4096
-
 
 class PAdicError(ArithmeticError):
     """Base class for precision and valuation failures."""
@@ -90,11 +87,11 @@ def split_p(n: int, p: int) -> tuple[int, int]:
 
 
 class PrimeContext:
-    """A prime p > 3 together with the working modulus p^K and unit caches.
+    """A prime p > 3 together with the working modulus p^K and its caches.
 
-    The context is logically immutable; the factorial and inverse caches
-    underneath are append-only memo tables, so sharing one context across
-    helpers inside a single process is safe.
+    The context is logically immutable; the factorial cache and the
+    per-prime tables underneath are append-only memos, so sharing one
+    context across helpers inside a single process is safe.
     """
 
     def __init__(self, p: int, precision: int):
@@ -106,7 +103,6 @@ class PrimeContext:
         self.precision = precision
         self.pk = p**precision
         self.powers = tuple(p**i for i in range(precision + 1))
-        self._inv: dict[int, int] = {}
         # factorial caches: valuation of n! and the p-free part of n! mod p^K
         self._fact_val = [0]
         self._fact_unit = [1]
@@ -128,15 +124,8 @@ class PrimeContext:
         return hash((self.p, self.precision))
 
     def inverse_unit(self, u: int) -> int:
-        """Inverse of a p-free residue modulo p^K, with a small memo table."""
-        u %= self.pk
-        hit = self._inv.get(u)
-        if hit is not None:
-            return hit
-        r = pow(u, -1, self.pk)
-        if len(self._inv) < INVERSE_CACHE_BOUND:
-            self._inv[u] = r
-        return r
+        """Inverse of a p-free residue modulo p^K."""
+        return pow(u, -1, self.pk)
 
     def factorial_decomposed(self, n: int) -> tuple[int, int]:
         """n! as (valuation, p-free unit mod p^K).

@@ -3,7 +3,12 @@ and Morita's p-adic gamma function.
 
 Everything here is evaluated against a PrimeContext.  The per-prime tables
 (harmonic caches, Bernoulli and Euler numbers) are memoized on the context
-object so that the congruence drivers can share them.
+object so that the congruence checks can share them.  Bernoulli and Euler
+residues invert their generating series mod p in O(M(p) log p), M(p) the
+cost of a degree-p polynomial product (Buhler, Crandall, Ernvall and
+Metsankyla, Math. Comp. 61, 1993; Harvey, J. Symb. Comp. 44, 2009), never
+via harmonic sums (Lehmer, Ann. Math. 39, 1938): LEMMA_SUNH compares the
+two, and would then hold by construction.
 """
 
 from __future__ import annotations
@@ -115,53 +120,62 @@ def _binom_mod_p(n: int, k: int, f: list[int], fi: list[int], p: int) -> int:
     return f[n] * fi[k] % p * fi[n - k] % p
 
 
+def _series_inverse(a: list[int], n: int, p: int) -> list[int]:
+    """The first n coefficients of 1/a mod p, for a[0] a unit mod p, by
+    Newton doubling b <- b(2 - a b) mod (x^m, p).  Each product is one
+    big-integer multiply by Kronecker substitution, in slots of w bytes that
+    hold any coefficient (below n p^2) of a product of reduced series."""
+    w = (2 * p.bit_length() + n.bit_length() + 7) // 8
+
+    def pack(c: list[int], m: int) -> int:
+        return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in c[:m]), "little")
+
+    def mul(f: list[int], g: list[int], m: int) -> list[int]:
+        # f g mod (x^m, p)
+        raw = (pack(f, m) * pack(g, m) & ((1 << 8 * w * m) - 1)).to_bytes(w * m, "little")
+        return [int.from_bytes(raw[i : i + w], "little") % p for i in range(0, w * m, w)]
+
+    b = [pow(a[0], -1, p)]
+    m = 1
+    while m < n:
+        m = min(2 * m, n)
+        e = [-c % p for c in mul(a, b, m)]
+        e[0] = (e[0] + 2) % p
+        b = mul(b, e, m)
+    return b
+
+
 def bernoulli_table(ctx: PrimeContext) -> list[int]:
     """Residues of B_0 .. B_(p-3) modulo p, first-kind convention B_1 = -1/2.
 
-    Built from the defining recurrence sum_{k<n} C(n,k) B_k = 0; odd indices
-    beyond 1 stay zero, so only even rows cost anything.  O(p^2) overall.
+    x/(e^x - 1) = sum B_k x^k/k! is the inverse of sum x^k/(k+1)!, taken
+    mod p in O(M(p) log p); never from harmonic sums, which LEMMA_SUNH
+    checks against this table.
     """
-    if ctx._bernoulli_mod_p is not None:
-        return ctx._bernoulli_mod_p
-    p = ctx.p
-    f, fi = _fact_tables_mod_p(ctx)
-    size = p - 2  # indices 0..p-3
-    b = [0] * size
-    b[0] = 1
-    if size > 1:
-        b[1] = p - (p + 1) // 2
-    for m in range(2, size, 2):
-        n = m + 1
-        s = n * b[1] % p
-        for k in range(0, m, 2):
-            if b[k]:
-                s = (s + _binom_mod_p(n, k, f, fi, p) * b[k]) % p
-        b[m] = -s * pow(n, -1, p) % p
-    ctx._bernoulli_mod_p = b
-    return b
+    if ctx._bernoulli_mod_p is None:
+        p = ctx.p
+        f, fi = _fact_tables_mod_p(ctx)
+        b = _series_inverse(fi[1 : p - 1], p - 2, p)
+        ctx._bernoulli_mod_p = [bk * f[k] % p for k, bk in enumerate(b)]
+    return ctx._bernoulli_mod_p
 
 
 def euler_table(ctx: PrimeContext) -> list[int]:
     """Residues of the secant-convention Euler numbers E_0 .. E_(p-3) mod p.
 
-    E_0 = 1, E_2 = -1, E_4 = 5, odd indices zero, via the recurrence
-    sum_j C(2n, 2j) E_2j = 0.
+    E_0 = 1, E_2 = -1, E_4 = 5, odd indices zero.  With y = x^2, sech x =
+    sum E_2k y^k/(2k)! is the inverse of cosh x = sum y^k/(2k)!, taken mod p
+    in O(M(p) log p); never from harmonic sums, which LEMMA_SUNH checks
+    against this table.
     """
-    if ctx._euler_mod_p is not None:
-        return ctx._euler_mod_p
-    p = ctx.p
-    f, fi = _fact_tables_mod_p(ctx)
-    size = p - 2
-    e = [0] * size
-    e[0] = 1
-    for n in range(2, size, 2):
-        s = 0
-        for j in range(0, n, 2):
-            if e[j]:
-                s = (s + _binom_mod_p(n, j, f, fi, p) * e[j]) % p
-        e[n] = -s % p
-    ctx._euler_mod_p = e
-    return e
+    if ctx._euler_mod_p is None:
+        p = ctx.p
+        f, fi = _fact_tables_mod_p(ctx)
+        c = _series_inverse(fi[0 : p - 2 : 2], (p - 1) // 2, p)
+        e = [0] * (p - 2)
+        e[::2] = [ck * f[2 * k] % p for k, ck in enumerate(c)]
+        ctx._euler_mod_p = e
+    return ctx._euler_mod_p
 
 
 def bernoulli_poly(n: int, x, ctx: PrimeContext) -> int:

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
 The heavy shared work is a single full sweep of every congruence target
-over all primes 5 <= p <= 2000 (expensive targets capped at 1000 by
-default, exactly as the CLI runs it).  Everything here is exact residue
-arithmetic; a criterion passes only if every single case matches.
+over all primes 5 <= p <= 2000, exactly as the CLI runs it; criteria 5 and
+7 read its rows up to their stated bound of 1000.  Everything here is exact
+residue arithmetic; a criterion passes only if every single case matches.
 """
 
 import random
@@ -22,7 +22,7 @@ from dombcheck.special import padic_gamma_int, padic_gamma_rational
 
 T = Target
 
-SWEEP_LO, SWEEP_HI, CAP = 5, 2000, 1000
+SWEEP_LO, SWEEP_HI, STATED_BOUND = 5, 2000, 1000
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -158,7 +158,7 @@ def test_criterion_04_mod_p2_form_and_ladder(full_sweep):
 
 def test_criterion_05_prime_index_value_mod_p4(full_sweep):
     idx = full_sweep["index"]
-    small = [p for p in full_sweep["primes"] if p <= CAP]
+    small = [p for p in full_sweep["primes"] if p <= STATED_BOUND]
     bad = [
         p
         for p in small
@@ -171,14 +171,14 @@ def test_criterion_05_prime_index_value_mod_p4(full_sweep):
         5,
         ok,
         f"D_(p-1) against the fourth-power congruence, {len(small)} primes "
-        f"up to {CAP}, {len(bad)} failures",
+        f"up to {STATED_BOUND}, {len(bad)} failures",
     )
     assert ok
 
 
 def test_criterion_06_quintic_weighted_sum(full_sweep):
     idx = full_sweep["index"]
-    small = [p for p in full_sweep["primes"] if p <= CAP]
+    small = [p for p in full_sweep["primes"] if p <= STATED_BOUND]
     bad = [
         p
         for p in small
@@ -190,7 +190,7 @@ def test_criterion_06_quintic_weighted_sum(full_sweep):
     _verdict(
         6,
         ok,
-        f"3k^2+k weighted sum mod p^5, {len(small)} primes up to {CAP}, "
+        f"3k^2+k weighted sum mod p^5, {len(small)} primes up to {STATED_BOUND}, "
         f"{len(bad)} failures",
     )
     assert ok
@@ -201,7 +201,7 @@ def test_criterion_07_lemma_suite(full_sweep):
     bad = []
     counted = 0
     for p in full_sweep["primes"]:
-        if p > CAP:
+        if p > STATED_BOUND:
             continue
         expected = [T.LEMMA_P2J, T.LEMMA_SH55]
         if p % 3 == 1:
@@ -219,7 +219,7 @@ def test_criterion_07_lemma_suite(full_sweep):
         7,
         ok,
         f"binomial, harmonic and quotient lemmas, {counted} prime/lemma pairs "
-        f"up to {CAP}, {len(bad)} failures",
+        f"up to {STATED_BOUND}, {len(bad)} failures",
     )
     assert ok
 

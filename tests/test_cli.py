@@ -61,6 +61,7 @@ def test_usage_errors_are_exit_2():
     assert main(["verify", "--primes", "5:50", "--targets", "bogus"]) == 2
     assert main(["verify", "--primes", "5:50", "--workers", "0"]) == 2
     assert main(["verify", "--primes", "5:50", "--guard", "0"]) == 2
+    assert main(["verify", "--primes", "5:10", "--cap", "conj1_dp1=7"]) == 2
     assert main(["identities", "--max-n", "0"]) == 2
     assert main(["nosuchcommand"]) == 2
 
@@ -182,28 +183,6 @@ def test_verify_timings_opt_in(tmp_path):
     assert rc == 0
     rows = out.read_text().splitlines()[1:]
     assert all(len(r.split(",")) == 7 for r in rows)
-
-
-def test_verify_cap_flag(tmp_path):
-    out = tmp_path / "cap.csv"
-    rc = main(
-        [
-            "verify",
-            "--primes",
-            "5:60",
-            "--targets",
-            "lemma_sunh",
-            "--cap",
-            "lemma_sunh=10",
-            "--format",
-            "csv",
-            "--out",
-            str(out),
-        ]
-    )
-    assert rc == 0
-    rows = out.read_text().splitlines()[1:]
-    assert [r.split(",")[0] for r in rows] == ["7"]
 
 
 def test_identities_command(capsys):

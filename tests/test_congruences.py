@@ -22,6 +22,7 @@ from dombcheck.congruences import (
     verify_prime,
 )
 from dombcheck.padic import binomial_int
+from dombcheck.special import bernoulli_table, euler_table
 
 T = Target
 
@@ -262,14 +263,23 @@ def test_sweep_workers_agree():
     assert strip(seq) == strip(par)
 
 
-def test_sweep_caps():
-    assert SPECS[T.CONJ1_DP1].cap == 1000
-    rows = sweep(995, 1010, targets=[T.CONJ1_DP1])
-    assert [r.prime for r in rows] == [997]
-    rows = sweep(995, 1010, targets=[T.CONJ1_DP1], caps={T.CONJ1_DP1: 1010})
-    assert [r.prime for r in rows] == [997, 1009]
+def test_sweep_runs_every_target_past_1000():
+    # past 1000, where acceptance criteria 5 and 7 stop reading rows
+    rows = sweep(995, 1010, targets=[T.CONJ1_DP1, T.LEMMA_SUNH, T.MUSUN_P5])
+    for t in (T.CONJ1_DP1, T.LEMMA_SUNH, T.MUSUN_P5):
+        assert [r.prime for r in rows if r.target is t] == [997, 1009]
     assert all(r.passed for r in rows)
-    # MUSUN_P5 reads only the Domb table and q_p(2), so it has no cap
-    rows = sweep(995, 1010, targets=[T.MUSUN_P5])
-    assert [r.prime for r in rows] == [997, 1009]
-    assert all(r.passed for r in rows)
+
+
+# one prime of each class mod 3, past the primes the acceptance criteria read
+@pytest.mark.parametrize("p", [1009, 1013])
+def test_bernoulli_and_euler_tables_carry_weight(p):
+    targets = [T.CONJ1_DP1, T.LEMMA_SUNH]
+    run = lambda pv, t: getattr(pv, SPECS[t].method)()
+    pv = PrimeVerifier(p, targets)
+    assert all(run(pv, t).passed for t in targets)
+    for table, broken in ((bernoulli_table, targets), (euler_table, [T.LEMMA_SUNH])):
+        for t in broken:
+            pv = PrimeVerifier(p, targets)
+            table(pv.ctx)[p - 3] += 1
+            assert not run(pv, t).passed, (table.__name__, t)

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from dombcheck import special
 from dombcheck.padic import DenominatorDivisibleByP, PAdicValue, PrimeContext
 from dombcheck.special import (
     ArgumentDivisibleByP,
+    HarmonicCache,
     bernoulli_poly,
     bernoulli_table,
     euler_table,
@@ -114,6 +116,59 @@ def test_euler_table_against_oracle(p):
     for n in range(2, len(table), 2):
         s = sum(comb(n, j) * table[j] for j in range(0, n + 1, 2)) % p
         assert s == 0
+
+
+def _binomials_mod_p(p):
+    f = [1] * p
+    for i in range(1, p):
+        f[i] = f[i - 1] * i % p
+    return lambda n, k: f[n] * pow(f[k] * f[n - k], -1, p) % p
+
+
+def _bernoulli_recurrence(p):
+    # the defining recurrence sum_{k<n} C(n,k) B_k = 0 mod p, O(p^2)
+    binom = _binomials_mod_p(p)
+    b = [0] * (p - 2)
+    b[0] = 1
+    b[1] = p - (p + 1) // 2
+    for m in range(2, p - 2, 2):
+        s = (m + 1) * b[1] + sum(binom(m + 1, k) * b[k] for k in range(0, m, 2))
+        b[m] = -s * pow(m + 1, -1, p) % p
+    return b
+
+
+def _euler_recurrence(p):
+    # sum_j C(2n, 2j) E_2j = 0 mod p, O(p^2)
+    binom = _binomials_mod_p(p)
+    e = [0] * (p - 2)
+    e[0] = 1
+    for n in range(2, p - 2, 2):
+        e[n] = -sum(binom(n, j) * e[j] for j in range(0, n, 2)) % p
+    return e
+
+
+# 5 is the smallest prime; (p-1)/2 is a power of two at 17 and 257, and
+# p - 2 is one past a power of two at 131: both ends of Newton's last doubling
+@pytest.mark.parametrize("p", [5, 17, 131, 257, 997])
+def test_tables_match_recurrences(p):
+    ctx = PrimeContext(p, 2)
+    assert bernoulli_table(ctx) == _bernoulli_recurrence(p)
+    assert euler_table(ctx) == _euler_recurrence(p)
+
+
+def test_tables_use_no_harmonic_sums_or_padic_kernel(monkeypatch):
+    # LEMMA_SUNH checks harmonic sums against these tables; sharing code
+    # with them, or with the right sides' kernel, would make it vacuous
+    def refuse(*args):
+        raise AssertionError("a Bernoulli/Euler table called harmonic or kernel code")
+
+    monkeypatch.setattr(special, "harmonic", refuse)
+    monkeypatch.setattr(HarmonicCache, "get", refuse)
+    monkeypatch.setattr(PrimeContext, "inverse_unit", refuse)
+    monkeypatch.setattr(PrimeContext, "factorial_decomposed", refuse)
+    ctx = PrimeContext(101, 4)
+    assert bernoulli_table(ctx) == _bernoulli_recurrence(101)
+    assert euler_table(ctx) == _euler_recurrence(101)
 
 
 def test_bernoulli_poly_spots():
