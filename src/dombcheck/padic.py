@@ -89,9 +89,11 @@ def split_p(n: int, p: int) -> tuple[int, int]:
 class PrimeContext:
     """A prime p > 3 together with the working modulus p^K and its caches.
 
-    The context is logically immutable; the factorial cache and the
-    per-prime tables underneath are append-only memos, so sharing one
-    context across helpers inside a single process is safe.
+    The factorial cache holds, for each n, the valuation of n!, its p-free
+    unit mod p^K and the inverse of that unit, so a binomial needs no
+    modular inversion.  The context is logically immutable; the factorial
+    cache and the per-prime tables underneath are append-only memos, so
+    sharing one context across helpers inside a single process is safe.
     """
 
     def __init__(self, p: int, precision: int):
@@ -103,9 +105,11 @@ class PrimeContext:
         self.precision = precision
         self.pk = p**precision
         self.powers = tuple(p**i for i in range(precision + 1))
-        # factorial caches: valuation of n! and the p-free part of n! mod p^K
+        # factorial caches: valuation of n!, the p-free part of n! mod p^K
+        # and its inverse mod p^K
         self._fact_val = [0]
         self._fact_unit = [1]
+        self._fact_inv = [1]
         # per-prime tables that special.py builds on first use
         self._harmonic_cache = None
         self._fact_mod_p = None
@@ -132,7 +136,10 @@ class PrimeContext:
 
         The valuation grows by v_p(m) at each step m, matching Legendre's
         digit-sum formula; the unit is the running product of the p-free
-        parts of 1..n reduced mod p^K.
+        parts of 1..n reduced mod p^K.  The cache grows in blocks, at least
+        to 3p (the largest n the lemma loops read) and at least doubling;
+        each block costs one inversion, of its last unit, and a backward
+        walk inv[m-1] = inv[m] * (p-free part of m) fills the inverses.
         """
         if n < 0:
             raise ValueError("factorial of a negative integer")
@@ -142,9 +149,11 @@ class PrimeContext:
             return fv[n], fu[n]
         p = self.p
         pk = self.pk
+        start = len(fv)
         val = fv[-1]
         unit = fu[-1]
-        for m in range(len(fv), n + 1):
+        parts = []
+        for m in range(start, max(n, 2 * start, 3 * p) + 1):
             w = 0
             mm = m
             while mm % p == 0:
@@ -154,7 +163,20 @@ class PrimeContext:
             unit = unit * mm % pk
             fv.append(val)
             fu.append(unit)
-        return val, unit
+            parts.append(mm)
+        inv = [0] * len(parts)
+        x = pow(unit, -1, pk)
+        for i in range(len(parts) - 1, -1, -1):
+            inv[i] = x
+            x = x * parts[i] % pk
+        self._fact_inv.extend(inv)
+        return fv[n], fu[n]
+
+    def inverse_factorial_unit(self, n: int) -> int:
+        """The inverse mod p^K of the p-free unit of n!."""
+        if n >= len(self._fact_inv):
+            self.factorial_decomposed(n)
+        return self._fact_inv[n]
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,8 +289,10 @@ class PAdicValue:
     def __neg__(self) -> "PAdicValue":
         if self.unit == 0:
             return self
-        p = self.ctx.p
-        return PAdicValue(self.ctx, self.v, p**self.prec - self.unit, self.prec)
+        ctx = self.ctx
+        prec = self.prec
+        mod = ctx.powers[prec] if prec <= ctx.precision else ctx.p**prec
+        return PAdicValue(ctx, self.v, mod - self.unit, prec)
 
     def __add__(self, other):
         b = self._coerce(other)
@@ -288,13 +312,19 @@ class PAdicValue:
             if bound <= a.v:
                 return PAdicValue.zero(ctx, bound)
             prec = bound - a.v
-            return PAdicValue(ctx, a.v, a.unit % ctx.p**prec, prec)
+            mod = ctx.powers[prec] if prec <= ctx.precision else ctx.p**prec
+            return PAdicValue(ctx, a.v, a.unit % mod, prec)
         vmin = min(a.v, b.v)
         known = min(a.v + a.prec, b.v + b.prec)
         rel = known - vmin
         p = ctx.p
-        mod = p**rel
-        s = (a.unit * p ** (a.v - vmin) + b.unit * p ** (b.v - vmin)) % mod
+        pw = ctx.powers
+        K = ctx.precision
+        # a.v - vmin can exceed K when the summands' valuations lie far apart
+        da = a.v - vmin
+        db = b.v - vmin
+        mod = pw[rel] if rel <= K else p**rel
+        s = (a.unit * (pw[da] if da <= K else p**da) + b.unit * (pw[db] if db <= K else p**db)) % mod
         if s == 0:
             return PAdicValue.zero(ctx, known)
         w, u = split_p(s, p)
@@ -315,17 +345,24 @@ class PAdicValue:
         return b + (-self)
 
     def __mul__(self, other):
+        a = self
+        ctx = a.ctx
+        K = ctx.precision
+        if isinstance(other, int) and other % ctx.p:
+            # an integer prime to p is a unit known to K digits: scale ours
+            if a.unit == 0:
+                return a
+            prec = a.prec if a.prec <= K else K
+            return PAdicValue(ctx, a.v, a.unit * other % ctx.powers[prec], prec)
         b = self._coerce(other)
         if b is NotImplemented:
             return b
-        a = self
-        ctx = a.ctx
         if a.unit == 0 or b.unit == 0:
             # O(p^x) * p^y(unit) = O(p^(x+y)); bounds add in every mix
             return PAdicValue.zero(ctx, min(a.v + b.v, EXACT_ZERO))
         prec = min(a.prec, b.prec)
-        unit = a.unit * b.unit % ctx.p**prec
-        return PAdicValue(ctx, a.v + b.v, unit, prec)
+        mod = ctx.powers[prec] if prec <= K else ctx.p**prec
+        return PAdicValue(ctx, a.v + b.v, a.unit * b.unit % mod, prec)
 
     __rmul__ = __mul__
 
@@ -369,17 +406,21 @@ def binomial_int(n: int, k: int, ctx: PrimeContext) -> PAdicValue:
     """C(n, k) for integer n >= 0 as an exact p-adic value.
 
     Out-of-range k gives an exact zero.  The valuation equals the number of
-    carries when adding k and n-k in base p, by way of the factorial cache.
+    carries when adding k and n-k in base p, by way of the factorial cache;
+    the unit is n!'s unit times the cached inverse units of k! and (n-k)!,
+    with no modular inversion.
     """
     if n < 0:
         raise ValueError("binomial_int needs n >= 0; use binomial_rational otherwise")
     if k < 0 or k > n:
         return PAdicValue.zero(ctx)
-    vn, un = ctx.factorial_decomposed(n)
-    vk, uk = ctx.factorial_decomposed(k)
-    vm, um = ctx.factorial_decomposed(n - k)
-    unit = un * ctx.inverse_unit(uk * um % ctx.pk) % ctx.pk
-    return PAdicValue(ctx, vn - vk - vm, unit, ctx.precision)
+    if n >= len(ctx._fact_val):
+        ctx.factorial_decomposed(n)
+    fv = ctx._fact_val
+    fi = ctx._fact_inv
+    m = n - k
+    unit = ctx._fact_unit[n] * fi[k] * fi[m] % ctx.pk
+    return PAdicValue(ctx, fv[n] - fv[k] - fv[m], unit, ctx.precision)
 
 
 def binomial_rational(a, m: int, ctx: PrimeContext) -> PAdicValue:
@@ -406,6 +447,6 @@ def binomial_rational(a, m: int, ctx: PrimeContext) -> PAdicValue:
         w, u = split_p(f, ctx.p)
         val += w
         unit = unit * u % pk
-    fv, fu = ctx.factorial_decomposed(m)
-    unit = unit * ctx.inverse_unit(pow(den, m, pk) * fu % pk) % pk
+    fv, _ = ctx.factorial_decomposed(m)
+    unit = unit * ctx.inverse_factorial_unit(m) * ctx.inverse_unit(pow(den, m, pk)) % pk
     return PAdicValue(ctx, val - fv, unit, ctx.precision)

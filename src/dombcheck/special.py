@@ -13,6 +13,7 @@ two, and would then hold by construction.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 
 from .padic import (
@@ -44,35 +45,102 @@ class ArgumentDivisibleByP(PAdicError):
 class HarmonicCache:
     """Prefix sums H_n = sum 1/k and H_n^(2) = sum 1/k^2 as p-adic values.
 
-    Indices at and beyond p make the valuation go negative (the 1/p term),
-    which the valuation-aware addition tracks; nothing is skipped.  The
-    arrays are prefilled to index 4p/3 + 2 and grow on demand beyond it.
+    With e = floor(log_p n), the largest v_p(k) over k <= n, the cache
+    stores the p-integral p^e H_n and p^(2e) H_n^(2) as plain ints mod p^K.  The arrays are prefilled to index 2p (LEMMA_P2J and
+    LEMMA_SH55 read H_(2p-2)) and grow on demand beyond it.  Every
+    reciprocal of 1..n comes from one batch inversion of the p-free parts
+    of k, with no read of the factorial tables: the lemma checks compare
+    these sums with binomials, which the factorial tables build.
+
+    ``get`` builds the PAdicValue on read: p^e H_n / p^e, known mod
+    p^(K - e) (order 2: p^(K - 2e)), so indices at and beyond p come out
+    with negative valuation and the bounded precision that summing the
+    terms 1/k with valuation-aware addition would give; nothing is skipped.
     """
 
     def __init__(self, ctx: PrimeContext):
-        self.ctx = ctx
-        zero = PAdicValue.zero(ctx)
-        self._h = [zero]
-        self._h2 = [zero]
-        self._extend(4 * ctx.p // 3 + 2)
+        # The context memoizes this cache.  A strong reference back would be
+        # a cycle that only the cyclic collector frees, so each prime's
+        # tables would outlive the prime until the next collection.
+        self._ctx = weakref.ref(ctx)
+        self._h = [0]
+        self._h2 = [0]
+        self._extend(2 * ctx.p)
+
+    @property
+    def ctx(self) -> PrimeContext:
+        ctx = self._ctx()
+        if ctx is None:
+            raise ReferenceError("the PrimeContext of this HarmonicCache is gone")
+        return ctx
 
     def _extend(self, n: int) -> None:
         ctx = self.ctx
+        p = ctx.p
+        pk = ctx.pk
         h = self._h
         h2 = self._h2
-        for k in range(len(h), n + 1):
-            t = PAdicValue.from_fraction(Fraction(1, k), ctx)
-            h.append(h[-1] + t)
-            h2.append(h2[-1] + t * t)
+        start = len(h)
+        # k = p^w u with u prime to p; prefix products of the u, inverted once
+        vals = []
+        units = []
+        prefix = []
+        c = 1
+        for k in range(start, n + 1):
+            w = 0
+            while k % p == 0:
+                k //= p
+                w += 1
+            vals.append(w)
+            units.append(k)
+            c = c * k % pk
+            prefix.append(c)
+        inv = [0] * len(units)
+        x = pow(c, -1, pk)
+        for i in range(len(units) - 1, 0, -1):
+            inv[i] = x * prefix[i - 1] % pk
+            x = x * units[i] % pk
+        inv[0] = x
+        e = self._log_p(start - 1)
+        s1 = h[-1]
+        s2 = h2[-1]
+        for w, r in zip(vals, inv):
+            if w > e:
+                # k = p^(e+1): the stored sums take one more factor of p
+                s1 = s1 * p % pk
+                s2 = s2 * p * p % pk
+                e = w
+            t = r * p ** (e - w) % pk  # p^e / k
+            s1 = (s1 + t) % pk
+            s2 = (s2 + t * t) % pk
+            h.append(s1)
+            h2.append(s2)
+
+    def _log_p(self, n: int) -> int:
+        # floor(log_p n) for n >= 1, and 0 for n = 0
+        p = self.ctx.p
+        e = 0
+        while n >= p:
+            n //= p
+            e += 1
+        return e
 
     def get(self, n: int, order: int = 1) -> PAdicValue:
         if n < 0:
             raise ValueError("harmonic index must be nonnegative")
         if order not in (1, 2):
             raise ValueError("only orders 1 and 2 are cached")
+        ctx = self.ctx
+        if n == 0:
+            return PAdicValue.zero(ctx)
         if n >= len(self._h):
             self._extend(n)
-        return self._h[n] if order == 1 else self._h2[n]
+        e = 0 if n < ctx.p else order * self._log_p(n)
+        s = self._h[n] if order == 1 else self._h2[n]
+        if s == 0:
+            return PAdicValue.zero(ctx, ctx.precision - e)
+        w, u = split_p(s, ctx.p)
+        return PAdicValue(ctx, w - e, u, ctx.precision - w)
 
 
 def _harmonic_cache(ctx: PrimeContext) -> HarmonicCache:
@@ -209,8 +277,7 @@ def bernoulli_poly(n: int, x, ctx: PrimeContext) -> int:
 def _first_level_unit(m: int, ctx: PrimeContext) -> int:
     # product of 1 <= k <= m with p not dividing k, mod p^K
     _, um = ctx.factorial_decomposed(m)
-    _, uq = ctx.factorial_decomposed(m // ctx.p)
-    return um * ctx.inverse_unit(uq) % ctx.pk
+    return um * ctx.inverse_factorial_unit(m // ctx.p) % ctx.pk
 
 
 def padic_gamma_int(n: int, ctx: PrimeContext) -> PAdicValue:

@@ -22,7 +22,7 @@ from dombcheck.congruences import (
     verify_prime,
 )
 from dombcheck.padic import binomial_int
-from dombcheck.special import bernoulli_table, euler_table
+from dombcheck.special import _harmonic_cache, bernoulli_table, euler_table
 
 T = Target
 
@@ -226,9 +226,12 @@ def test_verify_prime_rejects_bad_guard():
 
 
 def test_guard_does_not_change_residues():
-    a = verify_prime(7, guard=1)
-    b = verify_prime(7, guard=2)
-    assert [(r.target, r.lhs, r.rhs) for r in a] == [(r.target, r.lhs, r.rhs) for r in b]
+    strip = lambda rows: [(r.target, r.lhs, r.rhs, r.passed) for r in rows]
+    for p in sieve_primes(5, 150):
+        rows = strip(verify_prime(p, guard=1))
+        assert rows, p
+        for guard in (2, 3):
+            assert strip(verify_prime(p, guard=guard)) == rows, (p, guard)
 
 
 def test_sieve_primes():
@@ -283,3 +286,22 @@ def test_bernoulli_and_euler_tables_carry_weight(p):
             pv = PrimeVerifier(p, targets)
             table(pv.ctx)[p - 3] += 1
             assert not run(pv, t).passed, (table.__name__, t)
+
+
+# LEMMA22 applies at 1009 only; LEMMA_P2J at both
+@pytest.mark.parametrize("p", [1009, 1013])
+def test_harmonic_and_factorial_tables_carry_weight(p):
+    targets = [t for t in (T.LEMMA22, T.LEMMA_P2J) if applicable(t, p)]
+    assert len(targets) == (2 if p == 1009 else 1)
+    run = lambda pv, t: getattr(pv, SPECS[t].method)()
+    pv = PrimeVerifier(p, targets)
+    assert all(run(pv, t).passed for t in targets)
+    j = 10  # H_10 is read at j = 5 and j = 10; 1/10! at j = 3, 5 and 10
+    for t in targets:
+        pv = PrimeVerifier(p, targets)
+        _harmonic_cache(pv.ctx)._h[j] += 1
+        assert not run(pv, t).passed, ("H", t)
+        pv = PrimeVerifier(p, targets)
+        pv.ctx.factorial_decomposed(3 * p)
+        pv.ctx._fact_inv[j] += 1
+        assert not run(pv, t).passed, ("1/j!", t)

@@ -150,6 +150,58 @@ def test_factorial_unit_is_p_free_product():
         assert ctx.factorial_decomposed(n)[1] == prod % 125
 
 
+@pytest.mark.parametrize("p,k", [(5, 3), (7, 6), (101, 4)])
+def test_inverse_factorial_units(p, k):
+    ctx = PrimeContext(p, k)
+    ctx.factorial_decomposed(1)  # the first block reaches 3p
+    assert len(ctx._fact_inv) == len(ctx._fact_unit) >= 3 * p + 1
+    ctx.factorial_decomposed(10 * p)  # a second block, inverted on its own
+    assert len(ctx._fact_inv) == len(ctx._fact_unit) >= 10 * p + 1
+    for n in range(10 * p + 1):
+        assert ctx._fact_unit[n] * ctx._fact_inv[n] % ctx.pk == 1
+        assert ctx.inverse_factorial_unit(n) == ctx._fact_inv[n]
+
+
+@pytest.mark.parametrize("p,k", [(5, 3), (13, 4), (101, 6)])
+def test_binomial_int_carries_against_comb(p, k):
+    # n up to 3p^2, where adding k and n-k in base p carries up to three times
+    ctx = PrimeContext(p, k)
+    rng = random.Random(p)
+    for _ in range(150):
+        n = rng.randrange(3 * p * p)
+        j = rng.randrange(n + 1)
+        v, u = split_p(comb(n, j), p)
+        got = binomial_int(n, j, ctx)
+        assert (got.v, got.unit, got.prec) == (v, u % ctx.pk, k)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_mul_by_int_matches_general_path(p):
+    ctx = PrimeContext(p, 3)
+    rng = random.Random(p)
+    values = [
+        PAdicValue.zero(ctx),
+        PAdicValue.zero(ctx, -2),
+        PAdicValue.from_residue(p + 1, ctx, 2),
+        PAdicValue.from_fraction(Fraction(3, p * p), ctx),
+    ] + [PAdicValue.from_fraction(Fraction(rng.randrange(-999, 999), rng.randrange(1, 99)), ctx) for _ in range(40)]
+    for a in values:
+        for n in (1, -1, 2, p - 1, -(p + 1), 10**9 + 7, p, 0):
+            want = a * PAdicValue.from_int(n, ctx)  # the general path
+            assert a * n == want
+            assert n * a == want
+
+
+def test_add_far_apart_valuations():
+    # the summands' valuations differ by more than K, past the powers table
+    k = CTX5.precision
+    tiny = PAdicValue.from_fraction(Fraction(1, 5 ** (k + 2)), CTX5)
+    s = tiny + 1
+    assert (s.v, s.unit, s.prec) == (-(k + 2), 1, k)
+    s = PAdicValue.from_int(5 ** (k + 2), CTX5) + 1
+    assert (s.v, s.unit, s.prec) == (0, 1, k)
+
+
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_binomial_int_against_comb(p):
     ctx = PrimeContext(p, 3)

@@ -1,11 +1,13 @@
 """Harmonic sums, Fermat quotients, Bernoulli/Euler tables, p-adic Gamma."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from dombcheck import special
+from dombcheck import padic, special
 from dombcheck.padic import DenominatorDivisibleByP, PAdicValue, PrimeContext
 from dombcheck.special import (
     ArgumentDivisibleByP,
@@ -50,6 +52,67 @@ def test_harmonic_against_fraction_oracle():
                 acc += Fraction(1, n**order)
                 diff = harmonic(n, order, ctx) - PAdicValue.from_fraction(acc, ctx)
                 assert diff.is_zero
+
+
+def _additive_harmonics(ctx, n):
+    # the cache as first built: 1/k embedded one at a time and summed with
+    # the valuation-aware addition, which clips the known digits itself
+    h = [PAdicValue.zero(ctx)]
+    h2 = [PAdicValue.zero(ctx)]
+    for k in range(1, n + 1):
+        t = PAdicValue.from_fraction(Fraction(1, k), ctx)
+        h.append(h[-1] + t)
+        h2.append(h2[-1] + t * t)
+    return h, h2
+
+
+# past p^2 at small p, so the 1/p and 1/p^2 terms and the precision they
+# cost are crossed (K = 2 runs out of digits there); 2p at a large prime
+@pytest.mark.parametrize(
+    "p,k,n",
+    [(p, k, 3 * p * p + 5) for p in (5, 7, 11) for k in (2, 3, 6)] + [(997, 6, 2 * 997)],
+)
+def test_harmonic_cache_matches_additive_oracle(p, k, n):
+    ctx = PrimeContext(p, k)
+    h, h2 = _additive_harmonics(ctx, n)
+    as_tuple = lambda x: (x.v, x.unit, x.prec)
+    for i in range(n + 1):
+        assert as_tuple(harmonic(i, 1, ctx)) == as_tuple(h[i]), (i, 1)
+        assert as_tuple(harmonic(i, 2, ctx)) == as_tuple(h2[i]), (i, 2)
+
+
+def test_harmonic_cache_reads_no_factorials(monkeypatch):
+    # LEMMA22 and LEMMA_P2J set binomials against harmonic sums; 1/k taken
+    # as (k-1)!/k! from the factorial tables would make them partly vacuous
+    def refuse(*args):
+        raise AssertionError("the harmonic cache called factorial or binomial code")
+
+    monkeypatch.setattr(PrimeContext, "factorial_decomposed", refuse)
+    monkeypatch.setattr(PrimeContext, "inverse_factorial_unit", refuse)
+    monkeypatch.setattr(padic, "binomial_int", refuse)
+    monkeypatch.setattr(padic, "binomial_rational", refuse)
+    ctx = PrimeContext(101, 4)
+    cache = HarmonicCache(ctx)
+    assert (cache.get(200, 1) - PAdicValue.from_fraction(sum(Fraction(1, i) for i in range(1, 201)), ctx)).is_zero
+    cache.get(3 * 101, 2)  # an extension past the prefill
+    assert ctx._fact_inv == [1] and ctx._fact_unit == [1]
+
+
+def test_context_is_freed_without_the_cycle_collector():
+    # the cache the context memoizes refers back to it weakly, so a prime's
+    # tables go when its context does, not at the next collection
+    gc.disable()
+    try:
+        ctx = PrimeContext(101, 4)
+        cache = special._harmonic_cache(ctx)
+        assert (harmonic(3, 1, ctx) - Fraction(11, 6)).is_zero
+        gone = weakref.ref(ctx)
+        del ctx
+        assert gone() is None
+    finally:
+        gc.enable()
+    with pytest.raises(ReferenceError):
+        cache.get(3)
 
 
 def test_harmonic_rejects_bad_order():
