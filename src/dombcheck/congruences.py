@@ -1,8 +1,12 @@
 """Both sides of every supercongruence target, evaluated per prime.
 
-Left-hand sides are partial sums of the Domb residue table against
-geometric weights, nothing else; right-hand sides go through the p-adic
-kernel (binomials, harmonic numbers, Fermat quotients, Bernoulli data).
+Left-hand sides of the Domb targets are partial sums of the Domb residue
+table against geometric weights, nothing else; their right-hand sides go
+through the p-adic kernel (binomials, harmonic numbers, Fermat quotients,
+Bernoulli data).  The lemma loops LEMMA22, LEMMA_P2J and LEMMA_SH55 work
+on plain residues mod p^m: their binomials are read off the factorial
+tables as unit * p^v, and their harmonic sides come from the harmonic
+cache's stored ints and from a batch inversion of the 3j+1 of their own.
 The two sides meet only in the final residue comparison, so a bug in the
 closed forms cannot silently cancel against one in the sums.
 """
@@ -17,7 +21,14 @@ from fractions import Fraction
 from time import perf_counter
 
 from .domb import DombTable
-from .padic import PAdicValue, PrimeContext, binomial_int, binomial_rational
+from .padic import (
+    PAdicValue,
+    PrimeContext,
+    batch_inverse,
+    binomial_int,
+    binomial_rational,
+    binomial_residues,
+)
 from .quadform import decompose_x2_3y2
 from .special import (
     bernoulli_poly,
@@ -25,6 +36,7 @@ from .special import (
     euler_table,
     fermat_quotient,
     harmonic,
+    harmonic_scaled,
 )
 
 __all__ = [
@@ -122,6 +134,18 @@ SPECS: dict[Target, TargetSpec] = {
 }
 
 
+# Each weight of weighted_sum as its coefficients on the moment sums
+# sum k^i D_k b^(-k), i = 0, 1, 2.
+_WEIGHTS = {
+    "1": (1, 0, 0),
+    "k": (0, 1, 0),
+    "k2": (0, 0, 1),
+    "3k+2": (2, 3, 0),
+    "3k+1": (1, 3, 0),
+    "3k2+k": (0, 1, 3),
+}
+
+
 def applicable(target: Target, p: int) -> bool:
     """Whether the congruence is stated at all for this prime."""
     return SPECS[target].applies(p)
@@ -178,33 +202,31 @@ class PrimeVerifier:
 
     def weighted_sum(self, base: int, weight: str) -> int:
         """sum_{k<p} w(k) D_k base^(-k) mod p^K for w in 1, k, k2, 3k+2,
-        3k+1, 3k2+k.  Every k below p contributes; nothing is truncated."""
+        3k+1, 3k2+k.  Every k below p contributes; nothing is truncated.
+        The first call at a base fills all six weights there from one pass
+        of three moment sums."""
         key = f"{weight}/{base}"
-        hit = self._sums.get(key)
-        if hit is not None:
-            return hit
-        ctx = self.ctx
-        pk = ctx.pk
+        if key not in self._sums:
+            pk = self.ctx.pk
+            moments = self._moment_sums(base)
+            for name, coeffs in _WEIGHTS.items():
+                self._sums[f"{name}/{base}"] = sum(c * s for c, s in zip(coeffs, moments)) % pk
+        return self._sums[key]
+
+    def _moment_sums(self, base: int) -> tuple[int, int, int]:
+        """sum_{k<p} k^i D_k base^(-k) mod p^K for i = 0, 1, 2."""
+        pk = self.ctx.pk
         ib = pow(base, -1, pk)
-        fns = {
-            "1": lambda k: 1,
-            "k": lambda k: k,
-            "k2": lambda k: k * k,
-            "3k+2": lambda k: 3 * k + 2,
-            "3k+1": lambda k: 3 * k + 1,
-            "3k2+k": lambda k: 3 * k * k + k,
-        }
-        fn = fns[weight]
-        acc = 0
+        s0 = s1 = s2 = 0
         w = 1
         for k, d in enumerate(self.domb_table.residues):
-            c = fn(k)
-            if c:
-                acc += c * d * w
+            t = d * w % pk
+            s0 += t
+            t *= k
+            s1 += t
+            s2 += k * t
             w = w * ib % pk
-        acc %= pk
-        self._sums[key] = acc
-        return acc
+        return s0 % pk, s1 % pk, s2 % pk
 
     @property
     def decomposition(self):
@@ -349,19 +371,30 @@ class PrimeVerifier:
 
     def lemma22_check(self) -> CongruenceReport:
         """C(3j,j) C(p+j,3j+1) = (p/(3j+1))(1 - p H_2j + p H_j) mod p^3 for
-        every 0 <= j <= (p-1)/2.  The j with 3j+1 = p is included; the
-        valuation bookkeeping makes that term regular."""
+        every 0 <= j <= (p-1)/2, case by case in plain residues (see
+        _lemma22_cases).  The j with 3j+1 = p is included; there
+        p/(3j+1) = 1."""
         t0 = perf_counter()
         m = self._exponent(Target.LEMMA22)
+        return self._first_failure(Target.LEMMA22, self._lemma22_cases(m), t0)
+
+    def _lemma22_cases(self, m: int) -> list[tuple[int, int]]:
+        """(lhs, rhs) mod p^m at each j: the binomials from the factorial
+        tables; H_j and H_2j (2j < p, so both p-integral) from the harmonic
+        cache, and p/(3j+1) from _p_over_3j1."""
         p = self.p
-        ctx = self.ctx
-        cases = []
-        for j in range((p - 1) // 2 + 1):
-            lhs = (binomial_int(3 * j, j, ctx) * binomial_int(p + j, 3 * j + 1, ctx)).residue(m)
-            hterm = 1 + p * (harmonic(j, 1, ctx) - harmonic(2 * j, 1, ctx))
-            rhs = (PAdicValue.from_fraction(Fraction(p, 3 * j + 1), ctx) * hterm).residue(m)
-            cases.append((lhs, rhs))
-        return self._first_failure(Target.LEMMA22, cases, t0)
+        mod = self.ctx.powers[m]
+        binom = binomial_residues(self.ctx, m)
+        h = harmonic_scaled(p - 1, self.ctx)
+        n = (p + 1) // 2
+        f = _p_over_3j1(n, p, mod)
+        return [
+            (
+                binom(3 * j, j) * binom(p + j, 3 * j + 1) % mod,
+                f[j] * (1 + p * (h[j] - h[2 * j])) % mod,
+            )
+            for j in range(n)
+        ]
 
     def lemma_mpt_check(self, t_samples=None) -> CongruenceReport:
         """C((2p-2)/3 + pt, (p-1)/2) against its first-order expansion in t
@@ -391,47 +424,64 @@ class PrimeVerifier:
         """(3j+1) C(3j,j) C(p+2j,3j+1) mod p^3 for all 0 <= j <= p-1:
         p(-1)^j (1 + p H_2j - p H_j) on the lower half, and
         2 p^2 (-1)^j (H_2j - H_j) on the upper half, where H_2j is no
-        longer p-integral and the negative valuation must cancel the p^2."""
+        longer p-integral and the negative valuation must cancel the p^2.
+        Case by case in plain residues (see _lemma_p2j_cases)."""
         t0 = perf_counter()
         m = self._exponent(Target.LEMMA_P2J)
+        return self._first_failure(Target.LEMMA_P2J, self._lemma_p2j_cases(m), t0)
+
+    def _lemma_p2j_cases(self, m: int) -> list[tuple[int, int]]:
+        """(lhs, rhs) mod p^m at each j: the binomials from the factorial
+        tables, the harmonic numbers from the harmonic cache, which holds
+        H_n below p and p H_n from p on.  On the upper half (2j >= p) the
+        stored p H_2j carries H_2j's negative valuation, so the right side
+        is 2p (p H_2j - p H_j)."""
         p = self.p
-        ctx = self.ctx
+        mod = self.ctx.powers[m]
+        binom = binomial_residues(self.ctx, m)
+        h = harmonic_scaled(2 * p - 2, self.ctx)
         half = (p - 1) // 2
         cases = []
         for j in range(p):
-            sign = -1 if j % 2 else 1
-            lhs = (
-                (3 * j + 1)
-                * binomial_int(3 * j, j, ctx)
-                * binomial_int(p + 2 * j, 3 * j + 1, ctx)
-            ).residue(m)
-            hdiff = harmonic(2 * j, 1, ctx) - harmonic(j, 1, ctx)
+            lhs = (3 * j + 1) * binom(3 * j, j) * binom(p + 2 * j, 3 * j + 1)
             if j <= half:
-                rv = sign * PAdicValue.from_int(p, ctx) * (1 + p * hdiff)
+                rhs = p * (1 + p * (h[2 * j] - h[j]))
             else:
-                rv = sign * PAdicValue.from_int(2 * p * p, ctx) * hdiff
-            cases.append((lhs, rv.residue(m)))
-        return self._first_failure(Target.LEMMA_P2J, cases, t0)
+                rhs = 2 * p * (h[2 * j] - p * h[j])
+            cases.append((lhs % mod, (-rhs if j % 2 else rhs) % mod))
+        return cases
 
     def lemma_sh55_check(self) -> CongruenceReport:
         """The full Domb sum against the central-binomial expansion:
         sum D_k/16^k = sum C(2k,k)^2 16^(-k) (p/(3k+1))(1 + p H_2k - p H_k)
-        mod p^3, both sums over 0 <= k <= p-1."""
+        mod p^3, both sums over 0 <= k <= p-1; the right side is the sum of
+        the products of _lemma_sh55_terms."""
         t0 = perf_counter()
-        p = self.p
-        ctx = self.ctx
-        pk = ctx.pk
+        m = self._exponent(Target.LEMMA_SH55)
         lhs = self.weighted_sum(16, "1")
-        i16 = pow(16, -1, pk)
+        rhs = sum(b * h for b, h in self._lemma_sh55_terms(m))
+        return self._report(Target.LEMMA_SH55, lhs, rhs, t0)
+
+    def _lemma_sh55_terms(self, m: int) -> list[tuple[int, int]]:
+        """(C(2k,k)^2 16^(-k), (p/(3k+1))(1 + p H_2k - p H_k)) mod p^m at
+        each k: the binomial from the factorial tables, the harmonic factor
+        from the harmonic cache and _p_over_3j1.  Both are p-integral: past
+        p/2 the square carries p^2 and the cache's stored p H_2k absorbs
+        H_2k's negative valuation."""
+        p = self.p
+        mod = self.ctx.powers[m]
+        binom = binomial_residues(self.ctx, m)
+        h = harmonic_scaled(2 * p - 2, self.ctx)
+        f = _p_over_3j1(p, p, mod)
+        i16 = pow(16, -1, mod)
         w = 1
-        acc = PAdicValue.zero(ctx)
+        terms = []
         for k in range(p):
-            cb = binomial_int(2 * k, k, ctx)
-            hterm = 1 + p * (harmonic(2 * k, 1, ctx) - harmonic(k, 1, ctx))
-            factor = PAdicValue.from_fraction(Fraction(p, 3 * k + 1), ctx)
-            acc = acc + cb * cb * PAdicValue.from_residue(w, ctx) * factor * hterm
-            w = w * i16 % pk
-        return self._report(Target.LEMMA_SH55, lhs, acc, t0)
+            c = binom(2 * k, k)
+            ph2k = h[2 * k] if 2 * k >= p else p * h[2 * k]
+            terms.append((c * c * w % mod, f[k] * (1 + ph2k - p * h[k]) % mod))
+            w = w * i16 % mod
+        return terms
 
     def lemma_sunh_check(self) -> CongruenceReport:
         """The harmonic-number evaluations at p/6, p/4, p/3, 2p/3 and the
@@ -509,6 +559,15 @@ class PrimeVerifier:
             rows.extend(r for r in (out if isinstance(out, list) else [out]) if r.target in want)
         rows.sort(key=lambda r: _TARGET_INDEX[r.target])
         return rows
+
+
+def _p_over_3j1(n: int, p: int, mod: int) -> list[int]:
+    """p/(3j+1) mod `mod` for 0 <= j < n <= p: p times the inverse of 3j+1,
+    or 1/t where 3j+1 = tp (t is 1 or 2, since 3j+1 < 3p).  One batch
+    inversion of its own: no factorial table or harmonic cache is read."""
+    ds = [3 * j + 1 for j in range(n)]
+    inv = batch_inverse([d // p if d % p == 0 else d for d in ds], mod)
+    return [x if d % p == 0 else p * x % mod for d, x in zip(ds, inv)]
 
 
 def verify_prime(p: int, targets=None, guard: int = 1) -> list[CongruenceReport]:

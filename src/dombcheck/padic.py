@@ -9,6 +9,7 @@ and shrinks the known precision accordingly, interval style.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -23,8 +24,10 @@ __all__ = [
     "PAdicValue",
     "is_prime",
     "split_p",
+    "batch_inverse",
     "binomial_int",
     "binomial_rational",
+    "binomial_residues",
 ]
 
 # Valuation bound reported for an exact zero; far above any working precision.
@@ -84,6 +87,22 @@ def split_p(n: int, p: int) -> tuple[int, int]:
         n //= p
         v += 1
     return v, n
+
+
+def batch_inverse(units: list[int], mod: int) -> list[int]:
+    """The inverses mod `mod` of a list of units, from one pow: prefix
+    products, the inverse of their total, and a walk back that peels one
+    factor off per step (Montgomery's trick)."""
+    inv = []
+    x = 1
+    for u in units:
+        inv.append(x)  # the product of the units before this one
+        x = x * u % mod
+    x = pow(x, -1, mod)
+    for i in range(len(units) - 1, -1, -1):
+        inv[i] = inv[i] * x % mod
+        x = x * units[i] % mod
+    return inv
 
 
 class PrimeContext:
@@ -266,6 +285,8 @@ class PAdicValue:
             raise InsufficientPrecision(f"zero known only to O(p^{self.v})")
         if self.v < 0:
             raise NegativeValuation(f"valuation {self.v} < 0")
+        if self.v >= m:
+            return 0
         if self.v + self.prec < m:
             raise InsufficientPrecision(
                 f"known to O(p^{self.v + self.prec}), residue mod p^{m} requested"
@@ -289,10 +310,8 @@ class PAdicValue:
     def __neg__(self) -> "PAdicValue":
         if self.unit == 0:
             return self
-        ctx = self.ctx
-        prec = self.prec
-        mod = ctx.powers[prec] if prec <= ctx.precision else ctx.p**prec
-        return PAdicValue(ctx, self.v, mod - self.unit, prec)
+        p = self.ctx.p
+        return PAdicValue(self.ctx, self.v, p**self.prec - self.unit, self.prec)
 
     def __add__(self, other):
         b = self._coerce(other)
@@ -312,19 +331,12 @@ class PAdicValue:
             if bound <= a.v:
                 return PAdicValue.zero(ctx, bound)
             prec = bound - a.v
-            mod = ctx.powers[prec] if prec <= ctx.precision else ctx.p**prec
-            return PAdicValue(ctx, a.v, a.unit % mod, prec)
+            return PAdicValue(ctx, a.v, a.unit % ctx.p**prec, prec)
         vmin = min(a.v, b.v)
         known = min(a.v + a.prec, b.v + b.prec)
         rel = known - vmin
         p = ctx.p
-        pw = ctx.powers
-        K = ctx.precision
-        # a.v - vmin can exceed K when the summands' valuations lie far apart
-        da = a.v - vmin
-        db = b.v - vmin
-        mod = pw[rel] if rel <= K else p**rel
-        s = (a.unit * (pw[da] if da <= K else p**da) + b.unit * (pw[db] if db <= K else p**db)) % mod
+        s = (a.unit * p ** (a.v - vmin) + b.unit * p ** (b.v - vmin)) % p**rel
         if s == 0:
             return PAdicValue.zero(ctx, known)
         w, u = split_p(s, p)
@@ -345,24 +357,16 @@ class PAdicValue:
         return b + (-self)
 
     def __mul__(self, other):
-        a = self
-        ctx = a.ctx
-        K = ctx.precision
-        if isinstance(other, int) and other % ctx.p:
-            # an integer prime to p is a unit known to K digits: scale ours
-            if a.unit == 0:
-                return a
-            prec = a.prec if a.prec <= K else K
-            return PAdicValue(ctx, a.v, a.unit * other % ctx.powers[prec], prec)
         b = self._coerce(other)
         if b is NotImplemented:
             return b
+        a = self
+        ctx = a.ctx
         if a.unit == 0 or b.unit == 0:
             # O(p^x) * p^y(unit) = O(p^(x+y)); bounds add in every mix
             return PAdicValue.zero(ctx, min(a.v + b.v, EXACT_ZERO))
         prec = min(a.prec, b.prec)
-        mod = ctx.powers[prec] if prec <= K else ctx.p**prec
-        return PAdicValue(ctx, a.v + b.v, a.unit * b.unit % mod, prec)
+        return PAdicValue(ctx, a.v + b.v, a.unit * b.unit % ctx.p**prec, prec)
 
     __rmul__ = __mul__
 
@@ -421,6 +425,22 @@ def binomial_int(n: int, k: int, ctx: PrimeContext) -> PAdicValue:
     m = n - k
     unit = ctx._fact_unit[n] * fi[k] * fi[m] % ctx.pk
     return PAdicValue(ctx, fv[n] - fv[k] - fv[m], unit, ctx.precision)
+
+
+def binomial_residues(ctx: PrimeContext, m: int) -> Callable[[int, int], int]:
+    """A function (n, k) -> C(n, k) mod p^m for 0 <= k <= n <= 3p, read off
+    the factorial tables as unit * p^v (0 once v >= m): binomial_int's
+    arithmetic in plain ints, for loops that need residues only."""
+    ctx.factorial_decomposed(3 * ctx.p)
+    fv, fu, fi = ctx._fact_val, ctx._fact_unit, ctx._fact_inv
+    pw = ctx.powers
+    mod = pw[m]
+
+    def binom(n: int, k: int) -> int:
+        v = fv[n] - fv[k] - fv[n - k]
+        return fu[n] * fi[k] * fi[n - k] * pw[v] % mod if v < m else 0
+
+    return binom
 
 
 def binomial_rational(a, m: int, ctx: PrimeContext) -> PAdicValue:

@@ -21,6 +21,7 @@ from .padic import (
     PAdicError,
     PAdicValue,
     PrimeContext,
+    batch_inverse,
     split_p,
 )
 
@@ -28,6 +29,7 @@ __all__ = [
     "ArgumentDivisibleByP",
     "HarmonicCache",
     "harmonic",
+    "harmonic_scaled",
     "fermat_quotient",
     "bernoulli_table",
     "bernoulli_poly",
@@ -46,11 +48,13 @@ class HarmonicCache:
     """Prefix sums H_n = sum 1/k and H_n^(2) = sum 1/k^2 as p-adic values.
 
     With e = floor(log_p n), the largest v_p(k) over k <= n, the cache
-    stores the p-integral p^e H_n and p^(2e) H_n^(2) as plain ints mod p^K.  The arrays are prefilled to index 2p (LEMMA_P2J and
-    LEMMA_SH55 read H_(2p-2)) and grow on demand beyond it.  Every
-    reciprocal of 1..n comes from one batch inversion of the p-free parts
-    of k, with no read of the factorial tables: the lemma checks compare
-    these sums with binomials, which the factorial tables build.
+    stores the p-integral p^e H_n and p^(2e) H_n^(2) as plain ints mod
+    p^K; the lemma loops read the first list through ``harmonic_scaled``.
+    The arrays are prefilled to index 2p (LEMMA_P2J and LEMMA_SH55 read
+    H_(2p-2)) and grow on demand beyond it.  Every reciprocal of 1..n
+    comes from one batch inversion of the p-free parts of k, with no read
+    of the factorial tables: the lemma checks compare these sums with
+    binomials, which the factorial tables build.
 
     ``get`` builds the PAdicValue on read: p^e H_n / p^e, known mod
     p^(K - e) (order 2: p^(K - 2e)), so indices at and beyond p come out
@@ -81,11 +85,9 @@ class HarmonicCache:
         h = self._h
         h2 = self._h2
         start = len(h)
-        # k = p^w u with u prime to p; prefix products of the u, inverted once
+        # k = p^w u with u prime to p; the u inverted in one batch
         vals = []
         units = []
-        prefix = []
-        c = 1
         for k in range(start, n + 1):
             w = 0
             while k % p == 0:
@@ -93,14 +95,7 @@ class HarmonicCache:
                 w += 1
             vals.append(w)
             units.append(k)
-            c = c * k % pk
-            prefix.append(c)
-        inv = [0] * len(units)
-        x = pow(c, -1, pk)
-        for i in range(len(units) - 1, 0, -1):
-            inv[i] = x * prefix[i - 1] % pk
-            x = x * units[i] % pk
-        inv[0] = x
+        inv = batch_inverse(units, pk)
         e = self._log_p(start - 1)
         s1 = h[-1]
         s2 = h2[-1]
@@ -152,6 +147,16 @@ def _harmonic_cache(ctx: PrimeContext) -> HarmonicCache:
 def harmonic(n: int, order: int, ctx: PrimeContext) -> PAdicValue:
     """H_n^(order) for order 1 or 2, with H_0 = 0."""
     return _harmonic_cache(ctx).get(n, order)
+
+
+def harmonic_scaled(n: int, ctx: PrimeContext) -> list[int]:
+    """The cache's stored ints p^e H_k mod p^K, e = floor(log_p k), for k
+    up to at least n: H_k itself below p, p H_k from p to p^2 - 1.  This is
+    the cache's own list, not a copy, for loops that read many entries."""
+    cache = _harmonic_cache(ctx)
+    if n >= len(cache._h):
+        cache._extend(n)
+    return cache._h
 
 
 def fermat_quotient(a: int, ctx: PrimeContext) -> PAdicValue:

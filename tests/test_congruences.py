@@ -21,8 +21,8 @@ from dombcheck.congruences import (
     sweep,
     verify_prime,
 )
-from dombcheck.padic import binomial_int
-from dombcheck.special import _harmonic_cache, bernoulli_table, euler_table
+from dombcheck.padic import PAdicValue, binomial_int
+from dombcheck.special import _harmonic_cache, bernoulli_table, euler_table, harmonic
 
 T = Target
 
@@ -288,15 +288,17 @@ def test_bernoulli_and_euler_tables_carry_weight(p):
             assert not run(pv, t).passed, (table.__name__, t)
 
 
-# LEMMA22 applies at 1009 only; LEMMA_P2J at both
+# LEMMA22 applies at 1009 only; LEMMA_P2J and LEMMA_SH55 at both
 @pytest.mark.parametrize("p", [1009, 1013])
 def test_harmonic_and_factorial_tables_carry_weight(p):
-    targets = [t for t in (T.LEMMA22, T.LEMMA_P2J) if applicable(t, p)]
-    assert len(targets) == (2 if p == 1009 else 1)
+    targets = [t for t in (T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55) if applicable(t, p)]
+    assert len(targets) == (3 if p == 1009 else 2)
     run = lambda pv, t: getattr(pv, SPECS[t].method)()
     pv = PrimeVerifier(p, targets)
     assert all(run(pv, t).passed for t in targets)
-    j = 10  # H_10 is read at j = 5 and j = 10; 1/10! at j = 3, 5 and 10
+    # H_10 is read at j = 5 and j = 10; 1/10! at j = 3, 5 and 10 (LEMMA_SH55:
+    # j = 5 and 10)
+    j = 10
     for t in targets:
         pv = PrimeVerifier(p, targets)
         _harmonic_cache(pv.ctx)._h[j] += 1
@@ -305,3 +307,151 @@ def test_harmonic_and_factorial_tables_carry_weight(p):
         pv.ctx.factorial_decomposed(3 * p)
         pv.ctx._fact_inv[j] += 1
         assert not run(pv, t).passed, ("1/j!", t)
+
+
+def test_lemma_sides_read_separate_tables():
+    # each side of every lemma case is blind to the other side's table:
+    # perturbing every inverse factorial moves only the binomial sides,
+    # perturbing every stored harmonic sum only the harmonic sides
+    p = 1009
+    helpers = ("_lemma22_cases", "_lemma_p2j_cases", "_lemma_sh55_terms")
+
+    def sides(perturb):
+        pv = PrimeVerifier(p, [T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55])
+        perturb(pv.ctx)
+        return {name: list(zip(*getattr(pv, name)(3))) for name in helpers}
+
+    def bump_inverse_factorials(ctx):
+        ctx.factorial_decomposed(3 * p)
+        ctx._fact_inv[:] = [x + 1 for x in ctx._fact_inv]
+
+    def bump_harmonic_sums(ctx):
+        # by the index, since the cases read differences H_2j - H_j
+        h = _harmonic_cache(ctx)._h
+        h[:] = [x + n for n, x in enumerate(h)]
+
+    clean = sides(lambda ctx: None)
+    moved_binomials = sides(bump_inverse_factorials)
+    moved_harmonics = sides(bump_harmonic_sums)
+    for name in helpers:
+        binomial_side, harmonic_side = clean[name]
+        assert moved_binomials[name][1] == harmonic_side, name
+        assert moved_binomials[name][0] != binomial_side, name
+        assert moved_harmonics[name][0] == binomial_side, name
+        assert moved_harmonics[name][1] != harmonic_side, name
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, 997])
+def test_weighted_sums_match_direct_loops(p):
+    # the six weights, each summed on its own, against the moment sums
+    weights = {
+        "1": lambda k: 1,
+        "k": lambda k: k,
+        "k2": lambda k: k * k,
+        "3k+2": lambda k: 3 * k + 2,
+        "3k+1": lambda k: 3 * k + 1,
+        "3k2+k": lambda k: 3 * k * k + k,
+    }
+    pv = PrimeVerifier(p)
+    pk = pv.ctx.pk
+    for base in (4, 16):
+        ib = pow(base, -1, pk)
+        for name, fn in weights.items():
+            want = sum(fn(k) * d * pow(ib, k, pk) for k, d in enumerate(pv.domb_table.residues)) % pk
+            assert pv.weighted_sum(base, name) == want, (base, name)
+
+
+# ---- oracles: the PAdicValue loops that the plain-residue lemma cases replaced ----
+
+
+def oracle_lemma22_cases(pv, m):
+    p, ctx = pv.p, pv.ctx
+    cases = []
+    for j in range((p - 1) // 2 + 1):
+        lhs = (binomial_int(3 * j, j, ctx) * binomial_int(p + j, 3 * j + 1, ctx)).residue(m)
+        hterm = 1 + p * (harmonic(j, 1, ctx) - harmonic(2 * j, 1, ctx))
+        rhs = (PAdicValue.from_fraction(Fraction(p, 3 * j + 1), ctx) * hterm).residue(m)
+        cases.append((lhs, rhs))
+    return cases
+
+
+def oracle_lemma_p2j_cases(pv, m):
+    p, ctx = pv.p, pv.ctx
+    half = (p - 1) // 2
+    cases = []
+    for j in range(p):
+        sign = -1 if j % 2 else 1
+        lhs = (
+            (3 * j + 1)
+            * binomial_int(3 * j, j, ctx)
+            * binomial_int(p + 2 * j, 3 * j + 1, ctx)
+        ).residue(m)
+        hdiff = harmonic(2 * j, 1, ctx) - harmonic(j, 1, ctx)
+        if j <= half:
+            rv = sign * PAdicValue.from_int(p, ctx) * (1 + p * hdiff)
+        else:
+            rv = sign * PAdicValue.from_int(2 * p * p, ctx) * hdiff
+        cases.append((lhs, rv.residue(m)))
+    return cases
+
+
+def oracle_lemma_sh55_terms(pv, m):
+    """The factors of every term, and the PAdicValue sum of the terms."""
+    p, ctx = pv.p, pv.ctx
+    pk = ctx.pk
+    i16 = pow(16, -1, pk)
+    w = 1
+    acc = PAdicValue.zero(ctx)
+    terms = []
+    for k in range(p):
+        cb = binomial_int(2 * k, k, ctx)
+        binomial_part = cb * cb * PAdicValue.from_residue(w, ctx)
+        hterm = 1 + p * (harmonic(2 * k, 1, ctx) - harmonic(k, 1, ctx))
+        harmonic_part = PAdicValue.from_fraction(Fraction(p, 3 * k + 1), ctx) * hterm
+        acc = acc + binomial_part * harmonic_part
+        terms.append((binomial_part.residue(m), harmonic_part.residue(m)))
+        w = w * i16 % pk
+    return terms, acc.residue(m)
+
+
+ORACLE_RUNS = [(p, guard) for p in sieve_primes(5, 200) for guard in (1, 2, 3)] + [(997, 1)]
+
+
+def _assert_cases_equal(got, want, label):
+    assert len(got) == len(want), label
+    for j, (g, w) in enumerate(zip(got, want)):
+        assert g == w, (label, j)
+
+
+@pytest.mark.parametrize("guard", [1, 2, 3])
+def test_lemma_cases_match_padic_oracles(guard):
+    for p in [q for q, g in ORACLE_RUNS if g == guard]:
+        lemmas = [t for t in (T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55) if applicable(t, p)]
+        pv = PrimeVerifier(p, lemmas, guard=guard)
+        m = modulus_exponent(T.LEMMA_P2J, p)
+        if T.LEMMA22 in lemmas:
+            _assert_cases_equal(pv._lemma22_cases(m), oracle_lemma22_cases(pv, m), ("LEMMA22", p))
+        _assert_cases_equal(pv._lemma_p2j_cases(m), oracle_lemma_p2j_cases(pv, m), ("LEMMA_P2J", p))
+        terms, rhs = oracle_lemma_sh55_terms(pv, m)
+        _assert_cases_equal(pv._lemma_sh55_terms(m), terms, ("LEMMA_SH55", p))
+        assert pv.lemma_sh55_check().rhs == rhs, p
+
+
+def _valuation_shifts(p, n):
+    """The cases among j < n where the plain-residue loops shift a
+    valuation by hand: 3j+1 = p, 3j+1 = 2p, and 2j >= p."""
+    out = set()
+    for j in range(n):
+        if (3 * j + 1) % p == 0:
+            out.add(f"3j+1={(3 * j + 1) // p}p")
+        if 2 * j >= p:
+            out.add("2j>=p")
+    return out
+
+
+def test_oracle_primes_cover_every_valuation_shift():
+    primes = {p for p, _ in ORACLE_RUNS}
+    lemma22 = set().union(*(_valuation_shifts(p, (p + 1) // 2) for p in primes if p % 3 == 1))
+    full_range = set().union(*(_valuation_shifts(p, p) for p in primes))
+    assert lemma22 == {"3j+1=1p"}
+    assert full_range == {"3j+1=1p", "3j+1=2p", "2j>=p"}

@@ -14,8 +14,10 @@ from dombcheck.padic import (
     NegativeValuation,
     PAdicValue,
     PrimeContext,
+    batch_inverse,
     binomial_int,
     binomial_rational,
+    binomial_residues,
     is_prime,
     split_p,
 )
@@ -108,6 +110,16 @@ def test_residue_insufficient_precision():
         z.residue(3)
 
 
+def test_residue_valuation_past_precision():
+    # v > K: zero mod every p^m the context can read, not an index past
+    # the table of powers
+    x = PAdicValue.from_int(5**4, CTX5)
+    assert [x.residue(m) for m in (1, 2, 3)] == [0, 0, 0]
+    y = PAdicValue.from_int(2 * 5**3, CTX5)
+    assert [y.residue(m) for m in (1, 2, 3)] == [0, 0, 0]
+    assert (y * y).residue(3) == 0
+
+
 def test_residue_range_validation():
     x = PAdicValue.from_int(1, CTX5)
     with pytest.raises(ValueError):
@@ -162,6 +174,15 @@ def test_inverse_factorial_units(p, k):
         assert ctx.inverse_factorial_unit(n) == ctx._fact_inv[n]
 
 
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 4), (101, 6)])
+def test_batch_inverse(p, k):
+    mod = p**k
+    assert batch_inverse([], mod) == []
+    rng = random.Random(p)
+    units = [u for u in (rng.randrange(1, 3 * mod) for _ in range(60)) if u % p]
+    assert batch_inverse(units, mod) == [pow(u, -1, mod) for u in units]
+
+
 @pytest.mark.parametrize("p,k", [(5, 3), (13, 4), (101, 6)])
 def test_binomial_int_carries_against_comb(p, k):
     # n up to 3p^2, where adding k and n-k in base p carries up to three times
@@ -173,6 +194,18 @@ def test_binomial_int_carries_against_comb(p, k):
         v, u = split_p(comb(n, j), p)
         got = binomial_int(n, j, ctx)
         assert (got.v, got.unit, got.prec) == (v, u % ctx.pk, k)
+
+
+@pytest.mark.parametrize("p,k", [(5, 3), (13, 4), (101, 6)])
+def test_binomial_residues_against_comb(p, k):
+    # every m up to K, n up to 3p (where C(n, j) carries up to twice)
+    ctx = PrimeContext(p, k)
+    rng = random.Random(p)
+    pairs = [(n, j) for n in range(3 * p + 1) for j in range(n + 1)]
+    pairs = rng.sample(pairs, min(len(pairs), 400))
+    for m in range(1, k + 1):
+        binom = binomial_residues(ctx, m)
+        assert [binom(n, j) for n, j in pairs] == [comb(n, j) % p**m for n, j in pairs], m
 
 
 @pytest.mark.parametrize("p", [5, 7])
