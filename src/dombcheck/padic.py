@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 __all__ = [
     "EXACT_ZERO",
@@ -468,5 +467,7 @@ def binomial_rational(a, m: int, ctx: PrimeContext) -> PAdicValue:
         val += w
         unit = unit * u % pk
     fv, _ = ctx.factorial_decomposed(m)
-    unit = unit * ctx.inverse_factorial_unit(m) * ctx.inverse_unit(pow(den, m, pk)) % pk
+    unit = unit * ctx.inverse_factorial_unit(m) % pk
+    if den != 1:
+        unit = unit * ctx.inverse_unit(pow(den, m, pk)) % pk
     return PAdicValue(ctx, val - fv, unit, ctx.precision)

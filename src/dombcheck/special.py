@@ -4,17 +4,22 @@ and Morita's p-adic gamma function.
 Everything here is evaluated against a PrimeContext.  The per-prime tables
 (harmonic caches, Bernoulli and Euler numbers) are memoized on the context
 object so that the congruence checks can share them.  Bernoulli and Euler
-residues invert their generating series mod p in O(M(p) log p), M(p) the
-cost of a degree-p polynomial product (Buhler, Crandall, Ernvall and
-Metsankyla, Math. Comp. 61, 1993; Harvey, J. Symb. Comp. 44, 2009), never
-via harmonic sums (Lehmer, Ann. Math. 39, 1938): LEMMA_SUNH compares the
-two, and would then hold by construction.
+residues come from generating series mod p in O(M(p) log p), M(p) the cost
+of a degree-p polynomial product (Buhler, Crandall, Ernvall and Metsankyla,
+Math. Comp. 61, 1993; Harvey, J. Symb. Comp. 44, 2009): the Euler numbers
+invert cosh x, the Bernoulli numbers are the quotient x coth x =
+cosh x / (sinh x / x), both series in x^2 of (p-1)/2 terms.  Each inverse
+is Newton doubling whose steps read only the middle of a product (Hanrot,
+Quercia and Zimmermann, AAECC 14, 2004).  Never via harmonic sums (Lehmer,
+Ann. Math. 39, 1938): LEMMA_SUNH compares the two, and would then hold by
+construction.
 """
 
 from __future__ import annotations
 
 import weakref
 from fractions import Fraction
+from itertools import repeat
 
 from .padic import (
     DenominatorDivisibleByP,
@@ -193,43 +198,78 @@ def _binom_mod_p(n: int, k: int, f: list[int], fi: list[int], p: int) -> int:
     return f[n] * fi[k] % p * fi[n - k] % p
 
 
+def _pack(c: list[int], w: int) -> int:
+    # Kronecker substitution: one w-byte slot per coefficient, lowest first
+    return int.from_bytes(b"".join(map(int.to_bytes, c, repeat(w), repeat("little"))), "little")
+
+
+def _unpack(x: int, size: int, lo: int, hi: int, w: int, p: int) -> list[int]:
+    # slots lo..hi-1 of x, mod p; x must fit in `size` slots (to_bytes
+    # raises OverflowError otherwise, so an operand longer than its caller
+    # claims cannot pass unnoticed)
+    raw = x.to_bytes(size * w, "little")
+    return [int.from_bytes(raw[i : i + w], "little") % p for i in range(lo * w, hi * w, w)]
+
+
+def _slot_bytes(n: int, p: int) -> int:
+    # a slot holds any coefficient (below n p^2) of a product of two series
+    # of at most n coefficients below p, so no slot carries into the next
+    return (2 * p.bit_length() + n.bit_length() + 7) // 8
+
+
 def _series_inverse(a: list[int], n: int, p: int) -> list[int]:
-    """The first n coefficients of 1/a mod p, for a[0] a unit mod p, by
-    Newton doubling b <- b(2 - a b) mod (x^m, p).  Each product is one
-    big-integer multiply by Kronecker substitution, in slots of w bytes that
-    hold any coefficient (below n p^2) of a product of reduced series."""
-    w = (2 * p.bit_length() + n.bit_length() + 7) // 8
+    """The first n coefficients of 1/a mod p, for a[0] a unit mod p.
 
-    def pack(c: list[int], m: int) -> int:
-        return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in c[:m]), "little")
-
-    def mul(f: list[int], g: list[int], m: int) -> list[int]:
-        # f g mod (x^m, p)
-        raw = (pack(f, m) * pack(g, m) & ((1 << 8 * w * m) - 1)).to_bytes(w * m, "little")
-        return [int.from_bytes(raw[i : i + w], "little") % p for i in range(0, w * m, w)]
-
+    Newton doubling: with b = 1/a mod x^h known, a b = 1 + x^h t, and the
+    next m = min(2h, n) coefficients are b - x^h (b t mod x^(m-h)).  Only
+    t's m - h coefficients are read, the slots h..m-1 of the product
+    (a mod x^m) b (a middle product: Hanrot, Quercia and Zimmermann, AAECC
+    14, 2004); the new half is one (m-h) x (m-h) product.  Each product is
+    one big-integer multiply by Kronecker substitution; -a is packed once
+    and masked to m slots each round, so its middle slots are -t directly,
+    and b stays packed with each new half OR-ed in above it.
+    """
+    w = _slot_bytes(n, p)
+    bits = 8 * w
+    neg_a = _pack([-c % p for c in a[:n]], w)
     b = [pow(a[0], -1, p)]
-    m = 1
-    while m < n:
-        m = min(2 * m, n)
-        e = [-c % p for c in mul(a, b, m)]
-        e[0] = (e[0] + 2) % p
-        b = mul(b, e, m)
+    packed_b = b[0]
+    h = 1
+    while h < n:
+        m = min(2 * h, n)
+        neg_t = _unpack((neg_a & ((1 << bits * m) - 1)) * packed_b, m + h, h, m, w, p)
+        low_b = packed_b & ((1 << bits * (m - h)) - 1)
+        c = _unpack(low_b * _pack(neg_t, w), 2 * (m - h), 0, m - h, w, p)
+        packed_b |= _pack(c, w) << (bits * h)
+        b += c
+        h = m
     return b
 
 
 def bernoulli_table(ctx: PrimeContext) -> list[int]:
     """Residues of B_0 .. B_(p-3) modulo p, first-kind convention B_1 = -1/2.
 
-    x/(e^x - 1) = sum B_k x^k/k! is the inverse of sum x^k/(k+1)!, taken
-    mod p in O(M(p) log p); never from harmonic sums, which LEMMA_SUNH
-    checks against this table.
+    Past B_1 only even indices are nonzero.  With y = x^2,
+    x coth x = sum 4^k B_2k y^k/(2k)! = cosh x / (sinh x / x): one inverse
+    of sum y^k/(2k+1)! to (p-1)/2 terms, one product with
+    sum y^k/(2k)!, then B_2k = c_k (2k)! / 4^k; in all O(M(p) log p).
+    Never from harmonic sums, which LEMMA_SUNH checks against this table.
     """
     if ctx._bernoulli_mod_p is None:
         p = ctx.p
+        n = (p - 1) // 2
         f, fi = _fact_tables_mod_p(ctx)
-        b = _series_inverse(fi[1 : p - 1], p - 2, p)
-        ctx._bernoulli_mod_p = [bk * f[k] % p for k, bk in enumerate(b)]
+        w = _slot_bytes(n, p)
+        s = _series_inverse(fi[1 : p - 1 : 2], n, p)
+        c = _unpack(_pack(s, w) * _pack(fi[0 : p - 2 : 2], w), 2 * n, 0, n, w, p)
+        b = [0] * (p - 2)
+        quarter = pow(4, -1, p)
+        q = 1
+        for k, ck in enumerate(c):
+            b[2 * k] = ck * f[2 * k] % p * q % p
+            q = q * quarter % p
+        b[1] = (p - 1) // 2  # -1/2
+        ctx._bernoulli_mod_p = b
     return ctx._bernoulli_mod_p
 
 

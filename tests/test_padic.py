@@ -269,23 +269,30 @@ def test_binomial_rational_central_valuation(p, m):
 
 
 @pytest.mark.parametrize("p", [7, 13])
-def test_binomial_rational_against_fraction_oracle(p):
+def test_binomial_rational_against_fraction_oracle(p, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("binomial_rational inverted a denominator of 1")
+
     ctx = PrimeContext(p, 4)
-    a = Fraction(-1, 2)
-    q = Fraction(1)
-    for m in range(1, 80):
-        q = q * (a - (m - 1)) / m
-        v = 0
-        num, den = q.numerator, q.denominator
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        got = binomial_rational(a, m, ctx)
-        assert got.valuation == v
-        assert got.unit == num * pow(den, -1, ctx.pk) % ctx.pk
+    for a in (Fraction(-1, 2), Fraction(-3), Fraction(500)):
+        with monkeypatch.context() as mp:
+            if a.denominator == 1:
+                # an integer top index, as at every LEMMA_MPT call
+                mp.setattr(PrimeContext, "inverse_unit", refuse)
+            q = Fraction(1)
+            for m in range(1, 80):
+                q = q * (a - (m - 1)) / m
+                v = 0
+                num, den = q.numerator, q.denominator
+                while num % p == 0:
+                    num //= p
+                    v += 1
+                while den % p == 0:
+                    den //= p
+                    v -= 1
+                got = binomial_rational(a, m, ctx)
+                assert got.valuation == v, (a, m)
+                assert got.unit == num * pow(den, -1, ctx.pk) % ctx.pk, (a, m)
 
 
 def test_binomial_rational_denominator_check():

@@ -188,6 +188,26 @@ def _binomials_mod_p(p):
     return lambda n, k: f[n] * pow(f[k] * f[n - k], -1, p) % p
 
 
+def _schoolbook_inverse(a, n, p):
+    # b_k = -b_0 sum_{j=1..k} a_j b_(k-j), O(n^2)
+    b0 = pow(a[0], -1, p)
+    b = [b0]
+    for k in range(1, n):
+        b.append(-b0 * sum(a[j] * b[k - j] for j in range(1, k + 1)) % p)
+    return b
+
+
+# every n in 1..70 crosses each split h -> m = min(2h, n) of Newton's
+# doubling, n = 2^k and 2^k + 1 among them
+@pytest.mark.parametrize("p", [5, 7, 101])
+def test_series_inverse_matches_schoolbook(p):
+    rng = random.Random(p)
+    for n in range(1, 71):
+        for a0 in (1, rng.randrange(2, p)):
+            a = [a0] + [rng.randrange(p) for _ in range(n - 1 + rng.randrange(3))]
+            assert special._series_inverse(a, n, p) == _schoolbook_inverse(a, n, p), (n, a0)
+
+
 def _bernoulli_recurrence(p):
     # the defining recurrence sum_{k<n} C(n,k) B_k = 0 mod p, O(p^2)
     binom = _binomials_mod_p(p)
@@ -210,9 +230,11 @@ def _euler_recurrence(p):
     return e
 
 
-# 5 is the smallest prime; (p-1)/2 is a power of two at 17 and 257, and
-# p - 2 is one past a power of two at 131: both ends of Newton's last doubling
-@pytest.mark.parametrize("p", [5, 17, 131, 257, 997])
+# Both tables invert series of (p-1)/2 terms: 2 at p = 5; 3, 5, 6 and
+# 33 = 2^5 + 1 at 7, 11, 13 and 67; a power of two at 17 and 257.  Both
+# ends of Newton's last doubling, for the inverse and for the Bernoulli
+# table's one product with cosh.
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 67, 131, 257, 997])
 def test_tables_match_recurrences(p):
     ctx = PrimeContext(p, 2)
     assert bernoulli_table(ctx) == _bernoulli_recurrence(p)
