@@ -4,9 +4,10 @@ Left-hand sides of the Domb targets are partial sums of the Domb residue
 table against geometric weights, nothing else; their right-hand sides go
 through the p-adic kernel (binomials, harmonic numbers, Fermat quotients,
 Bernoulli data).  The lemma loops LEMMA22, LEMMA_P2J and LEMMA_SH55 work
-on plain residues mod p^m: their binomials are read off the factorial
-tables as unit * p^v, and their harmonic sides come from the harmonic
-cache's stored ints and from a batch inversion of the 3j+1 of their own.
+on plain residues mod p^m: their binomial sides are read off the factorial
+tables as unit * p^v (for LEMMA22 and LEMMA_P2J, one factorial quotient
+per case), and their harmonic sides come from the harmonic cache's stored
+ints and from a batch inversion of the 3j+1 of their own.
 The two sides meet only in the final residue comparison, so a bug in the
 closed forms cannot silently cancel against one in the sums.
 """
@@ -191,6 +192,7 @@ class PrimeVerifier:
         self._sums: dict[str, int] = {}
         self._decomp = None
         self._r3: PAdicValue | None = None
+        self._p3j1: list[int] | None = None
 
     # ---- shared pieces ----
 
@@ -253,6 +255,30 @@ class PrimeVerifier:
             self._r3 = core * c * c
         return self._r3
 
+    def _p_over_3j1(self, n: int) -> list[int]:
+        """p/(3j+1) mod p^K for 0 <= j < n <= p: p times the inverse of
+        3j+1, or 1/t where 3j+1 = tp (t is 1 or 2, since 3j+1 < 3p).  One
+        batch inversion of its own, with no read of the factorial tables or
+        the harmonic cache, built once per verifier: to p when LEMMA_SH55
+        was requested, so that LEMMA22 reads a prefix of the same list, and
+        otherwise to the n asked for."""
+        f = self._p3j1
+        if f is None or len(f) < n:
+            p = self.p
+            pk = self.ctx.pk
+            if Target.LEMMA_SH55 in self.targets:
+                n = p
+            t = 1 if p % 3 == 1 else 2
+            # the one j with 3j+1 = tp; below (p+1)/2 at the p = 1 (mod 3)
+            # that LEMMA22 is stated for
+            jp = (t * p - 1) // 3
+            units = list(range(1, 3 * n, 3))
+            units[jp] = t
+            inv = batch_inverse(units, pk)
+            f = self._p3j1 = [p * x % pk for x in inv]
+            f[jp] = inv[jp]
+        return f
+
     def _exponent(self, target: Target) -> int:
         """The target's m at this prime; WrongPrimeClass where it is not stated,
         ValueError where the working precision leaves no guard digit above m."""
@@ -275,8 +301,11 @@ class PrimeVerifier:
 
     def _first_failure(self, target, cases, t0) -> CongruenceReport:
         """One row for a target checked case by case: the (lhs, rhs) of the
-        first failing case, or of the last case when every case passed."""
-        lhs, rhs = next((c for c in cases if c[0] != c[1]), cases[-1] if cases else (0, 0))
+        first failing case, or of the last case when every case passed.  No
+        cases at all is an error, not a pass."""
+        if not cases:
+            raise ValueError(f"{target.value}: no cases to check")
+        lhs, rhs = next((c for c in cases if c[0] != c[1]), cases[-1])
         return self._report(target, lhs, rhs, t0)
 
     # ---- theorem-level targets ----
@@ -371,30 +400,31 @@ class PrimeVerifier:
 
     def lemma22_check(self) -> CongruenceReport:
         """C(3j,j) C(p+j,3j+1) = (p/(3j+1))(1 - p H_2j + p H_j) mod p^3 for
-        every 0 <= j <= (p-1)/2, case by case in plain residues (see
-        _lemma22_cases).  The j with 3j+1 = p is included; there
-        p/(3j+1) = 1."""
+        every 0 <= j <= (p-1)/2, case by case in plain residues, the left
+        side of each case as one factorial quotient (see _lemma22_cases).
+        The j with 3j+1 = p is included; there p/(3j+1) = 1."""
         t0 = perf_counter()
         m = self._exponent(Target.LEMMA22)
         return self._first_failure(Target.LEMMA22, self._lemma22_cases(m), t0)
 
     def _lemma22_cases(self, m: int) -> list[tuple[int, int]]:
-        """(lhs, rhs) mod p^m at each j: the binomials from the factorial
-        tables; H_j and H_2j (2j < p, so both p-integral) from the harmonic
-        cache, and p/(3j+1) from _p_over_3j1."""
+        """(lhs, rhs) mod p^m at each j: the left side as the one factorial
+        quotient (p+j)! (3j)! / (j! (2j)! (3j+1)! (p-2j-1)!), unit * p^v off
+        the factorial tables; H_j and H_2j (2j < p, so both p-integral) from
+        the harmonic cache, and p/(3j+1) from _p_over_3j1."""
         p = self.p
-        mod = self.ctx.powers[m]
-        binom = binomial_residues(self.ctx, m)
+        pw = self.ctx.powers
+        mod = pw[m]
+        fv, fu, fi = self.ctx.factorial_tables(3 * p)
         h = harmonic_scaled(p - 1, self.ctx)
-        n = (p + 1) // 2
-        f = _p_over_3j1(n, p, mod)
-        return [
-            (
-                binom(3 * j, j) * binom(p + j, 3 * j + 1) % mod,
-                f[j] * (1 + p * (h[j] - h[2 * j])) % mod,
-            )
-            for j in range(n)
-        ]
+        f = self._p_over_3j1((p + 1) // 2)
+        cases = []
+        for j in range((p + 1) // 2):
+            a, b, c, d, e = p + j, 3 * j, 2 * j, 3 * j + 1, p - 2 * j - 1
+            v = fv[a] + fv[b] - fv[j] - fv[c] - fv[d] - fv[e]
+            lhs = fu[a] * fu[b] * fi[j] * fi[c] * fi[d] * fi[e] * pw[v] % mod if v < m else 0
+            cases.append((lhs, f[j] * (1 + p * (h[j] - h[c])) % mod))
+        return cases
 
     def lemma_mpt_check(self, t_samples=None) -> CongruenceReport:
         """C((2p-2)/3 + pt, (p-1)/2) against its first-order expansion in t
@@ -425,30 +455,35 @@ class PrimeVerifier:
         p(-1)^j (1 + p H_2j - p H_j) on the lower half, and
         2 p^2 (-1)^j (H_2j - H_j) on the upper half, where H_2j is no
         longer p-integral and the negative valuation must cancel the p^2.
-        Case by case in plain residues (see _lemma_p2j_cases)."""
+        Case by case in plain residues, the left side of each case as one
+        factorial quotient (see _lemma_p2j_cases)."""
         t0 = perf_counter()
         m = self._exponent(Target.LEMMA_P2J)
         return self._first_failure(Target.LEMMA_P2J, self._lemma_p2j_cases(m), t0)
 
     def _lemma_p2j_cases(self, m: int) -> list[tuple[int, int]]:
-        """(lhs, rhs) mod p^m at each j: the binomials from the factorial
-        tables, the harmonic numbers from the harmonic cache, which holds
+        """(lhs, rhs) mod p^m at each j: the left side as the one factorial
+        quotient (p+2j)! / (j! (2j)! (p-j-1)!), unit * p^v off the factorial
+        tables; the harmonic numbers from the harmonic cache, which holds
         H_n below p and p H_n from p on.  On the upper half (2j >= p) the
         stored p H_2j carries H_2j's negative valuation, so the right side
         is 2p (p H_2j - p H_j)."""
         p = self.p
-        mod = self.ctx.powers[m]
-        binom = binomial_residues(self.ctx, m)
+        pw = self.ctx.powers
+        mod = pw[m]
+        fv, fu, fi = self.ctx.factorial_tables(3 * p)
         h = harmonic_scaled(2 * p - 2, self.ctx)
         half = (p - 1) // 2
         cases = []
         for j in range(p):
-            lhs = (3 * j + 1) * binom(3 * j, j) * binom(p + 2 * j, 3 * j + 1)
+            a, c, d = p + 2 * j, 2 * j, p - j - 1
+            v = fv[a] - fv[j] - fv[c] - fv[d]
+            lhs = fu[a] * fi[j] * fi[c] * fi[d] * pw[v] % mod if v < m else 0
             if j <= half:
-                rhs = p * (1 + p * (h[2 * j] - h[j]))
+                rhs = p * (1 + p * (h[c] - h[j]))
             else:
-                rhs = 2 * p * (h[2 * j] - p * h[j])
-            cases.append((lhs % mod, (-rhs if j % 2 else rhs) % mod))
+                rhs = 2 * p * (h[c] - p * h[j])
+            cases.append((lhs, (-rhs if j % 2 else rhs) % mod))
         return cases
 
     def lemma_sh55_check(self) -> CongruenceReport:
@@ -472,7 +507,7 @@ class PrimeVerifier:
         mod = self.ctx.powers[m]
         binom = binomial_residues(self.ctx, m)
         h = harmonic_scaled(2 * p - 2, self.ctx)
-        f = _p_over_3j1(p, p, mod)
+        f = self._p_over_3j1(p)
         i16 = pow(16, -1, mod)
         w = 1
         terms = []
@@ -561,15 +596,6 @@ class PrimeVerifier:
         return rows
 
 
-def _p_over_3j1(n: int, p: int, mod: int) -> list[int]:
-    """p/(3j+1) mod `mod` for 0 <= j < n <= p: p times the inverse of 3j+1,
-    or 1/t where 3j+1 = tp (t is 1 or 2, since 3j+1 < 3p).  One batch
-    inversion of its own: no factorial table or harmonic cache is read."""
-    ds = [3 * j + 1 for j in range(n)]
-    inv = batch_inverse([d // p if d % p == 0 else d for d in ds], mod)
-    return [x if d % p == 0 else p * x % mod for d, x in zip(ds, inv)]
-
-
 def verify_prime(p: int, targets=None, guard: int = 1) -> list[CongruenceReport]:
     """All requested targets for one prime, in catalog order.
 
@@ -618,7 +644,7 @@ def sweep(
     if workers > 1 and len(tasks) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(min(workers, len(tasks))) as pool:
             chunks = pool.map(_sweep_task, tasks, chunksize=1)
     else:
         chunks = [_sweep_task(t) for t in tasks]

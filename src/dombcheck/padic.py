@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 __all__ = [
     "EXACT_ZERO",
@@ -31,6 +32,9 @@ __all__ = [
 
 # Valuation bound reported for an exact zero; far above any working precision.
 EXACT_ZERO = 10**9
+
+# Factors of binomial_rational multiplied exactly before one split and reduction.
+_CHUNK = 32
 
 
 class PAdicError(ArithmeticError):
@@ -189,6 +193,13 @@ class PrimeContext:
             x = x * parts[i] % pk
         self._fact_inv.extend(inv)
         return fv[n], fu[n]
+
+    def factorial_tables(self, n: int) -> tuple[list[int], list[int], list[int]]:
+        """The factorial caches grown to index n, for loops that read many
+        entries: v_p(m!), the p-free unit of m! mod p^K, and its inverse."""
+        if n >= len(self._fact_val):
+            self.factorial_decomposed(n)
+        return self._fact_val, self._fact_unit, self._fact_inv
 
     def inverse_factorial_unit(self, n: int) -> int:
         """The inverse mod p^K of the p-free unit of n!."""
@@ -430,8 +441,7 @@ def binomial_residues(ctx: PrimeContext, m: int) -> Callable[[int, int], int]:
     """A function (n, k) -> C(n, k) mod p^m for 0 <= k <= n <= 3p, read off
     the factorial tables as unit * p^v (0 once v >= m): binomial_int's
     arithmetic in plain ints, for loops that need residues only."""
-    ctx.factorial_decomposed(3 * ctx.p)
-    fv, fu, fi = ctx._fact_val, ctx._fact_unit, ctx._fact_inv
+    fv, fu, fi = ctx.factorial_tables(3 * ctx.p)
     pw = ctx.powers
     mod = pw[m]
 
@@ -447,7 +457,10 @@ def binomial_rational(a, m: int, ctx: PrimeContext) -> PAdicValue:
 
     The denominator of a must be coprime to p; the result may still have
     positive valuation (from p-divisible numerator factors) or negative
-    valuation (from p-divisible m!).
+    valuation (from p-divisible m!).  With a = num/den, the factors
+    num - i*den are multiplied exactly, _CHUNK at a time, and each chunk's
+    product is split into p^v * unit and reduced mod p^K once; a zero
+    factor makes its chunk's product, and so the result, exactly zero.
     """
     if m < 0:
         return PAdicValue.zero(ctx)
@@ -456,14 +469,15 @@ def binomial_rational(a, m: int, ctx: PrimeContext) -> PAdicValue:
         raise DenominatorDivisibleByP(f"denominator of {a} is divisible by {ctx.p}")
     num = a.numerator
     den = a.denominator
+    p = ctx.p
     pk = ctx.pk
     val = 0
     unit = 1
-    for i in range(m):
-        f = num - i * den
+    for i in range(0, m, _CHUNK):
+        f = prod(range(num - i * den, num - min(i + _CHUNK, m) * den, -den))
         if f == 0:
             return PAdicValue.zero(ctx)
-        w, u = split_p(f, ctx.p)
+        w, u = split_p(f, p)
         val += w
         unit = unit * u % pk
     fv, _ = ctx.factorial_decomposed(m)

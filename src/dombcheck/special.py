@@ -54,12 +54,15 @@ class HarmonicCache:
 
     With e = floor(log_p n), the largest v_p(k) over k <= n, the cache
     stores the p-integral p^e H_n and p^(2e) H_n^(2) as plain ints mod
-    p^K; the lemma loops read the first list through ``harmonic_scaled``.
-    The arrays are prefilled to index 2p (LEMMA_P2J and LEMMA_SH55 read
-    H_(2p-2)) and grow on demand beyond it.  Every reciprocal of 1..n
-    comes from one batch inversion of the p-free parts of k, with no read
-    of the factorial tables: the lemma checks compare these sums with
-    binomials, which the factorial tables build.
+    p^K, one list per order; the lemma loops read the first through
+    ``harmonic_scaled``.  The order-1 list is prefilled to index 2p
+    (LEMMA_P2J and LEMMA_SH55 read H_(2p-2)) and grows on demand; each
+    extension takes its terms p^e/k from one batch inversion of the p-free
+    parts of k, with no read of the factorial tables: the lemma checks
+    compare these sums with binomials, which the factorial tables build.
+    The order-2 list is built only when an order-2 value is read, and only
+    as far as that read needs; its terms are the squares of the order-1
+    terms, read back as differences of the order-1 list.
 
     ``get`` builds the PAdicValue on read: p^e H_n / p^e, known mod
     p^(K - e) (order 2: p^(K - 2e)), so indices at and beyond p come out
@@ -74,7 +77,7 @@ class HarmonicCache:
         self._ctx = weakref.ref(ctx)
         self._h = [0]
         self._h2 = [0]
-        self._extend(2 * ctx.p)
+        self._sums(1, 2 * ctx.p)
 
     @property
     def ctx(self) -> PrimeContext:
@@ -83,12 +86,21 @@ class HarmonicCache:
             raise ReferenceError("the PrimeContext of this HarmonicCache is gone")
         return ctx
 
-    def _extend(self, n: int) -> None:
+    def _sums(self, order: int, n: int) -> list[int]:
+        """The stored list of the given order, extended to index n."""
+        if order == 1:
+            if n >= len(self._h):
+                self._extend_h(n)
+            return self._h
+        if n >= len(self._h2):
+            self._extend_h2(n)
+        return self._h2
+
+    def _extend_h(self, n: int) -> None:
         ctx = self.ctx
         p = ctx.p
         pk = ctx.pk
         h = self._h
-        h2 = self._h2
         start = len(h)
         # k = p^w u with u prime to p; the u inverted in one batch
         vals = []
@@ -102,19 +114,37 @@ class HarmonicCache:
             units.append(k)
         inv = batch_inverse(units, pk)
         e = self._log_p(start - 1)
-        s1 = h[-1]
-        s2 = h2[-1]
+        s = h[-1]
         for w, r in zip(vals, inv):
             if w > e:
-                # k = p^(e+1): the stored sums take one more factor of p
-                s1 = s1 * p % pk
-                s2 = s2 * p * p % pk
+                # k = p^(e+1): the stored sum takes one more factor of p
+                s = s * p % pk
                 e = w
-            t = r * p ** (e - w) % pk  # p^e / k
-            s1 = (s1 + t) % pk
-            s2 = (s2 + t * t) % pk
-            h.append(s1)
-            h2.append(s2)
+            s = (s + r * p ** (e - w)) % pk  # + p^e / k
+            h.append(s)
+
+    def _extend_h2(self, n: int) -> None:
+        # Each order-2 term is the square of the order-1 term p^e / k, read
+        # back as a difference of the stored order-1 sums: no inversion here.
+        h = self._sums(1, n)
+        h2 = self._h2
+        ctx = self.ctx
+        p = ctx.p
+        pk = ctx.pk
+        start = len(h2)
+        up = p ** (self._log_p(start - 1) + 1)
+        s = h2[-1]
+        for k in range(start, n + 1):
+            if k == up:
+                # k = p^(e+1): the order-1 sum took one more factor of p,
+                # this one takes p^2
+                t = h[k] - h[k - 1] * p
+                s = s * p * p
+                up *= p
+            else:
+                t = h[k] - h[k - 1]
+            s = (s + t * t) % pk
+            h2.append(s)
 
     def _log_p(self, n: int) -> int:
         # floor(log_p n) for n >= 1, and 0 for n = 0
@@ -133,10 +163,8 @@ class HarmonicCache:
         ctx = self.ctx
         if n == 0:
             return PAdicValue.zero(ctx)
-        if n >= len(self._h):
-            self._extend(n)
         e = 0 if n < ctx.p else order * self._log_p(n)
-        s = self._h[n] if order == 1 else self._h2[n]
+        s = self._sums(order, n)[n]
         if s == 0:
             return PAdicValue.zero(ctx, ctx.precision - e)
         w, u = split_p(s, ctx.p)
@@ -158,10 +186,7 @@ def harmonic_scaled(n: int, ctx: PrimeContext) -> list[int]:
     """The cache's stored ints p^e H_k mod p^K, e = floor(log_p k), for k
     up to at least n: H_k itself below p, p H_k from p to p^2 - 1.  This is
     the cache's own list, not a copy, for loops that read many entries."""
-    cache = _harmonic_cache(ctx)
-    if n >= len(cache._h):
-        cache._extend(n)
-    return cache._h
+    return _harmonic_cache(ctx)._sums(1, n)
 
 
 def fermat_quotient(a: int, ctx: PrimeContext) -> PAdicValue:

@@ -5,10 +5,12 @@ integer/Fraction arithmetic (binomial convolutions reduced by hand) before
 being recorded here, and spot-checked against the closed forms.
 """
 
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
+from dombcheck import congruences
 from dombcheck.congruences import (
     SPECS,
     CongruenceReport,
@@ -266,6 +268,47 @@ def test_sweep_workers_agree():
     assert strip(seq) == strip(par)
 
 
+def test_sweep_starts_no_more_workers_than_primes(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return list(map(fn, tasks))
+
+    strip = lambda rows: [
+        (r.prime, r.target, r.modulus_exponent, r.lhs, r.rhs, r.passed) for r in rows
+    ]
+    seq = strip(sweep(5, 12))
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    assert strip(sweep(5, 12, workers=6)) == seq  # 5, 7, 11
+    assert strip(sweep(5, 12, workers=2)) == seq
+    assert started == [3, 2]
+
+
+def test_empty_case_list_raises():
+    # no case checked is not a pass
+    with pytest.raises(ValueError, match="LEMMA_MPT"):
+        PrimeVerifier(13, [T.LEMMA_MPT]).lemma_mpt_check(t_samples=[])
+
+
+def test_lemma_loops_build_no_order_2_harmonics():
+    p = 1009
+    pv = PrimeVerifier(p, [T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55])
+    assert all(r.passed for r in pv.run())
+    cache = _harmonic_cache(pv.ctx)
+    assert len(cache._h) >= 2 * p - 1
+    assert cache._h2 == [0]
+
+
 def test_sweep_runs_every_target_past_1000():
     # past 1000, where acceptance criteria 5 and 7 stop reading rows
     rows = sweep(995, 1010, targets=[T.CONJ1_DP1, T.LEMMA_SUNH, T.MUSUN_P5])
@@ -455,3 +498,26 @@ def test_oracle_primes_cover_every_valuation_shift():
     full_range = set().union(*(_valuation_shifts(p, p) for p in primes))
     assert lemma22 == {"3j+1=1p"}
     assert full_range == {"3j+1=1p", "3j+1=2p", "2j>=p"}
+
+
+def test_p_over_3j1_is_one_batch_per_verifier(monkeypatch):
+    # with LEMMA_SH55 requested, LEMMA22 reads a prefix of its list; without
+    # it the list stops where LEMMA22 stops
+    lengths = []
+    real = congruences.batch_inverse
+
+    def counting(units, mod):
+        lengths.append(len(units))
+        return real(units, mod)
+
+    monkeypatch.setattr(congruences, "batch_inverse", counting)
+    p = 1009
+    pv = PrimeVerifier(p, [T.LEMMA22, T.LEMMA_SH55])
+    assert all(r.passed for r in pv.run())
+    assert lengths == [p]
+    alone = PrimeVerifier(p, [T.LEMMA22])
+    assert alone._lemma22_cases(3) == pv._lemma22_cases(3)
+    assert lengths == [p, (p + 1) // 2]
+    for q in (7, 13, 31, 997):
+        alone = PrimeVerifier(q, [T.LEMMA22])
+        _assert_cases_equal(alone._lemma22_cases(3), oracle_lemma22_cases(alone, 3), ("LEMMA22", q))

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dombcheck import padic
 from dombcheck.padic import (
+    EXACT_ZERO,
     DenominatorDivisibleByP,
     InsufficientPrecision,
     NegativeValuation,
@@ -274,7 +276,22 @@ def test_binomial_rational_against_fraction_oracle(p, monkeypatch):
         raise AssertionError("binomial_rational inverted a denominator of 1")
 
     ctx = PrimeContext(p, 4)
-    for a in (Fraction(-1, 2), Fraction(-3), Fraction(500)):
+    tops = (
+        Fraction(-1, 2),
+        Fraction(-3),
+        Fraction(500),
+        # a zero factor (i = 37) past the first chunk of factors
+        Fraction(37),
+        # non-integer top indices of either sign
+        Fraction(22, 3),
+        Fraction(-7, 3),
+        # p-divisible factors on chunk boundaries: 3p^2 first in the second
+        # chunk, 5p last in the first, -p/2 first in the third
+        Fraction(padic._CHUNK + 3 * p * p),
+        Fraction(padic._CHUNK - 1 + 5 * p),
+        Fraction(2 * padic._CHUNK) - Fraction(p, 2),
+    )
+    for a in tops:
         with monkeypatch.context() as mp:
             if a.denominator == 1:
                 # an integer top index, as at every LEMMA_MPT call
@@ -282,6 +299,10 @@ def test_binomial_rational_against_fraction_oracle(p, monkeypatch):
             q = Fraction(1)
             for m in range(1, 80):
                 q = q * (a - (m - 1)) / m
+                got = binomial_rational(a, m, ctx)
+                if q == 0:
+                    assert got.is_zero and got.v == EXACT_ZERO, (a, m)
+                    continue
                 v = 0
                 num, den = q.numerator, q.denominator
                 while num % p == 0:
@@ -290,7 +311,6 @@ def test_binomial_rational_against_fraction_oracle(p, monkeypatch):
                 while den % p == 0:
                     den //= p
                     v -= 1
-                got = binomial_rational(a, m, ctx)
                 assert got.valuation == v, (a, m)
                 assert got.unit == num * pow(den, -1, ctx.pk) % ctx.pk, (a, m)
 

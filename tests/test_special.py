@@ -81,6 +81,27 @@ def test_harmonic_cache_matches_additive_oracle(p, k, n):
         assert as_tuple(harmonic(i, 2, ctx)) == as_tuple(h2[i]), (i, 2)
 
 
+@pytest.mark.parametrize("first", [1, 2])
+def test_harmonic_orders_grow_apart(first):
+    # a read of order 1 past p^2 builds no order-2 entry, and a read of
+    # order 2 builds both lists (order 2 squares order 1's terms) just as
+    # far as it needs; order 2 read after order 1 grows one index per read,
+    # so its extensions start at every index, p and p^2 included
+    p, k = 5, 3
+    n = 3 * p * p + 5
+    oracle = dict(zip((1, 2), _additive_harmonics(PrimeContext(p, k), n)))
+    as_tuple = lambda x: (x.v, x.unit, x.prec)
+    ctx = PrimeContext(p, k)
+    cache = HarmonicCache(ctx)
+    assert len(cache._h) == 2 * p + 1 and cache._h2 == [0]
+    assert as_tuple(cache.get(n, first)) == as_tuple(oracle[first][n])
+    assert len(cache._h) == n + 1
+    assert len(cache._h2) == (1 if first == 1 else n + 1)
+    for order in (3 - first, first):
+        for i in range(n + 1):
+            assert as_tuple(cache.get(i, order)) == as_tuple(oracle[order][i]), (i, order)
+
+
 def test_harmonic_cache_reads_no_factorials(monkeypatch):
     # LEMMA22 and LEMMA_P2J set binomials against harmonic sums; 1/k taken
     # as (k-1)!/k! from the factorial tables would make them partly vacuous
