@@ -2,14 +2,18 @@
 
 Left-hand sides of the Domb targets are partial sums of the Domb residue
 table against geometric weights, nothing else; their right-hand sides go
-through the p-adic kernel (binomials, harmonic numbers, Fermat quotients,
-Bernoulli data).  The lemma loops LEMMA22, LEMMA_P2J and LEMMA_SH55 work
-on plain residues mod p^m: their binomial sides are read off the factorial
-tables as unit * p^v (for LEMMA22 and LEMMA_P2J, one factorial quotient
-per case), and their harmonic sides come from the harmonic cache's stored
-ints and from a batch inversion of the 3j+1 of their own.
-The two sides meet only in the final residue comparison, so a bug in the
-closed forms cannot silently cancel against one in the sums.
+through the p-adic kernel's tables (binomials, harmonic numbers, Fermat
+quotients, Bernoulli and Euler data).  Every right side is a plain int
+mod p^m: binomials are read off the factorial tables as unit * p^v (for
+LEMMA22 and LEMMA_P2J, one factorial quotient per case), harmonic sums
+are the harmonic cache's stored ints, a Fermat quotient is
+(a^(p-1) mod p^(n+1) - 1) / p, and each rational coefficient is an int
+times the inverse of its denominator, which is prime to p.  The lemma
+loops take their p/(3j+1) from a batch inversion of their own.  Only
+LEMMA_MPT's left side, a binomial at a rational top index, is still a
+PAdicValue.  The PAdicValue forms these replaced are kept as oracles in
+the tests.  The two sides meet only in the final residue comparison, so a
+bug in the closed forms cannot silently cancel against one in the sums.
 """
 
 from __future__ import annotations
@@ -22,23 +26,9 @@ from fractions import Fraction
 from time import perf_counter
 
 from .domb import DombTable
-from .padic import (
-    PAdicValue,
-    PrimeContext,
-    batch_inverse,
-    binomial_int,
-    binomial_rational,
-    binomial_residues,
-)
+from .padic import PrimeContext, batch_inverse, binomial_rational, binomial_residues
 from .quadform import decompose_x2_3y2
-from .special import (
-    bernoulli_poly,
-    bernoulli_table,
-    euler_table,
-    fermat_quotient,
-    harmonic,
-    harmonic_scaled,
-)
+from .special import bernoulli_poly, bernoulli_table, euler_table, harmonic_scaled
 
 __all__ = [
     "Target",
@@ -157,6 +147,11 @@ def modulus_exponent(target: Target, p: int) -> int:
     return SPECS[target].mod_exp(p)
 
 
+def _fermat_quotient(a: int, p: int, n: int) -> int:
+    """q_p(a) = (a^(p-1) - 1)/p mod p^n, from a^(p-1) mod p^(n+1)."""
+    return (pow(a, p - 1, p ** (n + 1)) - 1) // p
+
+
 @dataclass
 class CongruenceReport:
     """One residue comparison.  For the range-quantified lemma targets the
@@ -177,21 +172,22 @@ class PrimeVerifier:
 
     Working precision is the largest modulus exponent among the requested
     targets plus guard digits, so every residue extraction below stays
-    inside the known digits.
+    inside the known digits.  ``want`` is the set of requested targets
+    that are stated at p, worked out once here.
     """
 
     def __init__(self, p: int, targets=None, guard: int = 1):
         if guard < 1:
             raise ValueError("guard must be at least 1")
         self.targets = list(Target) if targets is None else list(targets)
-        want = [t for t in self.targets if applicable(t, p)]
-        k = max((modulus_exponent(t, p) for t in want), default=2) + guard
+        self.want = frozenset(t for t in self.targets if applicable(t, p))
+        k = max((modulus_exponent(t, p) for t in self.want), default=2) + guard
         self.ctx = PrimeContext(p, k)
         self.p = p
         self._table: DombTable | None = None
         self._sums: dict[str, int] = {}
         self._decomp = None
-        self._r3: PAdicValue | None = None
+        self._r3: int | None = None
         self._p3j1: list[int] | None = None
 
     # ---- shared pieces ----
@@ -236,23 +232,18 @@ class PrimeVerifier:
             self._decomp = decompose_x2_3y2(self.p)
         return self._decomp
 
-    def r3(self) -> PAdicValue:
-        """The correction unit used on the p = 2 (mod 3) side: the Fermat
-        quotient combination (1 + 2p + (4/3)(2^(p-1)-1) - (3/2)(3^(p-1)-1))
-        times the square of C((p-1)/2, floor(p/6))."""
+    def r3(self) -> int:
+        """The correction unit used on the p = 2 (mod 3) side, mod p^K: the
+        Fermat quotient combination (1 + 2p + (4/3)(2^(p-1)-1) -
+        (3/2)(3^(p-1)-1)) times the square of C((p-1)/2, floor(p/6))."""
         if self._r3 is None:
-            ctx = self.ctx
             p = self.p
-            hi = p ** (ctx.precision + 1)
-            t2 = PAdicValue.from_residue(pow(2, p - 1, hi) - 1, ctx, ctx.precision + 1)
-            t3 = PAdicValue.from_residue(pow(3, p - 1, hi) - 1, ctx, ctx.precision + 1)
-            core = (
-                PAdicValue.from_int(1 + 2 * p, ctx)
-                + Fraction(4, 3) * t2
-                - Fraction(3, 2) * t3
-            )
-            c = binomial_int((p - 1) // 2, p // 6, ctx)
-            self._r3 = core * c * c
+            pk = self.ctx.pk
+            t2 = pow(2, p - 1, pk) - 1
+            t3 = pow(3, p - 1, pk) - 1
+            core = 1 + 2 * p + 4 * t2 * pow(3, -1, pk) - 3 * t3 * pow(2, -1, pk)
+            c = binomial_residues(self.ctx, self.ctx.precision)((p - 1) // 2, p // 6)
+            self._r3 = core * c * c % pk
         return self._r3
 
     def _p_over_3j1(self, n: int) -> list[int]:
@@ -266,7 +257,7 @@ class PrimeVerifier:
         if f is None or len(f) < n:
             p = self.p
             pk = self.ctx.pk
-            if Target.LEMMA_SH55 in self.targets:
+            if Target.LEMMA_SH55 in self.want:
                 n = p
             t = 1 if p % 3 == 1 else 2
             # the one j with 3j+1 = tp; below (p+1)/2 at the p = 1 (mod 3)
@@ -290,12 +281,12 @@ class PrimeVerifier:
             raise ValueError(f"{target.value} needs precision {m + 1}, not {self.ctx.precision}")
         return m
 
-    def _report(self, target, lhs: int, rhs, t0) -> CongruenceReport:
-        """One row: lhs reduced mod p^m, rhs an int reduced the same way or
-        a PAdicValue read off to m digits."""
+    def _report(self, target, lhs: int, rhs: int, t0) -> CongruenceReport:
+        """One row: both sides plain ints, each reduced mod p^m."""
         m = self._exponent(target)
-        lhs %= self.p**m
-        rhs = rhs.residue(m) if isinstance(rhs, PAdicValue) else rhs % self.p**m
+        mod = self.ctx.powers[m]
+        lhs %= mod
+        rhs %= mod
         ms = (perf_counter() - t0) * 1000.0
         return CongruenceReport(self.p, target, m, lhs, rhs, lhs == rhs, ms)
 
@@ -320,16 +311,17 @@ class PrimeVerifier:
         lhs = self.weighted_sum(16, "1")
         return self._report(Target.THM11_16K, lhs, self._thm11_rhs(sign_for_16k=True), t0)
 
-    def _thm11_rhs(self, sign_for_16k: bool) -> PAdicValue:
-        ctx = self.ctx
+    def _thm11_rhs(self, sign_for_16k: bool) -> int:
+        """4x^2 - 2p - p^2/(4x^2) at p = 1 (mod 3); otherwise p^2/2, or
+        -p^2/4 for the 16^k sum, over C((p-1)/2, (p-5)/6)^2; mod p^K."""
+        pk = self.ctx.pk
         p = self.p
         if p % 3 == 1:
-            x = self.decomposition.x
-            q = Fraction(4 * x * x) - 2 * p - Fraction(p * p, 4 * x * x)
-            return PAdicValue.from_fraction(q, ctx)
-        c = binomial_int((p - 1) // 2, (p - 5) // 6, ctx)
-        scale = Fraction(-p * p, 4) if sign_for_16k else Fraction(p * p, 2)
-        return PAdicValue.from_fraction(scale, ctx) / (c * c)
+            four_xx = 4 * self.decomposition.x ** 2
+            return (four_xx - 2 * p - p * p * pow(four_xx, -1, pk)) % pk
+        c = binomial_residues(self.ctx, self.ctx.precision)((p - 1) // 2, (p - 5) // 6)
+        scale = -p * p * pow(4, -1, pk) if sign_for_16k else p * p * pow(2, -1, pk)
+        return scale * pow(c * c, -1, pk) % pk
 
     def conj2_mod_p2(self) -> CongruenceReport:
         """Both weighted sums against the mod p^2 closed form; the stored
@@ -351,31 +343,37 @@ class PrimeVerifier:
         t0 = perf_counter()
         self._exponent(Target.THM12_4K)  # WrongPrimeClass before any table is built
         p = self.p
-        c = binomial_int((p - 1) // 2, (p - 1) // 6, self.ctx)
-        base = PAdicValue.from_int(p * p, self.ctx) / (c * c)
+        pk = self.ctx.pk
+        c = binomial_residues(self.ctx, self.ctx.precision)((p - 1) // 2, (p - 1) // 6)
+        base = p * p * pow(c * c, -1, pk)  # p^2 / C((p-1)/2, (p-1)/6)^2
         return [
             self._report(Target.THM12_4K, self.weighted_sum(4, "3k+2"), 2 * base, t0),
             self._report(Target.THM12_16K, self.weighted_sum(16, "3k+1"), base, t0),
         ]
 
     def thm13_all(self) -> list[CongruenceReport]:
+        """At p = 1 (mod 3), 16x^2/9 - 8p/9 - 7p^2/(18x^2) and
+        4x^2/9 - 2p/9 - p^2/(18x^2); otherwise -20/9, 4/9, 4/3 and -4/3
+        times r3."""
         t0 = perf_counter()
         p = self.p
+        pk = self.ctx.pk
+        i9 = pow(9, -1, pk)
         if p % 3 == 1:
-            x = self.decomposition.x
-            qa = Fraction(16 * x * x, 9) - Fraction(8 * p, 9) - Fraction(7 * p * p, 18 * x * x)
-            qb = Fraction(4 * x * x, 9) - Fraction(2 * p, 9) - Fraction(p * p, 18 * x * x)
+            xx = self.decomposition.x ** 2
+            i18xx = pow(18 * xx, -1, pk)
             cases = [
-                (Target.THM13_K2_4K, 4, "k2", PAdicValue.from_fraction(qa, self.ctx)),
-                (Target.THM13_K2_16K, 16, "k2", PAdicValue.from_fraction(qb, self.ctx)),
+                (Target.THM13_K2_4K, 4, "k2", (16 * xx - 8 * p) * i9 - 7 * p * p * i18xx),
+                (Target.THM13_K2_16K, 16, "k2", (4 * xx - 2 * p) * i9 - p * p * i18xx),
             ]
         else:
             r3 = self.r3()
+            i3 = pow(3, -1, pk)
             cases = [
-                (Target.THM13_K2_4K, 4, "k2", Fraction(-20, 9) * r3),
-                (Target.THM13_K2_16K, 16, "k2", Fraction(4, 9) * r3),
-                (Target.THM13_K_4K, 4, "k", Fraction(4, 3) * r3),
-                (Target.THM13_K_16K, 16, "k", Fraction(-4, 3) * r3),
+                (Target.THM13_K2_4K, 4, "k2", -20 * i9 * r3),
+                (Target.THM13_K2_16K, 16, "k2", 4 * i9 * r3),
+                (Target.THM13_K_4K, 4, "k", 4 * i3 * r3),
+                (Target.THM13_K_16K, 16, "k", -4 * i3 * r3),
             ]
         return [self._report(t, self.weighted_sum(b, w), rhs, t0) for t, b, w, rhs in cases]
 
@@ -391,9 +389,9 @@ class PrimeVerifier:
     def musun(self) -> CongruenceReport:
         """sum (3k^2+k) D_k / 16^k against -4 p^4 q_p(2) mod p^5."""
         t0 = perf_counter()
+        m = self._exponent(Target.MUSUN_P5)
         lhs = self.weighted_sum(16, "3k2+k")
-        q = fermat_quotient(2, self.ctx)
-        rhs = -4 * PAdicValue.from_int(self.p, self.ctx) ** 4 * q
+        rhs = -4 * self.p**4 * _fermat_quotient(2, self.p, m)
         return self._report(Target.MUSUN_P5, lhs, rhs, t0)
 
     # ---- lemma-level targets ----
@@ -433,22 +431,28 @@ class PrimeVerifier:
         t0 = perf_counter()
         m = self._exponent(Target.LEMMA_MPT)
         p = self.p
-        ctx = self.ctx
-        base = (2 * p - 2) // 3
-        half = (p - 1) // 2
         if t_samples is None:
             rng = random.Random(p)
             t_samples = [0, 1, -1, 2, -2] + [rng.randrange(-10000, 10001) for _ in range(4)]
-        c0 = binomial_int(base, half, ctx)
-        slope = harmonic(base, 1, ctx) - harmonic((p - 1) // 6, 1, ctx)
+        base = (2 * p - 2) // 3
+        half = (p - 1) // 2
         cases = [
-            (
-                binomial_rational(Fraction(base + p * t), half, ctx).residue(m),
-                (c0 * (1 + p * t * slope)).residue(m),
-            )
-            for t in t_samples
+            (binomial_rational(base + p * t, half, self.ctx).residue(m), rhs)
+            for t, rhs in zip(t_samples, self._lemma_mpt_rhs(m, t_samples))
         ]
         return self._first_failure(Target.LEMMA_MPT, cases, t0)
+
+    def _lemma_mpt_rhs(self, m: int, t_samples) -> list[int]:
+        """c0 (1 + p t slope) mod p^m at each t, with c0 = C((2p-2)/3,
+        (p-1)/2) from the factorial tables and slope = H_((2p-2)/3) -
+        H_((p-1)/6) from the harmonic cache; both indices are below p."""
+        p = self.p
+        mod = self.ctx.powers[m]
+        base = (2 * p - 2) // 3
+        c0 = binomial_residues(self.ctx, m)(base, (p - 1) // 2)
+        h = harmonic_scaled(base, self.ctx)
+        slope = h[base] - h[(p - 1) // 6]
+        return [c0 * (1 + p * t * slope) % mod for t in t_samples]
 
     def lemma_p2j_check(self) -> CongruenceReport:
         """(3j+1) C(3j,j) C(p+2j,3j+1) mod p^3 for all 0 <= j <= p-1:
@@ -524,74 +528,51 @@ class PrimeVerifier:
         E_(p-3).  All sub-congruences must hold; p = 5 is excluded."""
         t0 = perf_counter()
         m = self._exponent(Target.LEMMA_SUNH)
+        return self._first_failure(Target.LEMMA_SUNH, self._lemma_sunh_cases(m), t0)
+
+    def _lemma_sunh_cases(self, m: int) -> list[tuple[int, int]]:
+        """(lhs, rhs) of the ten sub-congruences, each reduced mod p or mod
+        p^m as stated.  Every harmonic index is below p, so the cache's
+        stored ints are the sums themselves.  w = chi B_(p-2)(1/3) is known
+        mod p only, and enters only as p w, known mod p^2 = p^m."""
         p = self.p
         ctx = self.ctx
-        q2 = fermat_quotient(2, ctx)
-        q3 = fermat_quotient(3, ctx)
+        mod = ctx.powers[m]
+        h = harmonic_scaled(p - 1, ctx)
+        h2 = harmonic_scaled(p - 1, ctx, order=2)
+        q2 = _fermat_quotient(2, p, m)
+        q3 = _fermat_quotient(3, p, m)
         chi = 1 if p % 3 == 1 else -1
-        bval = chi * bernoulli_poly(p - 2, Fraction(1, 3), ctx) % p
-        wv = PAdicValue.from_residue(bval, ctx, 1)
+        w = chi * bernoulli_poly(p - 2, Fraction(1, 3), ctx) % p
         e = euler_table(ctx)[p - 3]
         sign = -1 if (p - 1) // 2 % 2 else 1
-        checks = [
-            (harmonic(p - 1, 2, ctx).residue(1), 0),
-            (harmonic((p - 1) // 2, 2, ctx).residue(1), 0),
-            (harmonic(p - 1, 1, ctx).residue(m), 0),
-            (
-                (Fraction(1, 5) * harmonic(p // 6, 2, ctx)).residue(1),
-                harmonic(p // 3, 2, ctx).residue(1),
-            ),
-            (
-                harmonic(p // 3, 2, ctx).residue(1),
-                (Fraction(1, 2) * wv).residue(1),
-            ),
-            (
-                harmonic(p // 6, 1, ctx).residue(m),
-                (
-                    -2 * q2
-                    - Fraction(3, 2) * q3
-                    + p * q2 * q2
-                    + Fraction(3 * p, 4) * q3 * q3
-                    - Fraction(5 * p, 12) * wv
-                ).residue(m),
-            ),
-            (
-                harmonic(p // 3, 1, ctx).residue(m),
-                (
-                    -Fraction(3, 2) * q3
-                    + Fraction(3 * p, 4) * q3 * q3
-                    - Fraction(p, 6) * wv
-                ).residue(m),
-            ),
-            (
-                harmonic((p - 1) // 2, 1, ctx).residue(m),
-                (-2 * q2 + p * q2 * q2).residue(m),
-            ),
-            (
-                harmonic(p // 4, 2, ctx).residue(1),
-                sign * 4 * e % p,
-            ),
-            (
-                harmonic(2 * p // 3, 1, ctx).residue(m),
-                (
-                    -Fraction(3, 2) * q3
-                    + Fraction(3 * p, 4) * q3 * q3
-                    + Fraction(p, 3) * wv
-                ).residue(m),
-            ),
+        i2, i3, i4, i5, i6, i12 = (pow(d, -1, mod) for d in (2, 3, 4, 5, 6, 12))
+        # the q2 and q3 parts of the right sides: -2 q2 + p q2^2 and
+        # -(3/2) q3 + (3p/4) q3^2
+        f2 = -2 * q2 + p * q2 * q2
+        f3 = -3 * i2 * q3 + 3 * p * i4 * q3 * q3
+        return [
+            (h2[p - 1] % p, 0),
+            (h2[(p - 1) // 2] % p, 0),
+            (h[p - 1] % mod, 0),
+            (i5 * h2[p // 6] % p, h2[p // 3] % p),
+            (h2[p // 3] % p, i2 * w % p),
+            (h[p // 6] % mod, (f2 + f3 - 5 * p * i12 * w) % mod),
+            (h[p // 3] % mod, (f3 - p * i6 * w) % mod),
+            (h[(p - 1) // 2] % mod, f2 % mod),
+            (h2[p // 4] % p, sign * 4 * e % p),
+            (h[2 * p // 3] % mod, (f3 + p * i3 * w) % mod),
         ]
-        return self._first_failure(Target.LEMMA_SUNH, checks, t0)
 
     # ---- dispatch ----
 
     def run(self) -> list[CongruenceReport]:
         """Each evaluating method once, in catalog order; a method that
         covers several targets keeps only the rows that were asked for."""
-        want = {t for t in self.targets if applicable(t, self.p)}
         rows: list[CongruenceReport] = []
-        for method in dict.fromkeys(SPECS[t].method for t in Target if t in want):
+        for method in dict.fromkeys(SPECS[t].method for t in Target if t in self.want):
             out = getattr(self, method)()
-            rows.extend(r for r in (out if isinstance(out, list) else [out]) if r.target in want)
+            rows.extend(r for r in (out if isinstance(out, list) else [out]) if r.target in self.want)
         rows.sort(key=lambda r: _TARGET_INDEX[r.target])
         return rows
 
@@ -602,11 +583,7 @@ def verify_prime(p: int, targets=None, guard: int = 1) -> list[CongruenceReport]
     Targets whose congruence is not stated for this prime's residue class
     are skipped, not failed.
     """
-    targets = list(Target) if targets is None else list(targets)
-    want = [t for t in targets if applicable(t, p)]
-    if not want:
-        return []
-    return PrimeVerifier(p, want, guard=guard).run()
+    return PrimeVerifier(p, targets, guard=guard).run()
 
 
 def sieve_primes(lo: int, hi: int) -> list[int]:

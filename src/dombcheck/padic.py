@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
 
 __all__ = [
@@ -159,9 +160,12 @@ class PrimeContext:
         The valuation grows by v_p(m) at each step m, matching Legendre's
         digit-sum formula; the unit is the running product of the p-free
         parts of 1..n reduced mod p^K.  The cache grows in blocks, at least
-        to 3p (the largest n the lemma loops read) and at least doubling;
-        each block costs one inversion, of its last unit, and a backward
-        walk inv[m-1] = inv[m] * (p-free part of m) fills the inverses.
+        to 3p (the largest n the lemma loops read) and at least doubling.
+        A block starts as the plain list of its indices; only the multiples
+        of p are split, and the valuations are the running sum of their
+        v_p.  Each block costs one inversion, of its last unit, and a
+        backward walk inv[m-1] = inv[m] * (p-free part of m) fills the
+        inverses.
         """
         if n < 0:
             raise ValueError("factorial of a negative integer")
@@ -172,20 +176,17 @@ class PrimeContext:
         p = self.p
         pk = self.pk
         start = len(fv)
-        val = fv[-1]
+        parts = list(range(start, max(n, 2 * start, 3 * p) + 1))
+        steps = [0] * len(parts)
+        for m in range(start + -start % p, start + len(parts), p):
+            steps[m - start], parts[m - start] = split_p(m, p)
+        steps[0] += fv[-1]
+        fv.extend(accumulate(steps))
+        del steps
         unit = fu[-1]
-        parts = []
-        for m in range(start, max(n, 2 * start, 3 * p) + 1):
-            w = 0
-            mm = m
-            while mm % p == 0:
-                mm //= p
-                w += 1
-            val += w
-            unit = unit * mm % pk
-            fv.append(val)
+        for u in parts:
+            unit = unit * u % pk
             fu.append(unit)
-            parts.append(mm)
         inv = [0] * len(parts)
         x = pow(unit, -1, pk)
         for i in range(len(parts) - 1, -1, -1):
@@ -438,14 +439,17 @@ def binomial_int(n: int, k: int, ctx: PrimeContext) -> PAdicValue:
 
 
 def binomial_residues(ctx: PrimeContext, m: int) -> Callable[[int, int], int]:
-    """A function (n, k) -> C(n, k) mod p^m for 0 <= k <= n <= 3p, read off
-    the factorial tables as unit * p^v (0 once v >= m): binomial_int's
-    arithmetic in plain ints, for loops that need residues only."""
+    """A function (n, k) -> C(n, k) mod p^m for n <= 3p, read off the
+    factorial tables as unit * p^v (0 once v >= m): binomial_int's
+    arithmetic in plain ints, for loops that need residues only.  As with
+    binomial_int, k < 0 or k > n gives 0."""
     fv, fu, fi = ctx.factorial_tables(3 * ctx.p)
     pw = ctx.powers
     mod = pw[m]
 
     def binom(n: int, k: int) -> int:
+        if k < 0 or k > n:
+            return 0
         v = fv[n] - fv[k] - fv[n - k]
         return fu[n] * fi[k] * fi[n - k] * pw[v] % mod if v < m else 0
 
@@ -461,6 +465,8 @@ def binomial_rational(a, m: int, ctx: PrimeContext) -> PAdicValue:
     num - i*den are multiplied exactly, _CHUNK at a time, and each chunk's
     product is split into p^v * unit and reduced mod p^K once; a zero
     factor makes its chunk's product, and so the result, exactly zero.
+    The quotient by m! is one PAdicValue product with 1/m!, whose unit
+    the factorial tables hold.
     """
     if m < 0:
         return PAdicValue.zero(ctx)
@@ -480,8 +486,8 @@ def binomial_rational(a, m: int, ctx: PrimeContext) -> PAdicValue:
         w, u = split_p(f, p)
         val += w
         unit = unit * u % pk
-    fv, _ = ctx.factorial_decomposed(m)
-    unit = unit * ctx.inverse_factorial_unit(m) % pk
     if den != 1:
         unit = unit * ctx.inverse_unit(pow(den, m, pk)) % pk
-    return PAdicValue(ctx, val - fv, unit, ctx.precision)
+    fv, _ = ctx.factorial_decomposed(m)
+    inverse_factorial = PAdicValue(ctx, -fv, ctx.inverse_factorial_unit(m), ctx.precision)
+    return PAdicValue(ctx, val, unit, ctx.precision) * inverse_factorial

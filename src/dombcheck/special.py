@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .padic import (
     DenominatorDivisibleByP,
@@ -54,12 +54,14 @@ class HarmonicCache:
 
     With e = floor(log_p n), the largest v_p(k) over k <= n, the cache
     stores the p-integral p^e H_n and p^(2e) H_n^(2) as plain ints mod
-    p^K, one list per order; the lemma loops read the first through
+    p^K, one list per order; the verifier reads both through
     ``harmonic_scaled``.  The order-1 list is prefilled to index 2p
     (LEMMA_P2J and LEMMA_SH55 read H_(2p-2)) and grows on demand; each
     extension takes its terms p^e/k from one batch inversion of the p-free
     parts of k, with no read of the factorial tables: the lemma checks
     compare these sums with binomials, which the factorial tables build.
+    Only the multiples of p are split.  The terms are summed one run of
+    equal e at a time, exactly, with one reduction mod p^K per entry.
     The order-2 list is built only when an order-2 value is read, and only
     as far as that read needs; its terms are the squares of the order-1
     terms, read back as differences of the order-1 list.
@@ -102,26 +104,32 @@ class HarmonicCache:
         pk = ctx.pk
         h = self._h
         start = len(h)
-        # k = p^w u with u prime to p; the u inverted in one batch
-        vals = []
-        units = []
-        for k in range(start, n + 1):
-            w = 0
-            while k % p == 0:
-                k //= p
-                w += 1
-            vals.append(w)
-            units.append(k)
+        # k = p^w u with u prime to p: the list starts as the k themselves,
+        # only the multiples of p are split, and the u inverted in one batch
+        units = list(range(start, n + 1))
+        mults = range(start + -start % p, n + 1, p)
+        ws = []
+        for k in mults:
+            w, units[k - start] = split_p(k, p)
+            ws.append(w)
         inv = batch_inverse(units, pk)
-        e = self._log_p(start - 1)
-        s = h[-1]
-        for w, r in zip(vals, inv):
-            if w > e:
-                # k = p^(e+1): the stored sum takes one more factor of p
-                s = s * p % pk
-                e = w
-            s = (s + r * p ** (e - w)) % pk  # + p^e / k
-            h.append(s)
+        del units
+        # one run per e = floor(log_p k), whose terms are p^e / k
+        lo = start
+        while lo <= n:
+            e = self._log_p(lo)
+            pe = p**e
+            hi = min(n, pe * p - 1)
+            terms = inv[lo - start : hi - start + 1]
+            if e:
+                terms = [x * pe for x in terms]
+                for k, w in zip(mults, ws):
+                    if lo <= k <= hi:
+                        terms[k - lo] = inv[k - start] * p ** (e - w)
+            # k = p^e: the stored sum takes one more factor of p
+            terms[0] += h[-1] * p if e and lo == pe else h[-1]
+            h.extend([s % pk for s in accumulate(terms)])
+            lo = hi + 1
 
     def _extend_h2(self, n: int) -> None:
         # Each order-2 term is the square of the order-1 term p^e / k, read
@@ -182,11 +190,14 @@ def harmonic(n: int, order: int, ctx: PrimeContext) -> PAdicValue:
     return _harmonic_cache(ctx).get(n, order)
 
 
-def harmonic_scaled(n: int, ctx: PrimeContext) -> list[int]:
-    """The cache's stored ints p^e H_k mod p^K, e = floor(log_p k), for k
-    up to at least n: H_k itself below p, p H_k from p to p^2 - 1.  This is
-    the cache's own list, not a copy, for loops that read many entries."""
-    return _harmonic_cache(ctx)._sums(1, n)
+def harmonic_scaled(n: int, ctx: PrimeContext, order: int = 1) -> list[int]:
+    """The cache's stored ints p^(order e) H_k^(order) mod p^K, e =
+    floor(log_p k), for k up to at least n: H_k^(order) itself below p,
+    p^order H_k^(order) from p to p^2 - 1.  This is the cache's own list,
+    not a copy, for loops and closed forms that read many entries."""
+    if order not in (1, 2):
+        raise ValueError("only orders 1 and 2 are cached")
+    return _harmonic_cache(ctx)._sums(order, n)
 
 
 def fermat_quotient(a: int, ctx: PrimeContext) -> PAdicValue:

@@ -5,12 +5,14 @@ integer/Fraction arithmetic (binomial convolutions reduced by hand) before
 being recorded here, and spot-checked against the closed forms.
 """
 
+import hashlib
 import multiprocessing
+import sys
 from fractions import Fraction
 
 import pytest
 
-from dombcheck import congruences
+from dombcheck import congruences, padic, special
 from dombcheck.congruences import (
     SPECS,
     CongruenceReport,
@@ -23,8 +25,15 @@ from dombcheck.congruences import (
     sweep,
     verify_prime,
 )
-from dombcheck.padic import PAdicValue, binomial_int
-from dombcheck.special import _harmonic_cache, bernoulli_table, euler_table, harmonic
+from dombcheck.padic import PAdicValue, binomial_int, binomial_rational
+from dombcheck.special import (
+    _harmonic_cache,
+    bernoulli_poly,
+    bernoulli_table,
+    euler_table,
+    fermat_quotient,
+    harmonic,
+)
 
 T = Target
 
@@ -153,8 +162,10 @@ def test_sh55_shares_sum_with_thm11():
 
 
 def test_r3_spot_values():
-    assert PrimeVerifier(5).r3().residue(2) == 11
-    assert PrimeVerifier(11).r3().residue(2) == 69
+    for p, want in ((5, 11), (11, 69)):
+        pv = PrimeVerifier(p)
+        assert pv.r3() % p**2 == want
+        assert oracle_r3(pv).residue(2) == want
 
 
 def test_lemma22_case_values():
@@ -521,3 +532,224 @@ def test_p_over_3j1_is_one_batch_per_verifier(monkeypatch):
     for q in (7, 13, 31, 997):
         alone = PrimeVerifier(q, [T.LEMMA22])
         _assert_cases_equal(alone._lemma22_cases(3), oracle_lemma22_cases(alone, 3), ("LEMMA22", q))
+
+
+# ---- oracles: the PAdicValue closed forms that the plain right sides replaced ----
+
+
+def oracle_r3(pv):
+    ctx, p = pv.ctx, pv.p
+    hi = p ** (ctx.precision + 1)
+    t2 = PAdicValue.from_residue(pow(2, p - 1, hi) - 1, ctx, ctx.precision + 1)
+    t3 = PAdicValue.from_residue(pow(3, p - 1, hi) - 1, ctx, ctx.precision + 1)
+    core = PAdicValue.from_int(1 + 2 * p, ctx) + Fraction(4, 3) * t2 - Fraction(3, 2) * t3
+    c = binomial_int((p - 1) // 2, p // 6, ctx)
+    return core * c * c
+
+
+def oracle_thm11_rhs(pv, sign_for_16k):
+    ctx, p = pv.ctx, pv.p
+    if p % 3 == 1:
+        x = pv.decomposition.x
+        q = Fraction(4 * x * x) - 2 * p - Fraction(p * p, 4 * x * x)
+        return PAdicValue.from_fraction(q, ctx)
+    c = binomial_int((p - 1) // 2, (p - 5) // 6, ctx)
+    scale = Fraction(-p * p, 4) if sign_for_16k else Fraction(p * p, 2)
+    return PAdicValue.from_fraction(scale, ctx) / (c * c)
+
+
+def oracle_rhs(pv):
+    """The right side of every theorem-level row that the PAdicValue forms
+    built, by target."""
+    ctx, p = pv.ctx, pv.p
+    out = {
+        T.THM11_4K: oracle_thm11_rhs(pv, False),
+        T.THM11_16K: oracle_thm11_rhs(pv, True),
+        T.MUSUN_P5: -4 * PAdicValue.from_int(p, ctx) ** 4 * fermat_quotient(2, ctx),
+    }
+    if p % 3 == 1:
+        c = binomial_int((p - 1) // 2, (p - 1) // 6, ctx)
+        base = PAdicValue.from_int(p * p, ctx) / (c * c)
+        x = pv.decomposition.x
+        qa = Fraction(16 * x * x, 9) - Fraction(8 * p, 9) - Fraction(7 * p * p, 18 * x * x)
+        qb = Fraction(4 * x * x, 9) - Fraction(2 * p, 9) - Fraction(p * p, 18 * x * x)
+        out.update({
+            T.THM12_4K: 2 * base,
+            T.THM12_16K: base,
+            T.THM13_K2_4K: PAdicValue.from_fraction(qa, ctx),
+            T.THM13_K2_16K: PAdicValue.from_fraction(qb, ctx),
+        })
+    else:
+        r3 = oracle_r3(pv)
+        out.update({
+            T.THM13_K2_4K: Fraction(-20, 9) * r3,
+            T.THM13_K2_16K: Fraction(4, 9) * r3,
+            T.THM13_K_4K: Fraction(4, 3) * r3,
+            T.THM13_K_16K: Fraction(-4, 3) * r3,
+        })
+    return out
+
+
+def oracle_lemma_mpt_rhs(pv, m, t_samples):
+    ctx, p = pv.ctx, pv.p
+    base = (2 * p - 2) // 3
+    c0 = binomial_int(base, (p - 1) // 2, ctx)
+    slope = harmonic(base, 1, ctx) - harmonic((p - 1) // 6, 1, ctx)
+    return [(c0 * (1 + p * t * slope)).residue(m) for t in t_samples]
+
+
+def oracle_lemma_sunh_cases(pv, m):
+    ctx, p = pv.ctx, pv.p
+    q2 = fermat_quotient(2, ctx)
+    q3 = fermat_quotient(3, ctx)
+    chi = 1 if p % 3 == 1 else -1
+    bval = chi * bernoulli_poly(p - 2, Fraction(1, 3), ctx) % p
+    wv = PAdicValue.from_residue(bval, ctx, 1)
+    e = euler_table(ctx)[p - 3]
+    sign = -1 if (p - 1) // 2 % 2 else 1
+    f3 = -Fraction(3, 2) * q3 + Fraction(3 * p, 4) * q3 * q3
+    return [
+        (harmonic(p - 1, 2, ctx).residue(1), 0),
+        (harmonic((p - 1) // 2, 2, ctx).residue(1), 0),
+        (harmonic(p - 1, 1, ctx).residue(m), 0),
+        ((Fraction(1, 5) * harmonic(p // 6, 2, ctx)).residue(1), harmonic(p // 3, 2, ctx).residue(1)),
+        (harmonic(p // 3, 2, ctx).residue(1), (Fraction(1, 2) * wv).residue(1)),
+        (
+            harmonic(p // 6, 1, ctx).residue(m),
+            (-2 * q2 + p * q2 * q2 + f3 - Fraction(5 * p, 12) * wv).residue(m),
+        ),
+        (harmonic(p // 3, 1, ctx).residue(m), (f3 - Fraction(p, 6) * wv).residue(m)),
+        (harmonic((p - 1) // 2, 1, ctx).residue(m), (-2 * q2 + p * q2 * q2).residue(m)),
+        (harmonic(p // 4, 2, ctx).residue(1), sign * 4 * e % p),
+        (harmonic(2 * p // 3, 1, ctx).residue(m), (f3 + Fraction(p, 3) * wv).residue(m)),
+    ]
+
+
+CLOSED_FORMS = [
+    T.THM11_4K, T.THM11_16K, T.THM12_4K, T.THM12_16K,
+    T.THM13_K2_4K, T.THM13_K2_16K, T.THM13_K_4K, T.THM13_K_16K, T.MUSUN_P5,
+]
+CLOSED_FORM_RUNS = [(p, guard) for guard in (1, 2, 3) for p in sieve_primes(5, 400)] + [
+    (p, 1) for p in (997, 1999, 4001, 4003)
+]
+
+
+def _check_closed_forms(p, guard):
+    pv = PrimeVerifier(p, CLOSED_FORMS + [T.LEMMA_MPT, T.LEMMA_SUNH], guard=guard)
+    want = oracle_rhs(pv)
+    rows = [r for r in pv.run() if r.target in CLOSED_FORMS]
+    assert {r.target for r in rows} == set(want), p
+    for row in rows:
+        assert row.rhs == want[row.target].residue(row.modulus_exponent), (row.target, p, guard)
+    if T.LEMMA_MPT in pv.want:
+        samples = list(range(-30, 31)) + [10**6 + 7, -(10**9)]
+        m = modulus_exponent(T.LEMMA_MPT, p)
+        got = pv._lemma_mpt_rhs(m, samples)
+        _assert_cases_equal(got, oracle_lemma_mpt_rhs(pv, m, samples), ("LEMMA_MPT", p, guard))
+    if T.LEMMA_SUNH in pv.want:
+        m = modulus_exponent(T.LEMMA_SUNH, p)
+        got = pv._lemma_sunh_cases(m)
+        _assert_cases_equal(got, oracle_lemma_sunh_cases(pv, m), ("LEMMA_SUNH", p, guard))
+
+
+@pytest.mark.parametrize("guard", [1, 2, 3])
+def test_closed_forms_match_padic_oracles(guard):
+    # each THM row, each LEMMA_MPT case and each LEMMA_SUNH sub-congruence
+    # (both sides) on its own, against the PAdicValue form it replaced
+    for p in [q for q, g in CLOSED_FORM_RUNS if g == guard]:
+        _check_closed_forms(p, guard)
+
+
+@pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
+def test_right_side_off_by_top_digit_fails(target, monkeypatch):
+    # a negative control: each row's right side moved by p^(m-1) must fail
+    # at every prime the target is stated for
+    real = PrimeVerifier._report
+
+    def perturbed(self, t, lhs, rhs, t0):
+        return real(self, t, lhs, rhs + self.p ** (modulus_exponent(t, self.p) - 1), t0)
+
+    monkeypatch.setattr(PrimeVerifier, "_report", perturbed)
+    primes = [p for p in sieve_primes(5, 200) if applicable(target, p)]
+    assert len(primes) > 20
+    for p in primes:
+        [row] = verify_prime(p, [target])
+        assert not row.passed, p
+
+
+# sha256 of repr([(target, m, lhs, rhs, passed), ...]) of verify_prime(p)'s
+# rows, recorded from the PAdicValue right sides
+FROZEN_ROW_DIGESTS = {
+    5: "45dad67b656af903",
+    7: "e4df72a7eee5185d",
+    11: "67e82682144ffb43",
+    13: "4082e25be7a1d249",
+    1009: "ab4cffb92239ca01",
+    1013: "5900eda40541450d",
+}
+
+
+def _row_digest(rows):
+    key = [(r.target.value, r.modulus_exponent, r.lhs, r.rhs, r.passed) for r in rows]
+    return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+
+
+def test_verifier_does_no_padic_value_arithmetic(monkeypatch):
+    # every right side in plain residues: the PAdicValue operators and
+    # constructors, and the kernel functions that return PAdicValues, all
+    # refuse, except inside binomial_rational, which LEMMA_MPT's left side
+    # keeps (it divides by m! as one PAdicValue product)
+    inside = []
+
+    def guarded(fn):
+        def refuse_outside(*args, **kwargs):
+            if not inside:
+                raise AssertionError("PAdicValue arithmetic in the verifier")
+            return fn(*args, **kwargs)
+
+        return refuse_outside
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("PAdicValue arithmetic in the verifier")
+
+    def allowed(*args, **kwargs):
+        inside.append(True)
+        try:
+            return binomial_rational(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    for op in (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__neg__", "__pow__",
+    ):
+        monkeypatch.setattr(PAdicValue, op, guarded(getattr(PAdicValue, op)))
+    for name in ("from_fraction", "from_int", "from_residue"):
+        monkeypatch.setattr(PAdicValue, name, refuse)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "dombcheck"]
+    for fn, stand_in in (
+        (special.harmonic, refuse),
+        (special.fermat_quotient, refuse),
+        (padic.binomial_int, refuse),
+        (binomial_rational, allowed),
+    ):
+        for module in modules:
+            if module.__dict__.get(fn.__name__) is fn:
+                monkeypatch.setattr(module, fn.__name__, stand_in)
+    for p, digest in FROZEN_ROW_DIGESTS.items():
+        assert _row_digest(verify_prime(p)) == digest, p
+
+
+def test_applicable_set_is_built_once_per_prime(monkeypatch):
+    calls = []
+    real = congruences.applicable
+
+    def counting(target, p):
+        calls.append(target)
+        return real(target, p)
+
+    monkeypatch.setattr(congruences, "applicable", counting)
+    for p in (11, 13):
+        calls.clear()
+        assert verify_prime(p)
+        assert len(calls) == len(Target), p

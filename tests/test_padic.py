@@ -164,6 +164,23 @@ def test_factorial_unit_is_p_free_product():
         assert ctx.factorial_decomposed(n)[1] == prod % 125
 
 
+def test_factorial_blocks_start_anywhere():
+    # blocks that start on p^2 (25), on another multiple of p (55) and on a
+    # unit (111), against the running product taken one factor at a time
+    p = 5
+    ctx = PrimeContext(p, 3)
+    for n in (24, 54, 110, 400):
+        ctx.factorial_decomposed(n)
+        assert len(ctx._fact_val) == n + 1
+    val, unit = 0, 1
+    for n in range(1, 401):
+        w, u = split_p(n, p)
+        val += w
+        unit = unit * u % ctx.pk
+        assert (ctx._fact_val[n], ctx._fact_unit[n]) == (val, unit), n
+        assert ctx._fact_unit[n] * ctx._fact_inv[n] % ctx.pk == 1, n
+
+
 @pytest.mark.parametrize("p,k", [(5, 3), (7, 6), (101, 4)])
 def test_inverse_factorial_units(p, k):
     ctx = PrimeContext(p, k)
@@ -208,6 +225,17 @@ def test_binomial_residues_against_comb(p, k):
     for m in range(1, k + 1):
         binom = binomial_residues(ctx, m)
         assert [binom(n, j) for n, j in pairs] == [comb(n, j) % p**m for n, j in pairs], m
+
+
+def test_binomial_residues_out_of_range():
+    # k < 0 and k > n are zero, as in binomial_int, not a read from the far
+    # end of a factorial list
+    binom = binomial_residues(PrimeContext(7, 3), 3)
+    assert binom(3, 5) == 0
+    assert binom(2, -1) == 0
+    for n in range(3 * 7 + 1):
+        for k in range(-3, n + 4):
+            assert binom(n, k) == (comb(n, k) % 7**3 if k >= 0 else 0), (n, k)
 
 
 @pytest.mark.parametrize("p", [5, 7])

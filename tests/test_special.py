@@ -81,6 +81,22 @@ def test_harmonic_cache_matches_additive_oracle(p, k, n):
         assert as_tuple(harmonic(i, 2, ctx)) == as_tuple(h2[i]), (i, 2)
 
 
+@pytest.mark.parametrize("k", [2, 6])
+def test_harmonic_cache_grown_index_by_index(k):
+    # one read per index, so that order-1 extensions start at p^2 and at
+    # every other index past the prefill, and one run of equal
+    # floor(log_p k) ends where the next begins; past p^3 at p = 5
+    p = 5
+    n = p**3 + 2 * p
+    ctx = PrimeContext(p, k)
+    h, _ = _additive_harmonics(ctx, n)
+    as_tuple = lambda x: (x.v, x.unit, x.prec)
+    cache = HarmonicCache(ctx)
+    for i in range(n + 1):
+        assert as_tuple(cache.get(i, 1)) == as_tuple(h[i]), i
+    assert len(cache._h) == n + 1
+
+
 @pytest.mark.parametrize("first", [1, 2])
 def test_harmonic_orders_grow_apart(first):
     # a read of order 1 past p^2 builds no order-2 entry, and a read of
