@@ -179,8 +179,9 @@ class PrimeVerifier:
     def __init__(self, p: int, targets=None, guard: int = 1):
         if guard < 1:
             raise ValueError("guard must be at least 1")
-        self.targets = list(Target) if targets is None else list(targets)
-        self.want = frozenset(t for t in self.targets if applicable(t, p))
+        if targets is None:
+            targets = Target
+        self.want = frozenset(t for t in targets if applicable(t, p))
         k = max((modulus_exponent(t, p) for t in self.want), default=2) + guard
         self.ctx = PrimeContext(p, k)
         self.p = p

@@ -65,58 +65,47 @@ def domb_via_sun(n: int) -> int:
 
 
 class DombTable:
-    """D_0 .. D_(size-1) mod p^K in O(size) plain residue steps (no p-adic
-    kernel) of (n+1)^3 D_(n+1) = 2(2n+1)(5n^2+5n+2) D_n - 64 n^3 D_(n-1)
-    (Chan, Chan and Liu, Adv. Math. 186, 2004), with the p-free parts of
-    every (n+1)^3 inverted up front in one batch.  Past p, dividing exactly
-    by the p-part of (n+1)^3 loses 3 v_p(n+1) digits, so the recurrence runs
-    mod p^(K + lift), lift = 3 v_p((size-1)!), and is reduced at the end.
+    """D_0 .. D_(size-1) mod p^K, size <= p, in O(size) plain residue steps
+    (no p-adic kernel) of (n+1)^3 D_(n+1) = 2(2n+1)(5n^2+5n+2) D_n -
+    64 n^3 D_(n-1) (Chan, Chan and Liu, Adv. Math. 186, 2004).  Below p
+    every (n+1)^3 is a unit, and all of them are inverted up front in one
+    batch.  The targets read D_k for k < p only; larger sizes are refused.
     """
 
     def __init__(self, ctx: PrimeContext, size: int | None = None):
         self.ctx = ctx
-        if size is None:
-            size = ctx.p
-        if size < 1:
-            raise ValueError("table size must be positive")
-        self.size = size
         p = ctx.p
-        lift, q = 0, size - 1
-        while q:  # Legendre: v_p(q!) = sum_i floor(q / p^i)
-            q //= p
-            lift += q
-        mod = ctx.pk * p ** (3 * lift)
-        # (n+1)^3 = shift * unit with unit prime to p, for n = 1 .. size-2.
-        # The units are inverted in one batch (prefix products, one pow, a
-        # walk back), written out here so that the left sides share no code
-        # with the kernel behind the right sides.
-        shifts, units = [], []
-        for k in range(2, size):
-            c, s = k**3, 1
-            while c % p == 0:
-                c //= p
-                s *= p
-            shifts.append(s)
-            units.append(c)
+        if size is None:
+            size = p
+        if not 1 <= size <= p:
+            raise ValueError(f"table size must be in 1..{p}")
+        self.size = size
+        mod = ctx.pk
+        # (n+1)^3 for n = 1 .. size-2, inverted in one batch (prefix
+        # products, one pow, a walk back), written out here so that the left
+        # sides share no code with the kernel behind the right sides.
+        cubes = [k**3 for k in range(2, size)]
         inv = []
         x = 1
-        for c in units:
-            inv.append(x)  # the product of the units before this one
+        for c in cubes:
+            inv.append(x)  # the product of the cubes before this one
             x = x * c % mod
         x = pow(x, -1, mod)
-        for i in range(len(units) - 1, -1, -1):
+        for i in range(len(cubes) - 1, -1, -1):
             inv[i] = inv[i] * x % mod
-            x = x * units[i] % mod
+            x = x * cubes[i] % mod
         vals = [1, 4][:size]
         for n in range(1, size - 1):
             num = 2 * (2 * n + 1) * (5 * n * n + 5 * n + 2) * vals[n] - 64 * n**3 * vals[n - 1]
-            vals.append(num // shifts[n - 1] * inv[n - 1] % mod)
-        self.residues = [d % ctx.pk for d in vals]
+            vals.append(num * inv[n - 1] % mod)
+        self.residues = vals
 
     def __len__(self) -> int:
         return self.size
 
     def __getitem__(self, k: int) -> int:
+        if not 0 <= k < self.size:
+            raise IndexError(f"Domb index {k} is outside 0..{self.size - 1}")
         return self.residues[k]
 
 

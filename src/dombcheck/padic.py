@@ -61,7 +61,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; the fixed base set is exact past 3*10^24."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 
 from .padic import (
     DenominatorDivisibleByP,
@@ -50,26 +50,24 @@ class ArgumentDivisibleByP(PAdicError):
 
 
 class HarmonicCache:
-    """Prefix sums H_n = sum 1/k and H_n^(2) = sum 1/k^2 as p-adic values.
+    """Prefix sums H_n = sum 1/k and H_n^(2) = sum 1/k^2 as p-adic values,
+    over the ranges the targets read: order 1 for 0 <= n <= 2p-1 (LEMMA_P2J
+    and LEMMA_SH55 read H_(2p-2)), order 2 for 0 <= n <= p-1.
 
-    With e = floor(log_p n), the largest v_p(k) over k <= n, the cache
-    stores the p-integral p^e H_n and p^(2e) H_n^(2) as plain ints mod
-    p^K, one list per order; the verifier reads both through
-    ``harmonic_scaled``.  The order-1 list is prefilled to index 2p
-    (LEMMA_P2J and LEMMA_SH55 read H_(2p-2)) and grows on demand; each
-    extension takes its terms p^e/k from one batch inversion of the p-free
-    parts of k, with no read of the factorial tables: the lemma checks
-    compare these sums with binomials, which the factorial tables build.
-    Only the multiples of p are split.  The terms are summed one run of
-    equal e at a time, exactly, with one reduction mod p^K per entry.
-    The order-2 list is built only when an order-2 value is read, and only
-    as far as that read needs; its terms are the squares of the order-1
-    terms, read back as differences of the order-1 list.
+    The cache stores plain ints mod p^K, one list per order: H_n below p,
+    and the p-integral p H_n from p on, where 1/p enters the sum.  The
+    verifier reads both lists through ``harmonic_scaled``.  The order-1 list
+    is built here, its terms from one batch inversion of 1..2p-1 with k = p
+    taken as its p-free part 1, and no read of the factorial tables: the
+    lemma checks compare these sums with binomials, which the factorial
+    tables build.  The order-2 list is built on its first read; its terms
+    are the squares of the order-1 terms, read back as differences of the
+    order-1 list.
 
-    ``get`` builds the PAdicValue on read: p^e H_n / p^e, known mod
-    p^(K - e) (order 2: p^(K - 2e)), so indices at and beyond p come out
-    with negative valuation and the bounded precision that summing the
-    terms 1/k with valuation-aware addition would give; nothing is skipped.
+    ``get`` builds the PAdicValue on read: p H_n / p for n >= p, known mod
+    p^(K - 1), with the negative valuation and the bounded precision that
+    summing the terms 1/k with valuation-aware addition would give.
+    Indices outside the two ranges raise ValueError.
     """
 
     def __init__(self, ctx: PrimeContext):
@@ -77,9 +75,18 @@ class HarmonicCache:
         # a cycle that only the cyclic collector frees, so each prime's
         # tables would outlive the prime until the next collection.
         self._ctx = weakref.ref(ctx)
-        self._h = [0]
-        self._h2 = [0]
-        self._sums(1, 2 * ctx.p)
+        p = ctx.p
+        pk = ctx.pk
+        units = list(range(1, 2 * p))
+        units[p - 1] = 1  # k = p: its term p/p = 1 is added below
+        inv = batch_inverse(units, pk)
+        del units
+        self._h = h = [0]
+        h.extend(s % pk for s in accumulate(islice(inv, p - 1)))
+        # from k = p on the list holds p H_k: p H_(p-1) + p/p, then p/k
+        high = (p * x for x in islice(inv, p, None))
+        h.extend(s % pk for s in accumulate(high, initial=p * h[-1] + 1))
+        self._h2 = None
 
     @property
     def ctx(self) -> PrimeContext:
@@ -89,90 +96,31 @@ class HarmonicCache:
         return ctx
 
     def _sums(self, order: int, n: int) -> list[int]:
-        """The stored list of the given order, extended to index n."""
-        if order == 1:
-            if n >= len(self._h):
-                self._extend_h(n)
-            return self._h
-        if n >= len(self._h2):
-            self._extend_h2(n)
-        return self._h2
-
-    def _extend_h(self, n: int) -> None:
-        ctx = self.ctx
-        p = ctx.p
-        pk = ctx.pk
-        h = self._h
-        start = len(h)
-        # k = p^w u with u prime to p: the list starts as the k themselves,
-        # only the multiples of p are split, and the u inverted in one batch
-        units = list(range(start, n + 1))
-        mults = range(start + -start % p, n + 1, p)
-        ws = []
-        for k in mults:
-            w, units[k - start] = split_p(k, p)
-            ws.append(w)
-        inv = batch_inverse(units, pk)
-        del units
-        # one run per e = floor(log_p k), whose terms are p^e / k
-        lo = start
-        while lo <= n:
-            e = self._log_p(lo)
-            pe = p**e
-            hi = min(n, pe * p - 1)
-            terms = inv[lo - start : hi - start + 1]
-            if e:
-                terms = [x * pe for x in terms]
-                for k, w in zip(mults, ws):
-                    if lo <= k <= hi:
-                        terms[k - lo] = inv[k - start] * p ** (e - w)
-            # k = p^e: the stored sum takes one more factor of p
-            terms[0] += h[-1] * p if e and lo == pe else h[-1]
-            h.extend([s % pk for s in accumulate(terms)])
-            lo = hi + 1
-
-    def _extend_h2(self, n: int) -> None:
-        # Each order-2 term is the square of the order-1 term p^e / k, read
-        # back as a difference of the stored order-1 sums: no inversion here.
-        h = self._sums(1, n)
-        h2 = self._h2
-        ctx = self.ctx
-        p = ctx.p
-        pk = ctx.pk
-        start = len(h2)
-        up = p ** (self._log_p(start - 1) + 1)
-        s = h2[-1]
-        for k in range(start, n + 1):
-            if k == up:
-                # k = p^(e+1): the order-1 sum took one more factor of p,
-                # this one takes p^2
-                t = h[k] - h[k - 1] * p
-                s = s * p * p
-                up *= p
-            else:
-                t = h[k] - h[k - 1]
-            s = (s + t * t) % pk
-            h2.append(s)
-
-    def _log_p(self, n: int) -> int:
-        # floor(log_p n) for n >= 1, and 0 for n = 0
-        p = self.ctx.p
-        e = 0
-        while n >= p:
-            n //= p
-            e += 1
-        return e
-
-    def get(self, n: int, order: int = 1) -> PAdicValue:
-        if n < 0:
-            raise ValueError("harmonic index must be nonnegative")
+        """The stored list of the given order, after checking that it holds
+        index n: 2p entries for order 1, p for order 2."""
         if order not in (1, 2):
             raise ValueError("only orders 1 and 2 are cached")
+        top = len(self._h) // order - 1
+        if not 0 <= n <= top:
+            raise ValueError(f"H^({order})_{n} is outside the cached range 0..{top}")
+        if order == 1:
+            return self._h
+        if self._h2 is None:
+            # each term is the square of the order-1 term 1/k, read back as
+            # a difference of the stored order-1 sums: no inversion here
+            pk = self.ctx.pk
+            h = self._h
+            self._h2 = h2 = [0]
+            terms = ((h[k] - h[k - 1]) ** 2 for k in range(1, len(h) // 2))
+            h2.extend(s % pk for s in accumulate(terms))
+        return self._h2
+
+    def get(self, n: int, order: int = 1) -> PAdicValue:
+        s = self._sums(order, n)[n]
         ctx = self.ctx
         if n == 0:
             return PAdicValue.zero(ctx)
-        e = 0 if n < ctx.p else order * self._log_p(n)
-        s = self._sums(order, n)[n]
+        e = 1 if n >= ctx.p else 0
         if s == 0:
             return PAdicValue.zero(ctx, ctx.precision - e)
         w, u = split_p(s, ctx.p)
@@ -186,17 +134,16 @@ def _harmonic_cache(ctx: PrimeContext) -> HarmonicCache:
 
 
 def harmonic(n: int, order: int, ctx: PrimeContext) -> PAdicValue:
-    """H_n^(order) for order 1 or 2, with H_0 = 0."""
+    """H_n^(order) for order 1 (0 <= n <= 2p-1) or order 2 (0 <= n <= p-1),
+    with H_0 = 0."""
     return _harmonic_cache(ctx).get(n, order)
 
 
 def harmonic_scaled(n: int, ctx: PrimeContext, order: int = 1) -> list[int]:
-    """The cache's stored ints p^(order e) H_k^(order) mod p^K, e =
-    floor(log_p k), for k up to at least n: H_k^(order) itself below p,
-    p^order H_k^(order) from p to p^2 - 1.  This is the cache's own list,
+    """The cache's stored ints mod p^K, after checking that they reach
+    index n: H_k^(order) itself below p, and p H_k for p <= k <= 2p-1
+    (order 1 only; order 2 stops at p-1).  This is the cache's own list,
     not a copy, for loops and closed forms that read many entries."""
-    if order not in (1, 2):
-        raise ValueError("only orders 1 and 2 are cached")
     return _harmonic_cache(ctx)._sums(order, n)
 
 

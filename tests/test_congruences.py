@@ -316,8 +316,8 @@ def test_lemma_loops_build_no_order_2_harmonics():
     pv = PrimeVerifier(p, [T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55])
     assert all(r.passed for r in pv.run())
     cache = _harmonic_cache(pv.ctx)
-    assert len(cache._h) >= 2 * p - 1
-    assert cache._h2 == [0]
+    assert len(cache._h) == 2 * p
+    assert cache._h2 is None
 
 
 def test_sweep_runs_every_target_past_1000():

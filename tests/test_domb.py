@@ -58,12 +58,31 @@ def test_table_matches_exact(p, K, sample):
 
 
 def test_table_custom_size():
-    # past p the recurrence divides by p-powers of (n+1)^3; 40 crosses 25
-    for p, K, size in [(5, 2, 12), (5, 3, 40), (7, 6, 60)]:
+    # every size up to p, where the last (n+1)^3 inverted is (p-1)^3
+    for p, K in [(5, 2), (5, 3), (7, 6)]:
         ctx = PrimeContext(p, K)
-        table = DombTable(ctx, size=size)
-        for n in range(size):
-            assert table[n] == domb_exact(n) % ctx.pk
+        for size in range(1, p + 1):
+            table = DombTable(ctx, size=size)
+            assert len(table) == size
+            for n in range(size):
+                assert table[n] == domb_exact(n) % ctx.pk
+
+
+def test_table_refuses_sizes_past_p():
+    # the targets read D_k for k < p only, where every (n+1)^3 is a unit
+    ctx = PrimeContext(7, 3)
+    for size in (0, 8, 50):
+        with pytest.raises(ValueError, match="table size"):
+            DombTable(ctx, size=size)
+
+
+def test_table_index_out_of_range_raises():
+    # a negative index must not wrap round to the end of the table
+    table = DombTable(PrimeContext(7, 3), size=4)
+    for k in (-1, -4, 4, 7):
+        with pytest.raises(IndexError):
+            table[k]
+    assert [table[k] for k in range(4)] == [1, 4, 28, 256 % 7**3]
 
 
 def test_table_uses_no_padic_kernel(monkeypatch):

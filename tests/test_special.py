@@ -18,6 +18,7 @@ from dombcheck.special import (
     fermat_quotient,
     gamma_representative,
     harmonic,
+    harmonic_scaled,
     padic_gamma_int,
     padic_gamma_rational,
 )
@@ -39,16 +40,19 @@ def test_harmonic_spots():
 
 
 def test_harmonic_negative_valuation():
-    assert harmonic(5, 1, CTX5).valuation == -1
-    assert harmonic(25, 2, CTX5).valuation <= -2
+    # from p to 2p-1 the single term 1/p sets the valuation of H_n
+    for ctx in (CTX5, CTX7):
+        p = ctx.p
+        for n in range(p, 2 * p):
+            assert harmonic(n, 1, ctx).valuation == -1, (p, n)
 
 
 def test_harmonic_against_fraction_oracle():
     for p in (5, 7):
         ctx = PrimeContext(p, 3)
-        for order in (1, 2):
+        for order, top in ((1, 2 * p - 1), (2, p - 1)):
             acc = Fraction(0)
-            for n in range(1, 60):
+            for n in range(1, top + 1):
                 acc += Fraction(1, n**order)
                 diff = harmonic(n, order, ctx) - PAdicValue.from_fraction(acc, ctx)
                 assert diff.is_zero
@@ -66,56 +70,61 @@ def _additive_harmonics(ctx, n):
     return h, h2
 
 
-# past p^2 at small p, so the 1/p and 1/p^2 terms and the precision they
-# cost are crossed (K = 2 runs out of digits there); 2p at a large prime
+# order 1 through 2p-1, so the 1/p term and the digit it costs are crossed
+# (K = 1 has no digit left there), and order 2 through p-1; n, at or past
+# 2p, lies outside both ranges and must be refused
 @pytest.mark.parametrize(
     "p,k,n",
-    [(p, k, 3 * p * p + 5) for p in (5, 7, 11) for k in (2, 3, 6)] + [(997, 6, 2 * 997)],
+    [(p, k, 3 * p * p + 5) for p in (5, 7, 11) for k in (1, 2, 3, 6)] + [(997, 6, 2 * 997)],
 )
 def test_harmonic_cache_matches_additive_oracle(p, k, n):
     ctx = PrimeContext(p, k)
-    h, h2 = _additive_harmonics(ctx, n)
+    h, h2 = _additive_harmonics(ctx, 2 * p - 1)
     as_tuple = lambda x: (x.v, x.unit, x.prec)
-    for i in range(n + 1):
+    for i in range(2 * p):
         assert as_tuple(harmonic(i, 1, ctx)) == as_tuple(h[i]), (i, 1)
+    for i in range(p):
         assert as_tuple(harmonic(i, 2, ctx)) == as_tuple(h2[i]), (i, 2)
-
-
-@pytest.mark.parametrize("k", [2, 6])
-def test_harmonic_cache_grown_index_by_index(k):
-    # one read per index, so that order-1 extensions start at p^2 and at
-    # every other index past the prefill, and one run of equal
-    # floor(log_p k) ends where the next begins; past p^3 at p = 5
-    p = 5
-    n = p**3 + 2 * p
-    ctx = PrimeContext(p, k)
-    h, _ = _additive_harmonics(ctx, n)
-    as_tuple = lambda x: (x.v, x.unit, x.prec)
-    cache = HarmonicCache(ctx)
-    for i in range(n + 1):
-        assert as_tuple(cache.get(i, 1)) == as_tuple(h[i]), i
-    assert len(cache._h) == n + 1
+    for order in (1, 2):
+        with pytest.raises(ValueError):
+            harmonic(n, order, ctx)
 
 
 @pytest.mark.parametrize("first", [1, 2])
 def test_harmonic_orders_grow_apart(first):
-    # a read of order 1 past p^2 builds no order-2 entry, and a read of
-    # order 2 builds both lists (order 2 squares order 1's terms) just as
-    # far as it needs; order 2 read after order 1 grows one index per read,
-    # so its extensions start at every index, p and p^2 included
+    # the order-1 list is built whole up front; a read of order 1 at its top
+    # builds no order-2 entry, and the first read of order 2 builds the
+    # whole order-2 list from order 1's terms
     p, k = 5, 3
-    n = 3 * p * p + 5
-    oracle = dict(zip((1, 2), _additive_harmonics(PrimeContext(p, k), n)))
+    oracle = dict(zip((1, 2), _additive_harmonics(PrimeContext(p, k), 2 * p - 1)))
+    top = {1: 2 * p - 1, 2: p - 1}
     as_tuple = lambda x: (x.v, x.unit, x.prec)
     ctx = PrimeContext(p, k)
     cache = HarmonicCache(ctx)
-    assert len(cache._h) == 2 * p + 1 and cache._h2 == [0]
-    assert as_tuple(cache.get(n, first)) == as_tuple(oracle[first][n])
-    assert len(cache._h) == n + 1
-    assert len(cache._h2) == (1 if first == 1 else n + 1)
+    assert len(cache._h) == 2 * p and cache._h2 is None
+    assert as_tuple(cache.get(top[first], first)) == as_tuple(oracle[first][top[first]])
+    assert len(cache._h) == 2 * p
+    assert cache._h2 is None if first == 1 else len(cache._h2) == p
     for order in (3 - first, first):
-        for i in range(n + 1):
+        for i in range(top[order] + 1):
             assert as_tuple(cache.get(i, order)) == as_tuple(oracle[order][i]), (i, order)
+
+
+@pytest.mark.parametrize("p", [5, 101])
+def test_harmonic_reads_outside_the_cached_ranges_raise(p):
+    # order 1 stops at 2p-1 and order 2 at p-1; nothing wraps or grows
+    ctx = PrimeContext(p, 3)
+    cache = HarmonicCache(ctx)
+    for n, order in ((2 * p, 1), (p, 2), (-1, 1), (-1, 2)):
+        with pytest.raises(ValueError):
+            harmonic(n, order, ctx)
+        with pytest.raises(ValueError):
+            cache.get(n, order)
+        with pytest.raises(ValueError):
+            harmonic_scaled(n, ctx, order)
+    assert len(cache._h) == 2 * p and cache._h2 is None
+    assert len(harmonic_scaled(2 * p - 1, ctx)) == 2 * p
+    assert len(harmonic_scaled(p - 1, ctx, order=2)) == p
 
 
 def test_harmonic_cache_reads_no_factorials(monkeypatch):
@@ -131,7 +140,7 @@ def test_harmonic_cache_reads_no_factorials(monkeypatch):
     ctx = PrimeContext(101, 4)
     cache = HarmonicCache(ctx)
     assert (cache.get(200, 1) - PAdicValue.from_fraction(sum(Fraction(1, i) for i in range(1, 201)), ctx)).is_zero
-    cache.get(3 * 101, 2)  # an extension past the prefill
+    cache.get(101 - 1, 2)  # builds the order-2 list
     assert ctx._fact_inv == [1] and ctx._fact_unit == [1]
 
 
