@@ -3,17 +3,19 @@
 Left-hand sides of the Domb targets are partial sums of the Domb residue
 table against geometric weights, nothing else; their right-hand sides go
 through the p-adic kernel's tables (binomials, harmonic numbers, Fermat
-quotients, Bernoulli and Euler data).  Every right side is a plain int
-mod p^m: binomials are read off the factorial tables as unit * p^v (for
-LEMMA22 and LEMMA_P2J, one factorial quotient per case), harmonic sums
-are the harmonic cache's stored ints, a Fermat quotient is
-(a^(p-1) mod p^(n+1) - 1) / p, and each rational coefficient is an int
-times the inverse of its denominator, which is prime to p.  The lemma
-loops take their p/(3j+1) from a batch inversion of their own.  Only
-LEMMA_MPT's left side, a binomial at a rational top index, is still a
-PAdicValue.  The PAdicValue forms these replaced are kept as oracles in
-the tests.  The two sides meet only in the final residue comparison, so a
-bug in the closed forms cannot silently cancel against one in the sums.
+quotients, the Bernoulli table).  Every right side is a plain int mod p^m:
+binomials are read off the factorial tables as unit * p^v (for LEMMA22 and
+LEMMA_P2J, one factorial quotient per case; for LEMMA_SH55, a unit times
+p^0 or p^1 by the half of the range), harmonic sums are the harmonic
+cache's stored ints, a Fermat quotient is (a^(p-1) mod p^(n+1) - 1) / p,
+the Euler number E_(p-3) is B_(p-2)(1/4)/8 mod p, and each rational
+coefficient is an int times the inverse of its denominator, which is prime
+to p.  The lemma loops take their p/(3j+1) from a batch inversion of their
+own.  Only LEMMA_MPT's left side, a binomial at a rational top index, is
+still a PAdicValue.  The PAdicValue forms these replaced are kept as
+oracles in the tests.  The two sides meet only in the final residue
+comparison, so a bug in the closed forms cannot silently cancel against
+one in the sums.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from time import perf_counter
 from .domb import DombTable
 from .padic import PrimeContext, batch_inverse, binomial_rational, binomial_residues
 from .quadform import decompose_x2_3y2
-from .special import bernoulli_poly, bernoulli_table, euler_table, harmonic_scaled
+from .special import bernoulli_poly, bernoulli_table, harmonic_scaled
 
 __all__ = [
     "Target",
@@ -504,29 +506,38 @@ class PrimeVerifier:
 
     def _lemma_sh55_terms(self, m: int) -> list[tuple[int, int]]:
         """(C(2k,k)^2 16^(-k), (p/(3k+1))(1 + p H_2k - p H_k)) mod p^m at
-        each k: the binomial from the factorial tables, the harmonic factor
-        from the harmonic cache and _p_over_3j1.  Both are p-integral: past
-        p/2 the square carries p^2 and the cache's stored p H_2k absorbs
-        H_2k's negative valuation."""
+        each k: the binomial read off the factorial tables, the harmonic
+        factor from the harmonic cache and _p_over_3j1.  Both are
+        p-integral.  Below k = (p+1)/2, 2k < p: C(2k,k) is a unit and H_2k
+        is p-integral.  From there C(2k,k) carries exactly one p, so its
+        square carries p^2, and the cache's stored p H_2k absorbs H_2k's
+        negative valuation."""
         p = self.p
-        mod = self.ctx.powers[m]
-        binom = binomial_residues(self.ctx, m)
+        pw = self.ctx.powers
+        mod = pw[m]
+        _, fu, fi = self.ctx.factorial_tables(3 * p)
         h = harmonic_scaled(2 * p - 2, self.ctx)
         f = self._p_over_3j1(p)
         i16 = pow(16, -1, mod)
+        half = (p + 1) // 2
         w = 1
         terms = []
-        for k in range(p):
-            c = binom(2 * k, k)
-            ph2k = h[2 * k] if 2 * k >= p else p * h[2 * k]
-            terms.append((c * c * w % mod, f[k] * (1 + ph2k - p * h[k]) % mod))
+        for k in range(half):
+            c = fu[2 * k] * fi[k] * fi[k] % mod
+            terms.append((c * c * w % mod, f[k] * (1 + p * (h[2 * k] - h[k])) % mod))
+            w = w * i16 % mod
+        w = w * pw[2] % mod
+        for k in range(half, p):
+            c = fu[2 * k] * fi[k] * fi[k] % mod
+            terms.append((c * c * w % mod, f[k] * (1 + h[2 * k] - p * h[k]) % mod))
             w = w * i16 % mod
         return terms
 
     def lemma_sunh_check(self) -> CongruenceReport:
         """The harmonic-number evaluations at p/6, p/4, p/3, 2p/3 and the
         half/full range, against Fermat quotients, B_(p-2)(1/3) and
-        E_(p-3).  All sub-congruences must hold; p = 5 is excluded."""
+        E_(p-3), the last read as B_(p-2)(1/4)/8 mod p off the Bernoulli
+        table.  All sub-congruences must hold; p = 5 is excluded."""
         t0 = perf_counter()
         m = self._exponent(Target.LEMMA_SUNH)
         return self._first_failure(Target.LEMMA_SUNH, self._lemma_sunh_cases(m), t0)
@@ -535,7 +546,9 @@ class PrimeVerifier:
         """(lhs, rhs) of the ten sub-congruences, each reduced mod p or mod
         p^m as stated.  Every harmonic index is below p, so the cache's
         stored ints are the sums themselves.  w = chi B_(p-2)(1/3) is known
-        mod p only, and enters only as p w, known mod p^2 = p^m."""
+        mod p only, and enters only as p w, known mod p^2 = p^m.  E_(p-3) =
+        B_(p-2)(1/4)/8 mod p, from E_n = -4^(n+1) B_(n+1)(1/4)/(n+1) at
+        even n, so no Euler series is built."""
         p = self.p
         ctx = self.ctx
         mod = ctx.powers[m]
@@ -545,7 +558,7 @@ class PrimeVerifier:
         q3 = _fermat_quotient(3, p, m)
         chi = 1 if p % 3 == 1 else -1
         w = chi * bernoulli_poly(p - 2, Fraction(1, 3), ctx) % p
-        e = euler_table(ctx)[p - 3]
+        e = bernoulli_poly(p - 2, Fraction(1, 4), ctx) * pow(8, -1, p) % p
         sign = -1 if (p - 1) // 2 % 2 else 1
         i2, i3, i4, i5, i6, i12 = (pow(d, -1, mod) for d in (2, 3, 4, 5, 6, 12))
         # the q2 and q3 parts of the right sides: -2 q2 + p q2^2 and

@@ -10,16 +10,23 @@ Math. Comp. 61, 1993; Harvey, J. Symb. Comp. 44, 2009): the Euler numbers
 invert cosh x, the Bernoulli numbers are the quotient x coth x =
 cosh x / (sinh x / x), both series in x^2 of (p-1)/2 terms.  Each inverse
 is Newton doubling whose steps read only the middle of a product (Hanrot,
-Quercia and Zimmermann, AAECC 14, 2004).  Never via harmonic sums (Lehmer,
-Ann. Math. 39, 1938): LEMMA_SUNH compares the two, and would then hold by
-construction.
+Quercia and Zimmermann, AAECC 14, 2004).  Each product is one big-integer
+multiply by Kronecker substitution, its operands packed and its slots read
+by struct, in slots of at most 8 bytes (p < 2^21 for the Bernoulli table).
+Never via harmonic sums (Lehmer, Ann. Math. 39, 1938): LEMMA_SUNH compares
+the two, and would then hold by construction.
+
+The verifier reads only the Bernoulli table: LEMMA_SUNH takes E_(p-3) as
+B_(p-2)(1/4)/8 mod p through bernoulli_poly.  euler_table stays public, and
+the tests use it as an oracle for that identity.
 """
 
 from __future__ import annotations
 
+import struct
 import weakref
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 
 from .padic import (
     DenominatorDivisibleByP,
@@ -181,17 +188,57 @@ def _binom_mod_p(n: int, k: int, f: list[int], fi: list[int], p: int) -> int:
     return f[n] * fi[k] % p * fi[n - k] % p
 
 
-def _pack(c: list[int], w: int) -> int:
-    # Kronecker substitution: one w-byte slot per coefficient, lowest first
-    return int.from_bytes(b"".join(map(int.to_bytes, c, repeat(w), repeat("little"))), "little")
+# the standard little-endian struct fields that read one w-byte slot, lowest
+# first, and the bit offset of each field after the first
+_SLOT_FIELDS = {
+    1: ("B", ()),
+    2: ("H", ()),
+    3: ("HB", (16,)),
+    4: ("I", ()),
+    5: ("IB", (32,)),
+    6: ("IH", (32,)),
+    7: ("IHB", (32, 48)),
+    8: ("Q", ()),
+}
+
+
+def _slot_fields(w: int) -> tuple[str, tuple[int, ...]]:
+    try:
+        return _SLOT_FIELDS[w]
+    except KeyError:
+        raise ValueError(
+            f"Kronecker slots of {w} bytes: at most 8 are supported, "
+            "enough for the Bernoulli table at p < 2^21"
+        ) from None
+
+
+def _pack(c: list[int], w: int, p: int) -> int:
+    """Kronecker substitution: one w-byte slot per residue mod p, lowest
+    first, as one struct.pack call.  Each residue fills the smallest
+    standard field that holds p, followed by pad bytes up to w.  Widths
+    above 8 bytes raise ValueError, as _unpack cannot read them."""
+    _slot_fields(w)
+    code, size = next(f for f in (("B", 1), ("H", 2), ("I", 4), ("Q", 8)) if p <= 1 << 8 * f[1])
+    fmt = f"<{len(c)}{code}" if size == w else "<" + f"{code}{w - size}x" * len(c)
+    return int.from_bytes(struct.pack(fmt, *c), "little")
 
 
 def _unpack(x: int, size: int, lo: int, hi: int, w: int, p: int) -> list[int]:
-    # slots lo..hi-1 of x, mod p; x must fit in `size` slots (to_bytes
-    # raises OverflowError otherwise, so an operand longer than its caller
-    # claims cannot pass unnoticed)
+    """Slots lo..hi-1 of x, mod p, as one struct.unpack_from call: a slot is
+    one field, or two or three joined by shifts.  x must fit in `size`
+    slots (to_bytes raises OverflowError otherwise, so an operand longer
+    than its caller claims cannot pass unnoticed)."""
+    fields, shifts = _slot_fields(w)
     raw = x.to_bytes(size * w, "little")
-    return [int.from_bytes(raw[i : i + w], "little") % p for i in range(lo * w, hi * w, w)]
+    k = hi - lo
+    if not shifts:
+        return [v % p for v in struct.unpack_from(f"<{k}{fields}", raw, lo * w)]
+    t = struct.unpack_from("<" + fields * k, raw, lo * w)
+    if len(shifts) == 1:
+        (s,) = shifts
+        return [(a | b << s) % p for a, b in zip(t[::2], t[1::2])]
+    s, r = shifts
+    return [(a | b << s | c << r) % p for a, b, c in zip(t[::3], t[1::3], t[2::3])]
 
 
 def _slot_bytes(n: int, p: int) -> int:
@@ -214,7 +261,7 @@ def _series_inverse(a: list[int], n: int, p: int) -> list[int]:
     """
     w = _slot_bytes(n, p)
     bits = 8 * w
-    neg_a = _pack([-c % p for c in a[:n]], w)
+    neg_a = _pack([-c % p for c in a[:n]], w, p)
     b = [pow(a[0], -1, p)]
     packed_b = b[0]
     h = 1
@@ -222,8 +269,8 @@ def _series_inverse(a: list[int], n: int, p: int) -> list[int]:
         m = min(2 * h, n)
         neg_t = _unpack((neg_a & ((1 << bits * m) - 1)) * packed_b, m + h, h, m, w, p)
         low_b = packed_b & ((1 << bits * (m - h)) - 1)
-        c = _unpack(low_b * _pack(neg_t, w), 2 * (m - h), 0, m - h, w, p)
-        packed_b |= _pack(c, w) << (bits * h)
+        c = _unpack(low_b * _pack(neg_t, w, p), 2 * (m - h), 0, m - h, w, p)
+        packed_b |= _pack(c, w, p) << (bits * h)
         b += c
         h = m
     return b
@@ -244,7 +291,7 @@ def bernoulli_table(ctx: PrimeContext) -> list[int]:
         f, fi = _fact_tables_mod_p(ctx)
         w = _slot_bytes(n, p)
         s = _series_inverse(fi[1 : p - 1 : 2], n, p)
-        c = _unpack(_pack(s, w) * _pack(fi[0 : p - 2 : 2], w), 2 * n, 0, n, w, p)
+        c = _unpack(_pack(s, w, p) * _pack(fi[0 : p - 2 : 2], w, p), 2 * n, 0, n, w, p)
         b = [0] * (p - 2)
         quarter = pow(4, -1, p)
         q = 1

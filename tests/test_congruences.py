@@ -330,16 +330,24 @@ def test_sweep_runs_every_target_past_1000():
 
 # one prime of each class mod 3, past the primes the acceptance criteria read
 @pytest.mark.parametrize("p", [1009, 1013])
-def test_bernoulli_and_euler_tables_carry_weight(p):
+def test_bernoulli_and_euler_tables_carry_weight(p, monkeypatch):
+    # LEMMA_SUNH reads E_(p-3) as B_(p-2)(1/4)/8: B_(p-3) moves both
+    # targets, and B_(p-2)(1/4) alone moves LEMMA_SUNH
     targets = [T.CONJ1_DP1, T.LEMMA_SUNH]
     run = lambda pv, t: getattr(pv, SPECS[t].method)()
     pv = PrimeVerifier(p, targets)
     assert all(run(pv, t).passed for t in targets)
-    for table, broken in ((bernoulli_table, targets), (euler_table, [T.LEMMA_SUNH])):
-        for t in broken:
-            pv = PrimeVerifier(p, targets)
-            table(pv.ctx)[p - 3] += 1
-            assert not run(pv, t).passed, (table.__name__, t)
+    for t in targets:
+        pv = PrimeVerifier(p, targets)
+        bernoulli_table(pv.ctx)[p - 3] += 1
+        assert not run(pv, t).passed, t
+
+    def off_at_a_quarter(n, x, ctx):
+        return (bernoulli_poly(n, x, ctx) + (x == Fraction(1, 4))) % ctx.p
+
+    monkeypatch.setattr(congruences, "bernoulli_poly", off_at_a_quarter)
+    assert run(PrimeVerifier(p, targets), T.CONJ1_DP1).passed
+    assert not run(PrimeVerifier(p, targets), T.LEMMA_SUNH).passed
 
 
 # LEMMA22 applies at 1009 only; LEMMA_P2J and LEMMA_SH55 at both
@@ -738,6 +746,19 @@ def test_verifier_does_no_padic_value_arithmetic(monkeypatch):
                 monkeypatch.setattr(module, fn.__name__, stand_in)
     for p, digest in FROZEN_ROW_DIGESTS.items():
         assert _row_digest(verify_prime(p)) == digest, p
+
+
+def test_verifier_builds_no_euler_table(monkeypatch):
+    # LEMMA_SUNH reads E_(p-3) off the Bernoulli table; the Euler series is
+    # left to the tests as an oracle
+    def refuse(*args):
+        raise AssertionError("the verifier built the Euler table")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dombcheck" and module.__dict__.get("euler_table") is euler_table:
+            monkeypatch.setattr(module, "euler_table", refuse)
+    for p in (7, 13, 1009, 1013):
+        assert _row_digest(verify_prime(p)) == FROZEN_ROW_DIGESTS[p], p
 
 
 def test_applicable_set_is_built_once_per_prime(monkeypatch):

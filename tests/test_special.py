@@ -4,11 +4,12 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from dombcheck import padic, special
-from dombcheck.padic import DenominatorDivisibleByP, PAdicValue, PrimeContext
+from dombcheck.padic import DenominatorDivisibleByP, PAdicValue, PrimeContext, is_prime
 from dombcheck.special import (
     ArgumentDivisibleByP,
     HarmonicCache,
@@ -243,9 +244,72 @@ def _schoolbook_inverse(a, n, p):
     return b
 
 
+def _bytes_pack(c, w):
+    # the byte-joining packer the struct packer replaced: one w-byte slot
+    # per coefficient, lowest first
+    return int.from_bytes(b"".join(c_i.to_bytes(w, "little") for c_i in c), "little")
+
+
+def _bytes_unpack(x, size, lo, hi, w, p):
+    # the byte-slicing reader the struct reader replaced
+    raw = x.to_bytes(size * w, "little")
+    return [int.from_bytes(raw[i : i + w], "little") % p for i in range(lo * w, hi * w, w)]
+
+
+# over n <= 70 these give every slot width 1..8: 1-2 at 5 and 7, 2-3 at 101,
+# then 4, 5, 6, 7 and 8 bytes at 12, 16, 20, 24 and 28 bits
+SERIES_PRIMES = [5, 7, 101, 4093, 65521, 1048573, 16777213, 268435399]
+
+
+def test_series_primes_cover_every_slot_width():
+    widths = {special._slot_bytes(n, p) for p in SERIES_PRIMES for n in range(1, 71)}
+    assert widths == set(range(1, 9))
+
+
+# at each width, a prime whose residues fill a 1-, 2- or 4-byte field, up
+# to the widest field that fits the slot
+@pytest.mark.parametrize("w", range(1, 9))
+def test_pack_and_unpack_match_byte_oracles(w):
+    rng = random.Random(w)
+    for p in [5, 251, 65521, 4294967291]:
+        if p.bit_length() > 8 * w:
+            continue
+        for n in (1, 2, 7, 64):
+            c = [rng.randrange(p) for _ in range(n)] + [0, p - 1]
+            packed = special._pack(c, w, p)
+            assert packed == _bytes_pack(c, w), (p, n)
+            assert special._unpack(packed, len(c), 0, len(c), w, p) == c, (p, n)
+        # slots of a product fill all 8w bits; read every slice of a few
+        slots = [rng.randrange(1 << 8 * w) for _ in range(9)] + [(1 << 8 * w) - 1]
+        x = _bytes_pack(slots, w)
+        for lo in range(len(slots)):
+            for hi in range(lo, len(slots) + 1):
+                got = special._unpack(x, len(slots), lo, hi, w, p)
+                assert got == _bytes_unpack(x, len(slots), lo, hi, w, p), (p, lo, hi)
+
+
+def test_unpack_refuses_a_product_longer_than_claimed():
+    x = _bytes_pack([1, 2, 3], 5)
+    assert special._unpack(x, 3, 0, 3, 5, 7) == [1, 2, 3]
+    with pytest.raises(OverflowError):
+        special._unpack(x, 2, 0, 2, 5, 7)
+
+
+def test_slots_wider_than_8_bytes_raise():
+    p = 2147483647  # 31 bits: at n = 70, 2 * 31 + 7 bits need 9-byte slots
+    assert special._slot_bytes(70, p) == 9
+    for call in (
+        lambda: special._pack([1, 2], 9, p),
+        lambda: special._unpack(1, 2, 0, 2, 9, p),
+        lambda: special._series_inverse([1] * 70, 70, p),
+    ):
+        with pytest.raises(ValueError, match="at most 8"):
+            call()
+
+
 # every n in 1..70 crosses each split h -> m = min(2h, n) of Newton's
 # doubling, n = 2^k and 2^k + 1 among them
-@pytest.mark.parametrize("p", [5, 7, 101])
+@pytest.mark.parametrize("p", SERIES_PRIMES)
 def test_series_inverse_matches_schoolbook(p):
     rng = random.Random(p)
     for n in range(1, 71):
@@ -267,13 +331,29 @@ def _bernoulli_recurrence(p):
 
 
 def _euler_recurrence(p):
-    # sum_j C(2n, 2j) E_2j = 0 mod p, O(p^2)
-    binom = _binomials_mod_p(p)
-    e = [0] * (p - 2)
-    e[0] = 1
+    # sum_j C(n, 2j) E_2j = 0 mod p, O(p^2); divided by n!, each step is
+    # E_n/n! = -sum_(2j<n) (E_2j/(2j)!) / (n-2j)!, one dot product
+    f = [1] * p
+    for i in range(1, p):
+        f[i] = f[i - 1] * i % p
+    fi = [pow(x, -1, p) for x in f]
+    a = [1]  # E_2j/(2j)!
     for n in range(2, p - 2, 2):
-        e[n] = -sum(binom(n, j) * e[j] for j in range(0, n, 2)) % p
+        a.append(-sum(map(mul, a, fi[n:0:-2])) % p)
+    e = [0] * (p - 2)
+    e[::2] = [x * f[2 * k] % p for k, x in enumerate(a)]
     return e
+
+
+# E_(p-3) = B_(p-2)(1/4)/8 mod p, from E_n = -4^(n+1) B_(n+1)(1/4)/(n+1) at
+# even n: the form LEMMA_SUNH reads in place of the Euler table
+def test_euler_from_bernoulli_poly():
+    for p in [*filter(is_prime, range(7, 1301)), 1999, 4001, 4003, 10007]:
+        ctx = PrimeContext(p, 1)
+        e = bernoulli_poly(p - 2, Fraction(1, 4), ctx) * pow(8, -1, p) % p
+        assert e == euler_table(ctx)[p - 3], p
+        if p <= 1300:
+            assert e == _euler_recurrence(p)[p - 3], p
 
 
 # Both tables invert series of (p-1)/2 terms: 2 at p = 5; 3, 5, 6 and
