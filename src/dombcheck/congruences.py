@@ -4,18 +4,22 @@ Left-hand sides of the Domb targets are partial sums of the Domb residue
 table against geometric weights, nothing else; their right-hand sides go
 through the p-adic kernel's tables (binomials, harmonic numbers, Fermat
 quotients, the Bernoulli table).  Every right side is a plain int mod p^m:
-binomials are read off the factorial tables as unit * p^v (for LEMMA22 and
-LEMMA_P2J, one factorial quotient per case; for LEMMA_SH55, a unit times
-p^0 or p^1 by the half of the range), harmonic sums are the harmonic
-cache's stored ints, a Fermat quotient is (a^(p-1) mod p^(n+1) - 1) / p,
-the Euler number E_(p-3) is B_(p-2)(1/4)/8 mod p, and each rational
-coefficient is an int times the inverse of its denominator, which is prime
-to p.  The lemma loops take their p/(3j+1) from a batch inversion of their
-own.  Only LEMMA_MPT's left side, a binomial at a rational top index, is
-still a PAdicValue.  The PAdicValue forms these replaced are kept as
-oracles in the tests.  The two sides meet only in the final residue
-comparison, so a bug in the closed forms cannot silently cancel against
-one in the sums.
+binomials are read off the factorial tables as unit * p^v, harmonic sums
+are the harmonic cache's stored ints, a Fermat quotient is
+(a^(p-1) mod p^(n+1) - 1) / p, the Euler number E_(p-3) is B_(p-2)(1/4)/8
+mod p, and each rational coefficient is an int times the inverse of its
+denominator, which is prime to p.  The three range-quantified lemmas
+(LEMMA22, LEMMA_P2J, LEMMA_SH55) zip strided slices of the factorial
+tables, the harmonic cache and a p/(3j+1) list from a batch inversion of
+their own.  Every factorial they read is below 3p < p^2, where
+v_p(n!) = floor(n/p), so each quotient's valuation is a constant over a
+range, written once: 1 at every case of LEMMA_P2J; 1 at every case of
+LEMMA22 but 3j+1 = p, where it is 0; and for C(2k,k) in LEMMA_SH55, 0
+below k = (p+1)/2 and 1 from there.  Only LEMMA_MPT's left side, a
+binomial at a rational top index, is still a PAdicValue.  The PAdicValue
+forms and the per-case loops these replaced are kept as oracles in the
+tests.  The two sides meet only in the final residue comparison, so a bug
+in the closed forms cannot silently cancel against one in the sums.
 """
 
 from __future__ import annotations
@@ -409,23 +413,36 @@ class PrimeVerifier:
         return self._first_failure(Target.LEMMA22, self._lemma22_cases(m), t0)
 
     def _lemma22_cases(self, m: int) -> list[tuple[int, int]]:
-        """(lhs, rhs) mod p^m at each j: the left side as the one factorial
-        quotient (p+j)! (3j)! / (j! (2j)! (3j+1)! (p-2j-1)!), unit * p^v off
-        the factorial tables; H_j and H_2j (2j < p, so both p-integral) from
-        the harmonic cache, and p/(3j+1) from _p_over_3j1."""
+        """(lhs, rhs) mod p^m at each j <= (p-1)/2, each side one
+        comprehension over strided slices.  The left side is the factorial
+        quotient (p+j)! (3j)! / (j! (2j)! (3j+1)! (p-2j-1)!), p^v times six
+        units off the factorial tables.  Every index is below 3p < p^2, so
+        v_p(n!) = floor(n/p) and v = 1 at every j but the one with 3j+1 = p
+        (p = 1 mod 3), where v = 0 and the case is taken on its own.  The
+        right side reads H_j and H_2j (2j < p, both p-integral) from the
+        harmonic cache and p/(3j+1) from _p_over_3j1."""
         p = self.p
-        pw = self.ctx.powers
-        mod = pw[m]
-        fv, fu, fi = self.ctx.factorial_tables(3 * p)
+        mod = self.ctx.powers[m]
+        _, fu, fi = self.ctx.factorial_tables(3 * p)
         h = harmonic_scaled(p - 1, self.ctx)
-        f = self._p_over_3j1((p + 1) // 2)
-        cases = []
-        for j in range((p + 1) // 2):
-            a, b, c, d, e = p + j, 3 * j, 2 * j, 3 * j + 1, p - 2 * j - 1
-            v = fv[a] + fv[b] - fv[j] - fv[c] - fv[d] - fv[e]
-            lhs = fu[a] * fu[b] * fi[j] * fi[c] * fi[d] * fi[e] * pw[v] % mod if v < m else 0
-            cases.append((lhs, f[j] * (1 + p * (h[j] - h[c])) % mod))
-        return cases
+        n = (p + 1) // 2
+        f = self._p_over_3j1(n)
+        lhs = [
+            p * a * b * c * d * e * g % mod
+            for a, b, c, d, e, g in zip(
+                fu[p : p + n],  # (p+j)!
+                fu[0 : 3 * n : 3],  # (3j)!
+                fi[:n],  # 1/j!
+                fi[0 : 2 * n : 2],  # 1/(2j)!
+                fi[1 : 3 * n : 3],  # 1/(3j+1)!
+                fi[p - 1 :: -2],  # 1/(p-2j-1)!
+            )
+        ]
+        if p % 3 == 1:
+            j = (p - 1) // 3
+            lhs[j] = fu[p + j] * fu[3 * j] * fi[j] * fi[2 * j] * fi[p] * fi[p - 2 * j - 1] % mod
+        rhs = [x * (1 + p * (a - b)) % mod for x, a, b in zip(f[:n], h[:n], h[0:p:2])]
+        return list(zip(lhs, rhs))
 
     def lemma_mpt_check(self, t_samples=None) -> CongruenceReport:
         """C((2p-2)/3 + pt, (p-1)/2) against its first-order expansion in t
@@ -469,29 +486,35 @@ class PrimeVerifier:
         return self._first_failure(Target.LEMMA_P2J, self._lemma_p2j_cases(m), t0)
 
     def _lemma_p2j_cases(self, m: int) -> list[tuple[int, int]]:
-        """(lhs, rhs) mod p^m at each j: the left side as the one factorial
-        quotient (p+2j)! / (j! (2j)! (p-j-1)!), unit * p^v off the factorial
-        tables; the harmonic numbers from the harmonic cache, which holds
+        """(lhs, rhs) mod p^m at each j < p, each side built from strided
+        slices.  The left side is the factorial quotient (p+2j)! / (j! (2j)!
+        (p-j-1)!), p^v times four units off the factorial tables; every
+        index is below 3p < p^2, so v_p(n!) = floor(n/p) and v = 1 at every
+        j.  The harmonic numbers come from the harmonic cache, which holds
         H_n below p and p H_n from p on.  On the upper half (2j >= p) the
         stored p H_2j carries H_2j's negative valuation, so the right side
-        is 2p (p H_2j - p H_j)."""
+        is 2p (p H_2j - p H_j), one comprehension per half."""
         p = self.p
-        pw = self.ctx.powers
-        mod = pw[m]
-        fv, fu, fi = self.ctx.factorial_tables(3 * p)
+        mod = self.ctx.powers[m]
+        _, fu, fi = self.ctx.factorial_tables(3 * p)
         h = harmonic_scaled(2 * p - 2, self.ctx)
-        half = (p - 1) // 2
-        cases = []
-        for j in range(p):
-            a, c, d = p + 2 * j, 2 * j, p - j - 1
-            v = fv[a] - fv[j] - fv[c] - fv[d]
-            lhs = fu[a] * fi[j] * fi[c] * fi[d] * pw[v] % mod if v < m else 0
-            if j <= half:
-                rhs = p * (1 + p * (h[c] - h[j]))
-            else:
-                rhs = 2 * p * (h[c] - p * h[j])
-            cases.append((lhs, (-rhs if j % 2 else rhs) % mod))
-        return cases
+        n = (p + 1) // 2  # the lower half, 2j < p
+        lhs = [
+            p * a * b * c * d % mod
+            for a, b, c, d in zip(
+                fu[p : 3 * p : 2],  # (p+2j)!
+                fi[:p],  # 1/j!
+                fi[0 : 2 * p : 2],  # 1/(2j)!
+                fi[p - 1 :: -1],  # 1/(p-j-1)!
+            )
+        ]
+        sp = (p, -p) * n  # p (-1)^j
+        rhs = [s * (1 + p * (a - b)) % mod for s, a, b in zip(sp[:n], h[0:p:2], h[:n])]
+        rhs += [
+            2 * s * (a - p * b) % mod
+            for s, a, b in zip(sp[n:p], h[p + 1 : 2 * p - 1 : 2], h[n:p])
+        ]
+        return list(zip(lhs, rhs))
 
     def lemma_sh55_check(self) -> CongruenceReport:
         """The full Domb sum against the central-binomial expansion:
@@ -506,30 +529,32 @@ class PrimeVerifier:
 
     def _lemma_sh55_terms(self, m: int) -> list[tuple[int, int]]:
         """(C(2k,k)^2 16^(-k), (p/(3k+1))(1 + p H_2k - p H_k)) mod p^m at
-        each k: the binomial read off the factorial tables, the harmonic
-        factor from the harmonic cache and _p_over_3j1.  Both are
-        p-integral.  Below k = (p+1)/2, 2k < p: C(2k,k) is a unit and H_2k
-        is p-integral.  From there C(2k,k) carries exactly one p, so its
-        square carries p^2, and the cache's stored p H_2k absorbs H_2k's
-        negative valuation."""
+        each k < p, one zip loop over strided slices per half, since the
+        weight 16^(-k) is carried from term to term.  The binomial is read
+        off the factorial tables, the harmonic factor from the harmonic
+        cache and _p_over_3j1; both are p-integral.  Below k = (p+1)/2,
+        2k < p: C(2k,k) is a unit and H_2k is p-integral.  From there
+        C(2k,k) carries exactly one p, so its square's p^2 joins the weight
+        once, and the cache's stored p H_2k absorbs H_2k's negative
+        valuation."""
         p = self.p
-        pw = self.ctx.powers
-        mod = pw[m]
+        mod = self.ctx.powers[m]
         _, fu, fi = self.ctx.factorial_tables(3 * p)
         h = harmonic_scaled(2 * p - 2, self.ctx)
         f = self._p_over_3j1(p)
         i16 = pow(16, -1, mod)
-        half = (p + 1) // 2
+        n = (p + 1) // 2
         w = 1
         terms = []
-        for k in range(half):
-            c = fu[2 * k] * fi[k] * fi[k] % mod
-            terms.append((c * c * w % mod, f[k] * (1 + p * (h[2 * k] - h[k])) % mod))
+        for a, b, x, s, t in zip(fu[0:p:2], fi[:n], f[:n], h[0:p:2], h[:n]):
+            c = a * b * b % mod
+            terms.append((c * c * w % mod, x * (1 + p * (s - t)) % mod))
             w = w * i16 % mod
-        w = w * pw[2] % mod
-        for k in range(half, p):
-            c = fu[2 * k] * fi[k] * fi[k] % mod
-            terms.append((c * c * w % mod, f[k] * (1 + h[2 * k] - p * h[k]) % mod))
+        w = w * p * p % mod
+        upper = zip(fu[p + 1 : 2 * p - 1 : 2], fi[n:p], f[n:p], h[p + 1 : 2 * p - 1 : 2], h[n:p])
+        for a, b, x, s, t in upper:
+            c = a * b * b % mod
+            terms.append((c * c * w % mod, x * (1 + s - p * t) % mod))
             w = w * i16 % mod
         return terms
 

@@ -183,11 +183,6 @@ def _fact_tables_mod_p(ctx: PrimeContext) -> tuple[list[int], list[int]]:
     return ctx._fact_mod_p
 
 
-def _binom_mod_p(n: int, k: int, f: list[int], fi: list[int], p: int) -> int:
-    # valid for 0 <= k <= n < p
-    return f[n] * fi[k] % p * fi[n - k] % p
-
-
 # the standard little-endian struct fields that read one w-byte slot, lowest
 # first, and the bit offset of each field after the first
 _SLOT_FIELDS = {
@@ -325,7 +320,11 @@ def bernoulli_poly(n: int, x, ctx: PrimeContext) -> int:
     """B_n(x) = sum_k C(n,k) B_k x^(n-k) reduced modulo p.
 
     Allowed for n <= p - 2: the only coefficient outside the stored table is
-    B_(p-2), which vanishes because p - 2 is odd.
+    B_(p-2), which vanishes because p - 2 is odd.  Past k = 1 only even k
+    contribute, so with r = n mod 2 that part is x^r times a polynomial in
+    x^2, taken by Horner over C(n,k) B_k for k = 0, 2, .., n - r (read as
+    strided slices of the tables, with n! factored out); the k = 1 term
+    -n/2 x^(n-1) is added on its own.
     """
     p = ctx.p
     if n < 0 or n > p - 2:
@@ -336,16 +335,13 @@ def bernoulli_poly(n: int, x, ctx: PrimeContext) -> int:
     xi = x.numerator * pow(x.denominator, -1, p) % p
     b = bernoulli_table(ctx)
     f, fi = _fact_tables_mod_p(ctx)
-    xpow = [1] * (n + 1)
-    for i in range(1, n + 1):
-        xpow[i] = xpow[i - 1] * xi % p
-    # k = 0 contributes x^n (B_0 = 1); k = 1 contributes -n/2 x^(n-1)
-    total = xpow[n]
+    y = xi * xi % p
+    total = 0
+    for bk, ik, ink in zip(b[0 : n + 1 : 2], fi[0 : n + 1 : 2], fi[n::-2]):
+        total = (total * y + bk * ik * ink) % p
+    total = total * f[n] * pow(xi, n % 2, p)
     if n >= 1:
-        total = (total + n * b[1] % p * xpow[n - 1]) % p
-    for k in range(2, min(n, len(b) - 1) + 1, 2):
-        if b[k]:
-            total = (total + _binom_mod_p(n, k, f, fi, p) * b[k] % p * xpow[n - k]) % p
+        total += n * b[1] * pow(xi, n - 1, p)
     return total % p
 
 

@@ -25,7 +25,7 @@ from dombcheck.congruences import (
     sweep,
     verify_prime,
 )
-from dombcheck.padic import PAdicValue, binomial_int, binomial_rational
+from dombcheck.padic import PAdicValue, PrimeContext, binomial_int, binomial_rational
 from dombcheck.special import (
     _harmonic_cache,
     bernoulli_poly,
@@ -511,12 +511,179 @@ def _valuation_shifts(p, n):
     return out
 
 
+def _split_roles(p, n):
+    """The roles of the j < n at which the slice forms end a range or
+    change a valuation: 3j+1 = p or 2p, the last j with 2j < p, the first
+    with 2j > p, and j = p-1.  A j with two roles (p = 5: 3j+1 = 2p at
+    2j = p+1) counts as a role of its own."""
+    out = set()
+    for j in range(n):
+        roles = [f"3j+1={(3 * j + 1) // p}p"] if (3 * j + 1) % p == 0 else []
+        ends = (("2j=p-1", 2 * j == p - 1), ("2j=p+1", 2 * j == p + 1), ("j=p-1", j == p - 1))
+        roles += [name for name, hit in ends if hit]
+        if roles:
+            out.add("&".join(roles))
+    return out
+
+
 def test_oracle_primes_cover_every_valuation_shift():
-    primes = {p for p, _ in ORACLE_RUNS}
-    lemma22 = set().union(*(_valuation_shifts(p, (p + 1) // 2) for p in primes if p % 3 == 1))
-    full_range = set().union(*(_valuation_shifts(p, p) for p in primes))
-    assert lemma22 == {"3j+1=1p"}
-    assert full_range == {"3j+1=1p", "3j+1=2p", "2j>=p"}
+    for runs in (ORACLE_RUNS, SLICE_RUNS):
+        primes = {p for p, _ in runs}
+        lemma22 = set().union(*(_valuation_shifts(p, (p + 1) // 2) for p in primes if p % 3 == 1))
+        full_range = set().union(*(_valuation_shifts(p, p) for p in primes))
+        assert lemma22 == {"3j+1=1p"}
+        assert full_range == {"3j+1=1p", "3j+1=2p", "2j>=p"}
+        lemma22 = set().union(*(_split_roles(p, (p + 1) // 2) for p in primes if p % 3 == 1))
+        full_range = set().union(*(_split_roles(p, p) for p in primes))
+        assert lemma22 == {"3j+1=1p", "2j=p-1"}
+        assert full_range == {
+            "3j+1=1p", "3j+1=2p", "2j=p-1", "2j=p+1", "j=p-1", "3j+1=2p&2j=p+1",
+        }
+
+
+# ---- oracles: the per-case loops that the strided-slice lemma forms replaced ----
+
+
+def per_case_lemma22_cases(pv, m):
+    p = pv.p
+    pw = pv.ctx.powers
+    mod = pw[m]
+    fv, fu, fi = pv.ctx.factorial_tables(3 * p)
+    h = special.harmonic_scaled(p - 1, pv.ctx)
+    f = pv._p_over_3j1((p + 1) // 2)
+    cases = []
+    for j in range((p + 1) // 2):
+        a, b, c, d, e = p + j, 3 * j, 2 * j, 3 * j + 1, p - 2 * j - 1
+        v = fv[a] + fv[b] - fv[j] - fv[c] - fv[d] - fv[e]
+        lhs = fu[a] * fu[b] * fi[j] * fi[c] * fi[d] * fi[e] * pw[v] % mod if v < m else 0
+        cases.append((lhs, f[j] * (1 + p * (h[j] - h[c])) % mod))
+    return cases
+
+
+def per_case_lemma_p2j_cases(pv, m):
+    p = pv.p
+    pw = pv.ctx.powers
+    mod = pw[m]
+    fv, fu, fi = pv.ctx.factorial_tables(3 * p)
+    h = special.harmonic_scaled(2 * p - 2, pv.ctx)
+    half = (p - 1) // 2
+    cases = []
+    for j in range(p):
+        a, c, d = p + 2 * j, 2 * j, p - j - 1
+        v = fv[a] - fv[j] - fv[c] - fv[d]
+        lhs = fu[a] * fi[j] * fi[c] * fi[d] * pw[v] % mod if v < m else 0
+        if j <= half:
+            rhs = p * (1 + p * (h[c] - h[j]))
+        else:
+            rhs = 2 * p * (h[c] - p * h[j])
+        cases.append((lhs, (-rhs if j % 2 else rhs) % mod))
+    return cases
+
+
+def per_case_lemma_sh55_terms(pv, m):
+    p = pv.p
+    pw = pv.ctx.powers
+    mod = pw[m]
+    _, fu, fi = pv.ctx.factorial_tables(3 * p)
+    h = special.harmonic_scaled(2 * p - 2, pv.ctx)
+    f = pv._p_over_3j1(p)
+    i16 = pow(16, -1, mod)
+    half = (p + 1) // 2
+    w = 1
+    terms = []
+    for k in range(half):
+        c = fu[2 * k] * fi[k] * fi[k] % mod
+        terms.append((c * c * w % mod, f[k] * (1 + p * (h[2 * k] - h[k])) % mod))
+        w = w * i16 % mod
+    w = w * pw[2] % mod
+    for k in range(half, p):
+        c = fu[2 * k] * fi[k] * fi[k] % mod
+        terms.append((c * c * w % mod, f[k] * (1 + h[2 * k] - p * h[k]) % mod))
+        w = w * i16 % mod
+    return terms
+
+
+SLICE_RUNS = [(p, guard) for p in sieve_primes(5, 1000) for guard in (1, 2, 3)] + [
+    (p, 1) for p in (1999, 4001, 4003, 10007)
+]
+
+
+@pytest.mark.parametrize("guard", [1, 2, 3])
+def test_lemma_slices_match_per_case_loops(guard):
+    for p in [q for q, g in SLICE_RUNS if g == guard]:
+        lemmas = [t for t in (T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55) if applicable(t, p)]
+        pv = PrimeVerifier(p, lemmas, guard=guard)
+        if T.LEMMA22 in lemmas:
+            _assert_cases_equal(pv._lemma22_cases(3), per_case_lemma22_cases(pv, 3), ("LEMMA22", p))
+        _assert_cases_equal(pv._lemma_p2j_cases(3), per_case_lemma_p2j_cases(pv, 3), ("LEMMA_P2J", p))
+        _assert_cases_equal(pv._lemma_sh55_terms(3), per_case_lemma_sh55_terms(pv, 3), ("LEMMA_SH55", p))
+
+
+def test_each_quotient_has_its_per_range_valuation():
+    # the slice forms write each valuation once per range; below 3p < p^2,
+    # v_p(n!) = floor(n/p) makes it a constant there, read here off fv:
+    # LEMMA_P2J 1; LEMMA22 1, but 0 at 3j+1 = p; C(2k,k) 0 below (p+1)/2
+    # and 1 from there
+    for p in sieve_primes(5, 3000):
+        fv, _, _ = PrimeContext(p, 1).factorial_tables(3 * p)
+        n = (p + 1) // 2
+        p2j = [fv[p + 2 * j] - fv[j] - fv[2 * j] - fv[p - j - 1] for j in range(p)]
+        assert p2j == [1] * p, p
+        lemma22 = [
+            fv[p + j] + fv[3 * j] - fv[j] - fv[2 * j] - fv[3 * j + 1] - fv[p - 2 * j - 1]
+            for j in range(n)
+        ]
+        want = [1] * n
+        if p % 3 == 1:
+            want[(p - 1) // 3] = 0
+        assert lemma22 == want, p
+        assert [fv[2 * k] - 2 * fv[k] for k in range(p)] == [0] * n + [1] * (p - n), p
+
+
+# the table entries each lemma reads at case j, by table
+LEMMA_READS = {
+    T.LEMMA22: lambda p, j: [("fu", p + j), ("fi", 3 * j + 1), ("h", 2 * j)],
+    T.LEMMA_P2J: lambda p, j: [("fu", p + 2 * j), ("fi", p - j - 1), ("h", 2 * j)],
+    T.LEMMA_SH55: lambda p, j: [("fu", 2 * j), ("fi", j), ("h", 2 * j)],
+}
+LEMMA_RANGES = {T.LEMMA22: lambda p: (p + 1) // 2, T.LEMMA_P2J: lambda p: p, T.LEMMA_SH55: lambda p: p}
+
+
+def _perturbed_run(p, target, table, i):
+    pv = PrimeVerifier(p, [target])
+    pv.ctx.factorial_decomposed(3 * p)
+    entries = {
+        "fu": pv.ctx._fact_unit,
+        "fi": pv.ctx._fact_inv,
+        "h": special.harmonic_scaled(2 * p - 1, pv.ctx),
+    }[table]
+    entries[i] += 1
+    return getattr(pv, SPECS[target].method)()
+
+
+@pytest.mark.parametrize("p", [1009, 1013])
+def test_split_cases_carry_weight(p):
+    # an entry read at a range end or at the lone valuation-0 case, moved by
+    # one, must fail each lemma that reads it there, so a slice bound off by
+    # one cannot pass
+    t = 1 if p % 3 == 1 else 2
+    splits = {(p - 1) // 3, (t * p - 1) // 3, (p - 1) // 2, (p + 1) // 2, p - 1}
+    checked = 0
+    for target, reads in LEMMA_READS.items():
+        if not applicable(target, p):
+            continue
+        assert getattr(PrimeVerifier(p, [target]), SPECS[target].method)().passed, target
+        for j in sorted(j for j in splits if j < LEMMA_RANGES[target](p)):
+            # from k = (p+1)/2 on, a LEMMA_SH55 term carries p^2 from
+            # C(2k,k)^2 and p from p/(3k+1), so it is 0 mod p^3 and no
+            # entry of it can show, except where 3k+1 = 2p
+            silent = target is T.LEMMA_SH55 and 2 * j > p and 3 * j + 1 != 2 * p
+            for table, i in reads(p, j):
+                row = _perturbed_run(p, target, table, i)
+                assert row.passed == silent, (target, j, table, i)
+                checked += not silent
+    # 1009: 6 + 12 + 6; 1013 (no LEMMA22, five splits): 15 + 9
+    assert checked == 24
 
 
 def test_p_over_3j1_is_one_batch_per_verifier(monkeypatch):

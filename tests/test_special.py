@@ -1,5 +1,6 @@
 """Harmonic sums, Fermat quotients, Bernoulli/Euler tables, p-adic Gamma."""
 
+import functools
 import gc
 import random
 import weakref
@@ -400,6 +401,45 @@ def test_bernoulli_poly_difference_equation():
         q = n * x ** (n - 1)
         rhs = q.numerator * pow(q.denominator, -1, p) % p
         assert lhs == rhs
+
+
+@functools.lru_cache(maxsize=1)
+def _factorials_mod_p(p):
+    f = [1] * p
+    for i in range(2, p):
+        f[i] = f[i - 1] * i % p
+    return f, [pow(v, -1, p) for v in f]
+
+
+def _bernoulli_poly_by_powers(n, x, ctx):
+    # the loop the Horner form replaced: a list of the powers of x, and one
+    # binomial mod p per even k
+    p = ctx.p
+    xi = x.numerator * pow(x.denominator, -1, p) % p
+    b = bernoulli_table(ctx)
+    f, fi = _factorials_mod_p(p)
+    xpow = [1] * (n + 1)
+    for i in range(1, n + 1):
+        xpow[i] = xpow[i - 1] * xi % p
+    total = xpow[n]
+    if n >= 1:
+        total = (total + n * b[1] % p * xpow[n - 1]) % p
+    for k in range(2, min(n, len(b) - 1) + 1, 2):
+        if b[k]:
+            total = (total + f[n] * fi[k] % p * fi[n - k] % p * b[k] % p * xpow[n - k]) % p
+    return total % p
+
+
+def test_bernoulli_poly_matches_power_loop():
+    # every n at the small primes; the two top indices, one of each parity,
+    # at every prime to 1300 and past it (LEMMA_SUNH reads n = p - 2)
+    xs = [Fraction(0), Fraction(1, 3), Fraction(1, 4)]
+    for p in [*filter(is_prime, range(7, 1301)), 4001, 4003, 10007]:
+        ctx = PrimeContext(p, 1)
+        ns = range(p - 1) if p < 60 else (0, 1, 2, p - 3, p - 2)
+        for n in ns:
+            for x in xs:
+                assert bernoulli_poly(n, x, ctx) == _bernoulli_poly_by_powers(n, x, ctx), (p, n, x)
 
 
 def test_bernoulli_poly_at_zero_matches_table():
