@@ -1,12 +1,13 @@
 """Command-line driver: prime sweeps, identity checks, table dumps.
 
 Exit codes: 0 all checks passed (or nothing to do), 1 at least one check
-failed, 2 usage error.
+failed, 2 usage error or a report file that cannot be opened.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -104,17 +105,19 @@ def render_rows(rows, fmt: str, timings: bool) -> str:
 
 def _cmd_verify(args) -> int:
     lo, hi = args.primes
-    t0 = perf_counter()
-    if not sieve_primes(max(lo, 5), hi):
-        print("warning: no primes in range", file=sys.stderr)
-    rows = sweep(lo, hi, args.targets, guard=args.guard, workers=args.workers)
-    elapsed = perf_counter() - t0
-    text = render_rows(rows, args.format, args.timings)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # the report file is opened before the sweep, so a bad path fails at once
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    with out as fh:
+        t0 = perf_counter()
+        if not sieve_primes(max(lo, 5), hi):
+            print("warning: no primes in range", file=sys.stderr)
+        rows = sweep(lo, hi, args.targets, guard=args.guard, workers=args.workers)
+        elapsed = perf_counter() - t0
+        fh.write(render_rows(rows, args.format, args.timings))
     failed = sum(1 for r in rows if not r.passed)
     primes = len({r.prime for r in rows})
     print(

@@ -10,12 +10,15 @@ are the harmonic cache's stored ints, a Fermat quotient is
 mod p, and each rational coefficient is an int times the inverse of its
 denominator, which is prime to p.  The three range-quantified lemmas
 (LEMMA22, LEMMA_P2J, LEMMA_SH55) zip strided slices of the factorial
-tables, the harmonic cache and a p/(3j+1) list from a batch inversion of
-their own.  Every factorial they read is below 3p < p^2, where
-v_p(n!) = floor(n/p), so each quotient's valuation is a constant over a
-range, written once: 1 at every case of LEMMA_P2J; 1 at every case of
-LEMMA22 but 3j+1 = p, where it is 0; and for C(2k,k) in LEMMA_SH55, 0
-below k = (p+1)/2 and 1 from there.  Only LEMMA_MPT's left side, a
+tables, the harmonic cache and one p/(3j+1) list over j < (p+1)/2, from
+one batch inversion of its own.  Every factorial they read is below
+3p < p^2, where v_p(n!) = floor(n/p), so each quotient's valuation is a
+constant over a range, written once: 1 at every case of LEMMA_P2J; 1 at
+every case of LEMMA22 but 3j+1 = p, where it is 0; and for C(2k,k) in
+LEMMA_SH55, 0 below k = (p+1)/2 and 1 from there.  LEMMA_SH55 sums only
+the terms that can be nonzero mod p^3: from k = (p+1)/2 on, a term is
+p^2 from C(2k,k)^2 times p from p/(3k+1), except the one with
+3k+1 = 2p.  Only LEMMA_MPT's left side, a
 binomial at a rational top index, is still a PAdicValue.  The PAdicValue
 forms and the per-case loops these replaced are kept as oracles in the
 tests.  The two sides meet only in the final residue comparison, so a bug
@@ -29,6 +32,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from time import perf_counter
 
 from .domb import DombTable
@@ -170,7 +174,7 @@ class CongruenceReport:
     lhs: int
     rhs: int
     passed: bool
-    millis: float
+    millis: float = 0.0
 
 
 class PrimeVerifier:
@@ -179,7 +183,8 @@ class PrimeVerifier:
     Working precision is the largest modulus exponent among the requested
     targets plus guard digits, so every residue extraction below stays
     inside the known digits.  ``want`` is the set of requested targets
-    that are stated at p, worked out once here.
+    that are stated at p, worked out once here.  The shared tables are
+    built on first read and kept.
     """
 
     def __init__(self, p: int, targets=None, guard: int = 1):
@@ -191,19 +196,13 @@ class PrimeVerifier:
         k = max((modulus_exponent(t, p) for t in self.want), default=2) + guard
         self.ctx = PrimeContext(p, k)
         self.p = p
-        self._table: DombTable | None = None
         self._sums: dict[str, int] = {}
-        self._decomp = None
-        self._r3: int | None = None
-        self._p3j1: list[int] | None = None
 
     # ---- shared pieces ----
 
-    @property
+    @cached_property
     def domb_table(self) -> DombTable:
-        if self._table is None:
-            self._table = DombTable(self.ctx)
-        return self._table
+        return DombTable(self.ctx)
 
     def weighted_sum(self, base: int, weight: str) -> int:
         """sum_{k<p} w(k) D_k base^(-k) mod p^K for w in 1, k, k2, 3k+2,
@@ -233,49 +232,34 @@ class PrimeVerifier:
             w = w * ib % pk
         return s0 % pk, s1 % pk, s2 % pk
 
-    @property
+    @cached_property
     def decomposition(self):
-        if self._decomp is None:
-            self._decomp = decompose_x2_3y2(self.p)
-        return self._decomp
+        return decompose_x2_3y2(self.p)
 
     def r3(self) -> int:
         """The correction unit used on the p = 2 (mod 3) side, mod p^K: the
         Fermat quotient combination (1 + 2p + (4/3)(2^(p-1)-1) -
         (3/2)(3^(p-1)-1)) times the square of C((p-1)/2, floor(p/6))."""
-        if self._r3 is None:
-            p = self.p
-            pk = self.ctx.pk
-            t2 = pow(2, p - 1, pk) - 1
-            t3 = pow(3, p - 1, pk) - 1
-            core = 1 + 2 * p + 4 * t2 * pow(3, -1, pk) - 3 * t3 * pow(2, -1, pk)
-            c = binomial_residues(self.ctx, self.ctx.precision)((p - 1) // 2, p // 6)
-            self._r3 = core * c * c % pk
-        return self._r3
+        p = self.p
+        pk = self.ctx.pk
+        t2 = pow(2, p - 1, pk) - 1
+        t3 = pow(3, p - 1, pk) - 1
+        core = 1 + 2 * p + 4 * t2 * pow(3, -1, pk) - 3 * t3 * pow(2, -1, pk)
+        c = binomial_residues(self.ctx, self.ctx.precision)((p - 1) // 2, p // 6)
+        return core * c * c % pk
 
-    def _p_over_3j1(self, n: int) -> list[int]:
-        """p/(3j+1) mod p^K for 0 <= j < n <= p: p times the inverse of
-        3j+1, or 1/t where 3j+1 = tp (t is 1 or 2, since 3j+1 < 3p).  One
-        batch inversion of its own, with no read of the factorial tables or
-        the harmonic cache, built once per verifier: to p when LEMMA_SH55
-        was requested, so that LEMMA22 reads a prefix of the same list, and
-        otherwise to the n asked for."""
-        f = self._p3j1
-        if f is None or len(f) < n:
-            p = self.p
-            pk = self.ctx.pk
-            if Target.LEMMA_SH55 in self.want:
-                n = p
-            t = 1 if p % 3 == 1 else 2
-            # the one j with 3j+1 = tp; below (p+1)/2 at the p = 1 (mod 3)
-            # that LEMMA22 is stated for
-            jp = (t * p - 1) // 3
-            units = list(range(1, 3 * n, 3))
-            units[jp] = t
-            inv = batch_inverse(units, pk)
-            f = self._p3j1 = [p * x % pk for x in inv]
-            f[jp] = inv[jp]
-        return f
+    @cached_property
+    def _p_over_3j1(self) -> list[int]:
+        """p/(3j+1) mod p^K for 0 <= j < (p+1)/2, the range both LEMMA22
+        and LEMMA_SH55 read: p times the inverse of 3j+1, from one batch
+        inversion with no read of the factorial tables or the harmonic
+        cache.  Below (p+1)/2, 3j+1 < 2p, so p divides 3j+1 only at
+        3j+1 = p (p = 1 mod 3), where p/(3j+1) = 1."""
+        p = self.p
+        pk = self.ctx.pk
+        units = range(1, 3 * ((p + 1) // 2), 3)
+        inv = batch_inverse([1 if u == p else u for u in units], pk)
+        return [1 if u == p else p * x % pk for u, x in zip(units, inv)]
 
     def _exponent(self, target: Target) -> int:
         """The target's m at this prime; WrongPrimeClass where it is not stated,
@@ -288,35 +272,33 @@ class PrimeVerifier:
             raise ValueError(f"{target.value} needs precision {m + 1}, not {self.ctx.precision}")
         return m
 
-    def _report(self, target, lhs: int, rhs: int, t0) -> CongruenceReport:
-        """One row: both sides plain ints, each reduced mod p^m."""
+    def _report(self, target, lhs: int, rhs: int) -> CongruenceReport:
+        """One row: both sides plain ints, each reduced mod p^m.  Its
+        millis is set by run()."""
         m = self._exponent(target)
         mod = self.ctx.powers[m]
         lhs %= mod
         rhs %= mod
-        ms = (perf_counter() - t0) * 1000.0
-        return CongruenceReport(self.p, target, m, lhs, rhs, lhs == rhs, ms)
+        return CongruenceReport(self.p, target, m, lhs, rhs, lhs == rhs)
 
-    def _first_failure(self, target, cases, t0) -> CongruenceReport:
+    def _first_failure(self, target, cases) -> CongruenceReport:
         """One row for a target checked case by case: the (lhs, rhs) of the
         first failing case, or of the last case when every case passed.  No
         cases at all is an error, not a pass."""
         if not cases:
             raise ValueError(f"{target.value}: no cases to check")
         lhs, rhs = next((c for c in cases if c[0] != c[1]), cases[-1])
-        return self._report(target, lhs, rhs, t0)
+        return self._report(target, lhs, rhs)
 
     # ---- theorem-level targets ----
 
     def thm11_4k(self) -> CongruenceReport:
-        t0 = perf_counter()
         lhs = self.weighted_sum(4, "1")
-        return self._report(Target.THM11_4K, lhs, self._thm11_rhs(sign_for_16k=False), t0)
+        return self._report(Target.THM11_4K, lhs, self._thm11_rhs(sign_for_16k=False))
 
     def thm11_16k(self) -> CongruenceReport:
-        t0 = perf_counter()
         lhs = self.weighted_sum(16, "1")
-        return self._report(Target.THM11_16K, lhs, self._thm11_rhs(sign_for_16k=True), t0)
+        return self._report(Target.THM11_16K, lhs, self._thm11_rhs(sign_for_16k=True))
 
     def _thm11_rhs(self, sign_for_16k: bool) -> int:
         """4x^2 - 2p - p^2/(4x^2) at p = 1 (mod 3); otherwise p^2/2, or
@@ -333,7 +315,6 @@ class PrimeVerifier:
     def conj2_mod_p2(self) -> CongruenceReport:
         """Both weighted sums against the mod p^2 closed form; the stored
         lhs is the 4^k sum, and passing requires the 16^k sum to match too."""
-        t0 = perf_counter()
         p = self.p
         if p % 3 == 1:
             x = self.decomposition.x
@@ -342,27 +323,25 @@ class PrimeVerifier:
             rhs = 0
         lhs4 = self.weighted_sum(4, "1")
         lhs16 = self.weighted_sum(16, "1")
-        rep = self._report(Target.CONJ2_MODP2, lhs4, rhs, t0)
+        rep = self._report(Target.CONJ2_MODP2, lhs4, rhs)
         rep.passed = rep.passed and lhs16 % p**rep.modulus_exponent == rep.rhs
         return rep
 
     def thm12(self) -> list[CongruenceReport]:
-        t0 = perf_counter()
         self._exponent(Target.THM12_4K)  # WrongPrimeClass before any table is built
         p = self.p
         pk = self.ctx.pk
         c = binomial_residues(self.ctx, self.ctx.precision)((p - 1) // 2, (p - 1) // 6)
         base = p * p * pow(c * c, -1, pk)  # p^2 / C((p-1)/2, (p-1)/6)^2
         return [
-            self._report(Target.THM12_4K, self.weighted_sum(4, "3k+2"), 2 * base, t0),
-            self._report(Target.THM12_16K, self.weighted_sum(16, "3k+1"), base, t0),
+            self._report(Target.THM12_4K, self.weighted_sum(4, "3k+2"), 2 * base),
+            self._report(Target.THM12_16K, self.weighted_sum(16, "3k+1"), base),
         ]
 
     def thm13_all(self) -> list[CongruenceReport]:
         """At p = 1 (mod 3), 16x^2/9 - 8p/9 - 7p^2/(18x^2) and
         4x^2/9 - 2p/9 - p^2/(18x^2); otherwise -20/9, 4/9, 4/3 and -4/3
         times r3."""
-        t0 = perf_counter()
         p = self.p
         pk = self.ctx.pk
         i9 = pow(9, -1, pk)
@@ -382,24 +361,22 @@ class PrimeVerifier:
                 (Target.THM13_K_4K, 4, "k", 4 * i3 * r3),
                 (Target.THM13_K_16K, 16, "k", -4 * i3 * r3),
             ]
-        return [self._report(t, self.weighted_sum(b, w), rhs, t0) for t, b, w, rhs in cases]
+        return [self._report(t, self.weighted_sum(b, w), rhs) for t, b, w, rhs in cases]
 
     def conj1_dp1(self) -> CongruenceReport:
         """D_(p-1) against 64^(p-1) - (p^3/6) B_(p-3) mod p^4."""
-        t0 = perf_counter()
         p = self.p
         lhs = self.domb_table[p - 1]
         b = bernoulli_table(self.ctx)[p - 3]
         rhs = pow(64, p - 1, self.ctx.pk) - p**3 * (b * pow(6, -1, p) % p)
-        return self._report(Target.CONJ1_DP1, lhs, rhs, t0)
+        return self._report(Target.CONJ1_DP1, lhs, rhs)
 
     def musun(self) -> CongruenceReport:
         """sum (3k^2+k) D_k / 16^k against -4 p^4 q_p(2) mod p^5."""
-        t0 = perf_counter()
         m = self._exponent(Target.MUSUN_P5)
         lhs = self.weighted_sum(16, "3k2+k")
         rhs = -4 * self.p**4 * _fermat_quotient(2, self.p, m)
-        return self._report(Target.MUSUN_P5, lhs, rhs, t0)
+        return self._report(Target.MUSUN_P5, lhs, rhs)
 
     # ---- lemma-level targets ----
 
@@ -408,9 +385,8 @@ class PrimeVerifier:
         every 0 <= j <= (p-1)/2, case by case in plain residues, the left
         side of each case as one factorial quotient (see _lemma22_cases).
         The j with 3j+1 = p is included; there p/(3j+1) = 1."""
-        t0 = perf_counter()
         m = self._exponent(Target.LEMMA22)
-        return self._first_failure(Target.LEMMA22, self._lemma22_cases(m), t0)
+        return self._first_failure(Target.LEMMA22, self._lemma22_cases(m))
 
     def _lemma22_cases(self, m: int) -> list[tuple[int, int]]:
         """(lhs, rhs) mod p^m at each j <= (p-1)/2, each side one
@@ -426,7 +402,6 @@ class PrimeVerifier:
         _, fu, fi = self.ctx.factorial_tables(3 * p)
         h = harmonic_scaled(p - 1, self.ctx)
         n = (p + 1) // 2
-        f = self._p_over_3j1(n)
         lhs = [
             p * a * b * c * d * e * g % mod
             for a, b, c, d, e, g in zip(
@@ -441,14 +416,13 @@ class PrimeVerifier:
         if p % 3 == 1:
             j = (p - 1) // 3
             lhs[j] = fu[p + j] * fu[3 * j] * fi[j] * fi[2 * j] * fi[p] * fi[p - 2 * j - 1] % mod
-        rhs = [x * (1 + p * (a - b)) % mod for x, a, b in zip(f[:n], h[:n], h[0:p:2])]
+        rhs = [x * (1 + p * (a - b)) % mod for x, a, b in zip(self._p_over_3j1, h[:n], h[0:p:2])]
         return list(zip(lhs, rhs))
 
     def lemma_mpt_check(self, t_samples=None) -> CongruenceReport:
         """C((2p-2)/3 + pt, (p-1)/2) against its first-order expansion in t
         mod p^2, at small fixed t plus deterministic pseudo-random t.  The
         top index (2p-2)/3 is integral only for p = 1 (mod 3)."""
-        t0 = perf_counter()
         m = self._exponent(Target.LEMMA_MPT)
         p = self.p
         if t_samples is None:
@@ -460,7 +434,7 @@ class PrimeVerifier:
             (binomial_rational(base + p * t, half, self.ctx).residue(m), rhs)
             for t, rhs in zip(t_samples, self._lemma_mpt_rhs(m, t_samples))
         ]
-        return self._first_failure(Target.LEMMA_MPT, cases, t0)
+        return self._first_failure(Target.LEMMA_MPT, cases)
 
     def _lemma_mpt_rhs(self, m: int, t_samples) -> list[int]:
         """c0 (1 + p t slope) mod p^m at each t, with c0 = C((2p-2)/3,
@@ -481,9 +455,8 @@ class PrimeVerifier:
         longer p-integral and the negative valuation must cancel the p^2.
         Case by case in plain residues, the left side of each case as one
         factorial quotient (see _lemma_p2j_cases)."""
-        t0 = perf_counter()
         m = self._exponent(Target.LEMMA_P2J)
-        return self._first_failure(Target.LEMMA_P2J, self._lemma_p2j_cases(m), t0)
+        return self._first_failure(Target.LEMMA_P2J, self._lemma_p2j_cases(m))
 
     def _lemma_p2j_cases(self, m: int) -> list[tuple[int, int]]:
         """(lhs, rhs) mod p^m at each j < p, each side built from strided
@@ -519,43 +492,43 @@ class PrimeVerifier:
     def lemma_sh55_check(self) -> CongruenceReport:
         """The full Domb sum against the central-binomial expansion:
         sum D_k/16^k = sum C(2k,k)^2 16^(-k) (p/(3k+1))(1 + p H_2k - p H_k)
-        mod p^3, both sums over 0 <= k <= p-1; the right side is the sum of
-        the products of _lemma_sh55_terms."""
-        t0 = perf_counter()
+        mod p^3, both sums over 0 <= k <= p-1.  The right side is the sum of
+        the products of _lemma_sh55_terms, the terms of the expansion that
+        are not 0 mod p^3 by their valuation alone."""
         m = self._exponent(Target.LEMMA_SH55)
         lhs = self.weighted_sum(16, "1")
         rhs = sum(b * h for b, h in self._lemma_sh55_terms(m))
-        return self._report(Target.LEMMA_SH55, lhs, rhs, t0)
+        return self._report(Target.LEMMA_SH55, lhs, rhs)
 
     def _lemma_sh55_terms(self, m: int) -> list[tuple[int, int]]:
-        """(C(2k,k)^2 16^(-k), (p/(3k+1))(1 + p H_2k - p H_k)) mod p^m at
-        each k < p, one zip loop over strided slices per half, since the
-        weight 16^(-k) is carried from term to term.  The binomial is read
-        off the factorial tables, the harmonic factor from the harmonic
-        cache and _p_over_3j1; both are p-integral.  Below k = (p+1)/2,
-        2k < p: C(2k,k) is a unit and H_2k is p-integral.  From there
-        C(2k,k) carries exactly one p, so its square's p^2 joins the weight
-        once, and the cache's stored p H_2k absorbs H_2k's negative
-        valuation."""
+        """(C(2k,k)^2 16^(-k), (p/(3k+1))(1 + p H_2k - p H_k)) mod p^m = p^3
+        at each k < (p+1)/2, then, at p = 2 (mod 3), at k0 = (2p-1)/3.  No
+        other term can be nonzero mod p^3: from k = (p+1)/2 on, p < 2k < 2p,
+        so C(2k,k) carries exactly one p and its square p^2, and
+        3p/2 < 3k+1 < 3p, so p/(3k+1) carries one more p unless
+        3k+1 = 2p, where it is 1/2.  Below (p+1)/2, 2k < p: C(2k,k) is a
+        unit and H_2k is p-integral.  The binomial is read off the factorial
+        tables and the harmonic factor from the harmonic cache and
+        _p_over_3j1, in one zip loop over strided slices that carries the
+        weight 16^(-k) from term to term.  At k0 the cache's stored p H_2k0
+        absorbs H_2k0's negative valuation."""
         p = self.p
         mod = self.ctx.powers[m]
         _, fu, fi = self.ctx.factorial_tables(3 * p)
-        h = harmonic_scaled(2 * p - 2, self.ctx)
-        f = self._p_over_3j1(p)
+        h = harmonic_scaled(4 * p // 3, self.ctx)  # to 2k0 = (4p-2)/3
         i16 = pow(16, -1, mod)
         n = (p + 1) // 2
         w = 1
         terms = []
-        for a, b, x, s, t in zip(fu[0:p:2], fi[:n], f[:n], h[0:p:2], h[:n]):
+        for a, b, x, s, t in zip(fu[0:p:2], fi[:n], self._p_over_3j1, h[0:p:2], h[:n]):
             c = a * b * b % mod
             terms.append((c * c * w % mod, x * (1 + p * (s - t)) % mod))
             w = w * i16 % mod
-        w = w * p * p % mod
-        upper = zip(fu[p + 1 : 2 * p - 1 : 2], fi[n:p], f[n:p], h[p + 1 : 2 * p - 1 : 2], h[n:p])
-        for a, b, x, s, t in upper:
-            c = a * b * b % mod
-            terms.append((c * c * w % mod, x * (1 + s - p * t) % mod))
-            w = w * i16 % mod
+        if p % 3 == 2:
+            k = (2 * p - 1) // 3
+            c = fu[2 * k] * fi[k] * fi[k] % mod
+            w = p * p * pow(i16, k, mod)
+            terms.append((c * c * w % mod, pow(2, -1, mod) * (1 + h[2 * k] - p * h[k]) % mod))
         return terms
 
     def lemma_sunh_check(self) -> CongruenceReport:
@@ -563,9 +536,8 @@ class PrimeVerifier:
         half/full range, against Fermat quotients, B_(p-2)(1/3) and
         E_(p-3), the last read as B_(p-2)(1/4)/8 mod p off the Bernoulli
         table.  All sub-congruences must hold; p = 5 is excluded."""
-        t0 = perf_counter()
         m = self._exponent(Target.LEMMA_SUNH)
-        return self._first_failure(Target.LEMMA_SUNH, self._lemma_sunh_cases(m), t0)
+        return self._first_failure(Target.LEMMA_SUNH, self._lemma_sunh_cases(m))
 
     def _lemma_sunh_cases(self, m: int) -> list[tuple[int, int]]:
         """(lhs, rhs) of the ten sub-congruences, each reduced mod p or mod
@@ -606,12 +578,18 @@ class PrimeVerifier:
     # ---- dispatch ----
 
     def run(self) -> list[CongruenceReport]:
-        """Each evaluating method once, in catalog order; a method that
-        covers several targets keeps only the rows that were asked for."""
+        """Each evaluating method once, in catalog order, timed; each row
+        carries its method's time.  A method that covers several targets
+        keeps only the rows that were asked for."""
         rows: list[CongruenceReport] = []
         for method in dict.fromkeys(SPECS[t].method for t in Target if t in self.want):
+            t0 = perf_counter()
             out = getattr(self, method)()
-            rows.extend(r for r in (out if isinstance(out, list) else [out]) if r.target in self.want)
+            ms = (perf_counter() - t0) * 1000.0
+            for r in out if isinstance(out, list) else [out]:
+                if r.target in self.want:
+                    r.millis = ms
+                    rows.append(r)
         rows.sort(key=lambda r: _TARGET_INDEX[r.target])
         return rows
 

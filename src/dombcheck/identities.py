@@ -30,10 +30,12 @@ _harm2: list[Fraction] = [Fraction(0)]
 
 
 def harmonic_exact(n: int, order: int = 1) -> Fraction:
-    """H_n or H_n^(2) as an exact rational, memoized."""
-    table = _harm if order == 1 else _harm2
+    """H_n or H_n^(2) as an exact rational for n >= 0, memoized."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
+    if n < 0:
+        raise ValueError(f"H_{n} is not defined for n < 0")
+    table = _harm if order == 1 else _harm2
     while len(table) <= n:
         k = len(table)
         table.append(table[-1] + Fraction(1, k**order))
@@ -278,7 +280,10 @@ def _check_transform(which: str, n_max: int) -> IdentityReport:
 
 
 def check_identity(identity: str, n_max: int = 40) -> IdentityReport:
-    """Verify one catalog identity exactly for all cases up to n_max."""
+    """Verify one catalog identity exactly for all cases up to n_max >= 1.
+    A smaller n_max is an error: checking no case is not a pass."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, not {n_max}")
     if identity in ("CZ_TRANSFORM", "SUN_TRANSFORM"):
         return _check_transform(identity, n_max)
     if identity not in _CATALOG:

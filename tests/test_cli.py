@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dombcheck import cli
 from dombcheck.cli import _LABELS, _parse_targets, main, render_rows
 from dombcheck.congruences import Target, verify_prime
 
@@ -121,6 +122,17 @@ def test_verify_csv_output(tmp_path, capsys):
     assert lines[3] == "5,CONJ2_MODP2,2,0,0,true,0"
     # one row per target per prime in [5, 30]
     assert len(lines) == 1 + 3 * 8
+
+
+def test_verify_out_under_missing_directory_fails_before_sweeping(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("swept before the report file was opened")
+
+    monkeypatch.setattr(cli, "sweep", refuse)
+    out = tmp_path / "missing" / "report.csv"
+    assert main(["verify", "--primes", "5:7", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_verify_jsonl_output(tmp_path):

@@ -485,6 +485,24 @@ def _assert_cases_equal(got, want, label):
         assert g == w, (label, j)
 
 
+def _sh55_kept(p):
+    """The k of the LEMMA_SH55 terms the verifier sums, in its order: every
+    k < (p+1)/2, then k0 = (2p-1)/3 at p = 2 (mod 3)."""
+    return list(range((p + 1) // 2)) + ([(2 * p - 1) // 3] if p % 3 == 2 else [])
+
+
+def _assert_sh55_terms(pv, terms, label):
+    # the verifier's terms against the kept ones of all p terms, case by
+    # case; every term it drops has a product 0 mod p^3
+    p = pv.p
+    kept = _sh55_kept(p)
+    _assert_cases_equal(pv._lemma_sh55_terms(3), [terms[k] for k in kept], label)
+    assert len(terms) == p, label
+    for k in sorted(set(range(p)) - set(kept)):
+        b, h = terms[k]
+        assert b * h % p**3 == 0, (label, k)
+
+
 @pytest.mark.parametrize("guard", [1, 2, 3])
 def test_lemma_cases_match_padic_oracles(guard):
     for p in [q for q, g in ORACLE_RUNS if g == guard]:
@@ -495,7 +513,7 @@ def test_lemma_cases_match_padic_oracles(guard):
             _assert_cases_equal(pv._lemma22_cases(m), oracle_lemma22_cases(pv, m), ("LEMMA22", p))
         _assert_cases_equal(pv._lemma_p2j_cases(m), oracle_lemma_p2j_cases(pv, m), ("LEMMA_P2J", p))
         terms, rhs = oracle_lemma_sh55_terms(pv, m)
-        _assert_cases_equal(pv._lemma_sh55_terms(m), terms, ("LEMMA_SH55", p))
+        _assert_sh55_terms(pv, terms, ("LEMMA_SH55", p))
         assert pv.lemma_sh55_check().rhs == rhs, p
 
 
@@ -550,7 +568,7 @@ def per_case_lemma22_cases(pv, m):
     mod = pw[m]
     fv, fu, fi = pv.ctx.factorial_tables(3 * p)
     h = special.harmonic_scaled(p - 1, pv.ctx)
-    f = pv._p_over_3j1((p + 1) // 2)
+    f = pv._p_over_3j1
     cases = []
     for j in range((p + 1) // 2):
         a, b, c, d, e = p + j, 3 * j, 2 * j, 3 * j + 1, p - 2 * j - 1
@@ -581,12 +599,14 @@ def per_case_lemma_p2j_cases(pv, m):
 
 
 def per_case_lemma_sh55_terms(pv, m):
+    """All p terms; p/(3k+1) from the verifier's list below (p+1)/2 and
+    computed here from there, where the list stops."""
     p = pv.p
     pw = pv.ctx.powers
     mod = pw[m]
     _, fu, fi = pv.ctx.factorial_tables(3 * p)
     h = special.harmonic_scaled(2 * p - 2, pv.ctx)
-    f = pv._p_over_3j1(p)
+    f = pv._p_over_3j1
     i16 = pow(16, -1, mod)
     half = (p + 1) // 2
     w = 1
@@ -598,7 +618,8 @@ def per_case_lemma_sh55_terms(pv, m):
     w = w * pw[2] % mod
     for k in range(half, p):
         c = fu[2 * k] * fi[k] * fi[k] % mod
-        terms.append((c * c * w % mod, f[k] * (1 + h[2 * k] - p * h[k]) % mod))
+        x = pow(2, -1, mod) if 3 * k + 1 == 2 * p else p * pow(3 * k + 1, -1, mod)
+        terms.append((c * c * w % mod, x * (1 + h[2 * k] - p * h[k]) % mod))
         w = w * i16 % mod
     return terms
 
@@ -616,7 +637,7 @@ def test_lemma_slices_match_per_case_loops(guard):
         if T.LEMMA22 in lemmas:
             _assert_cases_equal(pv._lemma22_cases(3), per_case_lemma22_cases(pv, 3), ("LEMMA22", p))
         _assert_cases_equal(pv._lemma_p2j_cases(3), per_case_lemma_p2j_cases(pv, 3), ("LEMMA_P2J", p))
-        _assert_cases_equal(pv._lemma_sh55_terms(3), per_case_lemma_sh55_terms(pv, 3), ("LEMMA_SH55", p))
+        _assert_sh55_terms(pv, per_case_lemma_sh55_terms(pv, 3), ("LEMMA_SH55", p))
 
 
 def test_each_quotient_has_its_per_range_valuation():
@@ -687,8 +708,8 @@ def test_split_cases_carry_weight(p):
 
 
 def test_p_over_3j1_is_one_batch_per_verifier(monkeypatch):
-    # with LEMMA_SH55 requested, LEMMA22 reads a prefix of its list; without
-    # it the list stops where LEMMA22 stops
+    # LEMMA22 and LEMMA_SH55 read the same (p+1)/2 entries, so whichever of
+    # them is requested, the list is one batch inversion of (p+1)/2 units
     lengths = []
     real = congruences.batch_inverse
 
@@ -697,13 +718,18 @@ def test_p_over_3j1_is_one_batch_per_verifier(monkeypatch):
         return real(units, mod)
 
     monkeypatch.setattr(congruences, "batch_inverse", counting)
-    p = 1009
-    pv = PrimeVerifier(p, [T.LEMMA22, T.LEMMA_SH55])
-    assert all(r.passed for r in pv.run())
-    assert lengths == [p]
-    alone = PrimeVerifier(p, [T.LEMMA22])
-    assert alone._lemma22_cases(3) == pv._lemma22_cases(3)
-    assert lengths == [p, (p + 1) // 2]
+    for p in (1009, 1013):
+        for targets in ([T.LEMMA22], [T.LEMMA_SH55], [T.LEMMA22, T.LEMMA_SH55]):
+            if not all(applicable(t, p) for t in targets):
+                continue
+            lengths.clear()
+            pv = PrimeVerifier(p, targets)
+            assert all(r.passed for r in pv.run()), (p, targets)
+            assert lengths == [(p + 1) // 2], (p, targets)
+            f, pk = pv._p_over_3j1, pv.ctx.pk
+            assert all((3 * j + 1) * x % pk == p for j, x in enumerate(f)), (p, targets)
+            if p % 3 == 1:
+                assert f[(p - 1) // 3] == 1
     for q in (7, 13, 31, 997):
         alone = PrimeVerifier(q, [T.LEMMA22])
         _assert_cases_equal(alone._lemma22_cases(3), oracle_lemma22_cases(alone, 3), ("LEMMA22", q))
@@ -841,8 +867,8 @@ def test_right_side_off_by_top_digit_fails(target, monkeypatch):
     # at every prime the target is stated for
     real = PrimeVerifier._report
 
-    def perturbed(self, t, lhs, rhs, t0):
-        return real(self, t, lhs, rhs + self.p ** (modulus_exponent(t, self.p) - 1), t0)
+    def perturbed(self, t, lhs, rhs):
+        return real(self, t, lhs, rhs + self.p ** (modulus_exponent(t, self.p) - 1))
 
     monkeypatch.setattr(PrimeVerifier, "_report", perturbed)
     primes = [p for p in sieve_primes(5, 200) if applicable(target, p)]
@@ -941,3 +967,14 @@ def test_applicable_set_is_built_once_per_prime(monkeypatch):
         calls.clear()
         assert verify_prime(p)
         assert len(calls) == len(Target), p
+
+
+def test_run_stamps_each_method_time_on_its_rows():
+    # run() times each evaluating method once: every row carries a time, and
+    # the rows of one method (thm12's two at 13, thm13_all's four at 11)
+    # share it
+    for p, method, n in ((13, "thm12", 2), (11, "thm13_all", 4)):
+        rows = PrimeVerifier(p).run()
+        assert all(r.millis > 0 for r in rows), p
+        shared = [r.millis for r in rows if SPECS[r.target].method == method]
+        assert len(shared) == n and len(set(shared)) == 1, (p, shared)

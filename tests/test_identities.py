@@ -34,6 +34,18 @@ def test_harmonic_exact():
     assert harmonic_exact(3, 2) == Fraction(49, 36)
 
 
+def test_harmonic_exact_rejects_bad_arguments():
+    harmonic_exact(5)  # a memo long enough to read negative indices from
+    for n in (-1, -2):
+        with pytest.raises(ValueError):
+            harmonic_exact(n)
+        with pytest.raises(ValueError):
+            harmonic_exact(n, 2)
+    with pytest.raises(ValueError):
+        harmonic_exact(3, 3)
+    assert harmonic_exact(5) == Fraction(137, 60)
+
+
 def test_binom_frac():
     assert binom_frac(Fraction(-1, 2), 2) == Fraction(3, 8)
     assert binom_frac(Fraction(-1, 3), 1) == Fraction(-1, 3)
@@ -85,3 +97,12 @@ def test_all_identities_small():
     for rep in reports:
         assert rep.passed, rep.identity
         assert rep.cases > 0
+
+
+def test_no_cases_is_not_a_pass():
+    for n_max in (0, -3):
+        with pytest.raises(ValueError):
+            check_all_identities(n_max)
+        for name in IDENTITY_IDS:
+            with pytest.raises(ValueError):
+                check_identity(name, n_max)
