@@ -29,7 +29,7 @@ from .padic import (
     binomial_rational,
     is_prime,
 )
-from .quadform import QuadDecomposition, decompose_x2_3y2, sqrt_mod
+from .quadform import QuadDecomposition, decompose_x2_3y2
 from .special import (
     bernoulli_poly,
     bernoulli_table,
@@ -69,7 +69,6 @@ __all__ = [
     "padic_gamma_int",
     "padic_gamma_rational",
     "rogers_series_check",
-    "sqrt_mod",
     "sweep",
     "verify_prime",
 ]

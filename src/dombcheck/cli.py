@@ -1,7 +1,7 @@
 """Command-line driver: prime sweeps, identity checks, table dumps.
 
 Exit codes: 0 all checks passed (or nothing to do), 1 at least one check
-failed, 2 usage error or a report file that cannot be opened.
+failed, 2 usage error or a report file that cannot be opened or written.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ def _parse_primes(spec: str) -> tuple[int, int]:
 
 
 _FIELDS = ("prime", "target", "modulus_exponent", "lhs", "rhs", "pass", "millis")
+_FORMATS = ("table", "csv", "jsonl")
 
 
 def _rows_as_records(rows, timings: bool):
@@ -80,6 +81,8 @@ def _rows_as_records(rows, timings: bool):
 def render_rows(rows, fmt: str, timings: bool) -> str:
     """Rows in the chosen format; stable byte-for-byte unless timings are
     explicitly requested."""
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}; expected one of {_FORMATS}")
     records = list(_rows_as_records(rows, timings))
     if fmt == "csv":
         buf = io.StringIO()
@@ -105,24 +108,27 @@ def render_rows(rows, fmt: str, timings: bool) -> str:
 
 def _cmd_verify(args) -> int:
     lo, hi = args.primes
-    # the report file is opened before the sweep, so a bad path fails at once
+    # The report file is opened before the sweep, so a bad path fails at
+    # once; a failed open, write or close exits 2, never 1 ("a check failed").
     try:
         out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+        with out as fh:
+            t0 = perf_counter()
+            if not sieve_primes(max(lo, 5), hi):
+                print("warning: no primes in range", file=sys.stderr)
+            rows = sweep(lo, hi, args.targets, guard=args.guard, workers=args.workers)
+            elapsed = perf_counter() - t0
+            fh.write(render_rows(rows, args.format, args.timings))
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    with out as fh:
-        t0 = perf_counter()
-        if not sieve_primes(max(lo, 5), hi):
-            print("warning: no primes in range", file=sys.stderr)
-        rows = sweep(lo, hi, args.targets, guard=args.guard, workers=args.workers)
-        elapsed = perf_counter() - t0
-        fh.write(render_rows(rows, args.format, args.timings))
     failed = sum(1 for r in rows if not r.passed)
     primes = len({r.prime for r in rows})
+    # stderr, so a report on stdout stays byte-identical from run to run
     print(
         f"checks={len(rows)} primes={primes} passed={len(rows) - failed} "
-        f"failed={failed} elapsed={elapsed:.2f}s"
+        f"failed={failed} elapsed={elapsed:.2f}s",
+        file=sys.stderr,
     )
     return 1 if failed else 0
 
@@ -177,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--workers", type=int, default=min(8, os.cpu_count() or 1))
     v.add_argument("--guard", type=int, default=1, help="extra precision digits")
     v.add_argument("--out", help="write the report to this path instead of stdout")
-    v.add_argument("--format", choices=("table", "csv", "jsonl"), default="table")
+    v.add_argument("--format", choices=_FORMATS, default="table")
     v.add_argument(
         "--timings",
         action="store_true",

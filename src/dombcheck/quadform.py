@@ -1,4 +1,4 @@
-"""Modular square roots and the p = x^2 + 3y^2 decomposition."""
+"""The p = x^2 + 3y^2 decomposition of a prime p = 1 (mod 3)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from math import isqrt
 
 from .padic import is_prime
 
-__all__ = ["NotRepresentable", "QuadDecomposition", "sqrt_mod", "decompose_x2_3y2"]
+__all__ = ["NotRepresentable", "QuadDecomposition", "decompose_x2_3y2"]
 
 
 class NotRepresentable(ValueError):
@@ -20,62 +20,24 @@ class QuadDecomposition:
     y: int
 
 
-def sqrt_mod(a: int, p: int) -> int | None:
-    """Smaller square root of a modulo an odd prime p, or None.
-
-    Returns 0 for a = 0; otherwise the root r with r <= p - r.  Tonelli and
-    Shanks in the general case, with the exponent shortcut for p = 3 mod 4.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # write p - 1 = q * 2^s with q odd
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m = s
-    c = pow(z, q, p)
-    t = pow(a, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2 = t
-        i = 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m = i
-        c = b * b % p
-        t = t * c % p
-        r = r * b % p
-    return min(r, p - r)
-
-
 def decompose_x2_3y2(p: int) -> QuadDecomposition:
     """Write a prime p = 1 (mod 3) as x^2 + 3y^2 with x, y >= 1.
 
-    Cornacchia's descent: start from the root of -3 mod p lying in
-    (p/2, p), run the Euclidean remainder sequence down past sqrt(p), and
-    the first remainder below it is x.  The representation is unique up to
-    signs, and the identity is asserted before returning.
+    Cornacchia's descent: take the root of -3 mod p lying in (p/2, p),
+    read off a primitive cube root of unity, run the Euclidean remainder
+    sequence down past sqrt(p), and the first remainder below it is x.  The
+    representation is unique up to signs, and the identity is asserted
+    before returning.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p <= 3 or p % 3 != 1:
         raise NotRepresentable(f"{p} is not a prime of the form x^2 + 3y^2")
-    r = sqrt_mod(p - 3, p)
-    if r is None:  # -3 is a square exactly when p = 1 mod 3
-        raise NotRepresentable(f"no square root of -3 modulo {p}")
+    # For a primitive cube root of unity w, (2w + 1)^2 = 4(w^2 + w + 1) - 3 = -3.
+    g = 2
+    while (w := pow(g, (p - 1) // 3, p)) == 1:
+        g += 1
+    r = (2 * w + 1) % p
     r = max(r, p - r)
     bound = isqrt(p)
     a, b = p, r

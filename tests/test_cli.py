@@ -1,6 +1,8 @@
 """Driver behavior: parsing, formats, exit codes, reproducible reports."""
 
+import io
 import json
+import os
 
 import pytest
 
@@ -49,6 +51,11 @@ def test_decompose_other_class(capsys):
     assert capsys.readouterr().out.strip() == "5 is not representable as x^2 + 3*y^2"
 
 
+def test_decompose_mersenne_61(capsys):
+    assert main(["decompose", "2305843009213693951"]) == 0
+    assert capsys.readouterr().out.strip() == "2305843009213693951 = 1505304098^2 + 3*115329357^2"
+
+
 def test_decompose_non_prime(capsys):
     assert main(["decompose", "49"]) == 2
     assert "not prime" in capsys.readouterr().err
@@ -75,10 +82,10 @@ def test_help_is_exit_0():
 def test_verify_basic_sweep(capsys):
     rc = main(["verify", "--primes", "5:100", "--targets", "thm1.1"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "checks=46 primes=23 passed=46 failed=0" in out
+    captured = capsys.readouterr()
+    assert "checks=46 primes=23 passed=46 failed=0" in captured.err
     # table header plus first row
-    lines = out.splitlines()
+    lines = captured.out.splitlines()
     assert lines[0].split() == [
         "prime",
         "target",
@@ -96,7 +103,8 @@ def test_verify_empty_range(capsys):
     assert rc == 0
     captured = capsys.readouterr()
     assert "no primes in range" in captured.err
-    assert "checks=0" in captured.out
+    assert "checks=0" in captured.err
+    assert "checks=" not in captured.out
 
 
 def test_verify_csv_output(tmp_path, capsys):
@@ -133,6 +141,42 @@ def test_verify_out_under_missing_directory_fails_before_sweeping(tmp_path, monk
     assert main(["verify", "--primes", "5:7", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_verify_stdout_is_the_report_alone(tmp_path, capsys):
+    args = ["verify", "--primes", "5:7", "--format", "csv", "--workers", "1"]
+    reports = []
+    for _ in range(2):
+        assert main(args) == 0
+        reports.append(capsys.readouterr().out)
+    out = tmp_path / "r.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    assert reports[0] == reports[1] == out.read_text()
+
+
+# /dev/full takes the buffered write and fails the flush at close; the
+# stand-in file fails the write itself.
+def _full_device(tmp_path, monkeypatch):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    return "/dev/full"
+
+
+def _failing_write(tmp_path, monkeypatch):
+    class Refusing(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda *a, **k: Refusing(), raising=False)
+    return str(tmp_path / "r.csv")
+
+
+@pytest.mark.parametrize("target", [_full_device, _failing_write])
+def test_verify_failed_report_write_exits_2(target, tmp_path, monkeypatch, capsys):
+    path = target(tmp_path, monkeypatch)
+    assert main(["verify", "--primes", "5:7", "--workers", "1", "--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No space left on device" in err
 
 
 def test_verify_jsonl_output(tmp_path):
@@ -213,3 +257,10 @@ def test_render_rows_roundtrip():
     assert len(jsonl_text.splitlines()) == 2
     table = render_rows(rows, "table", timings=False)
     assert table.splitlines()[0].startswith("prime")
+
+
+@pytest.mark.parametrize("fmt", ["xml", "CSV"])
+def test_render_rows_rejects_unknown_format(fmt):
+    rows = verify_prime(5, [Target.THM11_4K])
+    with pytest.raises(ValueError, match="unknown report format"):
+        render_rows(rows, fmt, timings=False)

@@ -1,10 +1,10 @@
-"""Square roots mod p and the x^2 + 3y^2 prime decomposition."""
+"""The x^2 + 3y^2 prime decomposition."""
 
 from math import isqrt
 
 import pytest
 
-from dombcheck.quadform import NotRepresentable, decompose_x2_3y2, sqrt_mod
+from dombcheck.quadform import NotRepresentable, decompose_x2_3y2
 from dombcheck.padic import is_prime
 
 
@@ -19,27 +19,6 @@ def _brute_decompose(p):
             if y * y == y2:
                 return x, y
     return None
-
-
-def test_sqrt_mod_spots():
-    assert sqrt_mod(2, 7) == 3
-    assert sqrt_mod(3, 7) is None
-    assert sqrt_mod(0, 7) == 0
-    assert sqrt_mod(4, 13) == 2
-    assert sqrt_mod(-3 % 13, 13) in (6, 7)
-
-
-@pytest.mark.parametrize("p", [5, 7, 13, 17, 97, 101, 193])
-def test_sqrt_mod_all_residues(p):
-    squares = {x * x % p for x in range(p)}
-    for a in range(p):
-        r = sqrt_mod(a, p)
-        if a in squares:
-            assert r is not None
-            assert r * r % p == a
-            assert r <= p - r or r == 0
-        else:
-            assert r is None
 
 
 def test_decompose_spots():
@@ -64,6 +43,13 @@ def test_decompose_matches_brute_force():
                 with pytest.raises(NotRepresentable):
                     decompose_x2_3y2(p)
         p += 2
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 10**30 + 57])
+def test_decompose_large_primes(p):
+    d = decompose_x2_3y2(p)
+    assert d.x >= 1 and d.y >= 1
+    assert d.x ** 2 + 3 * d.y ** 2 == p
 
 
 def test_decompose_rejects_wrong_class():
