@@ -116,7 +116,7 @@ def _cmd_verify(args) -> int:
             t0 = perf_counter()
             if not sieve_primes(max(lo, 5), hi):
                 print("warning: no primes in range", file=sys.stderr)
-            rows = sweep(lo, hi, args.targets, guard=args.guard, workers=args.workers)
+            rows = sweep(lo, hi, args.targets, workers=args.workers)
             elapsed = perf_counter() - t0
             fh.write(render_rows(rows, args.format, args.timings))
     except OSError as e:
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma list: {', '.join(_LABELS)}, or explicit target ids (default all)",
     )
     v.add_argument("--workers", type=int, default=min(8, os.cpu_count() or 1))
-    v.add_argument("--guard", type=int, default=1, help="extra precision digits")
     v.add_argument("--out", help="write the report to this path instead of stdout")
     v.add_argument("--format", choices=_FORMATS, default="table")
     v.add_argument(
@@ -214,9 +213,6 @@ def main(argv=None) -> int:
     if args.command == "verify":
         if args.workers < 1:
             print("error: --workers must be at least 1", file=sys.stderr)
-            return 2
-        if args.guard < 1:
-            print("error: --guard must be at least 1", file=sys.stderr)
             return 2
     if args.command == "identities" and args.max_n < 1:
         print("error: --max-n must be at least 1", file=sys.stderr)

@@ -180,20 +180,20 @@ class CongruenceReport:
 class PrimeVerifier:
     """Shared per-prime state: one context, one Domb table, one set of sums.
 
-    Working precision is the largest modulus exponent among the requested
-    targets plus guard digits, so every residue extraction below stays
-    inside the known digits.  ``want`` is the set of requested targets
-    that are stated at p, worked out once here.  The shared tables are
-    built on first read and kept.
+    ``want`` is the set of requested targets that are stated at p, worked
+    out once here.  The working precision K is the largest modulus
+    exponent m in ``want`` (1 when it is empty): every side is ring
+    arithmetic mod p^K with no division by p, so no digit above a
+    target's m is needed, and a target's residues do not depend on which
+    other targets are requested.  The shared tables are built on first
+    read and kept.
     """
 
-    def __init__(self, p: int, targets=None, guard: int = 1):
-        if guard < 1:
-            raise ValueError("guard must be at least 1")
+    def __init__(self, p: int, targets=None):
         if targets is None:
             targets = Target
         self.want = frozenset(t for t in targets if applicable(t, p))
-        k = max((modulus_exponent(t, p) for t in self.want), default=2) + guard
+        k = max((modulus_exponent(t, p) for t in self.want), default=1)
         self.ctx = PrimeContext(p, k)
         self.p = p
         self._sums: dict[str, int] = {}
@@ -263,13 +263,14 @@ class PrimeVerifier:
 
     def _exponent(self, target: Target) -> int:
         """The target's m at this prime; WrongPrimeClass where it is not stated,
-        ValueError where the working precision leaves no guard digit above m."""
+        ValueError where the working precision is below m (the target was
+        not requested, and the verifier works to fewer digits)."""
         spec = SPECS[target]
         if not spec.applies(self.p):
             raise WrongPrimeClass(f"{target.value} is not stated for p = {self.p}")
         m = spec.mod_exp(self.p)
-        if self.ctx.precision < m + 1:
-            raise ValueError(f"{target.value} needs precision {m + 1}, not {self.ctx.precision}")
+        if self.ctx.precision < m:
+            raise ValueError(f"{target.value} needs precision {m}, not {self.ctx.precision}")
         return m
 
     def _report(self, target, lhs: int, rhs: int) -> CongruenceReport:
@@ -385,10 +386,9 @@ class PrimeVerifier:
         every 0 <= j <= (p-1)/2, case by case in plain residues, the left
         side of each case as one factorial quotient (see _lemma22_cases).
         The j with 3j+1 = p is included; there p/(3j+1) = 1."""
-        m = self._exponent(Target.LEMMA22)
-        return self._first_failure(Target.LEMMA22, self._lemma22_cases(m))
+        return self._first_failure(Target.LEMMA22, self._lemma22_cases())
 
-    def _lemma22_cases(self, m: int) -> list[tuple[int, int]]:
+    def _lemma22_cases(self) -> list[tuple[int, int]]:
         """(lhs, rhs) mod p^m at each j <= (p-1)/2, each side one
         comprehension over strided slices.  The left side is the factorial
         quotient (p+j)! (3j)! / (j! (2j)! (3j+1)! (p-2j-1)!), p^v times six
@@ -398,7 +398,7 @@ class PrimeVerifier:
         right side reads H_j and H_2j (2j < p, both p-integral) from the
         harmonic cache and p/(3j+1) from _p_over_3j1."""
         p = self.p
-        mod = self.ctx.powers[m]
+        mod = self.ctx.powers[self._exponent(Target.LEMMA22)]
         _, fu, fi = self.ctx.factorial_tables(3 * p)
         h = harmonic_scaled(p - 1, self.ctx)
         n = (p + 1) // 2
@@ -432,15 +432,16 @@ class PrimeVerifier:
         half = (p - 1) // 2
         cases = [
             (binomial_rational(base + p * t, half, self.ctx).residue(m), rhs)
-            for t, rhs in zip(t_samples, self._lemma_mpt_rhs(m, t_samples))
+            for t, rhs in zip(t_samples, self._lemma_mpt_rhs(t_samples))
         ]
         return self._first_failure(Target.LEMMA_MPT, cases)
 
-    def _lemma_mpt_rhs(self, m: int, t_samples) -> list[int]:
+    def _lemma_mpt_rhs(self, t_samples) -> list[int]:
         """c0 (1 + p t slope) mod p^m at each t, with c0 = C((2p-2)/3,
         (p-1)/2) from the factorial tables and slope = H_((2p-2)/3) -
         H_((p-1)/6) from the harmonic cache; both indices are below p."""
         p = self.p
+        m = self._exponent(Target.LEMMA_MPT)
         mod = self.ctx.powers[m]
         base = (2 * p - 2) // 3
         c0 = binomial_residues(self.ctx, m)(base, (p - 1) // 2)
@@ -455,10 +456,9 @@ class PrimeVerifier:
         longer p-integral and the negative valuation must cancel the p^2.
         Case by case in plain residues, the left side of each case as one
         factorial quotient (see _lemma_p2j_cases)."""
-        m = self._exponent(Target.LEMMA_P2J)
-        return self._first_failure(Target.LEMMA_P2J, self._lemma_p2j_cases(m))
+        return self._first_failure(Target.LEMMA_P2J, self._lemma_p2j_cases())
 
-    def _lemma_p2j_cases(self, m: int) -> list[tuple[int, int]]:
+    def _lemma_p2j_cases(self) -> list[tuple[int, int]]:
         """(lhs, rhs) mod p^m at each j < p, each side built from strided
         slices.  The left side is the factorial quotient (p+2j)! / (j! (2j)!
         (p-j-1)!), p^v times four units off the factorial tables; every
@@ -468,7 +468,7 @@ class PrimeVerifier:
         stored p H_2j carries H_2j's negative valuation, so the right side
         is 2p (p H_2j - p H_j), one comprehension per half."""
         p = self.p
-        mod = self.ctx.powers[m]
+        mod = self.ctx.powers[self._exponent(Target.LEMMA_P2J)]
         _, fu, fi = self.ctx.factorial_tables(3 * p)
         h = harmonic_scaled(2 * p - 2, self.ctx)
         n = (p + 1) // 2  # the lower half, 2j < p
@@ -495,12 +495,11 @@ class PrimeVerifier:
         mod p^3, both sums over 0 <= k <= p-1.  The right side is the sum of
         the products of _lemma_sh55_terms, the terms of the expansion that
         are not 0 mod p^3 by their valuation alone."""
-        m = self._exponent(Target.LEMMA_SH55)
         lhs = self.weighted_sum(16, "1")
-        rhs = sum(b * h for b, h in self._lemma_sh55_terms(m))
+        rhs = sum(b * h for b, h in self._lemma_sh55_terms())
         return self._report(Target.LEMMA_SH55, lhs, rhs)
 
-    def _lemma_sh55_terms(self, m: int) -> list[tuple[int, int]]:
+    def _lemma_sh55_terms(self) -> list[tuple[int, int]]:
         """(C(2k,k)^2 16^(-k), (p/(3k+1))(1 + p H_2k - p H_k)) mod p^m = p^3
         at each k < (p+1)/2, then, at p = 2 (mod 3), at k0 = (2p-1)/3.  No
         other term can be nonzero mod p^3: from k = (p+1)/2 on, p < 2k < 2p,
@@ -513,7 +512,7 @@ class PrimeVerifier:
         weight 16^(-k) from term to term.  At k0 the cache's stored p H_2k0
         absorbs H_2k0's negative valuation."""
         p = self.p
-        mod = self.ctx.powers[m]
+        mod = self.ctx.powers[self._exponent(Target.LEMMA_SH55)]
         _, fu, fi = self.ctx.factorial_tables(3 * p)
         h = harmonic_scaled(4 * p // 3, self.ctx)  # to 2k0 = (4p-2)/3
         i16 = pow(16, -1, mod)
@@ -536,10 +535,9 @@ class PrimeVerifier:
         half/full range, against Fermat quotients, B_(p-2)(1/3) and
         E_(p-3), the last read as B_(p-2)(1/4)/8 mod p off the Bernoulli
         table.  All sub-congruences must hold; p = 5 is excluded."""
-        m = self._exponent(Target.LEMMA_SUNH)
-        return self._first_failure(Target.LEMMA_SUNH, self._lemma_sunh_cases(m))
+        return self._first_failure(Target.LEMMA_SUNH, self._lemma_sunh_cases())
 
-    def _lemma_sunh_cases(self, m: int) -> list[tuple[int, int]]:
+    def _lemma_sunh_cases(self) -> list[tuple[int, int]]:
         """(lhs, rhs) of the ten sub-congruences, each reduced mod p or mod
         p^m as stated.  Every harmonic index is below p, so the cache's
         stored ints are the sums themselves.  w = chi B_(p-2)(1/3) is known
@@ -548,6 +546,7 @@ class PrimeVerifier:
         even n, so no Euler series is built."""
         p = self.p
         ctx = self.ctx
+        m = self._exponent(Target.LEMMA_SUNH)
         mod = ctx.powers[m]
         h = harmonic_scaled(p - 1, ctx)
         h2 = harmonic_scaled(p - 1, ctx, order=2)
@@ -594,13 +593,13 @@ class PrimeVerifier:
         return rows
 
 
-def verify_prime(p: int, targets=None, guard: int = 1) -> list[CongruenceReport]:
+def verify_prime(p: int, targets=None) -> list[CongruenceReport]:
     """All requested targets for one prime, in catalog order.
 
     Targets whose congruence is not stated for this prime's residue class
     are skipped, not failed.
     """
-    return PrimeVerifier(p, targets, guard=guard).run()
+    return PrimeVerifier(p, targets).run()
 
 
 def sieve_primes(lo: int, hi: int) -> list[int]:
@@ -616,17 +615,11 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
 
 
 def _sweep_task(args):
-    p, targets, guard = args
-    return verify_prime(p, targets, guard=guard)
+    p, targets = args
+    return verify_prime(p, targets)
 
 
-def sweep(
-    lo: int,
-    hi: int,
-    targets=None,
-    guard: int = 1,
-    workers: int = 1,
-) -> list[CongruenceReport]:
+def sweep(lo: int, hi: int, targets=None, workers: int = 1) -> list[CongruenceReport]:
     """Verify every prime in [lo, hi] (primes below 5 are never swept)
     against every given target that applies there.
 
@@ -634,7 +627,7 @@ def sweep(
     was scheduled, so output is reproducible.
     """
     targets = list(Target) if targets is None else list(targets)
-    tasks = [(p, targets, guard) for p in sieve_primes(max(lo, 5), hi)]
+    tasks = [(p, targets) for p in sieve_primes(max(lo, 5), hi)]
     if workers > 1 and len(tasks) > 1:
         import multiprocessing
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
+from numbers import Rational
 
 __all__ = [
     "EXACT_ZERO",
@@ -25,6 +26,7 @@ __all__ = [
     "PAdicValue",
     "is_prime",
     "split_p",
+    "as_fraction",
     "batch_inverse",
     "binomial_int",
     "binomial_rational",
@@ -91,6 +93,15 @@ def split_p(n: int, p: int) -> tuple[int, int]:
         n //= p
         v += 1
     return v, n
+
+
+def as_fraction(x) -> Fraction:
+    """An int or a Fraction (any numbers.Rational) as an exact Fraction.
+    Anything else raises TypeError: a float would enter at its binary
+    value, so 1/3 would silently become a different rational."""
+    if not isinstance(x, Rational):
+        raise TypeError(f"expected an int or a Fraction, not {type(x).__name__} {x!r}")
+    return Fraction(x)
 
 
 def batch_inverse(units: list[int], mod: int) -> list[int]:
@@ -241,7 +252,7 @@ class PAdicValue:
     @classmethod
     def from_fraction(cls, q, ctx: PrimeContext) -> "PAdicValue":
         """Embed an exact rational; p may divide the denominator."""
-        q = Fraction(q)
+        q = as_fraction(q)
         if q == 0:
             return cls.zero(ctx)
         vn, un = split_p(q.numerator, ctx.p)
@@ -442,12 +453,14 @@ def binomial_residues(ctx: PrimeContext, m: int) -> Callable[[int, int], int]:
     """A function (n, k) -> C(n, k) mod p^m for n <= 3p, read off the
     factorial tables as unit * p^v (0 once v >= m): binomial_int's
     arithmetic in plain ints, for loops that need residues only.  As with
-    binomial_int, k < 0 or k > n gives 0."""
+    binomial_int, k < 0 or k > n gives 0 and n < 0 raises ValueError."""
     fv, fu, fi = ctx.factorial_tables(3 * ctx.p)
     pw = ctx.powers
     mod = pw[m]
 
     def binom(n: int, k: int) -> int:
+        if n < 0:
+            raise ValueError("binomial_residues needs n >= 0")
         if k < 0 or k > n:
             return 0
         v = fv[n] - fv[k] - fv[n - k]
@@ -470,7 +483,7 @@ def binomial_rational(a, m: int, ctx: PrimeContext) -> PAdicValue:
     """
     if m < 0:
         return PAdicValue.zero(ctx)
-    a = Fraction(a)
+    a = as_fraction(a)
     if a.denominator % ctx.p == 0:
         raise DenominatorDivisibleByP(f"denominator of {a} is divisible by {ctx.p}")
     num = a.numerator

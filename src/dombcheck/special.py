@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import struct
 import weakref
-from fractions import Fraction
 from itertools import accumulate, islice
 
 from .padic import (
@@ -33,6 +32,7 @@ from .padic import (
     PAdicError,
     PAdicValue,
     PrimeContext,
+    as_fraction,
     batch_inverse,
     split_p,
 )
@@ -329,7 +329,7 @@ def bernoulli_poly(n: int, x, ctx: PrimeContext) -> int:
     p = ctx.p
     if n < 0 or n > p - 2:
         raise ValueError("bernoulli_poly supports 0 <= n <= p - 2")
-    x = Fraction(x)
+    x = as_fraction(x)
     if x.denominator % p == 0:
         raise DenominatorDivisibleByP(f"denominator of {x} is divisible by {p}")
     xi = x.numerator * pow(x.denominator, -1, p) % p
@@ -369,7 +369,7 @@ def padic_gamma_int(n: int, ctx: PrimeContext) -> PAdicValue:
 
 def gamma_representative(x, ctx: PrimeContext) -> int:
     """The integer a0 in {1, ..., p} with x = a0 (mod p)."""
-    x = Fraction(x)
+    x = as_fraction(x)
     p = ctx.p
     if x.denominator % p == 0:
         raise DenominatorDivisibleByP(f"denominator of {x} is divisible by {p}")

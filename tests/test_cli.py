@@ -68,15 +68,17 @@ def test_usage_errors_are_exit_2():
     assert main(["verify", "--primes", "abc"]) == 2
     assert main(["verify", "--primes", "5:50", "--targets", "bogus"]) == 2
     assert main(["verify", "--primes", "5:50", "--workers", "0"]) == 2
-    assert main(["verify", "--primes", "5:50", "--guard", "0"]) == 2
+    assert main(["verify", "--primes", "5:50", "--guard", "0"]) == 2  # unknown option
     assert main(["verify", "--primes", "5:10", "--cap", "conj1_dp1=7"]) == 2
     assert main(["identities", "--max-n", "0"]) == 2
     assert main(["nosuchcommand"]) == 2
 
 
-def test_help_is_exit_0():
+def test_help_is_exit_0(capsys):
     assert main(["--help"]) == 0
     assert main(["verify", "--help"]) == 0
+    # the working precision follows from the targets; no option sets it
+    assert "--guard" not in capsys.readouterr().out
 
 
 def test_verify_basic_sweep(capsys):

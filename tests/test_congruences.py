@@ -209,7 +209,7 @@ def test_mpt_explicit_samples():
 
 def test_wrong_prime_class_raises():
     with pytest.raises(WrongPrimeClass):
-        PrimeVerifier(5, [T.THM12_4K], guard=1).thm12()
+        PrimeVerifier(5, [T.THM12_4K]).thm12()
     with pytest.raises(WrongPrimeClass):
         PrimeVerifier(11, [T.LEMMA22]).lemma22_check()
     with pytest.raises(WrongPrimeClass):
@@ -219,10 +219,12 @@ def test_wrong_prime_class_raises():
 
 
 def test_precision_below_target_raises():
-    # precision 3 cannot carry CONJ1_DP1's mod 7^4 plus a guard digit; read
-    # off anyway it gives lhs=232, rhs=1261 where the true residues are equal
+    # a LEMMA_MPT verifier works to precision 2, which cannot carry
+    # CONJ1_DP1's mod 7^4; read off anyway, its sides mod 7^4 are lhs=36,
+    # rhs=1065 where the true residues are equal
     with pytest.raises(ValueError, match="CONJ1_DP1"):
         PrimeVerifier(7, [T.LEMMA_MPT]).conj1_dp1()
+    assert PrimeVerifier(7, [T.CONJ1_DP1]).ctx.precision == 4
     assert PrimeVerifier(7, [T.CONJ1_DP1]).conj1_dp1().lhs == 575
 
 
@@ -233,18 +235,22 @@ def test_verify_prime_skips_inapplicable():
     assert [r.target for r in rows] == [T.THM11_4K]
 
 
-def test_verify_prime_rejects_bad_guard():
-    with pytest.raises(ValueError):
-        verify_prime(7, guard=0)
+def test_precision_is_the_largest_requested_exponent():
+    assert PrimeVerifier(7).ctx.precision == 5
+    assert PrimeVerifier(7, [T.LEMMA_MPT, T.LEMMA22]).ctx.precision == 3
+    assert PrimeVerifier(5, [T.THM13_K_4K]).ctx.precision == 2
+    assert PrimeVerifier(5, [T.THM12_4K, T.LEMMA_SUNH]).ctx.precision == 1  # neither is stated
 
 
-def test_guard_does_not_change_residues():
-    strip = lambda rows: [(r.target, r.lhs, r.rhs, r.passed) for r in rows]
-    for p in sieve_primes(5, 150):
-        rows = strip(verify_prime(p, guard=1))
-        assert rows, p
-        for guard in (2, 3):
-            assert strip(verify_prime(p, guard=guard)) == rows, (p, guard)
+def test_rows_do_not_depend_on_other_targets():
+    # each target alone, at precision its own m, gives the row it has among
+    # all sixteen at precision 5
+    strip = lambda r: (r.modulus_exponent, r.lhs, r.rhs, r.passed)
+    for p in sieve_primes(5, 300):
+        rows = {r.target: strip(r) for r in verify_prime(p)}
+        assert set(rows) == {t for t in Target if applicable(t, p)}, p
+        for t, row in rows.items():
+            assert [strip(r) for r in verify_prime(p, [t])] == [row], (p, t)
 
 
 def test_sieve_primes():
@@ -381,7 +387,7 @@ def test_lemma_sides_read_separate_tables():
     def sides(perturb):
         pv = PrimeVerifier(p, [T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55])
         perturb(pv.ctx)
-        return {name: list(zip(*getattr(pv, name)(3))) for name in helpers}
+        return {name: list(zip(*getattr(pv, name)())) for name in helpers}
 
     def bump_inverse_factorials(ctx):
         ctx.factorial_decomposed(3 * p)
@@ -476,7 +482,10 @@ def oracle_lemma_sh55_terms(pv, m):
     return terms, acc.residue(m)
 
 
-ORACLE_RUNS = [(p, guard) for p in sieve_primes(5, 200) for guard in (1, 2, 3)] + [(997, 1)]
+# The working precision K of a lemma verifier is the lemmas' m = 3 unless
+# a target with a larger m is requested with them.
+EXTRA_FOR_K = {3: [], 4: [T.CONJ1_DP1], 5: [T.MUSUN_P5]}
+ORACLE_RUNS = [(p, k) for p in sieve_primes(5, 200) for k in EXTRA_FOR_K] + [(997, 3)]
 
 
 def _assert_cases_equal(got, want, label):
@@ -496,22 +505,28 @@ def _assert_sh55_terms(pv, terms, label):
     # case; every term it drops has a product 0 mod p^3
     p = pv.p
     kept = _sh55_kept(p)
-    _assert_cases_equal(pv._lemma_sh55_terms(3), [terms[k] for k in kept], label)
+    _assert_cases_equal(pv._lemma_sh55_terms(), [terms[k] for k in kept], label)
     assert len(terms) == p, label
     for k in sorted(set(range(p)) - set(kept)):
         b, h = terms[k]
         assert b * h % p**3 == 0, (label, k)
 
 
-@pytest.mark.parametrize("guard", [1, 2, 3])
-def test_lemma_cases_match_padic_oracles(guard):
-    for p in [q for q, g in ORACLE_RUNS if g == guard]:
-        lemmas = [t for t in (T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55) if applicable(t, p)]
-        pv = PrimeVerifier(p, lemmas, guard=guard)
+def _lemma_verifier(p, k):
+    lemmas = [t for t in (T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55) if applicable(t, p)]
+    pv = PrimeVerifier(p, lemmas + EXTRA_FOR_K[k])
+    assert pv.ctx.precision == k, (p, k)
+    return pv
+
+
+@pytest.mark.parametrize("k", list(EXTRA_FOR_K))
+def test_lemma_cases_match_padic_oracles(k):
+    for p in [q for q, g in ORACLE_RUNS if g == k]:
+        pv = _lemma_verifier(p, k)
         m = modulus_exponent(T.LEMMA_P2J, p)
-        if T.LEMMA22 in lemmas:
-            _assert_cases_equal(pv._lemma22_cases(m), oracle_lemma22_cases(pv, m), ("LEMMA22", p))
-        _assert_cases_equal(pv._lemma_p2j_cases(m), oracle_lemma_p2j_cases(pv, m), ("LEMMA_P2J", p))
+        if T.LEMMA22 in pv.want:
+            _assert_cases_equal(pv._lemma22_cases(), oracle_lemma22_cases(pv, m), ("LEMMA22", p))
+        _assert_cases_equal(pv._lemma_p2j_cases(), oracle_lemma_p2j_cases(pv, m), ("LEMMA_P2J", p))
         terms, rhs = oracle_lemma_sh55_terms(pv, m)
         _assert_sh55_terms(pv, terms, ("LEMMA_SH55", p))
         assert pv.lemma_sh55_check().rhs == rhs, p
@@ -624,19 +639,18 @@ def per_case_lemma_sh55_terms(pv, m):
     return terms
 
 
-SLICE_RUNS = [(p, guard) for p in sieve_primes(5, 1000) for guard in (1, 2, 3)] + [
-    (p, 1) for p in (1999, 4001, 4003, 10007)
+SLICE_RUNS = [(p, k) for p in sieve_primes(5, 1000) for k in EXTRA_FOR_K] + [
+    (p, 3) for p in (1999, 4001, 4003, 10007)
 ]
 
 
-@pytest.mark.parametrize("guard", [1, 2, 3])
-def test_lemma_slices_match_per_case_loops(guard):
-    for p in [q for q, g in SLICE_RUNS if g == guard]:
-        lemmas = [t for t in (T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55) if applicable(t, p)]
-        pv = PrimeVerifier(p, lemmas, guard=guard)
-        if T.LEMMA22 in lemmas:
-            _assert_cases_equal(pv._lemma22_cases(3), per_case_lemma22_cases(pv, 3), ("LEMMA22", p))
-        _assert_cases_equal(pv._lemma_p2j_cases(3), per_case_lemma_p2j_cases(pv, 3), ("LEMMA_P2J", p))
+@pytest.mark.parametrize("k", list(EXTRA_FOR_K))
+def test_lemma_slices_match_per_case_loops(k):
+    for p in [q for q, g in SLICE_RUNS if g == k]:
+        pv = _lemma_verifier(p, k)
+        if T.LEMMA22 in pv.want:
+            _assert_cases_equal(pv._lemma22_cases(), per_case_lemma22_cases(pv, 3), ("LEMMA22", p))
+        _assert_cases_equal(pv._lemma_p2j_cases(), per_case_lemma_p2j_cases(pv, 3), ("LEMMA_P2J", p))
         _assert_sh55_terms(pv, per_case_lemma_sh55_terms(pv, 3), ("LEMMA_SH55", p))
 
 
@@ -732,7 +746,7 @@ def test_p_over_3j1_is_one_batch_per_verifier(monkeypatch):
                 assert f[(p - 1) // 3] == 1
     for q in (7, 13, 31, 997):
         alone = PrimeVerifier(q, [T.LEMMA22])
-        _assert_cases_equal(alone._lemma22_cases(3), oracle_lemma22_cases(alone, 3), ("LEMMA22", q))
+        _assert_cases_equal(alone._lemma22_cases(), oracle_lemma22_cases(alone, 3), ("LEMMA22", q))
 
 
 # ---- oracles: the PAdicValue closed forms that the plain right sides replaced ----
@@ -830,35 +844,42 @@ CLOSED_FORMS = [
     T.THM11_4K, T.THM11_16K, T.THM12_4K, T.THM12_16K,
     T.THM13_K2_4K, T.THM13_K2_16K, T.THM13_K_4K, T.THM13_K_16K, T.MUSUN_P5,
 ]
-CLOSED_FORM_RUNS = [(p, guard) for guard in (1, 2, 3) for p in sieve_primes(5, 400)] + [
-    (p, 1) for p in (997, 1999, 4001, 4003)
-]
+ORACLE_TARGETS = CLOSED_FORMS + [T.LEMMA_MPT, T.LEMMA_SUNH]
+CLOSED_FORM_PRIMES = sieve_primes(5, 400) + [997, 1999, 4001, 4003]
 
 
-def _check_closed_forms(p, guard):
-    pv = PrimeVerifier(p, CLOSED_FORMS + [T.LEMMA_MPT, T.LEMMA_SUNH], guard=guard)
+def _check_closed_forms(p, targets):
+    pv = PrimeVerifier(p, targets)
+    label = (p, pv.ctx.precision)
     want = oracle_rhs(pv)
     rows = [r for r in pv.run() if r.target in CLOSED_FORMS]
-    assert {r.target for r in rows} == set(want), p
+    assert {r.target for r in rows} == set(want) & set(targets), label
     for row in rows:
-        assert row.rhs == want[row.target].residue(row.modulus_exponent), (row.target, p, guard)
+        assert row.rhs == want[row.target].residue(row.modulus_exponent), (row.target, label)
     if T.LEMMA_MPT in pv.want:
         samples = list(range(-30, 31)) + [10**6 + 7, -(10**9)]
         m = modulus_exponent(T.LEMMA_MPT, p)
-        got = pv._lemma_mpt_rhs(m, samples)
-        _assert_cases_equal(got, oracle_lemma_mpt_rhs(pv, m, samples), ("LEMMA_MPT", p, guard))
+        got = pv._lemma_mpt_rhs(samples)
+        _assert_cases_equal(got, oracle_lemma_mpt_rhs(pv, m, samples), ("LEMMA_MPT", label))
     if T.LEMMA_SUNH in pv.want:
         m = modulus_exponent(T.LEMMA_SUNH, p)
-        got = pv._lemma_sunh_cases(m)
-        _assert_cases_equal(got, oracle_lemma_sunh_cases(pv, m), ("LEMMA_SUNH", p, guard))
+        got = pv._lemma_sunh_cases()
+        _assert_cases_equal(got, oracle_lemma_sunh_cases(pv, m), ("LEMMA_SUNH", label))
 
 
-@pytest.mark.parametrize("guard", [1, 2, 3])
-def test_closed_forms_match_padic_oracles(guard):
+@pytest.mark.parametrize("alone", [True, False], ids=["alone", "together"])
+def test_closed_forms_match_padic_oracles(alone):
     # each THM row, each LEMMA_MPT case and each LEMMA_SUNH sub-congruence
-    # (both sides) on its own, against the PAdicValue form it replaced
-    for p in [q for q, g in CLOSED_FORM_RUNS if g == guard]:
-        _check_closed_forms(p, guard)
+    # (both sides) on its own, against the PAdicValue form it replaced: each
+    # target alone, at precision its own m, and all of them together, at
+    # precision 5 (MUSUN_P5's m)
+    for p in CLOSED_FORM_PRIMES:
+        if alone:
+            for t in ORACLE_TARGETS:
+                if applicable(t, p):
+                    _check_closed_forms(p, [t])
+        else:
+            _check_closed_forms(p, ORACLE_TARGETS)
 
 
 @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)

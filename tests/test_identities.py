@@ -5,6 +5,8 @@ from math import comb
 
 import pytest
 
+from dombcheck import identities
+from dombcheck.domb import domb_exact
 from dombcheck.identities import (
     IDENTITY_IDS,
     binom_frac,
@@ -89,6 +91,29 @@ def test_check_identity_unknown():
 def test_transforms():
     assert check_identity("CZ_TRANSFORM", 30).passed
     assert check_identity("SUN_TRANSFORM", 30).passed
+    assert IDENTITY_IDS[-2:] == ("CZ_TRANSFORM", "SUN_TRANSFORM")
+    assert check_identity("CZ_TRANSFORM", 12).cases == 13
+
+
+def test_transform_failure_names_its_case(monkeypatch):
+    # a Sun form that is off at n = 7 fails there, after 8 cases (n = 0..7)
+    real = identities.domb_via_sun
+    monkeypatch.setattr(identities, "domb_via_sun", lambda n: real(n) + (n == 7))
+    rep = check_identity("SUN_TRANSFORM", 10)
+    assert not rep.passed
+    assert rep.cases == 8
+    params, lhs, rhs = rep.first_failure
+    assert params == (7,)
+    assert (lhs, rhs) == (domb_exact(7) + 1, domb_exact(7))
+    assert check_identity("CZ_TRANSFORM", 10).passed
+
+
+def test_binom_frac_rejects_floats():
+    # 1/3 as a float is a different rational; int and Fraction tops only
+    assert binom_frac(Fraction(1, 3), 2) == Fraction(-1, 9)
+    for bad in (1 / 3, 0.5, 2.0):
+        with pytest.raises(TypeError):
+            binom_frac(bad, 2)
 
 
 def test_all_identities_small():

@@ -238,6 +238,43 @@ def test_binomial_residues_out_of_range():
             assert binom(n, k) == (comb(n, k) % 7**3 if k >= 0 else 0), (n, k)
 
 
+def test_binomial_residues_rejects_negative_top():
+    # as binomial_int does; fv[-1] would read the far end of a factorial list
+    binom = binomial_residues(PrimeContext(7, 3), 3)
+    for n, k in ((-1, 0), (-1, -1), (-2, 1), (-21, 3)):
+        with pytest.raises(ValueError):
+            binom(n, k)
+        with pytest.raises(ValueError):
+            binomial_int(n, k, CTX7)
+
+
+def test_as_fraction_takes_rationals_only():
+    assert padic.as_fraction(3) == 3 and type(padic.as_fraction(3)) is Fraction
+    assert padic.as_fraction(Fraction(1, 3)) == Fraction(1, 3)
+    assert padic.as_fraction(True) == 1
+    for bad in (1 / 3, 0.5, 2.0, "1/3", None):
+        with pytest.raises(TypeError):
+            padic.as_fraction(bad)
+
+
+def test_binomial_rational_rejects_floats():
+    # 1/3 as a float is 6004799503160661/2^54, a different rational
+    ctx = PrimeContext(101, 3)
+    want = binomial_rational(Fraction(1, 3), 4, ctx).residue(3)
+    assert want == Fraction(-10, 243).numerator * pow(243, -1, 101**3) % 101**3
+    for bad in (1 / 3, 4.0):
+        with pytest.raises(TypeError):
+            binomial_rational(bad, 4, ctx)
+
+
+def test_from_fraction_rejects_floats():
+    assert PAdicValue.from_fraction(Fraction(1, 3), CTX7).residue(3) == pow(3, -1, 7**3)
+    assert PAdicValue.from_fraction(2, CTX7).residue(3) == 2
+    for bad in (1 / 3, 0.5, 2.0):
+        with pytest.raises(TypeError):
+            PAdicValue.from_fraction(bad, CTX7)
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_mul_by_int_matches_general_path(p):
     ctx = PrimeContext(p, 3)

@@ -389,6 +389,17 @@ def test_bernoulli_poly_spots():
     assert bernoulli_poly(3, Fraction(1, 3), PrimeContext(5, 2)) == 3
 
 
+def test_bernoulli_poly_rejects_floats():
+    # the float 1/3 is 6004799503160661/2^54; read as that rational it gave
+    # 38 at p = 101, where B_5(1/3) = -5/243 is 59
+    ctx = PrimeContext(101, 2)
+    assert bernoulli_poly(5, Fraction(1, 3), ctx) == 59 == -5 * pow(243, -1, 101) % 101
+    assert bernoulli_poly(5, 2, ctx) == bernoulli_poly(5, Fraction(2), ctx)
+    for bad in (1 / 3, 0.25, 2.0):
+        with pytest.raises(TypeError):
+            bernoulli_poly(5, bad, ctx)
+
+
 def test_bernoulli_poly_difference_equation():
     # B_n(x+1) - B_n(x) = n x^(n-1)
     p = 13
@@ -496,6 +507,15 @@ def test_gamma_representative():
     assert gamma_representative(Fraction(-1, 3), CTX7) == 2
     with pytest.raises(DenominatorDivisibleByP):
         gamma_representative(Fraction(1, 7), CTX7)
+
+
+def test_gamma_rejects_floats():
+    assert gamma_representative(3, CTX7) == 3
+    for bad in (1 / 3, 0.5, 3.0):
+        with pytest.raises(TypeError):
+            gamma_representative(bad, CTX7)
+        with pytest.raises(TypeError):
+            padic_gamma_rational(bad, CTX7)
 
 
 def test_gamma_rational_spots():
