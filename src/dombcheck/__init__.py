@@ -34,7 +34,6 @@ from .special import (
     bernoulli_poly,
     bernoulli_table,
     euler_table,
-    fermat_quotient,
     harmonic,
     padic_gamma_int,
     padic_gamma_rational,
@@ -62,7 +61,6 @@ __all__ = [
     "domb_via_cz",
     "domb_via_sun",
     "euler_table",
-    "fermat_quotient",
     "harmonic",
     "is_prime",
     "liu_integrality_check",

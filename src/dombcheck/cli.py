@@ -180,7 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=list(Target),
         help=f"comma list: {', '.join(_LABELS)}, or explicit target ids (default all)",
     )
-    v.add_argument("--workers", type=int, default=min(8, os.cpu_count() or 1))
+    v.add_argument(
+        "--workers",
+        type=int,
+        default=min(8, os.cpu_count() or 1),
+        help="worker processes; at most one per prime and per CPU are started",
+    )
     v.add_argument("--out", help="write the report to this path instead of stdout")
     v.add_argument("--format", choices=_FORMATS, default="table")
     v.add_argument(

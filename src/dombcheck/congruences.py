@@ -4,8 +4,9 @@ Left-hand sides of the Domb targets are partial sums of the Domb residue
 table against geometric weights, nothing else; their right-hand sides go
 through the p-adic kernel's tables (binomials, harmonic numbers, Fermat
 quotients, the Bernoulli table).  Every right side is a plain int mod p^m:
-binomials are read off the factorial tables as unit * p^v, harmonic sums
-are the harmonic cache's stored ints, a Fermat quotient is
+binomials are read off the factorial tables as unit * p^v (but for
+LEMMA_MPT's, a unit by math.comb, since its left side reads those
+tables), harmonic sums are the harmonic cache's stored ints, a Fermat quotient is
 (a^(p-1) mod p^(n+1) - 1) / p, the Euler number E_(p-3) is B_(p-2)(1/4)/8
 mod p, and each rational coefficient is an int times the inverse of its
 denominator, which is prime to p.  The three range-quantified lemmas
@@ -27,12 +28,14 @@ in the closed forms cannot silently cancel against one in the sums.
 
 from __future__ import annotations
 
+import os
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 from time import perf_counter
 
 from .domb import DombTable
@@ -245,7 +248,7 @@ class PrimeVerifier:
         t2 = pow(2, p - 1, pk) - 1
         t3 = pow(3, p - 1, pk) - 1
         core = 1 + 2 * p + 4 * t2 * pow(3, -1, pk) - 3 * t3 * pow(2, -1, pk)
-        c = binomial_residues(self.ctx, self.ctx.precision)((p - 1) // 2, p // 6)
+        c = binomial_residues(self.ctx)((p - 1) // 2, p // 6)
         return core * c * c % pk
 
     @cached_property
@@ -309,7 +312,7 @@ class PrimeVerifier:
         if p % 3 == 1:
             four_xx = 4 * self.decomposition.x ** 2
             return (four_xx - 2 * p - p * p * pow(four_xx, -1, pk)) % pk
-        c = binomial_residues(self.ctx, self.ctx.precision)((p - 1) // 2, (p - 5) // 6)
+        c = binomial_residues(self.ctx)((p - 1) // 2, (p - 5) // 6)
         scale = -p * p * pow(4, -1, pk) if sign_for_16k else p * p * pow(2, -1, pk)
         return scale * pow(c * c, -1, pk) % pk
 
@@ -332,7 +335,7 @@ class PrimeVerifier:
         self._exponent(Target.THM12_4K)  # WrongPrimeClass before any table is built
         p = self.p
         pk = self.ctx.pk
-        c = binomial_residues(self.ctx, self.ctx.precision)((p - 1) // 2, (p - 1) // 6)
+        c = binomial_residues(self.ctx)((p - 1) // 2, (p - 1) // 6)
         base = p * p * pow(c * c, -1, pk)  # p^2 / C((p-1)/2, (p-1)/6)^2
         return [
             self._report(Target.THM12_4K, self.weighted_sum(4, "3k+2"), 2 * base),
@@ -438,13 +441,16 @@ class PrimeVerifier:
 
     def _lemma_mpt_rhs(self, t_samples) -> list[int]:
         """c0 (1 + p t slope) mod p^m at each t, with c0 = C((2p-2)/3,
-        (p-1)/2) from the factorial tables and slope = H_((2p-2)/3) -
-        H_((p-1)/6) from the harmonic cache; both indices are below p."""
+        (p-1)/2) and slope = H_((2p-2)/3) - H_((p-1)/6) from the harmonic
+        cache; both indices are below p.  c0 is a unit, taken by math.comb
+        and not off the factorial tables: the left side divides by
+        ((p-1)/2)! from those tables, and a table entry read by both sides
+        would cancel out of the comparison."""
         p = self.p
         m = self._exponent(Target.LEMMA_MPT)
         mod = self.ctx.powers[m]
         base = (2 * p - 2) // 3
-        c0 = binomial_residues(self.ctx, m)(base, (p - 1) // 2)
+        c0 = comb(base, (p - 1) // 2) % mod
         h = harmonic_scaled(base, self.ctx)
         slope = h[base] - h[(p - 1) // 6]
         return [c0 * (1 + p * t * slope) % mod for t in t_samples]
@@ -624,14 +630,16 @@ def sweep(lo: int, hi: int, targets=None, workers: int = 1) -> list[CongruenceRe
     against every given target that applies there.
 
     Rows come back sorted by (prime, catalog order) no matter how the work
-    was scheduled, so output is reproducible.
+    was scheduled, so output is reproducible.  The pool starts at most one
+    process per prime and per CPU.
     """
     targets = list(Target) if targets is None else list(targets)
     tasks = [(p, targets) for p in sieve_primes(max(lo, 5), hi)]
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(min(workers, len(tasks))) as pool:
+        with multiprocessing.Pool(workers) as pool:
             chunks = pool.map(_sweep_task, tasks, chunksize=1)
     else:
         chunks = [_sweep_task(t) for t in tasks]

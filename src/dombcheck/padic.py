@@ -56,11 +56,14 @@ class DenominatorDivisibleByP(PAdicError):
     """A rational argument has p in its denominator where it must not."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the fixed base set is exact past 3*10^24."""
+    """Miller-Rabin to the first 13 prime bases.  Exact below
+    psi_13 = 3317044064679887385961981, the least composite that passes
+    them all (psi_12 = 318665857834031151167461 passes every base to 37);
+    above psi_13 it is a strong probable-prime test."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -123,11 +126,14 @@ def batch_inverse(units: list[int], mod: int) -> list[int]:
 class PrimeContext:
     """A prime p > 3 together with the working modulus p^K and its caches.
 
-    The factorial cache holds, for each n, the valuation of n!, its p-free
-    unit mod p^K and the inverse of that unit, so a binomial needs no
-    modular inversion.  The context is logically immutable; the factorial
-    cache and the per-prime tables underneath are append-only memos, so
-    sharing one context across helpers inside a single process is safe.
+    The factorial cache is the one factorial table of the prime: for each
+    n, the valuation of n!, its p-free unit mod p^K and the inverse of that
+    unit, so a binomial needs no modular inversion.  The binomials, the
+    gamma function and the Bernoulli and Euler series (reduced mod p) all
+    read it through factorial_tables.  The context is logically immutable;
+    the factorial cache and the per-prime tables underneath are append-only
+    memos, so sharing one context across helpers inside a single process
+    is safe.
     """
 
     def __init__(self, p: int, precision: int):
@@ -146,9 +152,7 @@ class PrimeContext:
         self._fact_inv = [1]
         # per-prime tables that special.py builds on first use
         self._harmonic_cache = None
-        self._fact_mod_p = None
         self._bernoulli_mod_p = None
-        self._euler_mod_p = None
 
     def __repr__(self) -> str:
         return f"PrimeContext(p={self.p}, precision={self.precision})"
@@ -213,12 +217,6 @@ class PrimeContext:
             self.factorial_decomposed(n)
         return self._fact_val, self._fact_unit, self._fact_inv
 
-    def inverse_factorial_unit(self, n: int) -> int:
-        """The inverse mod p^K of the p-free unit of n!."""
-        if n >= len(self._fact_inv):
-            self.factorial_decomposed(n)
-        return self._fact_inv[n]
-
 
 @dataclass(frozen=True, slots=True)
 class PAdicValue:
@@ -259,27 +257,6 @@ class PAdicValue:
         vd, ud = split_p(q.denominator, ctx.p)
         unit = un * ctx.inverse_unit(ud) % ctx.pk
         return cls(ctx, vn - vd, unit, ctx.precision)
-
-    @classmethod
-    def from_residue(cls, r: int, ctx: PrimeContext, abs_prec: int | None = None) -> "PAdicValue":
-        """The class of r mod p^abs_prec (default abs_prec = K).
-
-        Use this when r was produced by plain modular arithmetic and nothing
-        is known beyond p^abs_prec.
-        """
-        if abs_prec is None:
-            abs_prec = ctx.precision
-        if abs_prec < 1:
-            raise ValueError("abs_prec must be at least 1")
-        r %= ctx.p**abs_prec
-        if r == 0:
-            return cls.zero(ctx, abs_prec)
-        v, u = split_p(r, ctx.p)
-        prec = abs_prec - v
-        if prec > ctx.precision:
-            prec = ctx.precision
-            u %= ctx.pk
-        return cls(ctx, v, u, prec)
 
     # ---- inspection ----
 
@@ -440,23 +417,20 @@ def binomial_int(n: int, k: int, ctx: PrimeContext) -> PAdicValue:
         raise ValueError("binomial_int needs n >= 0; use binomial_rational otherwise")
     if k < 0 or k > n:
         return PAdicValue.zero(ctx)
-    if n >= len(ctx._fact_val):
-        ctx.factorial_decomposed(n)
-    fv = ctx._fact_val
-    fi = ctx._fact_inv
+    fv, fu, fi = ctx.factorial_tables(n)
     m = n - k
-    unit = ctx._fact_unit[n] * fi[k] * fi[m] % ctx.pk
+    unit = fu[n] * fi[k] * fi[m] % ctx.pk
     return PAdicValue(ctx, fv[n] - fv[k] - fv[m], unit, ctx.precision)
 
 
-def binomial_residues(ctx: PrimeContext, m: int) -> Callable[[int, int], int]:
-    """A function (n, k) -> C(n, k) mod p^m for n <= 3p, read off the
-    factorial tables as unit * p^v (0 once v >= m): binomial_int's
+def binomial_residues(ctx: PrimeContext) -> Callable[[int, int], int]:
+    """A function (n, k) -> C(n, k) mod p^K for n <= 3p, read off the
+    factorial tables as unit * p^v (0 once v >= K): binomial_int's
     arithmetic in plain ints, for loops that need residues only.  As with
     binomial_int, k < 0 or k > n gives 0 and n < 0 raises ValueError."""
     fv, fu, fi = ctx.factorial_tables(3 * ctx.p)
     pw = ctx.powers
-    mod = pw[m]
+    pk = ctx.pk
 
     def binom(n: int, k: int) -> int:
         if n < 0:
@@ -464,7 +438,7 @@ def binomial_residues(ctx: PrimeContext, m: int) -> Callable[[int, int], int]:
         if k < 0 or k > n:
             return 0
         v = fv[n] - fv[k] - fv[n - k]
-        return fu[n] * fi[k] * fi[n - k] * pw[v] % mod if v < m else 0
+        return fu[n] * fi[k] * fi[n - k] * pw[v] % pk if v < ctx.precision else 0
 
     return binom
 
@@ -501,6 +475,6 @@ def binomial_rational(a, m: int, ctx: PrimeContext) -> PAdicValue:
         unit = unit * u % pk
     if den != 1:
         unit = unit * ctx.inverse_unit(pow(den, m, pk)) % pk
-    fv, _ = ctx.factorial_decomposed(m)
-    inverse_factorial = PAdicValue(ctx, -fv, ctx.inverse_factorial_unit(m), ctx.precision)
+    fv, _, fi = ctx.factorial_tables(m)
+    inverse_factorial = PAdicValue(ctx, -fv[m], fi[m], ctx.precision)
     return PAdicValue(ctx, val, unit, ctx.precision) * inverse_factorial

@@ -1,9 +1,11 @@
-"""Harmonic numbers, Fermat quotients, Bernoulli and Euler residue tables,
-and Morita's p-adic gamma function.
+"""Harmonic numbers, Bernoulli and Euler residue tables, and Morita's
+p-adic gamma function.
 
-Everything here is evaluated against a PrimeContext.  The per-prime tables
-(harmonic caches, Bernoulli and Euler numbers) are memoized on the context
-object so that the congruence checks can share them.  Bernoulli and Euler
+Everything here is evaluated against a PrimeContext.  The harmonic cache
+and the Bernoulli table are memoized on the context object so that the
+congruence checks can share them.  The factorials the series need, of
+0..p-1 mod p, are the context's factorial table reduced mod p; the
+binomials and the gamma function read the same table.  Bernoulli and Euler
 residues come from generating series mod p in O(M(p) log p), M(p) the cost
 of a degree-p polynomial product (Buhler, Crandall, Ernvall and Metsankyla,
 Math. Comp. 61, 1993; Harvey, J. Symb. Comp. 44, 2009): the Euler numbers
@@ -17,8 +19,8 @@ Never via harmonic sums (Lehmer, Ann. Math. 39, 1938): LEMMA_SUNH compares
 the two, and would then hold by construction.
 
 The verifier reads only the Bernoulli table: LEMMA_SUNH takes E_(p-3) as
-B_(p-2)(1/4)/8 mod p through bernoulli_poly.  euler_table stays public, and
-the tests use it as an oracle for that identity.
+B_(p-2)(1/4)/8 mod p through bernoulli_poly.  euler_table stays public, not
+memoized, and the tests use it as an oracle for that identity.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from itertools import accumulate, islice
 
 from .padic import (
     DenominatorDivisibleByP,
-    PAdicError,
     PAdicValue,
     PrimeContext,
     as_fraction,
@@ -38,11 +39,9 @@ from .padic import (
 )
 
 __all__ = [
-    "ArgumentDivisibleByP",
     "HarmonicCache",
     "harmonic",
     "harmonic_scaled",
-    "fermat_quotient",
     "bernoulli_table",
     "bernoulli_poly",
     "euler_table",
@@ -50,10 +49,6 @@ __all__ = [
     "padic_gamma_rational",
     "gamma_representative",
 ]
-
-
-class ArgumentDivisibleByP(PAdicError):
-    """An argument required to be a p-adic unit is divisible by p."""
 
 
 class HarmonicCache:
@@ -154,35 +149,6 @@ def harmonic_scaled(n: int, ctx: PrimeContext, order: int = 1) -> list[int]:
     return _harmonic_cache(ctx)._sums(order, n)
 
 
-def fermat_quotient(a: int, ctx: PrimeContext) -> PAdicValue:
-    """q_p(a) = (a^(p-1) - 1)/p, known to K digits.
-
-    The power is taken mod p^(K+1) so the quotient keeps the full working
-    precision.  A quotient divisible by p (Wieferich-style primes) comes out
-    with positive valuation rather than being rejected.
-    """
-    p = ctx.p
-    if a % p == 0:
-        raise ArgumentDivisibleByP(f"{a} is divisible by {p}")
-    t = pow(a, p - 1, p ** (ctx.precision + 1))
-    return PAdicValue.from_residue((t - 1) // p, ctx, ctx.precision)
-
-
-def _fact_tables_mod_p(ctx: PrimeContext) -> tuple[list[int], list[int]]:
-    # factorials and inverse factorials of 0..p-1 modulo p, shared per prime
-    if ctx._fact_mod_p is None:
-        p = ctx.p
-        f = [1] * p
-        for i in range(2, p):
-            f[i] = f[i - 1] * i % p
-        fi = [1] * p
-        fi[p - 1] = pow(f[p - 1], -1, p)
-        for i in range(p - 1, 0, -1):
-            fi[i - 1] = fi[i] * i % p
-        ctx._fact_mod_p = (f, fi)
-    return ctx._fact_mod_p
-
-
 # the standard little-endian struct fields that read one w-byte slot, lowest
 # first, and the bit offset of each field after the first
 _SLOT_FIELDS = {
@@ -278,15 +244,18 @@ def bernoulli_table(ctx: PrimeContext) -> list[int]:
     x coth x = sum 4^k B_2k y^k/(2k)! = cosh x / (sinh x / x): one inverse
     of sum y^k/(2k+1)! to (p-1)/2 terms, one product with
     sum y^k/(2k)!, then B_2k = c_k (2k)! / 4^k; in all O(M(p) log p).
-    Never from harmonic sums, which LEMMA_SUNH checks against this table.
+    The factorials below p are units, read off the context's factorial
+    table (mod p^K) and reduced mod p.  Never from harmonic sums, which
+    LEMMA_SUNH checks against this table.
     """
     if ctx._bernoulli_mod_p is None:
         p = ctx.p
         n = (p - 1) // 2
-        f, fi = _fact_tables_mod_p(ctx)
+        _, f, fi = ctx.factorial_tables(p - 1)
         w = _slot_bytes(n, p)
         s = _series_inverse(fi[1 : p - 1 : 2], n, p)
-        c = _unpack(_pack(s, w, p) * _pack(fi[0 : p - 2 : 2], w, p), 2 * n, 0, n, w, p)
+        cosh = _pack([u % p for u in fi[0 : p - 2 : 2]], w, p)
+        c = _unpack(_pack(s, w, p) * cosh, 2 * n, 0, n, w, p)
         b = [0] * (p - 2)
         quarter = pow(4, -1, p)
         q = 1
@@ -303,17 +272,15 @@ def euler_table(ctx: PrimeContext) -> list[int]:
 
     E_0 = 1, E_2 = -1, E_4 = 5, odd indices zero.  With y = x^2, sech x =
     sum E_2k y^k/(2k)! is the inverse of cosh x = sum y^k/(2k)!, taken mod p
-    in O(M(p) log p); never from harmonic sums, which LEMMA_SUNH checks
-    against this table.
+    in O(M(p) log p), the factorials read off the context's factorial table;
+    never from harmonic sums, which LEMMA_SUNH checks against this table.
     """
-    if ctx._euler_mod_p is None:
-        p = ctx.p
-        f, fi = _fact_tables_mod_p(ctx)
-        c = _series_inverse(fi[0 : p - 2 : 2], (p - 1) // 2, p)
-        e = [0] * (p - 2)
-        e[::2] = [ck * f[2 * k] % p for k, ck in enumerate(c)]
-        ctx._euler_mod_p = e
-    return ctx._euler_mod_p
+    p = ctx.p
+    _, f, fi = ctx.factorial_tables(p - 1)
+    c = _series_inverse(fi[0 : p - 2 : 2], (p - 1) // 2, p)
+    e = [0] * (p - 2)
+    e[::2] = [ck * f[2 * k] % p for k, ck in enumerate(c)]
+    return e
 
 
 def bernoulli_poly(n: int, x, ctx: PrimeContext) -> int:
@@ -334,7 +301,7 @@ def bernoulli_poly(n: int, x, ctx: PrimeContext) -> int:
         raise DenominatorDivisibleByP(f"denominator of {x} is divisible by {p}")
     xi = x.numerator * pow(x.denominator, -1, p) % p
     b = bernoulli_table(ctx)
-    f, fi = _fact_tables_mod_p(ctx)
+    _, f, fi = ctx.factorial_tables(p - 1)
     y = xi * xi % p
     total = 0
     for bk, ik, ink in zip(b[0 : n + 1 : 2], fi[0 : n + 1 : 2], fi[n::-2]):
@@ -347,8 +314,8 @@ def bernoulli_poly(n: int, x, ctx: PrimeContext) -> int:
 
 def _first_level_unit(m: int, ctx: PrimeContext) -> int:
     # product of 1 <= k <= m with p not dividing k, mod p^K
-    _, um = ctx.factorial_decomposed(m)
-    return um * ctx.inverse_factorial_unit(m // ctx.p) % ctx.pk
+    _, fu, fi = ctx.factorial_tables(m)
+    return fu[m] * fi[m // ctx.p] % ctx.pk
 
 
 def padic_gamma_int(n: int, ctx: PrimeContext) -> PAdicValue:

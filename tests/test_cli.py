@@ -61,6 +61,13 @@ def test_decompose_non_prime(capsys):
     assert "not prime" in capsys.readouterr().err
 
 
+def test_decompose_strong_pseudoprime(capsys):
+    # 399165290221 * 798330580441, a strong pseudoprime to every base to 37
+    assert main(["decompose", "318665857834031151167461"]) == 2
+    captured = capsys.readouterr()
+    assert "not prime" in captured.err and captured.out == ""
+
+
 def test_usage_errors_are_exit_2():
     assert main([]) == 2
     assert main(["verify"]) == 2

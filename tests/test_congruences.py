@@ -7,6 +7,8 @@ being recorded here, and spot-checked against the closed forms.
 
 import hashlib
 import multiprocessing
+import os
+import random
 import sys
 from fractions import Fraction
 
@@ -25,13 +27,12 @@ from dombcheck.congruences import (
     sweep,
     verify_prime,
 )
-from dombcheck.padic import PAdicValue, PrimeContext, binomial_int, binomial_rational
+from dombcheck.padic import PAdicValue, PrimeContext, binomial_int, binomial_rational, split_p
 from dombcheck.special import (
     _harmonic_cache,
     bernoulli_poly,
     bernoulli_table,
     euler_table,
-    fermat_quotient,
     harmonic,
 )
 
@@ -286,6 +287,8 @@ def test_sweep_workers_agree():
 
 
 def test_sweep_starts_no_more_workers_than_primes(monkeypatch):
+    # no more processes than primes, nor than CPUs; the pool is a stand-in,
+    # so no process starts, whatever the count asked for
     started = []
 
     class SerialPool:
@@ -306,9 +309,31 @@ def test_sweep_starts_no_more_workers_than_primes(monkeypatch):
     ]
     seq = strip(sweep(5, 12))
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert strip(sweep(5, 12, workers=6)) == seq  # 5, 7, 11
     assert strip(sweep(5, 12, workers=2)) == seq
     assert started == [3, 2]
+    started.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert strip(sweep(5, 12, workers=5000)) == seq
+    assert started == [2]
+    started.clear()
+    for cpus in (1, None):  # one CPU, or a count the system cannot tell
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert strip(sweep(5, 12, workers=5000)) == seq
+    assert started == []
+
+
+@pytest.mark.parametrize("p", [7, 13, 1009, 1999, 4003])
+def test_lemma_mpt_sees_the_inverse_factorial_of_half(p):
+    # the left side divides by ((p-1)/2)! through the factorial tables; the
+    # right side's C((2p-2)/3, (p-1)/2) must not read the same entry, or a
+    # wrong entry would cancel out of the comparison
+    assert verify_prime(p, [T.LEMMA_MPT])[0].passed
+    pv = PrimeVerifier(p, [T.LEMMA_MPT])
+    _, _, fi = pv.ctx.factorial_tables(3 * p)
+    fi[(p - 1) // 2] = 2 * fi[(p - 1) // 2] % pv.ctx.pk
+    assert not pv.lemma_mpt_check().passed
 
 
 def test_empty_case_list_raises():
@@ -382,12 +407,21 @@ def test_lemma_sides_read_separate_tables():
     # perturbing every inverse factorial moves only the binomial sides,
     # perturbing every stored harmonic sum only the harmonic sides
     p = 1009
-    helpers = ("_lemma22_cases", "_lemma_p2j_cases", "_lemma_sh55_terms")
+    samples = [0, 1, -1, 2, 37]
+    helpers = {
+        "_lemma22_cases": lambda pv: pv._lemma22_cases(),
+        "_lemma_p2j_cases": lambda pv: pv._lemma_p2j_cases(),
+        "_lemma_sh55_terms": lambda pv: pv._lemma_sh55_terms(),
+        # one case per sample t: the row of a one-sample check
+        "lemma_mpt_check": lambda pv: [
+            (r.lhs, r.rhs) for r in (pv.lemma_mpt_check([t]) for t in samples)
+        ],
+    }
 
     def sides(perturb):
-        pv = PrimeVerifier(p, [T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55])
+        pv = PrimeVerifier(p, [T.LEMMA22, T.LEMMA_MPT, T.LEMMA_P2J, T.LEMMA_SH55])
         perturb(pv.ctx)
-        return {name: list(zip(*getattr(pv, name)())) for name in helpers}
+        return {name: list(zip(*cases(pv))) for name, cases in helpers.items()}
 
     def bump_inverse_factorials(ctx):
         ctx.factorial_decomposed(3 * p)
@@ -473,7 +507,7 @@ def oracle_lemma_sh55_terms(pv, m):
     terms = []
     for k in range(p):
         cb = binomial_int(2 * k, k, ctx)
-        binomial_part = cb * cb * PAdicValue.from_residue(w, ctx)
+        binomial_part = cb * cb * from_residue(w, ctx)
         hterm = 1 + p * (harmonic(2 * k, 1, ctx) - harmonic(k, 1, ctx))
         harmonic_part = PAdicValue.from_fraction(Fraction(p, 3 * k + 1), ctx) * hterm
         acc = acc + binomial_part * harmonic_part
@@ -752,11 +786,49 @@ def test_p_over_3j1_is_one_batch_per_verifier(monkeypatch):
 # ---- oracles: the PAdicValue closed forms that the plain right sides replaced ----
 
 
+def from_residue(r, ctx, abs_prec=None):
+    """The class of r mod p^abs_prec (default abs_prec = K) as a PAdicValue:
+    what is known of a residue that plain modular arithmetic produced."""
+    if abs_prec is None:
+        abs_prec = ctx.precision
+    r %= ctx.p**abs_prec
+    if r == 0:
+        return PAdicValue.zero(ctx, abs_prec)
+    v, u = split_p(r, ctx.p)
+    prec = abs_prec - v
+    if prec > ctx.precision:
+        prec = ctx.precision
+        u %= ctx.pk
+    return PAdicValue(ctx, v, u, prec)
+
+
+def fermat_quotient(a, ctx):
+    """q_p(a) = (a^(p-1) - 1)/p known to K digits, from the power mod
+    p^(K+1); a quotient divisible by p keeps its positive valuation."""
+    p = ctx.p
+    assert a % p, (a, p)
+    t = pow(a, p - 1, p ** (ctx.precision + 1))
+    return from_residue((t - 1) // p, ctx, ctx.precision)
+
+
+def test_from_residue_roundtrip():
+    ctx = PrimeContext(5, 3)
+    rng = random.Random(7)
+    for _ in range(200):
+        r = rng.randrange(125)
+        x = from_residue(r, ctx)
+        for m in (1, 2, 3):
+            assert x.residue(m) == r % 5**m
+    # fewer digits known than K, and more (capped at K)
+    assert from_residue(6, ctx, 1) == PAdicValue(ctx, 0, 1, 1)
+    assert from_residue(5 * 126, ctx, 5) == PAdicValue(ctx, 1, 1, 3)
+
+
 def oracle_r3(pv):
     ctx, p = pv.ctx, pv.p
     hi = p ** (ctx.precision + 1)
-    t2 = PAdicValue.from_residue(pow(2, p - 1, hi) - 1, ctx, ctx.precision + 1)
-    t3 = PAdicValue.from_residue(pow(3, p - 1, hi) - 1, ctx, ctx.precision + 1)
+    t2 = from_residue(pow(2, p - 1, hi) - 1, ctx, ctx.precision + 1)
+    t3 = from_residue(pow(3, p - 1, hi) - 1, ctx, ctx.precision + 1)
     core = PAdicValue.from_int(1 + 2 * p, ctx) + Fraction(4, 3) * t2 - Fraction(3, 2) * t3
     c = binomial_int((p - 1) // 2, p // 6, ctx)
     return core * c * c
@@ -819,7 +891,7 @@ def oracle_lemma_sunh_cases(pv, m):
     q3 = fermat_quotient(3, ctx)
     chi = 1 if p % 3 == 1 else -1
     bval = chi * bernoulli_poly(p - 2, Fraction(1, 3), ctx) % p
-    wv = PAdicValue.from_residue(bval, ctx, 1)
+    wv = from_residue(bval, ctx, 1)
     e = euler_table(ctx)[p - 3]
     sign = -1 if (p - 1) // 2 % 2 else 1
     f3 = -Fraction(3, 2) * q3 + Fraction(3 * p, 4) * q3 * q3
@@ -946,12 +1018,11 @@ def test_verifier_does_no_padic_value_arithmetic(monkeypatch):
         "__truediv__", "__rtruediv__", "__neg__", "__pow__",
     ):
         monkeypatch.setattr(PAdicValue, op, guarded(getattr(PAdicValue, op)))
-    for name in ("from_fraction", "from_int", "from_residue"):
+    for name in ("from_fraction", "from_int"):
         monkeypatch.setattr(PAdicValue, name, refuse)
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "dombcheck"]
     for fn, stand_in in (
         (special.harmonic, refuse),
-        (special.fermat_quotient, refuse),
         (padic.binomial_int, refuse),
         (binomial_rational, allowed),
     ):

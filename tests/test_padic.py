@@ -44,6 +44,16 @@ def test_is_prime_small():
     assert not is_prime(2**31 - 2)
 
 
+def test_is_prime_rejects_strong_pseudoprimes_to_37():
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every
+    # prime base up to 37; base 41 exposes it
+    psi12 = 318665857834031151167461
+    assert 399165290221 * 798330580441 == psi12
+    assert not is_prime(psi12)
+    with pytest.raises(ValueError):
+        PrimeContext(psi12, 1)
+
+
 def test_embed_rational_spots():
     assert PAdicValue.from_fraction(Fraction(1, 2), CTX5).residue(3) == 63
     assert 2 * 63 % 125 == 1
@@ -102,11 +112,11 @@ def test_residue_negative_valuation():
 
 
 def test_residue_insufficient_precision():
-    x = PAdicValue.from_residue(6, CTX5, 1)  # only one digit known
+    x = PAdicValue(CTX5, 0, 1, 1)  # 6 mod 5: only one digit known
     assert x.residue(1) == 1
     with pytest.raises(InsufficientPrecision):
         x.residue(2)
-    z = PAdicValue.from_residue(0, CTX5, 2)
+    z = PAdicValue.zero(CTX5, 2)  # 0 mod 25
     assert z.residue(2) == 0
     with pytest.raises(InsufficientPrecision):
         z.residue(3)
@@ -128,15 +138,6 @@ def test_residue_range_validation():
         x.residue(0)
     with pytest.raises(ValueError):
         x.residue(4)
-
-
-def test_from_residue_roundtrip():
-    rng = random.Random(7)
-    for _ in range(200):
-        r = rng.randrange(125)
-        x = PAdicValue.from_residue(r, CTX5)
-        for m in (1, 2, 3):
-            assert x.residue(m) == r % 5**m
 
 
 def test_factorial_decomposed_spots():
@@ -188,9 +189,10 @@ def test_inverse_factorial_units(p, k):
     assert len(ctx._fact_inv) == len(ctx._fact_unit) >= 3 * p + 1
     ctx.factorial_decomposed(10 * p)  # a second block, inverted on its own
     assert len(ctx._fact_inv) == len(ctx._fact_unit) >= 10 * p + 1
+    fv, fu, fi = ctx.factorial_tables(10 * p)  # the caches, not copies
+    assert fv is ctx._fact_val and fu is ctx._fact_unit and fi is ctx._fact_inv
     for n in range(10 * p + 1):
-        assert ctx._fact_unit[n] * ctx._fact_inv[n] % ctx.pk == 1
-        assert ctx.inverse_factorial_unit(n) == ctx._fact_inv[n]
+        assert fu[n] * fi[n] % ctx.pk == 1
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (7, 4), (101, 6)])
@@ -217,20 +219,20 @@ def test_binomial_int_carries_against_comb(p, k):
 
 @pytest.mark.parametrize("p,k", [(5, 3), (13, 4), (101, 6)])
 def test_binomial_residues_against_comb(p, k):
-    # every m up to K, n up to 3p (where C(n, j) carries up to twice)
-    ctx = PrimeContext(p, k)
+    # residues mod p^K at every K = m up to k, n up to 3p (where C(n, j)
+    # carries up to twice)
     rng = random.Random(p)
     pairs = [(n, j) for n in range(3 * p + 1) for j in range(n + 1)]
     pairs = rng.sample(pairs, min(len(pairs), 400))
     for m in range(1, k + 1):
-        binom = binomial_residues(ctx, m)
+        binom = binomial_residues(PrimeContext(p, m))
         assert [binom(n, j) for n, j in pairs] == [comb(n, j) % p**m for n, j in pairs], m
 
 
 def test_binomial_residues_out_of_range():
     # k < 0 and k > n are zero, as in binomial_int, not a read from the far
     # end of a factorial list
-    binom = binomial_residues(PrimeContext(7, 3), 3)
+    binom = binomial_residues(PrimeContext(7, 3))
     assert binom(3, 5) == 0
     assert binom(2, -1) == 0
     for n in range(3 * 7 + 1):
@@ -240,7 +242,7 @@ def test_binomial_residues_out_of_range():
 
 def test_binomial_residues_rejects_negative_top():
     # as binomial_int does; fv[-1] would read the far end of a factorial list
-    binom = binomial_residues(PrimeContext(7, 3), 3)
+    binom = binomial_residues(PrimeContext(7, 3))
     for n, k in ((-1, 0), (-1, -1), (-2, 1), (-21, 3)):
         with pytest.raises(ValueError):
             binom(n, k)
@@ -282,7 +284,7 @@ def test_mul_by_int_matches_general_path(p):
     values = [
         PAdicValue.zero(ctx),
         PAdicValue.zero(ctx, -2),
-        PAdicValue.from_residue(p + 1, ctx, 2),
+        PAdicValue(ctx, 0, p + 1, 2),  # p + 1 mod p^2
         PAdicValue.from_fraction(Fraction(3, p * p), ctx),
     ] + [PAdicValue.from_fraction(Fraction(rng.randrange(-999, 999), rng.randrange(1, 99)), ctx) for _ in range(40)]
     for a in values:

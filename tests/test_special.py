@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import hashlib
 import random
 import weakref
 from fractions import Fraction
@@ -10,14 +11,13 @@ from operator import mul
 import pytest
 
 from dombcheck import padic, special
+from dombcheck.congruences import _fermat_quotient
 from dombcheck.padic import DenominatorDivisibleByP, PAdicValue, PrimeContext, is_prime
 from dombcheck.special import (
-    ArgumentDivisibleByP,
     HarmonicCache,
     bernoulli_poly,
     bernoulli_table,
     euler_table,
-    fermat_quotient,
     gamma_representative,
     harmonic,
     harmonic_scaled,
@@ -136,7 +136,6 @@ def test_harmonic_cache_reads_no_factorials(monkeypatch):
         raise AssertionError("the harmonic cache called factorial or binomial code")
 
     monkeypatch.setattr(PrimeContext, "factorial_decomposed", refuse)
-    monkeypatch.setattr(PrimeContext, "inverse_factorial_unit", refuse)
     monkeypatch.setattr(padic, "binomial_int", refuse)
     monkeypatch.setattr(padic, "binomial_rational", refuse)
     ctx = PrimeContext(101, 4)
@@ -168,21 +167,22 @@ def test_harmonic_rejects_bad_order():
         harmonic(3, 0, CTX5)
 
 
+# the verifier's Fermat quotient q_p(a) mod p^n, a plain int
 def test_fermat_quotient_spots():
-    assert fermat_quotient(2, CTX5).residue(3) == 3
-    assert fermat_quotient(3, CTX7).residue(3) == 104
-    with pytest.raises(ArgumentDivisibleByP):
-        fermat_quotient(10, CTX5)
+    assert _fermat_quotient(2, 5, 3) == 3
+    assert _fermat_quotient(3, 7, 3) == 104
+    # q_11(3) = (3^10 - 1)/11 = 5368 = 11 * 488: a Wieferich-style prime
+    # for base 3, so the quotient itself is divisible by p
+    assert _fermat_quotient(3, 11, 3) == 5368 % 11**3 and 5368 % 11 == 0
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_fermat_quotient_reconstructs_power(p):
-    ctx = PrimeContext(p, 3)
-    one = PAdicValue.from_int(1, ctx)
-    for a in (2, 3, p - 1, p + 1, 2 * p + 3):
-        q = fermat_quotient(a, ctx)
-        lhs = (one + PAdicValue.from_int(p, ctx) * q).residue(3)
-        assert lhs == pow(a, p - 1, ctx.pk)
+    for n in (1, 3, 5):
+        for a in (2, 3, p - 1, p + 1, 2 * p + 3):
+            q = _fermat_quotient(a, p, n)
+            assert 0 <= q < p**n
+            assert (1 + p * q) % p ** (n + 1) == pow(a, p - 1, p ** (n + 1)), (a, n)
 
 
 def _bernoulli_exact(count):
@@ -370,17 +370,48 @@ def test_tables_match_recurrences(p):
 
 def test_tables_use_no_harmonic_sums_or_padic_kernel(monkeypatch):
     # LEMMA_SUNH checks harmonic sums against these tables; sharing code
-    # with them, or with the right sides' kernel, would make it vacuous
+    # with them would make it vacuous.  The tables read the factorials off
+    # the context's factorial table, which the harmonic cache never reads
+    # (test_harmonic_cache_reads_no_factorials), and nothing else of the
+    # kernel.
     def refuse(*args):
         raise AssertionError("a Bernoulli/Euler table called harmonic or kernel code")
 
     monkeypatch.setattr(special, "harmonic", refuse)
+    monkeypatch.setattr(HarmonicCache, "__init__", refuse)
     monkeypatch.setattr(HarmonicCache, "get", refuse)
     monkeypatch.setattr(PrimeContext, "inverse_unit", refuse)
-    monkeypatch.setattr(PrimeContext, "factorial_decomposed", refuse)
     ctx = PrimeContext(101, 4)
     assert bernoulli_table(ctx) == _bernoulli_recurrence(101)
     assert euler_table(ctx) == _euler_recurrence(101)
+
+
+def test_tables_read_the_context_factorial_table():
+    # one factorial table per prime: +1 on 1/(2k)! for one k, made before
+    # the Bernoulli table's first read, changes the table
+    p = 1009
+    assert bernoulli_table(PrimeContext(p, 3)) == bernoulli_table(PrimeContext(p, 1))
+    ctx = PrimeContext(p, 3)
+    _, _, fi = ctx.factorial_tables(3 * p)
+    fi[2 * 100] += 1
+    assert bernoulli_table(ctx) != bernoulli_table(PrimeContext(p, 3))
+
+
+# sha256 of repr(table), from the tables built off their own factorials
+# mod p, before they read the context's factorial table
+FROZEN_TABLE_DIGESTS = {
+    (10007, "bernoulli_table"): "e0c3761fe1b52793",
+    (10007, "euler_table"): "c828b418b6c43b2b",
+    (20011, "bernoulli_table"): "877d9e198745745e",
+    (20011, "euler_table"): "f1b2ed1a49690214",
+}
+
+
+def test_tables_match_frozen_digests():
+    tables = {"bernoulli_table": bernoulli_table, "euler_table": euler_table}
+    for (p, name), digest in FROZEN_TABLE_DIGESTS.items():
+        table = tables[name](PrimeContext(p, 2))
+        assert hashlib.sha256(repr(table).encode()).hexdigest()[:16] == digest, (p, name)
 
 
 def test_bernoulli_poly_spots():
