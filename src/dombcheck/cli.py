@@ -156,6 +156,9 @@ def _cmd_domb(args) -> int:
 
 def _cmd_decompose(args) -> int:
     p = args.prime
+    if p == 3:  # the one prime with x = 0, which decompose_x2_3y2 excludes
+        print("3 = 0^2 + 3*1^2")
+        return 0
     try:
         d = decompose_x2_3y2(p)
     except NotRepresentable:

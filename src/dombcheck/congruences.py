@@ -24,6 +24,15 @@ binomial at a rational top index, is still a PAdicValue.  The PAdicValue
 forms and the per-case loops these replaced are kept as oracles in the
 tests.  The two sides meet only in the final residue comparison, so a bug
 in the closed forms cannot silently cancel against one in the sums.
+
+Each table is kept to the digits its readers need.  The Domb table and its
+weighted sums work mod p^K, K the largest requested m.  The kernel tables
+work mod the largest requested kernel exponent (TargetSpec.kernel_exp),
+which is m for every target but two: CONJ1_DP1 (m = 4) reads only
+B_(p-3) mod p, and MUSUN_P5 (m = 5) no kernel table.  Their digits above
+p^3 come from the Domb table, a Fermat quotient and 64^(p-1) mod p^K, so a
+sweep of every target keeps the kernel tables mod p^3 and the Domb table
+mod p^5.
 """
 
 from __future__ import annotations
@@ -88,13 +97,20 @@ _TARGET_INDEX = {t: i for i, t in enumerate(Target)}
 class TargetSpec:
     """Every fact about a target except its closed form: the CLI group it
     belongs to, the primes it is stated for, the exponent m of its modulus
-    p^m, and the PrimeVerifier method that evaluates it (by name, so the
-    method is looked up on the verifier at call time)."""
+    p^m, the PrimeVerifier method that evaluates it (by name, so the
+    method is looked up on the verifier at call time), and the digits its
+    right side reads off the kernel tables (the factorial tables, the
+    harmonic cache, p/(3j+1), the Bernoulli table), which default to m."""
 
     group: str
     applies: Callable[[int], bool]
     mod_exp: Callable[[int], int]
     method: str
+    kernel_exp: Callable[[int], int] | None = None
+
+    def __post_init__(self):
+        if self.kernel_exp is None:
+            object.__setattr__(self, "kernel_exp", self.mod_exp)
 
 
 def _every(p: int) -> bool:
@@ -118,6 +134,8 @@ def _k2_exp(p: int) -> int:
 
 
 # The catalog.  A new target is one entry here plus the method it names.
+# CONJ1_DP1 reads B_(p-3) mod p and MUSUN_P5 no kernel table at all: the
+# digits above p^3 come from the Domb table, a Fermat quotient or a power.
 SPECS: dict[Target, TargetSpec] = {
     Target.THM11_4K: TargetSpec("thm1.1", _every, _exp(3), "thm11_4k"),
     Target.THM11_16K: TargetSpec("thm1.1", _every, _exp(3), "thm11_16k"),
@@ -127,9 +145,9 @@ SPECS: dict[Target, TargetSpec] = {
     Target.THM13_K2_16K: TargetSpec("thm1.3", _every, _k2_exp, "thm13_all"),
     Target.THM13_K_4K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all"),
     Target.THM13_K_16K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all"),
-    Target.CONJ1_DP1: TargetSpec("conj1", _every, _exp(4), "conj1_dp1"),
+    Target.CONJ1_DP1: TargetSpec("conj1", _every, _exp(4), "conj1_dp1", _exp(1)),
     Target.CONJ2_MODP2: TargetSpec("conj2", _every, _exp(2), "conj2_mod_p2"),
-    Target.MUSUN_P5: TargetSpec("musun", _every, _exp(5), "musun"),
+    Target.MUSUN_P5: TargetSpec("musun", _every, _exp(5), "musun", _exp(0)),
     Target.LEMMA22: TargetSpec("lemmas", _one_mod_3, _exp(3), "lemma22_check"),
     Target.LEMMA_MPT: TargetSpec("lemmas", _one_mod_3, _exp(2), "lemma_mpt_check"),
     Target.LEMMA_P2J: TargetSpec("lemmas", _every, _exp(3), "lemma_p2j_check"),
@@ -181,23 +199,29 @@ class CongruenceReport:
 
 
 class PrimeVerifier:
-    """Shared per-prime state: one context, one Domb table, one set of sums.
+    """Shared per-prime state: the Domb table and its sums on one side, the
+    kernel context with its tables on the other.
 
     ``want`` is the set of requested targets that are stated at p, worked
-    out once here.  The working precision K is the largest modulus
-    exponent m in ``want`` (1 when it is empty): every side is ring
-    arithmetic mod p^K with no division by p, so no digit above a
-    target's m is needed, and a target's residues do not depend on which
-    other targets are requested.  The shared tables are built on first
-    read and kept.
+    out once here.  ``precision``, K, is the largest modulus exponent m in
+    ``want`` (1 when it is empty); the Domb table and the weighted sums are
+    kept mod p^K, and each row is reduced mod p^m from ``powers``.  ``ctx``
+    is the kernel context: its precision is the largest kernel exponent
+    (``TargetSpec.kernel_exp``) in ``want``, at least 1, and the factorial
+    tables, the harmonic cache, p/(3j+1) and the Bernoulli table are kept
+    to that many digits, p^3 for an all-targets sweep.  Every side is ring
+    arithmetic with no division by p, so no digit above a target's m is
+    needed, and a target's residues do not depend on which other targets
+    are requested.  The shared tables are built on first read and kept.
     """
 
     def __init__(self, p: int, targets=None):
         if targets is None:
             targets = Target
         self.want = frozenset(t for t in targets if applicable(t, p))
-        k = max((modulus_exponent(t, p) for t in self.want), default=1)
-        self.ctx = PrimeContext(p, k)
+        self.ctx = PrimeContext(p, max([1] + [SPECS[t].kernel_exp(p) for t in self.want]))
+        self.precision = max((modulus_exponent(t, p) for t in self.want), default=1)
+        self.powers = tuple(p**i for i in range(self.precision + 1))
         self.p = p
         self._sums: dict[str, int] = {}
 
@@ -205,7 +229,12 @@ class PrimeVerifier:
 
     @cached_property
     def domb_table(self) -> DombTable:
-        return DombTable(self.ctx)
+        """D_0 .. D_(p-1) mod p^K, on ``ctx`` when the kernel works to K
+        digits too and on a context of its own otherwise."""
+        ctx = self.ctx
+        if ctx.precision != self.precision:
+            ctx = PrimeContext(self.p, self.precision)
+        return DombTable(ctx)
 
     def weighted_sum(self, base: int, weight: str) -> int:
         """sum_{k<p} w(k) D_k base^(-k) mod p^K for w in 1, k, k2, 3k+2,
@@ -214,7 +243,7 @@ class PrimeVerifier:
         of three moment sums."""
         key = f"{weight}/{base}"
         if key not in self._sums:
-            pk = self.ctx.pk
+            pk = self.powers[-1]
             moments = self._moment_sums(base)
             for name, coeffs in _WEIGHTS.items():
                 self._sums[f"{name}/{base}"] = sum(c * s for c, s in zip(coeffs, moments)) % pk
@@ -222,7 +251,7 @@ class PrimeVerifier:
 
     def _moment_sums(self, base: int) -> tuple[int, int, int]:
         """sum_{k<p} k^i D_k base^(-k) mod p^K for i = 0, 1, 2."""
-        pk = self.ctx.pk
+        pk = self.powers[-1]
         ib = pow(base, -1, pk)
         s0 = s1 = s2 = 0
         w = 1
@@ -240,9 +269,10 @@ class PrimeVerifier:
         return decompose_x2_3y2(self.p)
 
     def r3(self) -> int:
-        """The correction unit used on the p = 2 (mod 3) side, mod p^K: the
-        Fermat quotient combination (1 + 2p + (4/3)(2^(p-1)-1) -
-        (3/2)(3^(p-1)-1)) times the square of C((p-1)/2, floor(p/6))."""
+        """The correction unit used on the p = 2 (mod 3) side, mod the
+        kernel modulus ctx.pk: the Fermat quotient combination (1 + 2p +
+        (4/3)(2^(p-1)-1) - (3/2)(3^(p-1)-1)) times the square of
+        C((p-1)/2, floor(p/6))."""
         p = self.p
         pk = self.ctx.pk
         t2 = pow(2, p - 1, pk) - 1
@@ -253,7 +283,7 @@ class PrimeVerifier:
 
     @cached_property
     def _p_over_3j1(self) -> list[int]:
-        """p/(3j+1) mod p^K for 0 <= j < (p+1)/2, the range both LEMMA22
+        """p/(3j+1) mod ctx.pk for 0 <= j < (p+1)/2, the range both LEMMA22
         and LEMMA_SH55 read: p times the inverse of 3j+1, from one batch
         inversion with no read of the factorial tables or the harmonic
         cache.  Below (p+1)/2, 3j+1 < 2p, so p divides 3j+1 only at
@@ -266,21 +296,27 @@ class PrimeVerifier:
 
     def _exponent(self, target: Target) -> int:
         """The target's m at this prime; WrongPrimeClass where it is not stated,
-        ValueError where the working precision is below m (the target was
-        not requested, and the verifier works to fewer digits)."""
+        ValueError where the precision K is below m or the kernel precision
+        below the target's kernel exponent (the target was not requested,
+        and the verifier works to fewer digits)."""
         spec = SPECS[target]
-        if not spec.applies(self.p):
-            raise WrongPrimeClass(f"{target.value} is not stated for p = {self.p}")
-        m = spec.mod_exp(self.p)
-        if self.ctx.precision < m:
-            raise ValueError(f"{target.value} needs precision {m}, not {self.ctx.precision}")
+        p = self.p
+        if not spec.applies(p):
+            raise WrongPrimeClass(f"{target.value} is not stated for p = {p}")
+        m = spec.mod_exp(p)
+        if self.precision < m:
+            raise ValueError(f"{target.value} needs precision {m}, not {self.precision}")
+        k = spec.kernel_exp(p)
+        if self.ctx.precision < k:
+            raise ValueError(f"{target.value} needs kernel precision {k}, not {self.ctx.precision}")
         return m
 
     def _report(self, target, lhs: int, rhs: int) -> CongruenceReport:
-        """One row: both sides plain ints, each reduced mod p^m.  Its
-        millis is set by run()."""
+        """One row: both sides plain ints, each reduced mod p^m from the
+        verifier's own powers, which reach p^K.  Its millis is set by
+        run()."""
         m = self._exponent(target)
-        mod = self.ctx.powers[m]
+        mod = self.powers[m]
         lhs %= mod
         rhs %= mod
         return CongruenceReport(self.p, target, m, lhs, rhs, lhs == rhs)
@@ -306,7 +342,7 @@ class PrimeVerifier:
 
     def _thm11_rhs(self, sign_for_16k: bool) -> int:
         """4x^2 - 2p - p^2/(4x^2) at p = 1 (mod 3); otherwise p^2/2, or
-        -p^2/4 for the 16^k sum, over C((p-1)/2, (p-5)/6)^2; mod p^K."""
+        -p^2/4 for the 16^k sum, over C((p-1)/2, (p-5)/6)^2; mod ctx.pk."""
         pk = self.ctx.pk
         p = self.p
         if p % 3 == 1:
@@ -368,11 +404,12 @@ class PrimeVerifier:
         return [self._report(t, self.weighted_sum(b, w), rhs) for t, b, w, rhs in cases]
 
     def conj1_dp1(self) -> CongruenceReport:
-        """D_(p-1) against 64^(p-1) - (p^3/6) B_(p-3) mod p^4."""
+        """D_(p-1) against 64^(p-1) - (p^3/6) B_(p-3) mod p^4: the power
+        mod p^K, the Bernoulli number mod p."""
         p = self.p
         lhs = self.domb_table[p - 1]
         b = bernoulli_table(self.ctx)[p - 3]
-        rhs = pow(64, p - 1, self.ctx.pk) - p**3 * (b * pow(6, -1, p) % p)
+        rhs = pow(64, p - 1, self.powers[-1]) - p**3 * (b * pow(6, -1, p) % p)
         return self._report(Target.CONJ1_DP1, lhs, rhs)
 
     def musun(self) -> CongruenceReport:

@@ -424,9 +424,11 @@ def binomial_int(n: int, k: int, ctx: PrimeContext) -> PAdicValue:
 
 
 def binomial_residues(ctx: PrimeContext) -> Callable[[int, int], int]:
-    """A function (n, k) -> C(n, k) mod p^K for n <= 3p, read off the
-    factorial tables as unit * p^v (0 once v >= K): binomial_int's
-    arithmetic in plain ints, for loops that need residues only.  As with
+    """A function (n, k) -> C(n, k) mod ctx.pk = p^K for n <= 3p, read off
+    the factorial tables as unit * p^v (0 once v >= K): binomial_int's
+    arithmetic in plain ints, for loops that need residues only.  The
+    verifier passes its kernel context, so its binomials are residues mod
+    the kernel modulus, p^3 in a sweep of every target.  As with
     binomial_int, k < 0 or k > n gives 0 and n < 0 raises ValueError."""
     fv, fu, fi = ctx.factorial_tables(3 * ctx.p)
     pw = ctx.powers

@@ -11,7 +11,8 @@ __all__ = ["NotRepresentable", "QuadDecomposition", "decompose_x2_3y2"]
 
 
 class NotRepresentable(ValueError):
-    """The prime is not of the form x^2 + 3y^2 (it is 2 mod 3)."""
+    """The prime is not x^2 + 3y^2 with x, y >= 1: it is 2 mod 3, or it is
+    3 = 0^2 + 3*1^2."""
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,9 @@ def decompose_x2_3y2(p: int) -> QuadDecomposition:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p <= 3 or p % 3 != 1:
+    if p == 3:
+        raise NotRepresentable("3 = 0^2 + 3*1^2 has x = 0, and x, y >= 1 are asked for")
+    if p % 3 != 1:
         raise NotRepresentable(f"{p} is not a prime of the form x^2 + 3y^2")
     # For a primitive cube root of unity w, (2w + 1)^2 = 4(w^2 + w + 1) - 3 = -3.
     g = 2

@@ -51,6 +51,17 @@ def test_decompose_other_class(capsys):
     assert capsys.readouterr().out.strip() == "5 is not representable as x^2 + 3*y^2"
 
 
+def test_decompose_three(capsys):
+    # 3 = 0^2 + 3*1^2, the one prime whose representation has x = 0
+    assert main(["decompose", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "3 = 0^2 + 3*1^2"
+
+
+def test_decompose_two(capsys):
+    assert main(["decompose", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "2 is not representable as x^2 + 3*y^2"
+
+
 def test_decompose_mersenne_61(capsys):
     assert main(["decompose", "2305843009213693951"]) == 0
     assert capsys.readouterr().out.strip() == "2305843009213693951 = 1505304098^2 + 3*115329357^2"

@@ -5,6 +5,7 @@ integer/Fraction arithmetic (binomial convolutions reduced by hand) before
 being recorded here, and spot-checked against the closed forms.
 """
 
+import dataclasses
 import hashlib
 import multiprocessing
 import os
@@ -225,8 +226,43 @@ def test_precision_below_target_raises():
     # rhs=1065 where the true residues are equal
     with pytest.raises(ValueError, match="CONJ1_DP1"):
         PrimeVerifier(7, [T.LEMMA_MPT]).conj1_dp1()
-    assert PrimeVerifier(7, [T.CONJ1_DP1]).ctx.precision == 4
+    assert PrimeVerifier(7, [T.CONJ1_DP1]).precision == 4
     assert PrimeVerifier(7, [T.CONJ1_DP1]).conj1_dp1().lhs == 575
+
+
+@pytest.mark.parametrize(
+    "built_for, target",
+    [(T.CONJ1_DP1, T.THM11_4K), (T.MUSUN_P5, T.LEMMA22)],
+    ids=["CONJ1_DP1-THM11_4K", "MUSUN_P5-LEMMA22"],
+)
+def test_kernel_precision_below_target_raises(built_for, target):
+    # a CONJ1_DP1 or MUSUN_P5 verifier keeps the Domb table mod 7^4 or 7^5
+    # but its kernel tables mod 7 only.  Read off anyway, THM11_4K's sides
+    # would be lhs=149, rhs=2, a false failure, and LEMMA22's table reads
+    # would run out of powers of p (IndexError).
+    pv = PrimeVerifier(7, [built_for])
+    with pytest.raises(ValueError, match=target.value):
+        getattr(pv, SPECS[target].method)()
+
+
+def test_kernel_tables_at_p3_give_the_one_precision_rows(monkeypatch):
+    # the fast path against the ground truth it replaces: with the kernel
+    # exponents of CONJ1_DP1 and MUSUN_P5 set back to their m, an
+    # all-targets verifier works to p^5 on one context again, and every row
+    # must be the same
+    primes = sieve_primes(5, 300) + [997, 1009, 1013, 4001, 4003]
+    strip = lambda r: (r.target, r.modulus_exponent, r.lhs, r.rhs, r.passed)
+    fast = {}
+    for p in primes:
+        pv = PrimeVerifier(p)
+        assert (pv.precision, pv.ctx.precision) == (5, 3), p
+        fast[p] = [strip(r) for r in pv.run()]
+    for t in (T.CONJ1_DP1, T.MUSUN_P5):
+        monkeypatch.setitem(SPECS, t, dataclasses.replace(SPECS[t], kernel_exp=SPECS[t].mod_exp))
+    for p in primes:
+        pv = PrimeVerifier(p)
+        assert pv.ctx.precision == 5 and pv.domb_table.ctx is pv.ctx, p
+        assert [strip(r) for r in pv.run()] == fast[p], p
 
 
 def test_verify_prime_skips_inapplicable():
@@ -237,10 +273,31 @@ def test_verify_prime_skips_inapplicable():
 
 
 def test_precision_is_the_largest_requested_exponent():
-    assert PrimeVerifier(7).ctx.precision == 5
-    assert PrimeVerifier(7, [T.LEMMA_MPT, T.LEMMA22]).ctx.precision == 3
-    assert PrimeVerifier(5, [T.THM13_K_4K]).ctx.precision == 2
-    assert PrimeVerifier(5, [T.THM12_4K, T.LEMMA_SUNH]).ctx.precision == 1  # neither is stated
+    assert PrimeVerifier(7).precision == 5
+    assert PrimeVerifier(7, [T.LEMMA_MPT, T.LEMMA22]).precision == 3
+    assert PrimeVerifier(5, [T.THM13_K_4K]).precision == 2
+    assert PrimeVerifier(5, [T.THM12_4K, T.LEMMA_SUNH]).precision == 1  # neither is stated
+
+
+def test_kernel_precision_is_the_largest_requested_kernel_exponent():
+    # the kernel tables work to the digits their readers need: m for every
+    # target but CONJ1_DP1 (B_(p-3) mod p) and MUSUN_P5 (no kernel table);
+    # the Domb table shares the kernel context when the two agree
+    cases = [
+        ([T.THM11_4K], 3, 3),
+        ([T.LEMMA_MPT], 2, 2),
+        ([T.CONJ1_DP1], 4, 1),
+        ([T.MUSUN_P5], 5, 1),
+        ([T.CONJ1_DP1, T.LEMMA_SUNH], 4, 2),
+        ([T.MUSUN_P5, T.THM12_4K], 5, 3),
+        (list(Target), 5, 3),
+    ]
+    for targets, k, kernel in cases:
+        pv = PrimeVerifier(7, targets)
+        assert (pv.precision, pv.ctx.precision) == (k, kernel), targets
+        assert pv.domb_table.ctx.precision == k, targets
+        assert (pv.domb_table.ctx is pv.ctx) == (k == kernel), targets
+        assert pv.powers == tuple(7**i for i in range(k + 1)), targets
 
 
 def test_rows_do_not_depend_on_other_targets():
@@ -455,7 +512,7 @@ def test_weighted_sums_match_direct_loops(p):
         "3k2+k": lambda k: 3 * k * k + k,
     }
     pv = PrimeVerifier(p)
-    pk = pv.ctx.pk
+    pk = pv.domb_table.ctx.pk
     for base in (4, 16):
         ib = pow(base, -1, pk)
         for name, fn in weights.items():
@@ -516,8 +573,9 @@ def oracle_lemma_sh55_terms(pv, m):
     return terms, acc.residue(m)
 
 
-# The working precision K of a lemma verifier is the lemmas' m = 3 unless
-# a target with a larger m is requested with them.
+# The precision K of a lemma verifier is the lemmas' m = 3 unless a target
+# with a larger m is requested with them; its kernel precision stays 3,
+# since neither CONJ1_DP1 nor MUSUN_P5 reads a kernel table past p.
 EXTRA_FOR_K = {3: [], 4: [T.CONJ1_DP1], 5: [T.MUSUN_P5]}
 ORACLE_RUNS = [(p, k) for p in sieve_primes(5, 200) for k in EXTRA_FOR_K] + [(997, 3)]
 
@@ -549,7 +607,8 @@ def _assert_sh55_terms(pv, terms, label):
 def _lemma_verifier(p, k):
     lemmas = [t for t in (T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55) if applicable(t, p)]
     pv = PrimeVerifier(p, lemmas + EXTRA_FOR_K[k])
-    assert pv.ctx.precision == k, (p, k)
+    assert pv.precision == k, (p, k)
+    assert pv.ctx.precision == 3, (p, k)
     return pv
 
 
@@ -847,12 +906,14 @@ def oracle_thm11_rhs(pv, sign_for_16k):
 
 def oracle_rhs(pv):
     """The right side of every theorem-level row that the PAdicValue forms
-    built, by target."""
+    built, by target.  MUSUN_P5 reads no kernel table, so its oracle works
+    at the verifier's precision K, not at the kernel context's."""
     ctx, p = pv.ctx, pv.p
+    musun_ctx = PrimeContext(p, pv.precision)
     out = {
         T.THM11_4K: oracle_thm11_rhs(pv, False),
         T.THM11_16K: oracle_thm11_rhs(pv, True),
-        T.MUSUN_P5: -4 * PAdicValue.from_int(p, ctx) ** 4 * fermat_quotient(2, ctx),
+        T.MUSUN_P5: -4 * PAdicValue.from_int(p, musun_ctx) ** 4 * fermat_quotient(2, musun_ctx),
     }
     if p % 3 == 1:
         c = binomial_int((p - 1) // 2, (p - 1) // 6, ctx)
@@ -922,7 +983,7 @@ CLOSED_FORM_PRIMES = sieve_primes(5, 400) + [997, 1999, 4001, 4003]
 
 def _check_closed_forms(p, targets):
     pv = PrimeVerifier(p, targets)
-    label = (p, pv.ctx.precision)
+    label = (p, pv.precision)
     want = oracle_rhs(pv)
     rows = [r for r in pv.run() if r.target in CLOSED_FORMS]
     assert {r.target for r in rows} == set(want) & set(targets), label
@@ -944,7 +1005,7 @@ def test_closed_forms_match_padic_oracles(alone):
     # each THM row, each LEMMA_MPT case and each LEMMA_SUNH sub-congruence
     # (both sides) on its own, against the PAdicValue form it replaced: each
     # target alone, at precision its own m, and all of them together, at
-    # precision 5 (MUSUN_P5's m)
+    # precision 5 (MUSUN_P5's m) with the kernel tables at 3
     for p in CLOSED_FORM_PRIMES:
         if alone:
             for t in ORACLE_TARGETS:

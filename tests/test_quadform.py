@@ -58,6 +58,15 @@ def test_decompose_rejects_wrong_class():
             decompose_x2_3y2(p)
 
 
+def test_decompose_three_has_x_zero():
+    # 3 = 0^2 + 3*1^2 is represented, but with x = 0, outside x, y >= 1;
+    # the error says so instead of calling 3 unrepresentable
+    with pytest.raises(NotRepresentable, match="x = 0"):
+        decompose_x2_3y2(3)
+    with pytest.raises(NotRepresentable, match="not a prime of the form"):
+        decompose_x2_3y2(2)
+
+
 def test_decompose_rejects_non_prime():
     with pytest.raises(ValueError):
         decompose_x2_3y2(49)
