@@ -187,7 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=min(8, os.cpu_count() or 1),
-        help="worker processes; at most one per prime and per CPU are started",
+        help=(
+            "processes that verify primes, this one included, taking them largest first "
+            "off a shared counter; at most one per prime and per CPU run"
+        ),
     )
     v.add_argument("--out", help="write the report to this path instead of stdout")
     v.add_argument("--format", choices=_FORMATS, default="table")

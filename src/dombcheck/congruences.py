@@ -230,10 +230,10 @@ class PrimeVerifier:
     @cached_property
     def domb_table(self) -> DombTable:
         """D_0 .. D_(p-1) mod p^K, on ``ctx`` when the kernel works to K
-        digits too and on a context of its own otherwise."""
+        digits too and on a context of its own at K otherwise."""
         ctx = self.ctx
         if ctx.precision != self.precision:
-            ctx = PrimeContext(self.p, self.precision)
+            ctx = ctx.with_precision(self.precision)
         return DombTable(ctx)
 
     def weighted_sum(self, base: int, weight: str) -> int:
@@ -657,9 +657,74 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
     return [i for i in range(max(lo, 2), hi + 1) if flags[i]]
 
 
-def _sweep_task(args):
-    p, targets = args
-    return verify_prime(p, targets)
+def _verify_from(primes, targets, counter, i: int) -> list[CongruenceReport]:
+    """Verify primes[i], then each prime whose index this process takes off
+    the shared counter, until an index runs past the end of the list."""
+    rows: list[CongruenceReport] = []
+    while i < len(primes):
+        rows.extend(verify_prime(primes[i], targets))
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+    return rows
+
+
+def _sweep_child(primes, targets, counter, i: int, conn) -> None:
+    """Send a child's share of the sweep to the parent in one message: its
+    rows, or the traceback of its failure.  A failure also moves the
+    counter past the end, so the other processes stop after their current
+    prime."""
+    try:
+        out = _verify_from(primes, targets, counter, i)
+    except Exception:
+        import traceback
+
+        with counter.get_lock():
+            counter.value = len(primes)
+        out = traceback.format_exc()
+    conn.send(out)
+
+
+def _sweep_parallel(primes, targets, workers: int) -> list[list[CongruenceReport]]:
+    """The rows of ``primes`` from ``workers`` processes, the calling one
+    included.  Process r first verifies primes[r]; after that every process
+    takes the next index off one shared counter, so each process started
+    verifies at least one prime.  Each prime goes through the module's
+    ``verify_prime``; forked children see it as the parent does."""
+    import multiprocessing
+
+    counter = multiprocessing.Value("q", workers)
+    children = []
+    try:
+        for i in range(1, workers):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_sweep_child, args=(primes, targets, counter, i, send), daemon=True
+            )
+            child.start()
+            send.close()  # so that recv sees EOF if the child dies without sending
+            children.append((child, recv))
+        chunks = [_verify_from(primes, targets, counter, 0)]
+        for child, recv in children:
+            # received before the join: a large message blocks the child's
+            # send until it is read
+            try:
+                out = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"sweep worker {child.pid} exited with code {child.exitcode} before sending its rows"
+                ) from None
+            child.join()
+            if isinstance(out, str):
+                raise RuntimeError(f"sweep worker {child.pid} failed:\n{out}")
+            chunks.append(out)
+    finally:
+        for child, recv in children:
+            child.terminate()  # a no-op once the child is joined
+            child.join()
+            recv.close()
+    return chunks
 
 
 def sweep(lo: int, hi: int, targets=None, workers: int = 1) -> list[CongruenceReport]:
@@ -667,19 +732,19 @@ def sweep(lo: int, hi: int, targets=None, workers: int = 1) -> list[CongruenceRe
     against every given target that applies there.
 
     Rows come back sorted by (prime, catalog order) no matter how the work
-    was scheduled, so output is reproducible.  The pool starts at most one
-    process per prime and per CPU.
+    was scheduled, so output is reproducible.  ``workers`` counts the
+    calling process, which verifies primes too; at most one process per
+    prime and per CPU runs.  With more than one, the primes go out largest
+    first off a shared counter, so the slowest primes do not come last.
+    A failure in any process raises here, after every child has ended.
     """
     targets = list(Target) if targets is None else list(targets)
-    tasks = [(p, targets) for p in sieve_primes(max(lo, 5), hi)]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    primes = sieve_primes(max(lo, 5), hi)
+    workers = min(workers, len(primes), os.cpu_count() or 1)
     if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_sweep_task, tasks, chunksize=1)
+        chunks = _sweep_parallel(primes[::-1], targets, workers)
     else:
-        chunks = [_sweep_task(t) for t in tasks]
+        chunks = [verify_prime(p, targets) for p in primes]
     rows = [r for chunk in chunks for r in chunk]
     rows.sort(key=lambda r: (r.prime, _TARGET_INDEX[r.target]))
     return rows

@@ -137,10 +137,21 @@ class PrimeContext:
     """
 
     def __init__(self, p: int, precision: int):
-        if precision < 1:
-            raise ValueError("precision must be at least 1")
         if p <= 3 or not is_prime(p):
             raise ValueError(f"{p} is not a prime greater than 3")
+        self._start(p, precision)
+
+    def with_precision(self, precision: int) -> PrimeContext:
+        """A new context for this context's prime at another precision, with
+        empty caches.  The prime was proved prime when this context was
+        made, so it is not tested again."""
+        ctx = object.__new__(PrimeContext)
+        ctx._start(self.p, precision)
+        return ctx
+
+    def _start(self, p: int, precision: int) -> None:
+        if precision < 1:
+            raise ValueError("precision must be at least 1")
         self.p = p
         self.precision = precision
         self.pk = p**precision

@@ -8,7 +8,7 @@ import pytest
 
 from dombcheck import cli
 from dombcheck.cli import _LABELS, _parse_targets, main, render_rows
-from dombcheck.congruences import Target, verify_prime
+from dombcheck.congruences import Target, sieve_primes, verify_prime
 
 T = Target
 
@@ -172,6 +172,20 @@ def test_verify_stdout_is_the_report_alone(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert main(args + ["--out", str(out)]) == 0
     assert reports[0] == reports[1] == out.read_text()
+
+
+def test_verify_report_file_same_for_any_worker_count(tmp_path, monkeypatch):
+    # the report file is open while the children run; they must leave it alone
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        args = ["verify", "--primes", "5:300", "--format", "csv", "--workers", workers]
+        assert main(args + ["--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    primes = {int(line.split(b",")[0]) for line in reports[0].splitlines()[1:]}
+    assert primes == set(sieve_primes(5, 300))
 
 
 # /dev/full takes the buffered write and fails the flush at close; the

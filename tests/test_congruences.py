@@ -5,11 +5,13 @@ integer/Fraction arithmetic (binomial convolutions reduced by hand) before
 being recorded here, and spot-checked against the closed forms.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import multiprocessing
 import os
 import random
+import signal
 import sys
 from fractions import Fraction
 
@@ -334,51 +336,129 @@ def test_sweep_ignores_tiny_primes():
     assert {r.prime for r in rows} == {5}
 
 
+def _strip(rows):
+    return [(r.prime, r.target, r.modulus_exponent, r.lhs, r.rhs, r.passed) for r in rows]
+
+
 def test_sweep_workers_agree():
-    seq = sweep(5, 40, workers=1)
-    par = sweep(5, 40, workers=2)
-    strip = lambda rows: [
-        (r.prime, r.target, r.modulus_exponent, r.lhs, r.rhs, r.passed) for r in rows
-    ]
-    assert strip(seq) == strip(par)
+    assert _strip(sweep(5, 40, workers=1)) == _strip(sweep(5, 40, workers=2))
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process if the block runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_sweep_starts_no_more_workers_than_primes(monkeypatch):
-    # no more processes than primes, nor than CPUs; the pool is a stand-in,
-    # so no process starts, whatever the count asked for
+    # no more processes than primes, nor than CPUs, the calling process
+    # counted; the child is a stand-in that runs its share in this process
+    # when started, so no process starts, whatever the count asked for
     started = []
 
-    class SerialPool:
-        def __init__(self, processes):
-            started.append(processes)
+    class InlineProcess:
+        def __init__(self, target, args, daemon):
+            self.target, self.args = target, args
+            self.pid, self.exitcode = os.getpid(), 0
 
-        def __enter__(self):
-            return self
+        def start(self):
+            started.append(self)
+            self.target(*self.args)
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            pass
 
-        def map(self, fn, tasks, chunksize=1):
-            return list(map(fn, tasks))
+        terminate = join
 
-    strip = lambda rows: [
-        (r.prime, r.target, r.modulus_exponent, r.lhs, r.rhs, r.passed) for r in rows
-    ]
-    seq = strip(sweep(5, 12))
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    def processes(workers):
+        started.clear()
+        assert _strip(sweep(5, 12, workers=workers)) == seq  # 5, 7, 11
+        return 1 + len(started)
+
+    seq = _strip(sweep(5, 12))
+    monkeypatch.setattr(multiprocessing, "Process", InlineProcess)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert strip(sweep(5, 12, workers=6)) == seq  # 5, 7, 11
-    assert strip(sweep(5, 12, workers=2)) == seq
-    assert started == [3, 2]
-    started.clear()
+    assert [processes(6), processes(2)] == [3, 2]
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert strip(sweep(5, 12, workers=5000)) == seq
-    assert started == [2]
-    started.clear()
+    assert processes(5000) == 2
     for cpus in (1, None):  # one CPU, or a count the system cannot tell
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert strip(sweep(5, 12, workers=5000)) == seq
-    assert started == []
+        assert processes(5000) == 1 and started == []
+
+
+def test_sweep_schedule_every_process_verifies_largest_first(monkeypatch, tmp_path):
+    # each process appends the primes it verifies to a file named by its pid
+    real = congruences.verify_prime
+
+    def recording(p, targets=None):
+        with open(spool / str(os.getpid()), "a") as fh:
+            fh.write(f"{p}\n")
+        return real(p, targets)
+
+    monkeypatch.setattr(congruences, "verify_prime", recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    primes = sieve_primes(5, 200)
+    rows = {}
+    for workers in (1, 2, 3):
+        spool = tmp_path / str(workers)
+        spool.mkdir()
+        with _deadline(120):
+            rows[workers] = _strip(sweep(5, 200, workers=workers))
+        done = {path.name: [int(p) for p in path.read_text().split()] for path in spool.iterdir()}
+        assert len(done) == workers  # every process started verified a prime
+        assert sorted(p for ps in done.values() for p in ps) == primes  # each once
+        if workers > 1:
+            # process r starts with the r-th largest prime, the caller with the largest
+            assert done[str(os.getpid())][0] == primes[-1]
+            assert sorted(ps[0] for ps in done.values()) == primes[-workers:]
+    assert rows[1] == rows[2] == rows[3]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("where", ["parent", "child", "child_exit"])
+def test_sweep_failure_raises_in_the_parent(where, monkeypatch):
+    # largest first: the calling process takes 97 and the one child 89
+    bad = 97 if where == "parent" else 89
+    real = congruences.verify_prime
+    verified = []  # the primes this process verifies
+
+    def failing(p, targets=None):
+        if p == bad:
+            if where == "child_exit":
+                os._exit(3)
+            raise ArithmeticError(f"injected failure at {p}")
+        if p == 97:
+            # the caller's first prime ends after the child has ended
+            for child in multiprocessing.active_children():
+                child.join(30)
+        verified.append(p)
+        return real(p, targets)
+
+    monkeypatch.setattr(congruences, "verify_prime", failing)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with _deadline(60), pytest.raises((ArithmeticError, RuntimeError)) as info:
+        sweep(5, 100, workers=2)
+    if where == "parent":
+        assert info.type is ArithmeticError
+    elif where == "child":
+        assert info.type is RuntimeError
+        message = str(info.value)
+        assert "Traceback (most recent call last)" in message
+        assert "ArithmeticError: injected failure at 89" in message
+        assert verified == [97]  # the failure stopped the caller after its current prime
+    else:
+        assert info.type is RuntimeError and "exited with code 3" in str(info.value)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("p", [7, 13, 1009, 1999, 4003])
@@ -1120,6 +1200,25 @@ def test_applicable_set_is_built_once_per_prime(monkeypatch):
         calls.clear()
         assert verify_prime(p)
         assert len(calls) == len(Target), p
+
+
+def test_prime_is_proved_prime_once_per_verifier(monkeypatch):
+    # the kernel context at p^3 tests p; the Domb table's context at p^5 is
+    # made from it and does not test p again
+    calls = []
+    real = padic.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(padic, "is_prime", counting)
+    for p in (11, 13, 1009, 1013):
+        calls.clear()
+        pv = PrimeVerifier(p)
+        assert pv.run()
+        assert (pv.ctx.precision, pv.domb_table.ctx.precision) == (3, 5)
+        assert calls == [p], p
 
 
 def test_run_stamps_each_method_time_on_its_rows():

@@ -37,6 +37,17 @@ def test_context_rejects_bad_input():
         PrimeContext(7, 0)
 
 
+def test_with_precision_keeps_the_prime_and_starts_empty():
+    ctx = PrimeContext(7, 3)
+    ctx.factorial_decomposed(30)
+    other = ctx.with_precision(5)
+    assert other == PrimeContext(7, 5) and other.pk == 7**5
+    assert other.factorial_decomposed(30) == PrimeContext(7, 5).factorial_decomposed(30)
+    assert ctx.with_precision(3) is not ctx and ctx.with_precision(3) == ctx
+    with pytest.raises(ValueError, match="precision must be at least 1"):
+        ctx.with_precision(0)
+
+
 def test_is_prime_small():
     known = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     assert {n for n in range(50) if is_prime(n)} == known
