@@ -30,9 +30,13 @@ weighted sums work mod p^K, K the largest requested m.  The kernel tables
 work mod the largest requested kernel exponent (TargetSpec.kernel_exp),
 which is m for every target but two: CONJ1_DP1 (m = 4) reads only
 B_(p-3) mod p, and MUSUN_P5 (m = 5) no kernel table.  Their digits above
-p^3 come from the Domb table, a Fermat quotient and 64^(p-1) mod p^K, so a
-sweep of every target keeps the kernel tables mod p^3 and the Domb table
-mod p^5.
+p^3 come from the Domb table, a Fermat quotient and 64^(p-1) mod p^K.  The
+harmonic cache works mod the largest requested harmonic exponent
+(TargetSpec.harmonic_exp): a lemma mod p^3 multiplies each harmonic sum by
+p, LEMMA_SUNH reads its sums mod p^2 and LEMMA_MPT multiplies its slope by
+p mod p^2, so no target reads more than two digits of one.  A sweep of
+every target keeps the harmonic cache mod p^2, the other kernel tables mod
+p^3 and the Domb table mod p^5.
 """
 
 from __future__ import annotations
@@ -98,15 +102,17 @@ class TargetSpec:
     """Every fact about a target except its closed form: the CLI group it
     belongs to, the primes it is stated for, the exponent m of its modulus
     p^m, the PrimeVerifier method that evaluates it (by name, so the
-    method is looked up on the verifier at call time), and the digits its
-    right side reads off the kernel tables (the factorial tables, the
-    harmonic cache, p/(3j+1), the Bernoulli table), which default to m."""
+    method is looked up on the verifier at call time), the digits its
+    right side reads off the kernel tables (the factorial tables,
+    p/(3j+1), the Bernoulli table), which default to m, and the digits of
+    the stored harmonic sums it reads, which default to 0 (none)."""
 
     group: str
     applies: Callable[[int], bool]
     mod_exp: Callable[[int], int]
     method: str
     kernel_exp: Callable[[int], int] | None = None
+    harmonic_exp: int = 0
 
     def __post_init__(self):
         if self.kernel_exp is None:
@@ -136,6 +142,7 @@ def _k2_exp(p: int) -> int:
 # The catalog.  A new target is one entry here plus the method it names.
 # CONJ1_DP1 reads B_(p-3) mod p and MUSUN_P5 no kernel table at all: the
 # digits above p^3 come from the Domb table, a Fermat quotient or a power.
+# The lemmas read H mod p^2 (p H mod p^3), LEMMA_MPT its slope mod p.
 SPECS: dict[Target, TargetSpec] = {
     Target.THM11_4K: TargetSpec("thm1.1", _every, _exp(3), "thm11_4k"),
     Target.THM11_16K: TargetSpec("thm1.1", _every, _exp(3), "thm11_16k"),
@@ -148,11 +155,13 @@ SPECS: dict[Target, TargetSpec] = {
     Target.CONJ1_DP1: TargetSpec("conj1", _every, _exp(4), "conj1_dp1", _exp(1)),
     Target.CONJ2_MODP2: TargetSpec("conj2", _every, _exp(2), "conj2_mod_p2"),
     Target.MUSUN_P5: TargetSpec("musun", _every, _exp(5), "musun", _exp(0)),
-    Target.LEMMA22: TargetSpec("lemmas", _one_mod_3, _exp(3), "lemma22_check"),
-    Target.LEMMA_MPT: TargetSpec("lemmas", _one_mod_3, _exp(2), "lemma_mpt_check"),
-    Target.LEMMA_P2J: TargetSpec("lemmas", _every, _exp(3), "lemma_p2j_check"),
-    Target.LEMMA_SUNH: TargetSpec("lemmas", lambda p: p > 5, _exp(2), "lemma_sunh_check"),
-    Target.LEMMA_SH55: TargetSpec("lemmas", _every, _exp(3), "lemma_sh55_check"),
+    Target.LEMMA22: TargetSpec("lemmas", _one_mod_3, _exp(3), "lemma22_check", harmonic_exp=2),
+    Target.LEMMA_MPT: TargetSpec("lemmas", _one_mod_3, _exp(2), "lemma_mpt_check", harmonic_exp=1),
+    Target.LEMMA_P2J: TargetSpec("lemmas", _every, _exp(3), "lemma_p2j_check", harmonic_exp=2),
+    Target.LEMMA_SUNH: TargetSpec(
+        "lemmas", lambda p: p > 5, _exp(2), "lemma_sunh_check", harmonic_exp=2
+    ),
+    Target.LEMMA_SH55: TargetSpec("lemmas", _every, _exp(3), "lemma_sh55_check", harmonic_exp=2),
 }
 
 
@@ -208,11 +217,14 @@ class PrimeVerifier:
     kept mod p^K, and each row is reduced mod p^m from ``powers``.  ``ctx``
     is the kernel context: its precision is the largest kernel exponent
     (``TargetSpec.kernel_exp``) in ``want``, at least 1, and the factorial
-    tables, the harmonic cache, p/(3j+1) and the Bernoulli table are kept
-    to that many digits, p^3 for an all-targets sweep.  Every side is ring
-    arithmetic with no division by p, so no digit above a target's m is
-    needed, and a target's residues do not depend on which other targets
-    are requested.  The shared tables are built on first read and kept.
+    tables, p/(3j+1) and the Bernoulli table are kept to that many digits,
+    p^3 for an all-targets sweep.  The harmonic cache lives on
+    ``harmonic_ctx``, at ``harmonic_precision``, the largest
+    ``TargetSpec.harmonic_exp`` in ``want``: 2 for an all-targets sweep.
+    Every side is ring arithmetic with no division by p, so no digit above
+    what a target declares is needed, and a target's residues do not depend
+    on which other targets are requested.  The shared tables are built on
+    first read and kept.
     """
 
     def __init__(self, p: int, targets=None):
@@ -221,6 +233,7 @@ class PrimeVerifier:
         self.want = frozenset(t for t in targets if applicable(t, p))
         self.ctx = PrimeContext(p, max([1] + [SPECS[t].kernel_exp(p) for t in self.want]))
         self.precision = max((modulus_exponent(t, p) for t in self.want), default=1)
+        self.harmonic_precision = max((SPECS[t].harmonic_exp for t in self.want), default=0)
         self.powers = tuple(p**i for i in range(self.precision + 1))
         self.p = p
         self._sums: dict[str, int] = {}
@@ -265,6 +278,17 @@ class PrimeVerifier:
         return s0 % pk, s1 % pk, s2 % pk
 
     @cached_property
+    def harmonic_ctx(self) -> PrimeContext:
+        """The context the harmonic cache is built on: ``ctx`` when the
+        kernel works to ``harmonic_precision`` digits too, and a context of
+        its own at that precision otherwise (an error when no requested
+        target reads a harmonic sum)."""
+        ctx = self.ctx
+        if ctx.precision != self.harmonic_precision:
+            ctx = ctx.with_precision(self.harmonic_precision)
+        return ctx
+
+    @cached_property
     def decomposition(self):
         return decompose_x2_3y2(self.p)
 
@@ -284,21 +308,22 @@ class PrimeVerifier:
     @cached_property
     def _p_over_3j1(self) -> list[int]:
         """p/(3j+1) mod ctx.pk for 0 <= j < (p+1)/2, the range both LEMMA22
-        and LEMMA_SH55 read: p times the inverse of 3j+1, from one batch
-        inversion with no read of the factorial tables or the harmonic
-        cache.  Below (p+1)/2, 3j+1 < 2p, so p divides 3j+1 only at
-        3j+1 = p (p = 1 mod 3), where p/(3j+1) = 1."""
+        and LEMMA_SH55 read: p times the inverse of 3j+1 mod ctx.pk / p,
+        an exact int below ctx.pk, from one batch inversion with no read of
+        the factorial tables or the harmonic cache.  Below (p+1)/2,
+        3j+1 < 2p, so p divides 3j+1 only at 3j+1 = p (p = 1 mod 3), where
+        p/(3j+1) = 1."""
         p = self.p
-        pk = self.ctx.pk
         units = range(1, 3 * ((p + 1) // 2), 3)
-        inv = batch_inverse([1 if u == p else u for u in units], pk)
-        return [1 if u == p else p * x % pk for u, x in zip(units, inv)]
+        inv = batch_inverse([1 if u == p else u for u in units], self.ctx.pk // p)
+        return [1 if u == p else p * x for u, x in zip(units, inv)]
 
     def _exponent(self, target: Target) -> int:
         """The target's m at this prime; WrongPrimeClass where it is not stated,
-        ValueError where the precision K is below m or the kernel precision
-        below the target's kernel exponent (the target was not requested,
-        and the verifier works to fewer digits)."""
+        ValueError where the precision K is below m, the kernel precision
+        below the target's kernel exponent or the harmonic precision below
+        its harmonic exponent (the target was not requested, and the
+        verifier works to fewer digits)."""
         spec = SPECS[target]
         p = self.p
         if not spec.applies(p):
@@ -309,6 +334,9 @@ class PrimeVerifier:
         k = spec.kernel_exp(p)
         if self.ctx.precision < k:
             raise ValueError(f"{target.value} needs kernel precision {k}, not {self.ctx.precision}")
+        h = spec.harmonic_exp
+        if self.harmonic_precision < h:
+            raise ValueError(f"{target.value} needs harmonic precision {h}, not {self.harmonic_precision}")
         return m
 
     def _report(self, target, lhs: int, rhs: int) -> CongruenceReport:
@@ -440,7 +468,7 @@ class PrimeVerifier:
         p = self.p
         mod = self.ctx.powers[self._exponent(Target.LEMMA22)]
         _, fu, fi = self.ctx.factorial_tables(3 * p)
-        h = harmonic_scaled(p - 1, self.ctx)
+        h = harmonic_scaled(p - 1, self.harmonic_ctx)
         n = (p + 1) // 2
         lhs = [
             p * a * b * c * d * e * g % mod
@@ -488,7 +516,7 @@ class PrimeVerifier:
         mod = self.ctx.powers[m]
         base = (2 * p - 2) // 3
         c0 = comb(base, (p - 1) // 2) % mod
-        h = harmonic_scaled(base, self.ctx)
+        h = harmonic_scaled(base, self.harmonic_ctx)
         slope = h[base] - h[(p - 1) // 6]
         return [c0 * (1 + p * t * slope) % mod for t in t_samples]
 
@@ -513,7 +541,7 @@ class PrimeVerifier:
         p = self.p
         mod = self.ctx.powers[self._exponent(Target.LEMMA_P2J)]
         _, fu, fi = self.ctx.factorial_tables(3 * p)
-        h = harmonic_scaled(2 * p - 2, self.ctx)
+        h = harmonic_scaled(2 * p - 2, self.harmonic_ctx)
         n = (p + 1) // 2  # the lower half, 2j < p
         lhs = [
             p * a * b * c * d % mod
@@ -553,11 +581,13 @@ class PrimeVerifier:
         tables and the harmonic factor from the harmonic cache and
         _p_over_3j1, in one zip loop over strided slices that carries the
         weight 16^(-k) from term to term.  At k0 the cache's stored p H_2k0
-        absorbs H_2k0's negative valuation."""
+        absorbs H_2k0's negative valuation; it is kept mod p^2, so the
+        harmonic factor there is known mod p^2 only, which the binomial
+        factor's p^2 makes enough."""
         p = self.p
         mod = self.ctx.powers[self._exponent(Target.LEMMA_SH55)]
         _, fu, fi = self.ctx.factorial_tables(3 * p)
-        h = harmonic_scaled(4 * p // 3, self.ctx)  # to 2k0 = (4p-2)/3
+        h = harmonic_scaled(4 * p // 3, self.harmonic_ctx)  # to 2k0 = (4p-2)/3
         i16 = pow(16, -1, mod)
         n = (p + 1) // 2
         w = 1
@@ -591,8 +621,8 @@ class PrimeVerifier:
         ctx = self.ctx
         m = self._exponent(Target.LEMMA_SUNH)
         mod = ctx.powers[m]
-        h = harmonic_scaled(p - 1, ctx)
-        h2 = harmonic_scaled(p - 1, ctx, order=2)
+        h = harmonic_scaled(p - 1, self.harmonic_ctx)
+        h2 = harmonic_scaled(p - 1, self.harmonic_ctx, order=2)
         q2 = _fermat_quotient(2, p, m)
         q3 = _fermat_quotient(3, p, m)
         chi = 1 if p % 3 == 1 else -1

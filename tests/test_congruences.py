@@ -247,6 +247,20 @@ def test_kernel_precision_below_target_raises(built_for, target):
         getattr(pv, SPECS[target].method)()
 
 
+@pytest.mark.parametrize(
+    "built_for, target",
+    [([T.LEMMA_MPT], T.LEMMA_SUNH), ([T.LEMMA_MPT, T.THM11_4K], T.LEMMA_P2J)],
+    ids=["LEMMA_MPT-LEMMA_SUNH", "LEMMA_MPT+THM11_4K-LEMMA_P2J"],
+)
+def test_harmonic_precision_below_target_raises(built_for, target):
+    # a LEMMA_MPT verifier keeps its harmonic cache mod p, which cannot
+    # carry the sums LEMMA_SUNH reads mod p^2 or the p H LEMMA_P2J reads
+    # mod p^3, even where the other precisions suffice
+    pv = PrimeVerifier(1009, built_for)
+    with pytest.raises(ValueError, match=f"{target.value} needs harmonic precision 2, not 1"):
+        getattr(pv, SPECS[target].method)()
+
+
 def test_kernel_tables_at_p3_give_the_one_precision_rows(monkeypatch):
     # the fast path against the ground truth it replaces: with the kernel
     # exponents of CONJ1_DP1 and MUSUN_P5 set back to their m, an
@@ -302,15 +316,52 @@ def test_kernel_precision_is_the_largest_requested_kernel_exponent():
         assert pv.powers == tuple(7**i for i in range(k + 1)), targets
 
 
+def test_harmonic_precision_is_the_largest_requested_harmonic_exponent():
+    # the harmonic cache is kept to the digits its readers need: 2 for the
+    # sums the lemmas multiply by p under mod p^3 or read mod p^2, 1 for
+    # LEMMA_MPT's slope; it shares the kernel context when the two agree
+    cases = [
+        ([T.LEMMA_MPT], 2, 1),
+        ([T.LEMMA_SUNH], 2, 2),
+        ([T.LEMMA22, T.LEMMA_MPT, T.LEMMA_P2J], 3, 2),
+        (list(Target), 3, 2),
+    ]
+    for targets, kernel, h in cases:
+        pv = PrimeVerifier(7, targets)
+        assert (pv.ctx.precision, pv.harmonic_precision) == (kernel, h), targets
+        assert pv.harmonic_ctx.precision == h, targets
+        assert (pv.harmonic_ctx is pv.ctx) == (kernel == h), targets
+        assert all(r.passed for r in pv.run()), targets
+        cache = _harmonic_cache(pv.harmonic_ctx)
+        assert max(cache._h) < 7**h, targets
+        # every read went to the harmonic context: no second cache on ctx
+        assert pv.ctx._harmonic_cache is (cache if kernel == h else None), targets
+    # no requested target reads a harmonic sum: no cache is built
+    pv = PrimeVerifier(7, [T.THM11_4K])
+    assert pv.harmonic_precision == 0
+    assert pv.run()[0].passed
+    assert "harmonic_ctx" not in vars(pv) and pv.ctx._harmonic_cache is None
+
+
 def test_rows_do_not_depend_on_other_targets():
     # each target alone, at precision its own m, gives the row it has among
-    # all sixteen at precision 5
+    # all sixteen at precision 5; past 1024, where the stored ints of a
+    # table kept mod p^2 or p^3 first differ in width, the same holds for
+    # each harmonic reader alone and for the lemma trio
     strip = lambda r: (r.modulus_exponent, r.lhs, r.rhs, r.passed)
     for p in sieve_primes(5, 300):
         rows = {r.target: strip(r) for r in verify_prime(p)}
         assert set(rows) == {t for t in Target if applicable(t, p)}, p
         for t, row in rows.items():
             assert [strip(r) for r in verify_prime(p, [t])] == [row], (p, t)
+    readers = [T.LEMMA22, T.LEMMA_MPT, T.LEMMA_P2J, T.LEMMA_SUNH, T.LEMMA_SH55]
+    assert readers == [t for t in Target if SPECS[t].harmonic_exp]
+    subsets = [[t] for t in readers] + [[T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55]]
+    for p in (1009, 1013, 4001, 4003):
+        rows = {r.target: strip(r) for r in verify_prime(p)}
+        for targets in subsets:
+            want = [rows[t] for t in targets if t in rows]
+            assert [strip(r) for r in verify_prime(p, targets)] == want, (p, targets)
 
 
 def test_sieve_primes():
@@ -483,7 +534,7 @@ def test_lemma_loops_build_no_order_2_harmonics():
     p = 1009
     pv = PrimeVerifier(p, [T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55])
     assert all(r.passed for r in pv.run())
-    cache = _harmonic_cache(pv.ctx)
+    cache = _harmonic_cache(pv.harmonic_ctx)
     assert len(cache._h) == 2 * p
     assert cache._h2 is None
 
@@ -531,7 +582,7 @@ def test_harmonic_and_factorial_tables_carry_weight(p):
     j = 10
     for t in targets:
         pv = PrimeVerifier(p, targets)
-        _harmonic_cache(pv.ctx)._h[j] += 1
+        _harmonic_cache(pv.harmonic_ctx)._h[j] += 1
         assert not run(pv, t).passed, ("H", t)
         pv = PrimeVerifier(p, targets)
         pv.ctx.factorial_decomposed(3 * p)
@@ -557,19 +608,19 @@ def test_lemma_sides_read_separate_tables():
 
     def sides(perturb):
         pv = PrimeVerifier(p, [T.LEMMA22, T.LEMMA_MPT, T.LEMMA_P2J, T.LEMMA_SH55])
-        perturb(pv.ctx)
+        perturb(pv)
         return {name: list(zip(*cases(pv))) for name, cases in helpers.items()}
 
-    def bump_inverse_factorials(ctx):
-        ctx.factorial_decomposed(3 * p)
-        ctx._fact_inv[:] = [x + 1 for x in ctx._fact_inv]
+    def bump_inverse_factorials(pv):
+        pv.ctx.factorial_decomposed(3 * p)
+        pv.ctx._fact_inv[:] = [x + 1 for x in pv.ctx._fact_inv]
 
-    def bump_harmonic_sums(ctx):
+    def bump_harmonic_sums(pv):
         # by the index, since the cases read differences H_2j - H_j
-        h = _harmonic_cache(ctx)._h
+        h = _harmonic_cache(pv.harmonic_ctx)._h
         h[:] = [x + n for n, x in enumerate(h)]
 
-    clean = sides(lambda ctx: None)
+    clean = sides(lambda pv: None)
     moved_binomials = sides(bump_inverse_factorials)
     moved_harmonics = sides(bump_harmonic_sums)
     for name in helpers:
@@ -674,10 +725,21 @@ def _sh55_kept(p):
 
 def _assert_sh55_terms(pv, terms, label):
     # the verifier's terms against the kept ones of all p terms, case by
-    # case; every term it drops has a product 0 mod p^3
+    # case; every term it drops has a product 0 mod p^3.  At k0 = (2p-1)/3
+    # (p = 2 mod 3) the binomial factor carries p^2, so only the harmonic
+    # factor mod p reaches the sum, and the verifier's harmonic cache holds
+    # fewer digits than the p^3 one these terms were built from: there the
+    # harmonic factors agree mod p and the products mod p^3.
     p = pv.p
     kept = _sh55_kept(p)
-    _assert_cases_equal(pv._lemma_sh55_terms(), [terms[k] for k in kept], label)
+    got = pv._lemma_sh55_terms()
+    want = [terms[k] for k in kept]
+    if p % 3 == 2:
+        (b, h), (wb, wh) = got.pop(), want.pop()
+        assert b == wb, (label, "k0")
+        assert h % p == wh % p, (label, "k0")
+        assert b * h % p**3 == wb * wh % p**3, (label, "k0")
+    _assert_cases_equal(got, want, label)
     assert len(terms) == p, label
     for k in sorted(set(range(p)) - set(kept)):
         b, h = terms[k]
@@ -863,7 +925,7 @@ def _perturbed_run(p, target, table, i):
     entries = {
         "fu": pv.ctx._fact_unit,
         "fi": pv.ctx._fact_inv,
-        "h": special.harmonic_scaled(2 * p - 1, pv.ctx),
+        "h": special.harmonic_scaled(2 * p - 1, pv.harmonic_ctx),
     }[table]
     entries[i] += 1
     return getattr(pv, SPECS[target].method)()
@@ -892,6 +954,24 @@ def test_split_cases_carry_weight(p):
                 checked += not silent
     # 1009: 6 + 12 + 6; 1013 (no LEMMA22, five splits): 15 + 9
     assert checked == 24
+
+
+@pytest.mark.parametrize("p", [1009, 1013, 4001, 4003])
+def test_short_tables_match_the_p3_ground_truth(p):
+    # past 1024 a residue mod p^2 fits one 30-bit int digit where one mod
+    # p^3 needs two.  The harmonic lists built mod p and p^2 are the p^3
+    # lists reduced, and p/(3j+1), from inverses mod p^2, is p times the
+    # inverse of 3j+1 mod p^3, with 1 at 3j+1 = p
+    full = PrimeContext(p, 3)
+    for order, top in ((1, 2 * p - 1), (2, p - 1)):
+        truth = special.harmonic_scaled(top, full, order)
+        for k in (1, 2):
+            short = special.harmonic_scaled(top, full.with_precision(k), order)
+            assert short == [x % p**k for x in truth], (order, k)
+    pv = PrimeVerifier(p, [T.LEMMA_SH55])
+    assert pv.ctx.precision == 3
+    want = [1 if 3 * j + 1 == p else p * pow(3 * j + 1, -1, p**3) % p**3 for j in range((p + 1) // 2)]
+    assert pv._p_over_3j1 == want
 
 
 def test_p_over_3j1_is_one_batch_per_verifier(monkeypatch):
