@@ -31,12 +31,11 @@ work mod the largest requested kernel exponent (TargetSpec.kernel_exp),
 which is m for every target but two: CONJ1_DP1 (m = 4) reads only
 B_(p-3) mod p, and MUSUN_P5 (m = 5) no kernel table.  Their digits above
 p^3 come from the Domb table, a Fermat quotient and 64^(p-1) mod p^K.  The
-harmonic cache works mod the largest requested harmonic exponent
-(TargetSpec.harmonic_exp): a lemma mod p^3 multiplies each harmonic sum by
-p, LEMMA_SUNH reads its sums mod p^2 and LEMMA_MPT multiplies its slope by
-p mod p^2, so no target reads more than two digits of one.  A sweep of
-every target keeps the harmonic cache mod p^2, the other kernel tables mod
-p^3 and the Domb table mod p^5.
+harmonic cache works mod p^2 whatever is requested: a lemma mod p^3
+multiplies each harmonic sum by p, LEMMA_SUNH reads its sums mod p^2 and
+LEMMA_MPT multiplies its slope by p mod p^2, so no target reads more than
+two digits of one.  A sweep of every target keeps the harmonic cache mod
+p^2, the other kernel tables mod p^3 and the Domb table mod p^5.
 """
 
 from __future__ import annotations
@@ -102,17 +101,17 @@ class TargetSpec:
     """Every fact about a target except its closed form: the CLI group it
     belongs to, the primes it is stated for, the exponent m of its modulus
     p^m, the PrimeVerifier method that evaluates it (by name, so the
-    method is looked up on the verifier at call time), the digits its
+    method is looked up on the verifier at call time), and the digits its
     right side reads off the kernel tables (the factorial tables,
-    p/(3j+1), the Bernoulli table), which default to m, and the digits of
-    the stored harmonic sums it reads, which default to 0 (none)."""
+    p/(3j+1), the Bernoulli table), which default to m.  Every target that
+    reads the harmonic cache has a kernel exponent of at least 2, the
+    digits the cache is kept to."""
 
     group: str
     applies: Callable[[int], bool]
     mod_exp: Callable[[int], int]
     method: str
     kernel_exp: Callable[[int], int] | None = None
-    harmonic_exp: int = 0
 
     def __post_init__(self):
         if self.kernel_exp is None:
@@ -142,7 +141,6 @@ def _k2_exp(p: int) -> int:
 # The catalog.  A new target is one entry here plus the method it names.
 # CONJ1_DP1 reads B_(p-3) mod p and MUSUN_P5 no kernel table at all: the
 # digits above p^3 come from the Domb table, a Fermat quotient or a power.
-# The lemmas read H mod p^2 (p H mod p^3), LEMMA_MPT its slope mod p.
 SPECS: dict[Target, TargetSpec] = {
     Target.THM11_4K: TargetSpec("thm1.1", _every, _exp(3), "thm11_4k"),
     Target.THM11_16K: TargetSpec("thm1.1", _every, _exp(3), "thm11_16k"),
@@ -155,13 +153,11 @@ SPECS: dict[Target, TargetSpec] = {
     Target.CONJ1_DP1: TargetSpec("conj1", _every, _exp(4), "conj1_dp1", _exp(1)),
     Target.CONJ2_MODP2: TargetSpec("conj2", _every, _exp(2), "conj2_mod_p2"),
     Target.MUSUN_P5: TargetSpec("musun", _every, _exp(5), "musun", _exp(0)),
-    Target.LEMMA22: TargetSpec("lemmas", _one_mod_3, _exp(3), "lemma22_check", harmonic_exp=2),
-    Target.LEMMA_MPT: TargetSpec("lemmas", _one_mod_3, _exp(2), "lemma_mpt_check", harmonic_exp=1),
-    Target.LEMMA_P2J: TargetSpec("lemmas", _every, _exp(3), "lemma_p2j_check", harmonic_exp=2),
-    Target.LEMMA_SUNH: TargetSpec(
-        "lemmas", lambda p: p > 5, _exp(2), "lemma_sunh_check", harmonic_exp=2
-    ),
-    Target.LEMMA_SH55: TargetSpec("lemmas", _every, _exp(3), "lemma_sh55_check", harmonic_exp=2),
+    Target.LEMMA22: TargetSpec("lemmas", _one_mod_3, _exp(3), "lemma22_check"),
+    Target.LEMMA_MPT: TargetSpec("lemmas", _one_mod_3, _exp(2), "lemma_mpt_check"),
+    Target.LEMMA_P2J: TargetSpec("lemmas", _every, _exp(3), "lemma_p2j_check"),
+    Target.LEMMA_SUNH: TargetSpec("lemmas", lambda p: p > 5, _exp(2), "lemma_sunh_check"),
+    Target.LEMMA_SH55: TargetSpec("lemmas", _every, _exp(3), "lemma_sh55_check"),
 }
 
 
@@ -219,12 +215,11 @@ class PrimeVerifier:
     (``TargetSpec.kernel_exp``) in ``want``, at least 1, and the factorial
     tables, p/(3j+1) and the Bernoulli table are kept to that many digits,
     p^3 for an all-targets sweep.  The harmonic cache lives on
-    ``harmonic_ctx``, at ``harmonic_precision``, the largest
-    ``TargetSpec.harmonic_exp`` in ``want``: 2 for an all-targets sweep.
+    ``harmonic_ctx``, mod p^2, the most any target reads of a harmonic sum.
     Every side is ring arithmetic with no division by p, so no digit above
-    what a target declares is needed, and a target's residues do not depend
-    on which other targets are requested.  The shared tables are built on
-    first read and kept.
+    a target's m is needed, and a target's residues do not depend on which
+    other targets are requested.  The shared tables are built on first read
+    and kept.
     """
 
     def __init__(self, p: int, targets=None):
@@ -233,7 +228,6 @@ class PrimeVerifier:
         self.want = frozenset(t for t in targets if applicable(t, p))
         self.ctx = PrimeContext(p, max([1] + [SPECS[t].kernel_exp(p) for t in self.want]))
         self.precision = max((modulus_exponent(t, p) for t in self.want), default=1)
-        self.harmonic_precision = max((SPECS[t].harmonic_exp for t in self.want), default=0)
         self.powers = tuple(p**i for i in range(self.precision + 1))
         self.p = p
         self._sums: dict[str, int] = {}
@@ -279,14 +273,12 @@ class PrimeVerifier:
 
     @cached_property
     def harmonic_ctx(self) -> PrimeContext:
-        """The context the harmonic cache is built on: ``ctx`` when the
-        kernel works to ``harmonic_precision`` digits too, and a context of
-        its own at that precision otherwise (an error when no requested
-        target reads a harmonic sum)."""
+        """The context the harmonic cache is built on, at precision 2:
+        ``ctx`` when the kernel works to 2 digits too, and a context of its
+        own otherwise.  Every reader's kernel exponent is at least 2, so
+        ``_exponent`` refuses a verifier whose kernel has fewer digits."""
         ctx = self.ctx
-        if ctx.precision != self.harmonic_precision:
-            ctx = ctx.with_precision(self.harmonic_precision)
-        return ctx
+        return ctx if ctx.precision == 2 else ctx.with_precision(2)
 
     @cached_property
     def decomposition(self):
@@ -320,10 +312,9 @@ class PrimeVerifier:
 
     def _exponent(self, target: Target) -> int:
         """The target's m at this prime; WrongPrimeClass where it is not stated,
-        ValueError where the precision K is below m, the kernel precision
-        below the target's kernel exponent or the harmonic precision below
-        its harmonic exponent (the target was not requested, and the
-        verifier works to fewer digits)."""
+        ValueError where the precision K is below m or the kernel precision
+        below the target's kernel exponent (the target was not requested,
+        and the verifier works to fewer digits)."""
         spec = SPECS[target]
         p = self.p
         if not spec.applies(p):
@@ -334,9 +325,6 @@ class PrimeVerifier:
         k = spec.kernel_exp(p)
         if self.ctx.precision < k:
             raise ValueError(f"{target.value} needs kernel precision {k}, not {self.ctx.precision}")
-        h = spec.harmonic_exp
-        if self.harmonic_precision < h:
-            raise ValueError(f"{target.value} needs harmonic precision {h}, not {self.harmonic_precision}")
         return m
 
     def _report(self, target, lhs: int, rhs: int) -> CongruenceReport:

@@ -59,14 +59,13 @@ class HarmonicCache:
     The cache stores plain ints mod p^K, one list per order: H_n below p,
     and the p-integral p H_n from p on, where 1/p enters the sum.  The
     verifier reads both lists through ``harmonic_scaled``, on a context of
-    the digits its targets read (``TargetSpec.harmonic_exp``), at most
-    two: each sum enters a right side mod p^3 times p, or one mod p^2.  The
-    order-1 list is built here, its terms from one batch inversion of
-    1..2p-1 with k = p taken as its p-free part 1, and no read of the
-    factorial tables: the lemma checks compare these sums with binomials,
-    which the factorial tables build.  The order-2 list is built on its
-    first read; its terms are the squares of the order-1 terms, read back
-    as differences of the order-1 list.
+    precision 2, the most its targets read: each sum enters a right side
+    mod p^3 times p, or one mod p^2.  The order-1 list is built here, its
+    terms from one batch inversion of 1..2p-1 with k = p taken as its
+    p-free part 1, and no read of the factorial tables: the lemma checks
+    compare these sums with binomials, which the factorial tables build.
+    The order-2 list is built on its first read; its terms are the squares
+    of the order-1 terms, read back as differences of the order-1 list.
 
     ``get`` builds the PAdicValue on read: p H_n / p for n >= p, known mod
     p^(K - 1), with the negative valuation and the bounded precision that

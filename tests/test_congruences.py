@@ -247,20 +247,6 @@ def test_kernel_precision_below_target_raises(built_for, target):
         getattr(pv, SPECS[target].method)()
 
 
-@pytest.mark.parametrize(
-    "built_for, target",
-    [([T.LEMMA_MPT], T.LEMMA_SUNH), ([T.LEMMA_MPT, T.THM11_4K], T.LEMMA_P2J)],
-    ids=["LEMMA_MPT-LEMMA_SUNH", "LEMMA_MPT+THM11_4K-LEMMA_P2J"],
-)
-def test_harmonic_precision_below_target_raises(built_for, target):
-    # a LEMMA_MPT verifier keeps its harmonic cache mod p, which cannot
-    # carry the sums LEMMA_SUNH reads mod p^2 or the p H LEMMA_P2J reads
-    # mod p^3, even where the other precisions suffice
-    pv = PrimeVerifier(1009, built_for)
-    with pytest.raises(ValueError, match=f"{target.value} needs harmonic precision 2, not 1"):
-        getattr(pv, SPECS[target].method)()
-
-
 def test_kernel_tables_at_p3_give_the_one_precision_rows(monkeypatch):
     # the fast path against the ground truth it replaces: with the kernel
     # exponents of CONJ1_DP1 and MUSUN_P5 set back to their m, an
@@ -316,29 +302,28 @@ def test_kernel_precision_is_the_largest_requested_kernel_exponent():
         assert pv.powers == tuple(7**i for i in range(k + 1)), targets
 
 
-def test_harmonic_precision_is_the_largest_requested_harmonic_exponent():
-    # the harmonic cache is kept to the digits its readers need: 2 for the
-    # sums the lemmas multiply by p under mod p^3 or read mod p^2, 1 for
-    # LEMMA_MPT's slope; it shares the kernel context when the two agree
+def test_harmonic_cache_is_kept_mod_p2():
+    # no target reads more than two digits of a harmonic sum: the lemmas
+    # multiply each by p under mod p^3 or read it mod p^2.  The cache
+    # shares the kernel context when that works mod p^2 too
     cases = [
-        ([T.LEMMA_MPT], 2, 1),
-        ([T.LEMMA_SUNH], 2, 2),
-        ([T.LEMMA22, T.LEMMA_MPT, T.LEMMA_P2J], 3, 2),
-        (list(Target), 3, 2),
+        ([T.LEMMA_MPT], 2),
+        ([T.LEMMA_SUNH], 2),
+        ([T.LEMMA22, T.LEMMA_MPT, T.LEMMA_P2J], 3),
+        (list(Target), 3),
     ]
-    for targets, kernel, h in cases:
+    for targets, kernel in cases:
         pv = PrimeVerifier(7, targets)
-        assert (pv.ctx.precision, pv.harmonic_precision) == (kernel, h), targets
-        assert pv.harmonic_ctx.precision == h, targets
-        assert (pv.harmonic_ctx is pv.ctx) == (kernel == h), targets
+        assert pv.ctx.precision == kernel, targets
+        assert pv.harmonic_ctx.precision == 2, targets
+        assert (pv.harmonic_ctx is pv.ctx) == (kernel == 2), targets
         assert all(r.passed for r in pv.run()), targets
         cache = _harmonic_cache(pv.harmonic_ctx)
-        assert max(cache._h) < 7**h, targets
+        assert max(cache._h) < 7**2, targets
         # every read went to the harmonic context: no second cache on ctx
-        assert pv.ctx._harmonic_cache is (cache if kernel == h else None), targets
+        assert pv.ctx._harmonic_cache is (cache if kernel == 2 else None), targets
     # no requested target reads a harmonic sum: no cache is built
     pv = PrimeVerifier(7, [T.THM11_4K])
-    assert pv.harmonic_precision == 0
     assert pv.run()[0].passed
     assert "harmonic_ctx" not in vars(pv) and pv.ctx._harmonic_cache is None
 
@@ -355,7 +340,6 @@ def test_rows_do_not_depend_on_other_targets():
         for t, row in rows.items():
             assert [strip(r) for r in verify_prime(p, [t])] == [row], (p, t)
     readers = [T.LEMMA22, T.LEMMA_MPT, T.LEMMA_P2J, T.LEMMA_SUNH, T.LEMMA_SH55]
-    assert readers == [t for t in Target if SPECS[t].harmonic_exp]
     subsets = [[t] for t in readers] + [[T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55]]
     for p in (1009, 1013, 4001, 4003):
         rows = {r.target: strip(r) for r in verify_prime(p)}
