@@ -19,7 +19,7 @@ from .congruences import SPECS, Target, sieve_primes, sweep
 from .domb import domb_exact
 from .identities import check_all_identities
 from .padic import is_prime
-from .quadform import NotRepresentable, decompose_x2_3y2
+from .quadform import NotRepresentable, decompose_known_prime
 
 # The group labels of --targets, in catalog order, plus "all".
 _LABELS = {
@@ -155,12 +155,12 @@ def _cmd_domb(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    p = args.prime
-    if p == 3:  # the one prime with x = 0, which decompose_x2_3y2 excludes
+    p = args.prime  # main has proved it prime
+    if p == 3:  # the one prime with x = 0, which the descent excludes
         print("3 = 0^2 + 3*1^2")
         return 0
     try:
-        d = decompose_x2_3y2(p)
+        d = decompose_known_prime(p)
     except NotRepresentable:
         print(f"{p} is not representable as x^2 + 3*y^2")
         return 0

@@ -3,27 +3,29 @@
 Left-hand sides of the Domb targets are partial sums of the Domb residue
 table against geometric weights, nothing else; their right-hand sides go
 through the p-adic kernel's tables (binomials, harmonic numbers, Fermat
-quotients, the Bernoulli table).  Every right side is a plain int mod p^m:
+quotients, Bernoulli values).  Every right side is a plain int mod p^m:
 binomials are read off the factorial tables as unit * p^v (but for
-LEMMA_MPT's, a unit by math.comb, since its left side reads those
-tables), harmonic sums are the harmonic cache's stored ints, a Fermat quotient is
-(a^(p-1) mod p^(n+1) - 1) / p, the Euler number E_(p-3) is B_(p-2)(1/4)/8
-mod p, and each rational coefficient is an int times the inverse of its
-denominator, which is prime to p.  The three range-quantified lemmas
-(LEMMA22, LEMMA_P2J, LEMMA_SH55) zip strided slices of the factorial
-tables, the harmonic cache and one p/(3j+1) list over j < (p+1)/2, from
-one batch inversion of its own.  Every factorial they read is below
-3p < p^2, where v_p(n!) = floor(n/p), so each quotient's valuation is a
-constant over a range, written once: 1 at every case of LEMMA_P2J; 1 at
-every case of LEMMA22 but 3j+1 = p, where it is 0; and for C(2k,k) in
-LEMMA_SH55, 0 below k = (p+1)/2 and 1 from there.  LEMMA_SH55 sums only
-the terms that can be nonzero mod p^3: from k = (p+1)/2 on, a term is
-p^2 from C(2k,k)^2 times p from p/(3k+1), except the one with
-3k+1 = 2p.  Only LEMMA_MPT's left side, a
-binomial at a rational top index, is still a PAdicValue.  The PAdicValue
-forms and the per-case loops these replaced are kept as oracles in the
-tests.  The two sides meet only in the final residue comparison, so a bug
-in the closed forms cannot silently cancel against one in the sums.
+LEMMA_MPT's, a unit by math.comb, since its left side reads those tables),
+harmonic sums are the harmonic cache's stored ints, a Fermat quotient is
+(a^(p-1) mod p^(n+1) - 1) / p, each Bernoulli value (B_(p-3) = B_(p-3)(0),
+B_(p-2)(1/3), and the Euler number E_(p-3) as B_(p-2)(1/4)/8) is one
+bernoulli_poly pass mod p over the memoized series sigma, with no
+Bernoulli table built, and each rational coefficient is an int times the
+inverse of its denominator, which is prime to p.  The three
+range-quantified lemmas (LEMMA22, LEMMA_P2J, LEMMA_SH55) zip strided
+slices of the factorial tables, the harmonic cache and one p/(3j+1) list
+over j < (p+1)/2, from one batch inversion of its own.  Every factorial
+they read is below 3p < p^2, where v_p(n!) = floor(n/p), so each
+quotient's valuation is a constant over a range, written once: 1 at every
+case of LEMMA_P2J; 1 at every case of LEMMA22 but 3j+1 = p, where it is 0;
+and for C(2k,k) in LEMMA_SH55, 0 below k = (p+1)/2 and 1 from there.
+LEMMA_SH55 sums only the terms that can be nonzero mod p^3: from k =
+(p+1)/2 on, a term is p^2 from C(2k,k)^2 times p from p/(3k+1), except the
+one with 3k+1 = 2p.  Only LEMMA_MPT's left side, a binomial at a rational
+top index, is still a PAdicValue.  The PAdicValue forms and the per-case
+loops these replaced are kept as oracles in the tests.  The two sides meet
+only in the final residue comparison, so a bug in the closed forms cannot
+silently cancel against one in the sums.
 
 Each table is kept to the digits its readers need.  The Domb table and its
 weighted sums work mod p^K, K the largest requested m.  The kernel tables
@@ -52,8 +54,8 @@ from time import perf_counter
 
 from .domb import DombTable
 from .padic import PrimeContext, batch_inverse, binomial_rational, binomial_residues
-from .quadform import decompose_x2_3y2
-from .special import bernoulli_poly, bernoulli_table, harmonic_scaled
+from .quadform import decompose_known_prime
+from .special import bernoulli_poly, harmonic_scaled
 
 __all__ = [
     "Target",
@@ -103,7 +105,7 @@ class TargetSpec:
     p^m, the PrimeVerifier method that evaluates it (by name, so the
     method is looked up on the verifier at call time), and the digits its
     right side reads off the kernel tables (the factorial tables,
-    p/(3j+1), the Bernoulli table), which default to m.  Every target that
+    p/(3j+1), the Bernoulli values), which default to m.  Every target that
     reads the harmonic cache has a kernel exponent of at least 2, the
     digits the cache is kept to."""
 
@@ -213,9 +215,11 @@ class PrimeVerifier:
     kept mod p^K, and each row is reduced mod p^m from ``powers``.  ``ctx``
     is the kernel context: its precision is the largest kernel exponent
     (``TargetSpec.kernel_exp``) in ``want``, at least 1, and the factorial
-    tables, p/(3j+1) and the Bernoulli table are kept to that many digits,
-    p^3 for an all-targets sweep.  The harmonic cache lives on
-    ``harmonic_ctx``, mod p^2, the most any target reads of a harmonic sum.
+    tables and p/(3j+1) are kept to that many digits, p^3 for an
+    all-targets sweep.  The three Bernoulli values are taken mod p by
+    bernoulli_poly from one series sigma memoized on ``ctx``; no Bernoulli
+    table is built.  The harmonic cache lives on ``harmonic_ctx``, mod p^2,
+    the most any target reads of a harmonic sum.
     Every side is ring arithmetic with no division by p, so no digit above
     a target's m is needed, and a target's residues do not depend on which
     other targets are requested.  The shared tables are built on first read
@@ -282,7 +286,8 @@ class PrimeVerifier:
 
     @cached_property
     def decomposition(self):
-        return decompose_x2_3y2(self.p)
+        """p = x^2 + 3y^2, by the descent alone: ``ctx`` proved p prime."""
+        return decompose_known_prime(self.p)
 
     def r3(self) -> int:
         """The correction unit used on the p = 2 (mod 3) side, mod the
@@ -421,10 +426,11 @@ class PrimeVerifier:
 
     def conj1_dp1(self) -> CongruenceReport:
         """D_(p-1) against 64^(p-1) - (p^3/6) B_(p-3) mod p^4: the power
-        mod p^K, the Bernoulli number mod p."""
+        mod p^K, the Bernoulli number mod p as B_(p-3)(0), one pass of
+        bernoulli_poly with no Bernoulli table built."""
         p = self.p
         lhs = self.domb_table[p - 1]
-        b = bernoulli_table(self.ctx)[p - 3]
+        b = bernoulli_poly(p - 3, 0, self.ctx)
         rhs = pow(64, p - 1, self.powers[-1]) - p**3 * (b * pow(6, -1, p) % p)
         return self._report(Target.CONJ1_DP1, lhs, rhs)
 
@@ -594,8 +600,8 @@ class PrimeVerifier:
     def lemma_sunh_check(self) -> CongruenceReport:
         """The harmonic-number evaluations at p/6, p/4, p/3, 2p/3 and the
         half/full range, against Fermat quotients, B_(p-2)(1/3) and
-        E_(p-3), the last read as B_(p-2)(1/4)/8 mod p off the Bernoulli
-        table.  All sub-congruences must hold; p = 5 is excluded."""
+        E_(p-3), the last read as B_(p-2)(1/4)/8 mod p, both through
+        bernoulli_poly.  All sub-congruences must hold; p = 5 is excluded."""
         return self._first_failure(Target.LEMMA_SUNH, self._lemma_sunh_cases())
 
     def _lemma_sunh_cases(self) -> list[tuple[int, int]]:

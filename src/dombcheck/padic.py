@@ -163,7 +163,7 @@ class PrimeContext:
         self._fact_inv = [1]
         # per-prime tables that special.py builds on first use
         self._harmonic_cache = None
-        self._bernoulli_mod_p = None
+        self._sigma_mod_p = None
 
     def __repr__(self) -> str:
         return f"PrimeContext(p={self.p}, precision={self.precision})"

@@ -7,7 +7,7 @@ from math import isqrt
 
 from .padic import is_prime
 
-__all__ = ["NotRepresentable", "QuadDecomposition", "decompose_x2_3y2"]
+__all__ = ["NotRepresentable", "QuadDecomposition", "decompose_x2_3y2", "decompose_known_prime"]
 
 
 class NotRepresentable(ValueError):
@@ -24,14 +24,24 @@ class QuadDecomposition:
 def decompose_x2_3y2(p: int) -> QuadDecomposition:
     """Write a prime p = 1 (mod 3) as x^2 + 3y^2 with x, y >= 1.
 
+    Raises ValueError when p is not prime, then descends as
+    decompose_known_prime does.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return decompose_known_prime(p)
+
+
+def decompose_known_prime(p: int) -> QuadDecomposition:
+    """decompose_x2_3y2 for a p already proved prime (as PrimeContext
+    does), without testing p again.
+
     Cornacchia's descent: take the root of -3 mod p lying in (p/2, p),
     read off a primitive cube root of unity, run the Euclidean remainder
     sequence down past sqrt(p), and the first remainder below it is x.  The
     representation is unique up to signs, and the identity is asserted
     before returning.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if p == 3:
         raise NotRepresentable("3 = 0^2 + 3*1^2 has x = 0, and x, y >= 1 are asked for")
     if p % 3 != 1:

@@ -1,33 +1,36 @@
-"""Harmonic numbers, Bernoulli and Euler residue tables, and Morita's
-p-adic gamma function.
+"""Harmonic numbers, Bernoulli and Euler residues, and Morita's p-adic
+gamma function.
 
 Everything here is evaluated against a PrimeContext.  The harmonic cache
-and the Bernoulli table are memoized on the context object so that the
-congruence checks can share them.  The factorials the series need, of
-0..p-1 mod p, are the context's factorial table reduced mod p; the
-binomials and the gamma function read the same table.  Bernoulli and Euler
-residues come from generating series mod p in O(M(p) log p), M(p) the cost
-of a degree-p polynomial product (Buhler, Crandall, Ernvall and Metsankyla,
-Math. Comp. 61, 1993; Harvey, J. Symb. Comp. 44, 2009): the Euler numbers
-invert cosh x, the Bernoulli numbers are the quotient x coth x =
-cosh x / (sinh x / x), both series in x^2 of (p-1)/2 terms.  Each inverse
-is Newton doubling whose steps read only the middle of a product (Hanrot,
-Quercia and Zimmermann, AAECC 14, 2004).  Each product is one big-integer
-multiply by Kronecker substitution, its operands packed and its slots read
-by struct, in slots of at most 8 bytes (p < 2^21 for the Bernoulli table).
-Never via harmonic sums (Lehmer, Ann. Math. 39, 1938): LEMMA_SUNH compares
-the two, and would then hold by construction.
+and the series sigma behind every Bernoulli value are memoized on the
+context object so that the congruence checks can share them.  The
+factorials the series need, of 0..p-1 mod p, are the context's factorial
+table reduced mod p; the binomials and the gamma function read the same
+table.  Bernoulli and Euler residues come from generating series mod p in
+O(M(p) log p), M(p) the cost of a degree-p polynomial product (Buhler,
+Crandall, Ernvall and Metsankyla, Math. Comp. 61, 1993; Harvey, J. Symb.
+Comp. 44, 2009), both series in x^2 of (p-1)/2 terms: the Euler numbers
+invert cosh x, and sigma inverts sinh x / x, so u / sinh u = sum sigma_j
+u^(2j).  Each inverse is Newton doubling whose steps read only the middle
+of a product (Hanrot, Quercia and Zimmermann, AAECC 14, 2004).  Each
+product is one big-integer multiply by Kronecker substitution, its
+operands packed and its slots read by struct, in slots of at most 8 bytes
+(p < 2^21 for sigma).  Never via harmonic sums (Lehmer, Ann. Math. 39,
+1938): LEMMA_SUNH compares the two, and would then hold by construction.
 
-The verifier reads only the Bernoulli table: LEMMA_SUNH takes E_(p-3) as
-B_(p-2)(1/4)/8 mod p through bernoulli_poly.  euler_table stays public, not
-memoized, and the tests use it as an oracle for that identity.
+The verifier reads three Bernoulli values, each one O(p) pass of
+bernoulli_poly over sigma: B_(p-3) = B_(p-3)(0) for CONJ1_DP1, and
+B_(p-2)(1/3) and E_(p-3) = B_(p-2)(1/4)/8 mod p for LEMMA_SUNH.  It builds
+no full table and takes no product past the inverse.  bernoulli_table (the
+quotient x coth x = cosh x / (sinh x / x), sigma times cosh) and
+euler_table stay public, not memoized, and the tests use them as oracles.
 """
 
 from __future__ import annotations
 
 import struct
 import weakref
-from itertools import accumulate, islice
+from itertools import accumulate
 
 from .padic import (
     DenominatorDivisibleByP,
@@ -60,10 +63,13 @@ class HarmonicCache:
     and the p-integral p H_n from p on, where 1/p enters the sum.  The
     verifier reads both lists through ``harmonic_scaled``, on a context of
     precision 2, the most its targets read: each sum enters a right side
-    mod p^3 times p, or one mod p^2.  The order-1 list is built here, its
-    terms from one batch inversion of 1..2p-1 with k = p taken as its
-    p-free part 1, and no read of the factorial tables: the lemma checks
-    compare these sums with binomials, which the factorial tables build.
+    mod p^3 times p, or one mod p^2.  The order-1 list is built here from
+    one batch inversion of 1..p-1, and no read of the factorial tables:
+    the lemma checks compare these sums with binomials, which the
+    factorial tables build.  The term at k = p is p/p = 1, and from there
+    each term p/(p+r) is u/(1+u) = u - u^2 + ... +- u^(K-1) mod p^K with
+    u = p/r, so the inverses below p serve both halves; at K = 2 the term
+    is u itself.
     The order-2 list is built on its first read; its terms are the squares
     of the order-1 terms, read back as differences of the order-1 list.
 
@@ -80,14 +86,16 @@ class HarmonicCache:
         self._ctx = weakref.ref(ctx)
         p = ctx.p
         pk = ctx.pk
-        units = list(range(1, 2 * p))
-        units[p - 1] = 1  # k = p: its term p/p = 1 is added below
-        inv = batch_inverse(units, pk)
-        del units
+        inv = batch_inverse(list(range(1, p)), pk)
         self._h = h = [0]
-        h.extend(s % pk for s in accumulate(islice(inv, p - 1)))
-        # from k = p on the list holds p H_k: p H_(p-1) + p/p, then p/k
-        high = (p * x for x in islice(inv, p, None))
+        h.extend(s % pk for s in accumulate(inv))
+        # from k = p on the list holds p H_k: p H_(p-1) + p/p, then
+        # p/(p+r) = u (1 - u (1 - u (...))) mod p^K for u = p/r, one pass
+        # per digit past the second
+        u = [p * x % pk for x in inv]
+        high = u
+        for _ in range(ctx.precision - 2):
+            high = [a * (1 - b) % pk for a, b in zip(u, high)]
         h.extend(s % pk for s in accumulate(high, initial=p * h[-1] + 1))
         self._h2 = None
 
@@ -170,7 +178,7 @@ def _slot_fields(w: int) -> tuple[str, tuple[int, ...]]:
     except KeyError:
         raise ValueError(
             f"Kronecker slots of {w} bytes: at most 8 are supported, "
-            "enough for the Bernoulli table at p < 2^21"
+            "enough for the Bernoulli series at p < 2^21"
         ) from None
 
 
@@ -238,34 +246,45 @@ def _series_inverse(a: list[int], n: int, p: int) -> list[int]:
     return b
 
 
+def _sinh_inverse(ctx: PrimeContext) -> list[int]:
+    """sigma_0 .. sigma_((p-3)/2) mod p, where u / sinh u = sum sigma_j
+    u^(2j): one series inverse of sinh x / x = sum x^(2k)/(2k+1)!, the
+    factorials read off the context's factorial table and reduced mod p.
+    Every sigma_j here is p-integral, and nothing is divided by p.  The
+    context memoizes it; bernoulli_poly and bernoulli_table both read it."""
+    if ctx._sigma_mod_p is None:
+        p = ctx.p
+        _, _, fi = ctx.factorial_tables(p - 1)
+        ctx._sigma_mod_p = _series_inverse(fi[1 : p - 1 : 2], (p - 1) // 2, p)
+    return ctx._sigma_mod_p
+
+
 def bernoulli_table(ctx: PrimeContext) -> list[int]:
     """Residues of B_0 .. B_(p-3) modulo p, first-kind convention B_1 = -1/2.
 
     Past B_1 only even indices are nonzero.  With y = x^2,
-    x coth x = sum 4^k B_2k y^k/(2k)! = cosh x / (sinh x / x): one inverse
-    of sum y^k/(2k+1)! to (p-1)/2 terms, one product with
-    sum y^k/(2k)!, then B_2k = c_k (2k)! / 4^k; in all O(M(p) log p).
-    The factorials below p are units, read off the context's factorial
-    table (mod p^K) and reduced mod p.  Never from harmonic sums, which
-    LEMMA_SUNH checks against this table.
+    x coth x = sum 4^k B_2k y^k/(2k)! = cosh x / (sinh x / x): the inverse
+    of sinh x / x is the context's memoized sigma, one product with
+    sum y^k/(2k)! follows, then B_2k = c_k (2k)! / 4^k; in all
+    O(M(p) log p).  Never from harmonic sums, which LEMMA_SUNH checks
+    against these values.  The verifier reads its three Bernoulli values
+    through bernoulli_poly and never builds this table; it is kept, not
+    memoized, as the tests' oracle.
     """
-    if ctx._bernoulli_mod_p is None:
-        p = ctx.p
-        n = (p - 1) // 2
-        _, f, fi = ctx.factorial_tables(p - 1)
-        w = _slot_bytes(n, p)
-        s = _series_inverse(fi[1 : p - 1 : 2], n, p)
-        cosh = _pack([u % p for u in fi[0 : p - 2 : 2]], w, p)
-        c = _unpack(_pack(s, w, p) * cosh, 2 * n, 0, n, w, p)
-        b = [0] * (p - 2)
-        quarter = pow(4, -1, p)
-        q = 1
-        for k, ck in enumerate(c):
-            b[2 * k] = ck * f[2 * k] % p * q % p
-            q = q * quarter % p
-        b[1] = (p - 1) // 2  # -1/2
-        ctx._bernoulli_mod_p = b
-    return ctx._bernoulli_mod_p
+    p = ctx.p
+    n = (p - 1) // 2
+    _, f, fi = ctx.factorial_tables(p - 1)
+    w = _slot_bytes(n, p)
+    cosh = _pack([u % p for u in fi[0 : p - 2 : 2]], w, p)
+    c = _unpack(_pack(_sinh_inverse(ctx), w, p) * cosh, 2 * n, 0, n, w, p)
+    b = [0] * (p - 2)
+    quarter = pow(4, -1, p)
+    q = 1
+    for k, ck in enumerate(c):
+        b[2 * k] = ck * f[2 * k] % p * q % p
+        q = q * quarter % p
+    b[1] = (p - 1) // 2  # -1/2
+    return b
 
 
 def euler_table(ctx: PrimeContext) -> list[int]:
@@ -285,14 +304,14 @@ def euler_table(ctx: PrimeContext) -> list[int]:
 
 
 def bernoulli_poly(n: int, x, ctx: PrimeContext) -> int:
-    """B_n(x) = sum_k C(n,k) B_k x^(n-k) reduced modulo p.
+    """B_n(x) reduced modulo p, for 0 <= n <= p - 2.
 
-    Allowed for n <= p - 2: the only coefficient outside the stored table is
-    B_(p-2), which vanishes because p - 2 is odd.  Past k = 1 only even k
-    contribute, so with r = n mod 2 that part is x^r times a polynomial in
-    x^2, taken by Horner over C(n,k) B_k for k = 0, 2, .., n - r (read as
-    strided slices of the tables, with n! factored out); the k = 1 term
-    -n/2 x^(n-1) is added on its own.
+    From t e^(xt)/(e^t - 1) = (t/2)/sinh(t/2) e^((x-1/2)t), with z = x - 1/2,
+    B_n(x) = n! sum_j sigma_j 4^(-j) z^(n-2j)/(n-2j)! over j <= J = n//2,
+    sigma the context's memoized inverse of sinh x / x.  Taken by Horner in
+    Y = 4 z^2 over sigma_j / (n-2j)!, then B_n(x) = n! z^(n mod 2) 4^(-J)
+    times that sum: one O(n) pass, no full Bernoulli table and no product.
+    J is at most (p-3)/2, the last sigma_j kept, and n! is a unit.
     """
     p = ctx.p
     if n < 0 or n > p - 2:
@@ -300,17 +319,15 @@ def bernoulli_poly(n: int, x, ctx: PrimeContext) -> int:
     x = as_fraction(x)
     if x.denominator % p == 0:
         raise DenominatorDivisibleByP(f"denominator of {x} is divisible by {p}")
-    xi = x.numerator * pow(x.denominator, -1, p) % p
-    b = bernoulli_table(ctx)
+    z = (x.numerator * pow(x.denominator, -1, p) - (p + 1) // 2) % p
+    sigma = _sinh_inverse(ctx)
     _, f, fi = ctx.factorial_tables(p - 1)
-    y = xi * xi % p
+    y = 4 * z * z % p
     total = 0
-    for bk, ik, ink in zip(b[0 : n + 1 : 2], fi[0 : n + 1 : 2], fi[n::-2]):
-        total = (total * y + bk * ik * ink) % p
-    total = total * f[n] * pow(xi, n % 2, p)
-    if n >= 1:
-        total += n * b[1] * pow(xi, n - 1, p)
-    return total % p
+    # fi[n::-2] holds the J + 1 factors 1/(n-2j)!, so zip stops at sigma_J
+    for s, i in zip(sigma, fi[n::-2]):
+        total = (total * y + s * i) % p
+    return total * f[n] * pow(z, n % 2, p) * pow(4, -(n // 2), p) % p
 
 
 def _first_level_unit(m: int, ctx: PrimeContext) -> int:

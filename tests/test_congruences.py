@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from dombcheck import congruences, padic, special
+from dombcheck import congruences, padic, quadform, special
 from dombcheck.congruences import (
     SPECS,
     CongruenceReport,
@@ -534,7 +534,8 @@ def test_sweep_runs_every_target_past_1000():
 # one prime of each class mod 3, past the primes the acceptance criteria read
 @pytest.mark.parametrize("p", [1009, 1013])
 def test_bernoulli_and_euler_tables_carry_weight(p, monkeypatch):
-    # LEMMA_SUNH reads E_(p-3) as B_(p-2)(1/4)/8: B_(p-3) moves both
+    # LEMMA_SUNH reads E_(p-3) as B_(p-2)(1/4)/8: the last sigma_j, which
+    # enters B_(p-3) and every B_(p-2)(x) with x != 1/2, moves both
     # targets, and B_(p-2)(1/4) alone moves LEMMA_SUNH
     targets = [T.CONJ1_DP1, T.LEMMA_SUNH]
     run = lambda pv, t: getattr(pv, SPECS[t].method)()
@@ -542,7 +543,7 @@ def test_bernoulli_and_euler_tables_carry_weight(p, monkeypatch):
     assert all(run(pv, t).passed for t in targets)
     for t in targets:
         pv = PrimeVerifier(p, targets)
-        bernoulli_table(pv.ctx)[p - 3] += 1
+        special._sinh_inverse(pv.ctx)[-1] += 1
         assert not run(pv, t).passed, t
 
     def off_at_a_quarter(n, x, ctx):
@@ -1251,6 +1252,20 @@ def test_verifier_builds_no_euler_table(monkeypatch):
         assert _row_digest(verify_prime(p)) == FROZEN_ROW_DIGESTS[p], p
 
 
+def test_verifier_builds_no_bernoulli_table(monkeypatch):
+    # CONJ1_DP1 and LEMMA_SUNH read their three Bernoulli values through
+    # bernoulli_poly off sigma; the full table is left to the tests as an
+    # oracle
+    def refuse(*args):
+        raise AssertionError("the verifier built the Bernoulli table")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dombcheck" and module.__dict__.get("bernoulli_table") is bernoulli_table:
+            monkeypatch.setattr(module, "bernoulli_table", refuse)
+    for p in (7, 13, 1009, 1013):
+        assert _row_digest(verify_prime(p)) == FROZEN_ROW_DIGESTS[p], p
+
+
 def test_applicable_set_is_built_once_per_prime(monkeypatch):
     calls = []
     real = congruences.applicable
@@ -1268,7 +1283,8 @@ def test_applicable_set_is_built_once_per_prime(monkeypatch):
 
 def test_prime_is_proved_prime_once_per_verifier(monkeypatch):
     # the kernel context at p^3 tests p; the Domb table's context at p^5 is
-    # made from it and does not test p again
+    # made from it and does not test p again, and nor does the x^2 + 3y^2
+    # descent at p = 1 mod 3
     calls = []
     real = padic.is_prime
 
@@ -1277,6 +1293,7 @@ def test_prime_is_proved_prime_once_per_verifier(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(padic, "is_prime", counting)
+    monkeypatch.setattr(quadform, "is_prime", counting)
     for p in (11, 13, 1009, 1013):
         calls.clear()
         pv = PrimeVerifier(p)

@@ -92,6 +92,37 @@ def test_harmonic_cache_matches_additive_oracle(p, k, n):
             harmonic(n, order, ctx)
 
 
+def _harmonics_by_full_inversion(ctx):
+    # the cache's two lists from one batch inversion of 1..2p-1 (k = p
+    # taken as its p-free part 1): each term past p is p times the inverse
+    # of p+r itself
+    p, pk = ctx.p, ctx.pk
+    units = list(range(1, 2 * p))
+    units[p - 1] = 1
+    inv = padic.batch_inverse(units, pk)
+    h = [0]
+    for k in range(1, p):
+        h.append((h[-1] + inv[k - 1]) % pk)
+    h.append((p * h[-1] + 1) % pk)
+    for k in range(p + 1, 2 * p):
+        h.append((h[-1] + p * inv[k - 1]) % pk)
+    h2 = [0]
+    for k in range(1, p):
+        h2.append((h2[-1] + inv[k - 1] ** 2) % pk)
+    return h, h2
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_harmonic_cache_matches_full_inversion(k):
+    # p/(p+r) from u = p/r as u - u^2 + ... against the inverse of p+r
+    # itself, at every precision 1..5 (K = 1 and 2 take no correction pass)
+    for p in [*filter(is_prime, range(5, 301)), 1009, 4001, 4003]:
+        ctx = PrimeContext(p, k)
+        h, h2 = _harmonics_by_full_inversion(ctx)
+        assert harmonic_scaled(2 * p - 1, ctx) == h, (p, k)
+        assert harmonic_scaled(p - 1, ctx, order=2) == h2, (p, k)
+
+
 @pytest.mark.parametrize("first", [1, 2])
 def test_harmonic_orders_grow_apart(first):
     # the order-1 list is built whole up front; a read of order 1 at its top
@@ -331,6 +362,30 @@ def _bernoulli_recurrence(p):
     return b
 
 
+def _bernoulli_poly_by_recurrence(n, x, p, b):
+    # sum_k C(n,k) B_k x^(n-k) mod p over the recurrence's B_0 .. B_(p-3);
+    # at n = p - 2 the one term past them has B_(p-2) = 0
+    binom = _binomials_mod_p(p)
+    xi = x.numerator * pow(x.denominator, -1, p) % p
+    return sum(binom(n, k) * b[k] * pow(xi, n - k, p) for k in range(min(n, p - 3) + 1)) % p
+
+
+# the points the verifier reads (0, 1/3, 1/4), their mirrors and 1/6
+POLY_XS = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(1, 6)]
+
+
+def test_bernoulli_poly_matches_recurrence():
+    # sigma's Horner sum against C(n,k) B_k at both parities, the middle
+    # index and the top two (the verifier reads n = p - 3 and p - 2, where
+    # the last sigma_j enters)
+    for p in filter(is_prime, range(5, 401)):
+        ctx = PrimeContext(p, 1)
+        b = _bernoulli_recurrence(p)
+        for n in sorted({0, 1, 2, 3, (p - 2) // 2, p - 3, p - 2}):
+            for x in POLY_XS:
+                assert bernoulli_poly(n, x, ctx) == _bernoulli_poly_by_recurrence(n, x, p, b), (p, n, x)
+
+
 def _euler_recurrence(p):
     # sum_j C(n, 2j) E_2j = 0 mod p, O(p^2); divided by n!, each step is
     # E_n/n! = -sum_(2j<n) (E_2j/(2j)!) / (n-2j)!, one dot product
@@ -382,8 +437,15 @@ def test_tables_use_no_harmonic_sums_or_padic_kernel(monkeypatch):
     monkeypatch.setattr(HarmonicCache, "get", refuse)
     monkeypatch.setattr(PrimeContext, "inverse_unit", refuse)
     ctx = PrimeContext(101, 4)
-    assert bernoulli_table(ctx) == _bernoulli_recurrence(101)
+    b = _bernoulli_recurrence(101)
+    assert bernoulli_table(ctx) == b
     assert euler_table(ctx) == _euler_recurrence(101)
+    # bernoulli_poly on a context of its own builds sigma under the same
+    # refusals
+    ctx = PrimeContext(101, 4)
+    for n in (98, 99):
+        for x in POLY_XS:
+            assert bernoulli_poly(n, x, ctx) == _bernoulli_poly_by_recurrence(n, x, 101, b), (n, x)
 
 
 def test_tables_read_the_context_factorial_table():
@@ -454,8 +516,8 @@ def _factorials_mod_p(p):
 
 
 def _bernoulli_poly_by_powers(n, x, ctx):
-    # the loop the Horner form replaced: a list of the powers of x, and one
-    # binomial mod p per even k
+    # sum_k C(n,k) B_k x^(n-k) over bernoulli_table: a list of the powers
+    # of x, and one binomial mod p per even k
     p = ctx.p
     xi = x.numerator * pow(x.denominator, -1, p) % p
     b = bernoulli_table(ctx)
@@ -474,9 +536,10 @@ def _bernoulli_poly_by_powers(n, x, ctx):
 
 def test_bernoulli_poly_matches_power_loop():
     # every n at the small primes; the two top indices, one of each parity,
-    # at every prime to 1300 and past it (LEMMA_SUNH reads n = p - 2)
+    # at every prime to 1300 and past it (CONJ1_DP1 reads n = p - 3,
+    # LEMMA_SUNH n = p - 2)
     xs = [Fraction(0), Fraction(1, 3), Fraction(1, 4)]
-    for p in [*filter(is_prime, range(7, 1301)), 4001, 4003, 10007]:
+    for p in [*filter(is_prime, range(7, 1301)), 1999, 4001, 4003, 10007]:
         ctx = PrimeContext(p, 1)
         ns = range(p - 1) if p < 60 else (0, 1, 2, p - 3, p - 2)
         for n in ns:
