@@ -28,16 +28,22 @@ only in the final residue comparison, so a bug in the closed forms cannot
 silently cancel against one in the sums.
 
 Each table is kept to the digits its readers need.  The Domb table and its
-weighted sums work mod p^K, K the largest requested m.  The kernel tables
-work mod the largest requested kernel exponent (TargetSpec.kernel_exp),
-which is m for every target but two: CONJ1_DP1 (m = 4) reads only
-B_(p-3) mod p, and MUSUN_P5 (m = 5) no kernel table.  Their digits above
-p^3 come from the Domb table, a Fermat quotient and 64^(p-1) mod p^K.  The
-harmonic cache works mod p^2 whatever is requested: a lemma mod p^3
-multiplies each harmonic sum by p, LEMMA_SUNH reads its sums mod p^2 and
-LEMMA_MPT multiplies its slope by p mod p^2, so no target reads more than
-two digits of one.  A sweep of every target keeps the harmonic cache mod
-p^2, the other kernel tables mod p^3 and the Domb table mod p^5.
+weighted sums work mod p^K, K the largest requested m.  The kernel context
+holds the factorial tables, sigma and the harmonic cache, and works mod
+the largest requested kernel exponent (TargetSpec.kernel_exp), the digits
+a right side reads off it: 1 for THM11 and THM12 (p^2/C^2 needs C mod p),
+CONJ1_DP1 (B_(p-3) mod p); 2 for THM13 (r3 mod p^2) and every lemma; 0
+for CONJ2_MODP2 and MUSUN_P5.  A lemma's factorial quotients carry v = 1,
+so p times their units mod p^2 gives them mod p^3, and each harmonic sum
+enters times p under mod p^3 or mod p^2.  So the kernel works mod p^2
+when a lemma or THM13 is requested and mod p otherwise, and a sweep of
+every target keeps the kernel mod p^2 and the Domb table mod p^5, on two
+contexts.  Closed forms and lemma cases reduce by the verifier's own
+powers of p, which reach p^K.  Two reads need a third digit of a unit
+binomial, both at j = (p-1)/3 (p = 1 mod 3), where 3j+1 = p and
+p/(3j+1) = 1: LEMMA22's case of valuation 0, C(p-1, j) C(p+j, j), and
+LEMMA_SH55's C(2j, j).  Each is taken mod p^3 by a helper of its own from
+exact products of consecutive integers, with no table read.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, prod
 from time import perf_counter
 
 from .domb import DombTable
@@ -104,20 +110,15 @@ class TargetSpec:
     belongs to, the primes it is stated for, the exponent m of its modulus
     p^m, the PrimeVerifier method that evaluates it (by name, so the
     method is looked up on the verifier at call time), and the digits its
-    right side reads off the kernel tables (the factorial tables,
-    p/(3j+1), the Bernoulli values), which default to m.  Every target that
-    reads the harmonic cache has a kernel exponent of at least 2, the
-    digits the cache is kept to."""
+    right side reads off the kernel context (the factorial tables, sigma
+    and the harmonic cache).  Every target that reads the harmonic cache
+    declares 2, and none declares more, so the cache is kept mod p^2."""
 
     group: str
     applies: Callable[[int], bool]
     mod_exp: Callable[[int], int]
     method: str
-    kernel_exp: Callable[[int], int] | None = None
-
-    def __post_init__(self):
-        if self.kernel_exp is None:
-            object.__setattr__(self, "kernel_exp", self.mod_exp)
+    kernel_exp: Callable[[int], int]
 
 
 def _every(p: int) -> bool:
@@ -141,25 +142,28 @@ def _k2_exp(p: int) -> int:
 
 
 # The catalog.  A new target is one entry here plus the method it names.
-# CONJ1_DP1 reads B_(p-3) mod p and MUSUN_P5 no kernel table at all: the
-# digits above p^3 come from the Domb table, a Fermat quotient or a power.
+# The last field is the digits read off the kernel context: THM11 and THM12
+# read p^2/C^2, so C mod p; THM13 reads r3 mod p^2; CONJ1_DP1 reads
+# B_(p-3) mod p and CONJ2_MODP2 and MUSUN_P5 no kernel table, their other
+# digits coming from the Domb table, a Fermat quotient or a power.  Every
+# lemma reads units mod p^2 and harmonic sums that p multiplies.
 SPECS: dict[Target, TargetSpec] = {
-    Target.THM11_4K: TargetSpec("thm1.1", _every, _exp(3), "thm11_4k"),
-    Target.THM11_16K: TargetSpec("thm1.1", _every, _exp(3), "thm11_16k"),
-    Target.THM12_4K: TargetSpec("thm1.2", _one_mod_3, _exp(3), "thm12"),
-    Target.THM12_16K: TargetSpec("thm1.2", _one_mod_3, _exp(3), "thm12"),
-    Target.THM13_K2_4K: TargetSpec("thm1.3", _every, _k2_exp, "thm13_all"),
-    Target.THM13_K2_16K: TargetSpec("thm1.3", _every, _k2_exp, "thm13_all"),
-    Target.THM13_K_4K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all"),
-    Target.THM13_K_16K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all"),
+    Target.THM11_4K: TargetSpec("thm1.1", _every, _exp(3), "thm11_4k", _exp(1)),
+    Target.THM11_16K: TargetSpec("thm1.1", _every, _exp(3), "thm11_16k", _exp(1)),
+    Target.THM12_4K: TargetSpec("thm1.2", _one_mod_3, _exp(3), "thm12", _exp(1)),
+    Target.THM12_16K: TargetSpec("thm1.2", _one_mod_3, _exp(3), "thm12", _exp(1)),
+    Target.THM13_K2_4K: TargetSpec("thm1.3", _every, _k2_exp, "thm13_all", _exp(2)),
+    Target.THM13_K2_16K: TargetSpec("thm1.3", _every, _k2_exp, "thm13_all", _exp(2)),
+    Target.THM13_K_4K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all", _exp(2)),
+    Target.THM13_K_16K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all", _exp(2)),
     Target.CONJ1_DP1: TargetSpec("conj1", _every, _exp(4), "conj1_dp1", _exp(1)),
-    Target.CONJ2_MODP2: TargetSpec("conj2", _every, _exp(2), "conj2_mod_p2"),
+    Target.CONJ2_MODP2: TargetSpec("conj2", _every, _exp(2), "conj2_mod_p2", _exp(0)),
     Target.MUSUN_P5: TargetSpec("musun", _every, _exp(5), "musun", _exp(0)),
-    Target.LEMMA22: TargetSpec("lemmas", _one_mod_3, _exp(3), "lemma22_check"),
-    Target.LEMMA_MPT: TargetSpec("lemmas", _one_mod_3, _exp(2), "lemma_mpt_check"),
-    Target.LEMMA_P2J: TargetSpec("lemmas", _every, _exp(3), "lemma_p2j_check"),
-    Target.LEMMA_SUNH: TargetSpec("lemmas", lambda p: p > 5, _exp(2), "lemma_sunh_check"),
-    Target.LEMMA_SH55: TargetSpec("lemmas", _every, _exp(3), "lemma_sh55_check"),
+    Target.LEMMA22: TargetSpec("lemmas", _one_mod_3, _exp(3), "lemma22_check", _exp(2)),
+    Target.LEMMA_MPT: TargetSpec("lemmas", _one_mod_3, _exp(2), "lemma_mpt_check", _exp(2)),
+    Target.LEMMA_P2J: TargetSpec("lemmas", _every, _exp(3), "lemma_p2j_check", _exp(2)),
+    Target.LEMMA_SUNH: TargetSpec("lemmas", lambda p: p > 5, _exp(2), "lemma_sunh_check", _exp(2)),
+    Target.LEMMA_SH55: TargetSpec("lemmas", _every, _exp(3), "lemma_sh55_check", _exp(2)),
 }
 
 
@@ -190,6 +194,40 @@ def _fermat_quotient(a: int, p: int, n: int) -> int:
     return (pow(a, p - 1, p ** (n + 1)) - 1) // p
 
 
+# Consecutive factors that _product_mod multiplies exactly before reducing.
+_CHUNK = 32
+
+
+def _product_mod(lo: int, hi: int, mod: int) -> int:
+    """lo (lo+1) ... (hi-1) mod `mod`: exact products of _CHUNK
+    consecutive integers, each reduced once.  Linear in hi - lo, where
+    math.comb's cost grows faster than its arguments."""
+    x = 1
+    for i in range(lo, hi, _CHUNK):
+        x = x * prod(range(i, min(i + _CHUNK, hi))) % mod
+    return x
+
+
+def _lemma22_where_3j1_is_p(p: int) -> int:
+    """LEMMA22's case j = (p-1)/3 at p = 1 (mod 3), where 3j+1 = p and the
+    quotient has valuation 0: C(3j, j) C(p+j, 3j+1) = C(p-1, j) C(p+j, j),
+    the product of p-j .. p+j but p over (j!)^2, mod p^3 with one
+    inverse."""
+    j = (p - 1) // 3
+    mod = p**3
+    f = _product_mod(1, j + 1, mod)
+    return _product_mod(p - j, p, mod) * _product_mod(p + 1, p + j + 1, mod) * pow(f * f, -1, mod) % mod
+
+
+def _central_where_3j1_is_p(p: int) -> int:
+    """C(2j, j) mod p^3 at j = (p-1)/3, p = 1 (mod 3): the unit binomial of
+    the LEMMA_SH55 term whose p/(3j+1) is 1, the product of j+1 .. 2j over
+    j!, with one inverse."""
+    j = (p - 1) // 3
+    mod = p**3
+    return _product_mod(j + 1, 2 * j + 1, mod) * pow(_product_mod(1, j + 1, mod), -1, mod) % mod
+
+
 @dataclass
 class CongruenceReport:
     """One residue comparison.  For the range-quantified lemma targets the
@@ -215,15 +253,15 @@ class PrimeVerifier:
     kept mod p^K, and each row is reduced mod p^m from ``powers``.  ``ctx``
     is the kernel context: its precision is the largest kernel exponent
     (``TargetSpec.kernel_exp``) in ``want``, at least 1, and the factorial
-    tables and p/(3j+1) are kept to that many digits, p^3 for an
-    all-targets sweep.  The three Bernoulli values are taken mod p by
+    tables and the harmonic cache on it are kept to that many digits: p^2
+    when a lemma or THM13 is requested, as in an all-targets sweep, and p
+    otherwise.  The three Bernoulli values are taken mod p by
     bernoulli_poly from one series sigma memoized on ``ctx``; no Bernoulli
-    table is built.  The harmonic cache lives on ``harmonic_ctx``, mod p^2,
-    the most any target reads of a harmonic sum.
-    Every side is ring arithmetic with no division by p, so no digit above
-    a target's m is needed, and a target's residues do not depend on which
-    other targets are requested.  The shared tables are built on first read
-    and kept.
+    table is built.  Each right side is reduced by the verifier's own
+    ``powers``, not the kernel's.  Every side is ring arithmetic with no
+    division by p, so no digit above a target's m is needed, and a
+    target's residues do not depend on which other targets are requested.
+    The shared tables are built on first read and kept.
     """
 
     def __init__(self, p: int, targets=None):
@@ -276,26 +314,18 @@ class PrimeVerifier:
         return s0 % pk, s1 % pk, s2 % pk
 
     @cached_property
-    def harmonic_ctx(self) -> PrimeContext:
-        """The context the harmonic cache is built on, at precision 2:
-        ``ctx`` when the kernel works to 2 digits too, and a context of its
-        own otherwise.  Every reader's kernel exponent is at least 2, so
-        ``_exponent`` refuses a verifier whose kernel has fewer digits."""
-        ctx = self.ctx
-        return ctx if ctx.precision == 2 else ctx.with_precision(2)
-
-    @cached_property
     def decomposition(self):
         """p = x^2 + 3y^2, by the descent alone: ``ctx`` proved p prime."""
         return decompose_known_prime(self.p)
 
     def r3(self) -> int:
-        """The correction unit used on the p = 2 (mod 3) side, mod the
-        kernel modulus ctx.pk: the Fermat quotient combination (1 + 2p +
-        (4/3)(2^(p-1)-1) - (3/2)(3^(p-1)-1)) times the square of
-        C((p-1)/2, floor(p/6))."""
+        """The correction unit used on the p = 2 (mod 3) side, mod p^2, the
+        modulus of every THM13 target there: the Fermat quotient
+        combination (1 + 2p + (4/3)(2^(p-1)-1) - (3/2)(3^(p-1)-1)) times
+        the square of C((p-1)/2, floor(p/6)), whose unit the kernel holds
+        mod p^2 whenever THM13 is requested."""
         p = self.p
-        pk = self.ctx.pk
+        pk = p * p
         t2 = pow(2, p - 1, pk) - 1
         t3 = pow(3, p - 1, pk) - 1
         core = 1 + 2 * p + 4 * t2 * pow(3, -1, pk) - 3 * t3 * pow(2, -1, pk)
@@ -304,15 +334,15 @@ class PrimeVerifier:
 
     @cached_property
     def _p_over_3j1(self) -> list[int]:
-        """p/(3j+1) mod ctx.pk for 0 <= j < (p+1)/2, the range both LEMMA22
-        and LEMMA_SH55 read: p times the inverse of 3j+1 mod ctx.pk / p,
-        an exact int below ctx.pk, from one batch inversion with no read of
-        the factorial tables or the harmonic cache.  Below (p+1)/2,
-        3j+1 < 2p, so p divides 3j+1 only at 3j+1 = p (p = 1 mod 3), where
-        p/(3j+1) = 1."""
+        """p/(3j+1) mod p^3 for 0 <= j < (p+1)/2, the range both LEMMA22
+        and LEMMA_SH55 read: p times the inverse of 3j+1 mod p^2, an exact
+        int below p^3 whatever the kernel precision, from one batch
+        inversion with no read of the factorial tables or the harmonic
+        cache.  Below (p+1)/2, 3j+1 < 2p, so p divides 3j+1 only at
+        3j+1 = p (p = 1 mod 3), where p/(3j+1) = 1."""
         p = self.p
         units = range(1, 3 * ((p + 1) // 2), 3)
-        inv = batch_inverse([1 if u == p else u for u in units], self.ctx.pk // p)
+        inv = batch_inverse([1 if u == p else u for u in units], p * p)
         return [1 if u == p else p * x for u, x in zip(units, inv)]
 
     def _exponent(self, target: Target) -> int:
@@ -355,22 +385,23 @@ class PrimeVerifier:
 
     def thm11_4k(self) -> CongruenceReport:
         lhs = self.weighted_sum(4, "1")
-        return self._report(Target.THM11_4K, lhs, self._thm11_rhs(sign_for_16k=False))
+        return self._report(Target.THM11_4K, lhs, self._thm11_rhs(Target.THM11_4K))
 
     def thm11_16k(self) -> CongruenceReport:
         lhs = self.weighted_sum(16, "1")
-        return self._report(Target.THM11_16K, lhs, self._thm11_rhs(sign_for_16k=True))
+        return self._report(Target.THM11_16K, lhs, self._thm11_rhs(Target.THM11_16K))
 
-    def _thm11_rhs(self, sign_for_16k: bool) -> int:
+    def _thm11_rhs(self, target: Target) -> int:
         """4x^2 - 2p - p^2/(4x^2) at p = 1 (mod 3); otherwise p^2/2, or
-        -p^2/4 for the 16^k sum, over C((p-1)/2, (p-5)/6)^2; mod ctx.pk."""
-        pk = self.ctx.pk
+        -p^2/4 for the 16^k sum, over C((p-1)/2, (p-5)/6)^2, which p^2
+        makes enough to know mod p; mod p^m."""
+        pk = self.powers[self._exponent(target)]
         p = self.p
         if p % 3 == 1:
             four_xx = 4 * self.decomposition.x ** 2
             return (four_xx - 2 * p - p * p * pow(four_xx, -1, pk)) % pk
         c = binomial_residues(self.ctx)((p - 1) // 2, (p - 5) // 6)
-        scale = -p * p * pow(4, -1, pk) if sign_for_16k else p * p * pow(2, -1, pk)
+        scale = -p * p * pow(4, -1, pk) if target is Target.THM11_16K else p * p * pow(2, -1, pk)
         return scale * pow(c * c, -1, pk) % pk
 
     def conj2_mod_p2(self) -> CongruenceReport:
@@ -389,9 +420,9 @@ class PrimeVerifier:
         return rep
 
     def thm12(self) -> list[CongruenceReport]:
-        self._exponent(Target.THM12_4K)  # WrongPrimeClass before any table is built
+        # WrongPrimeClass before any table is built
+        pk = self.powers[self._exponent(Target.THM12_4K)]
         p = self.p
-        pk = self.ctx.pk
         c = binomial_residues(self.ctx)((p - 1) // 2, (p - 1) // 6)
         base = p * p * pow(c * c, -1, pk)  # p^2 / C((p-1)/2, (p-1)/6)^2
         return [
@@ -404,7 +435,7 @@ class PrimeVerifier:
         4x^2/9 - 2p/9 - p^2/(18x^2); otherwise -20/9, 4/9, 4/3 and -4/3
         times r3."""
         p = self.p
-        pk = self.ctx.pk
+        pk = self.powers[self._exponent(Target.THM13_K2_4K)]  # m = 3 or 2
         i9 = pow(9, -1, pk)
         if p % 3 == 1:
             xx = self.decomposition.x ** 2
@@ -456,13 +487,15 @@ class PrimeVerifier:
         quotient (p+j)! (3j)! / (j! (2j)! (3j+1)! (p-2j-1)!), p^v times six
         units off the factorial tables.  Every index is below 3p < p^2, so
         v_p(n!) = floor(n/p) and v = 1 at every j but the one with 3j+1 = p
-        (p = 1 mod 3), where v = 0 and the case is taken on its own.  The
-        right side reads H_j and H_2j (2j < p, both p-integral) from the
-        harmonic cache and p/(3j+1) from _p_over_3j1."""
+        (p = 1 mod 3), where v = 0: elsewhere p times units mod p^2 gives
+        the quotient mod p^3, but that case needs three digits of its units
+        and is taken from _lemma22_where_3j1_is_p.  The right side reads H_j
+        and H_2j (2j < p, both p-integral) from the harmonic cache and
+        p/(3j+1) from _p_over_3j1."""
         p = self.p
-        mod = self.ctx.powers[self._exponent(Target.LEMMA22)]
+        mod = self.powers[self._exponent(Target.LEMMA22)]
         _, fu, fi = self.ctx.factorial_tables(3 * p)
-        h = harmonic_scaled(p - 1, self.harmonic_ctx)
+        h = harmonic_scaled(p - 1, self.ctx)
         n = (p + 1) // 2
         lhs = [
             p * a * b * c * d * e * g % mod
@@ -476,20 +509,28 @@ class PrimeVerifier:
             )
         ]
         if p % 3 == 1:
-            j = (p - 1) // 3
-            lhs[j] = fu[p + j] * fu[3 * j] * fi[j] * fi[2 * j] * fi[p] * fi[p - 2 * j - 1] % mod
+            lhs[(p - 1) // 3] = _lemma22_where_3j1_is_p(p)
         rhs = [x * (1 + p * (a - b)) % mod for x, a, b in zip(self._p_over_3j1, h[:n], h[0:p:2])]
         return list(zip(lhs, rhs))
 
     def lemma_mpt_check(self, t_samples=None) -> CongruenceReport:
         """C((2p-2)/3 + pt, (p-1)/2) against its first-order expansion in t
-        mod p^2, at small fixed t plus deterministic pseudo-random t.  The
-        top index (2p-2)/3 is integral only for p = 1 (mod 3)."""
+        mod p^2, by default at t = 0, 1 and one pseudo-random t.  The top
+        index (2p-2)/3 is integral only for p = 1 (mod 3).
+
+        Mod p^2 both sides are affine in t.  With u_i = (2p-2)/3 - i for
+        i < (p-1)/2, all units, the left side is prod (u_i + pt) / ((p-1)/2)!
+        = prod u_i (1 + pt sum 1/u_i) / ((p-1)/2)!, and the right side is
+        c0 (1 + pt slope).  Two affine functions that agree at t = 0 and
+        t = 1 agree at every integer t, so those two samples decide the
+        lemma.  The third, the fourth draw of random.Random(p) in
+        -10000..10000, is the case the row stores when every case passes,
+        the one the recorded row digests hold."""
         m = self._exponent(Target.LEMMA_MPT)
         p = self.p
         if t_samples is None:
             rng = random.Random(p)
-            t_samples = [0, 1, -1, 2, -2] + [rng.randrange(-10000, 10001) for _ in range(4)]
+            t_samples = [0, 1, [rng.randrange(-10000, 10001) for _ in range(4)][-1]]
         base = (2 * p - 2) // 3
         half = (p - 1) // 2
         cases = [
@@ -506,11 +547,10 @@ class PrimeVerifier:
         ((p-1)/2)! from those tables, and a table entry read by both sides
         would cancel out of the comparison."""
         p = self.p
-        m = self._exponent(Target.LEMMA_MPT)
-        mod = self.ctx.powers[m]
+        mod = self.powers[self._exponent(Target.LEMMA_MPT)]
         base = (2 * p - 2) // 3
         c0 = comb(base, (p - 1) // 2) % mod
-        h = harmonic_scaled(base, self.harmonic_ctx)
+        h = harmonic_scaled(base, self.ctx)
         slope = h[base] - h[(p - 1) // 6]
         return [c0 * (1 + p * t * slope) % mod for t in t_samples]
 
@@ -528,14 +568,15 @@ class PrimeVerifier:
         slices.  The left side is the factorial quotient (p+2j)! / (j! (2j)!
         (p-j-1)!), p^v times four units off the factorial tables; every
         index is below 3p < p^2, so v_p(n!) = floor(n/p) and v = 1 at every
-        j.  The harmonic numbers come from the harmonic cache, which holds
-        H_n below p and p H_n from p on.  On the upper half (2j >= p) the
+        j, and p times units mod p^2 gives it mod p^3.  The harmonic numbers
+        come from the harmonic cache, which holds H_n below p and p H_n from
+        p on.  On the upper half (2j >= p) the
         stored p H_2j carries H_2j's negative valuation, so the right side
         is 2p (p H_2j - p H_j), one comprehension per half."""
         p = self.p
-        mod = self.ctx.powers[self._exponent(Target.LEMMA_P2J)]
+        mod = self.powers[self._exponent(Target.LEMMA_P2J)]
         _, fu, fi = self.ctx.factorial_tables(3 * p)
-        h = harmonic_scaled(2 * p - 2, self.harmonic_ctx)
+        h = harmonic_scaled(2 * p - 2, self.ctx)
         n = (p + 1) // 2  # the lower half, 2j < p
         lhs = [
             p * a * b * c * d % mod
@@ -574,14 +615,17 @@ class PrimeVerifier:
         unit and H_2k is p-integral.  The binomial is read off the factorial
         tables and the harmonic factor from the harmonic cache and
         _p_over_3j1, in one zip loop over strided slices that carries the
-        weight 16^(-k) from term to term.  At k0 the cache's stored p H_2k0
-        absorbs H_2k0's negative valuation; it is kept mod p^2, so the
-        harmonic factor there is known mod p^2 only, which the binomial
-        factor's p^2 makes enough."""
+        weight 16^(-k) from term to term.  The tables hold units mod p^2,
+        so a binomial factor is known mod p^2 only, which the harmonic
+        factor's p makes enough, except at 3k+1 = p (p = 1 mod 3), where
+        p/(3k+1) = 1 and C(2k,k) is taken from _central_where_3j1_is_p.  At
+        k0 the cache's stored p H_2k0 absorbs H_2k0's negative valuation; it
+        is kept mod p^2, so the harmonic factor there is known mod p^2 only,
+        which the binomial factor's p^2 makes enough."""
         p = self.p
-        mod = self.ctx.powers[self._exponent(Target.LEMMA_SH55)]
+        mod = self.powers[self._exponent(Target.LEMMA_SH55)]
         _, fu, fi = self.ctx.factorial_tables(3 * p)
-        h = harmonic_scaled(4 * p // 3, self.harmonic_ctx)  # to 2k0 = (4p-2)/3
+        h = harmonic_scaled(4 * p // 3, self.ctx)  # to 2k0 = (4p-2)/3
         i16 = pow(16, -1, mod)
         n = (p + 1) // 2
         w = 1
@@ -590,7 +634,11 @@ class PrimeVerifier:
             c = a * b * b % mod
             terms.append((c * c * w % mod, x * (1 + p * (s - t)) % mod))
             w = w * i16 % mod
-        if p % 3 == 2:
+        if p % 3 == 1:
+            k = (p - 1) // 3
+            c = _central_where_3j1_is_p(p)
+            terms[k] = (c * c * pow(i16, k, mod) % mod, terms[k][1])
+        else:
             k = (2 * p - 1) // 3
             c = fu[2 * k] * fi[k] * fi[k] % mod
             w = p * p * pow(i16, k, mod)
@@ -614,9 +662,9 @@ class PrimeVerifier:
         p = self.p
         ctx = self.ctx
         m = self._exponent(Target.LEMMA_SUNH)
-        mod = ctx.powers[m]
-        h = harmonic_scaled(p - 1, self.harmonic_ctx)
-        h2 = harmonic_scaled(p - 1, self.harmonic_ctx, order=2)
+        mod = self.powers[m]
+        h = harmonic_scaled(p - 1, ctx)
+        h2 = harmonic_scaled(p - 1, ctx, order=2)
         q2 = _fermat_quotient(2, p, m)
         q3 = _fermat_quotient(3, p, m)
         chi = 1 if p % 3 == 1 else -1

@@ -439,7 +439,7 @@ def binomial_residues(ctx: PrimeContext) -> Callable[[int, int], int]:
     the factorial tables as unit * p^v (0 once v >= K): binomial_int's
     arithmetic in plain ints, for loops that need residues only.  The
     verifier passes its kernel context, so its binomials are residues mod
-    the kernel modulus, p^3 in a sweep of every target.  As with
+    the kernel modulus, p^2 in a sweep of every target.  As with
     binomial_int, k < 0 or k > n gives 0 and n < 0 raises ValueError."""
     fv, fu, fi = ctx.factorial_tables(3 * ctx.p)
     pw = ctx.powers

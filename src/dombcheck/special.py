@@ -61,9 +61,10 @@ class HarmonicCache:
 
     The cache stores plain ints mod p^K, one list per order: H_n below p,
     and the p-integral p H_n from p on, where 1/p enters the sum.  The
-    verifier reads both lists through ``harmonic_scaled``, on a context of
-    precision 2, the most its targets read: each sum enters a right side
-    mod p^3 times p, or one mod p^2.  The order-1 list is built here from
+    verifier reads both lists through ``harmonic_scaled``, on its one
+    kernel context, which is at precision 2 whenever a target reads a sum:
+    each sum enters a right side mod p^3 times p, or one mod p^2.  The
+    order-1 list is built here from
     one batch inversion of 1..p-1, and no read of the factorial tables:
     the lemma checks compare these sums with binomials, which the
     factorial tables build.  The term at k = p is p/p = 1, and from there

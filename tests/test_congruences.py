@@ -7,7 +7,9 @@ being recorded here, and spot-checked against the closed forms.
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
+import math
 import multiprocessing
 import os
 import random
@@ -175,7 +177,7 @@ def test_r3_spot_values():
 def test_lemma22_case_values():
     # p = 7 cases worked out by hand: 7, 210, 540 = 197 mod 343, 84
     v = PrimeVerifier(7, [T.LEMMA22])
-    ctx = v.ctx
+    ctx = PrimeContext(7, 3)
     got = [
         (binomial_int(3 * j, j, ctx) * binomial_int(7 + j, 3 * j + 1, ctx)).residue(3)
         for j in range(4)
@@ -187,7 +189,7 @@ def test_lemma22_case_values():
 def test_p2j_case_values():
     # p = 5 cases by hand: 5, 420, 3780, 9240, 6435 reduced mod 125
     v = PrimeVerifier(5, [T.LEMMA_P2J])
-    ctx = v.ctx
+    ctx = PrimeContext(5, 3)
     got = [
         (
             (3 * j + 1)
@@ -233,38 +235,41 @@ def test_precision_below_target_raises():
 
 
 @pytest.mark.parametrize(
-    "built_for, target",
-    [(T.CONJ1_DP1, T.THM11_4K), (T.MUSUN_P5, T.LEMMA22)],
-    ids=["CONJ1_DP1-THM11_4K", "MUSUN_P5-LEMMA22"],
+    "built_for, target, p",
+    [(T.CONJ1_DP1, T.THM13_K2_4K, 17), (T.MUSUN_P5, T.LEMMA22, 7)],
+    ids=["CONJ1_DP1-THM13_K2_4K", "MUSUN_P5-LEMMA22"],
 )
-def test_kernel_precision_below_target_raises(built_for, target):
-    # a CONJ1_DP1 or MUSUN_P5 verifier keeps the Domb table mod 7^4 or 7^5
-    # but its kernel tables mod 7 only.  Read off anyway, THM11_4K's sides
-    # would be lhs=149, rhs=2, a false failure, and LEMMA22's table reads
-    # would run out of powers of p (IndexError).
-    pv = PrimeVerifier(7, [built_for])
+def test_kernel_precision_below_target_raises(built_for, target, p):
+    # a CONJ1_DP1 or MUSUN_P5 verifier keeps the Domb table mod p^4 or p^5
+    # but its kernel tables mod p only.  Read off anyway, THM13_K2_4K's r3
+    # would take C(8, 2) mod 17 only, a false failure (lhs=39, rhs=260),
+    # and LEMMA22's cases would read units mod 7 where they need them mod
+    # 7^2, a false failure at j = 0 (lhs=252, rhs=7)
+    pv = PrimeVerifier(p, [built_for])
+    assert pv.ctx.precision == 1
     with pytest.raises(ValueError, match=target.value):
         getattr(pv, SPECS[target].method)()
 
 
 def test_kernel_tables_at_p3_give_the_one_precision_rows(monkeypatch):
-    # the fast path against the ground truth it replaces: with the kernel
-    # exponents of CONJ1_DP1 and MUSUN_P5 set back to their m, an
-    # all-targets verifier works to p^5 on one context again, and every row
-    # must be the same
-    primes = sieve_primes(5, 300) + [997, 1009, 1013, 4001, 4003]
+    # the short tables against the ground truth they replace: with every
+    # kernel exponent set back to its m, an all-targets verifier works to
+    # p^5 on one context again, factorial tables and harmonic cache
+    # included, and every row must be the same as with the kernel at p^2
+    primes = sieve_primes(5, 300) + [1009, 1013, 1999, 4001, 4003]
     strip = lambda r: (r.target, r.modulus_exponent, r.lhs, r.rhs, r.passed)
     fast = {}
     for p in primes:
         pv = PrimeVerifier(p)
-        assert (pv.precision, pv.ctx.precision) == (5, 3), p
+        assert (pv.precision, pv.ctx.precision) == (5, 2), p
         fast[p] = [strip(r) for r in pv.run()]
-    for t in (T.CONJ1_DP1, T.MUSUN_P5):
+    for t in Target:
         monkeypatch.setitem(SPECS, t, dataclasses.replace(SPECS[t], kernel_exp=SPECS[t].mod_exp))
     for p in primes:
         pv = PrimeVerifier(p)
         assert pv.ctx.precision == 5 and pv.domb_table.ctx is pv.ctx, p
         assert [strip(r) for r in pv.run()] == fast[p], p
+        assert pv.ctx._harmonic_cache is not None, p  # the harmonic reads went to p^5 too
 
 
 def test_verify_prime_skips_inapplicable():
@@ -282,17 +287,20 @@ def test_precision_is_the_largest_requested_exponent():
 
 
 def test_kernel_precision_is_the_largest_requested_kernel_exponent():
-    # the kernel tables work to the digits their readers need: m for every
-    # target but CONJ1_DP1 (B_(p-3) mod p) and MUSUN_P5 (no kernel table);
-    # the Domb table shares the kernel context when the two agree
+    # the kernel tables work to the digits their readers need: 1 for THM11,
+    # THM12 and CONJ1_DP1, 2 for THM13 and the lemmas, none for CONJ2_MODP2
+    # and MUSUN_P5; the Domb table shares the kernel context when the two
+    # agree
     cases = [
-        ([T.THM11_4K], 3, 3),
+        ([T.THM11_4K], 3, 1),
         ([T.LEMMA_MPT], 2, 2),
+        ([T.THM13_K2_4K], 3, 2),
         ([T.CONJ1_DP1], 4, 1),
+        ([T.CONJ2_MODP2], 2, 1),
         ([T.MUSUN_P5], 5, 1),
         ([T.CONJ1_DP1, T.LEMMA_SUNH], 4, 2),
-        ([T.MUSUN_P5, T.THM12_4K], 5, 3),
-        (list(Target), 5, 3),
+        ([T.MUSUN_P5, T.THM12_4K], 5, 1),
+        (list(Target), 5, 2),
     ]
     for targets, k, kernel in cases:
         pv = PrimeVerifier(7, targets)
@@ -302,30 +310,29 @@ def test_kernel_precision_is_the_largest_requested_kernel_exponent():
         assert pv.powers == tuple(7**i for i in range(k + 1)), targets
 
 
-def test_harmonic_cache_is_kept_mod_p2():
-    # no target reads more than two digits of a harmonic sum: the lemmas
-    # multiply each by p under mod p^3 or read it mod p^2.  The cache
-    # shares the kernel context when that works mod p^2 too
-    cases = [
-        ([T.LEMMA_MPT], 2),
-        ([T.LEMMA_SUNH], 2),
-        ([T.LEMMA22, T.LEMMA_MPT, T.LEMMA_P2J], 3),
-        (list(Target), 3),
-    ]
-    for targets, kernel in cases:
-        pv = PrimeVerifier(7, targets)
-        assert pv.ctx.precision == kernel, targets
-        assert pv.harmonic_ctx.precision == 2, targets
-        assert (pv.harmonic_ctx is pv.ctx) == (kernel == 2), targets
-        assert all(r.passed for r in pv.run()), targets
-        cache = _harmonic_cache(pv.harmonic_ctx)
-        assert max(cache._h) < 7**2, targets
-        # every read went to the harmonic context: no second cache on ctx
-        assert pv.ctx._harmonic_cache is (cache if kernel == 2 else None), targets
-    # no requested target reads a harmonic sum: no cache is built
-    pv = PrimeVerifier(7, [T.THM11_4K])
-    assert pv.run()[0].passed
-    assert "harmonic_ctx" not in vars(pv) and pv.ctx._harmonic_cache is None
+def test_kernel_context_is_at_most_p2_with_one_harmonic_cache():
+    # no target reads more than two digits off the kernel context: at p^2
+    # when a lemma or THM13 is requested and at p otherwise, for each target
+    # alone and for all of them.  The harmonic cache lives on that one
+    # context, mod p^2, and no other context of the verifier holds one
+    two_digits = {
+        T.THM13_K2_4K, T.THM13_K2_16K, T.THM13_K_4K, T.THM13_K_16K,
+        T.LEMMA22, T.LEMMA_MPT, T.LEMMA_P2J, T.LEMMA_SUNH, T.LEMMA_SH55,
+    }
+    harmonic_readers = two_digits - {T.THM13_K2_4K, T.THM13_K2_16K, T.THM13_K_4K, T.THM13_K_16K}
+    assert not hasattr(PrimeVerifier, "harmonic_ctx")
+    for p in (7, 11, 1009, 1013):
+        cases = [[t] for t in Target if applicable(t, p)] + [list(Target)]
+        for targets in cases:
+            pv = PrimeVerifier(p, targets)
+            assert pv.ctx.precision == (2 if two_digits & pv.want else 1), (p, targets)
+            assert all(r.passed for r in pv.run()), (p, targets)
+            cache = pv.ctx._harmonic_cache
+            assert (cache is not None) == bool(harmonic_readers & pv.want), (p, targets)
+            if cache is not None:
+                assert max(cache._h) < p**2, (p, targets)
+            if "domb_table" in vars(pv) and pv.domb_table.ctx is not pv.ctx:
+                assert pv.domb_table.ctx._harmonic_cache is None, (p, targets)
 
 
 def test_rows_do_not_depend_on_other_targets():
@@ -508,6 +515,25 @@ def test_lemma_mpt_sees_the_inverse_factorial_of_half(p):
     assert not pv.lemma_mpt_check().passed
 
 
+def test_lemma_mpt_three_samples_decide_like_nine():
+    # mod p^2 both sides are affine in t, so t = 0 and t = 1 decide the
+    # lemma; the default [0, 1, t_last] must give the verdict and the row of
+    # the nine samples it replaced, and a right side whose slope is moved by
+    # one must fail under both lists
+    for p in [q for q in sieve_primes(5, 1300) if q % 3 == 1]:
+        rng = random.Random(p)
+        nine = [0, 1, -1, 2, -2] + [rng.randrange(-10000, 10001) for _ in range(4)]
+        pv = PrimeVerifier(p, [T.LEMMA_MPT])
+        row = pv.lemma_mpt_check()
+        assert row.passed, p
+        assert row == pv.lemma_mpt_check(nine), p
+        base = (2 * p - 2) // 3
+        special.harmonic_scaled(base, pv.ctx)
+        _harmonic_cache(pv.ctx)._h[base] += 1  # the slope H_base - H_((p-1)/6)
+        assert not pv.lemma_mpt_check().passed, p
+        assert not pv.lemma_mpt_check(nine).passed, p
+
+
 def test_empty_case_list_raises():
     # no case checked is not a pass
     with pytest.raises(ValueError, match="LEMMA_MPT"):
@@ -518,7 +544,7 @@ def test_lemma_loops_build_no_order_2_harmonics():
     p = 1009
     pv = PrimeVerifier(p, [T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55])
     assert all(r.passed for r in pv.run())
-    cache = _harmonic_cache(pv.harmonic_ctx)
+    cache = _harmonic_cache(pv.ctx)
     assert len(cache._h) == 2 * p
     assert cache._h2 is None
 
@@ -567,7 +593,7 @@ def test_harmonic_and_factorial_tables_carry_weight(p):
     j = 10
     for t in targets:
         pv = PrimeVerifier(p, targets)
-        _harmonic_cache(pv.harmonic_ctx)._h[j] += 1
+        _harmonic_cache(pv.ctx)._h[j] += 1
         assert not run(pv, t).passed, ("H", t)
         pv = PrimeVerifier(p, targets)
         pv.ctx.factorial_decomposed(3 * p)
@@ -602,7 +628,7 @@ def test_lemma_sides_read_separate_tables():
 
     def bump_harmonic_sums(pv):
         # by the index, since the cases read differences H_2j - H_j
-        h = _harmonic_cache(pv.harmonic_ctx)._h
+        h = _harmonic_cache(pv.ctx)._h
         h[:] = [x + n for n, x in enumerate(h)]
 
     clean = sides(lambda pv: None)
@@ -639,8 +665,16 @@ def test_weighted_sums_match_direct_loops(p):
 # ---- oracles: the PAdicValue loops that the plain-residue lemma cases replaced ----
 
 
+@functools.lru_cache(maxsize=4)
+def truth_ctx(p):
+    """A context of p's own at p^3, the largest m the oracles read, apart
+    from every verifier's: the oracles' factorial tables and harmonic
+    sums carry every digit the rows are stated to."""
+    return PrimeContext(p, 3)
+
+
 def oracle_lemma22_cases(pv, m):
-    p, ctx = pv.p, pv.ctx
+    p, ctx = pv.p, truth_ctx(pv.p)
     cases = []
     for j in range((p - 1) // 2 + 1):
         lhs = (binomial_int(3 * j, j, ctx) * binomial_int(p + j, 3 * j + 1, ctx)).residue(m)
@@ -651,7 +685,7 @@ def oracle_lemma22_cases(pv, m):
 
 
 def oracle_lemma_p2j_cases(pv, m):
-    p, ctx = pv.p, pv.ctx
+    p, ctx = pv.p, truth_ctx(pv.p)
     half = (p - 1) // 2
     cases = []
     for j in range(p):
@@ -672,7 +706,7 @@ def oracle_lemma_p2j_cases(pv, m):
 
 def oracle_lemma_sh55_terms(pv, m):
     """The factors of every term, and the PAdicValue sum of the terms."""
-    p, ctx = pv.p, pv.ctx
+    p, ctx = pv.p, truth_ctx(pv.p)
     pk = ctx.pk
     i16 = pow(16, -1, pk)
     w = 1
@@ -690,7 +724,7 @@ def oracle_lemma_sh55_terms(pv, m):
 
 
 # The precision K of a lemma verifier is the lemmas' m = 3 unless a target
-# with a larger m is requested with them; its kernel precision stays 3,
+# with a larger m is requested with them; its kernel precision stays 2,
 # since neither CONJ1_DP1 nor MUSUN_P5 reads a kernel table past p.
 EXTRA_FOR_K = {3: [], 4: [T.CONJ1_DP1], 5: [T.MUSUN_P5]}
 ORACLE_RUNS = [(p, k) for p in sieve_primes(5, 200) for k in EXTRA_FOR_K] + [(997, 3)]
@@ -710,21 +744,26 @@ def _sh55_kept(p):
 
 def _assert_sh55_terms(pv, terms, label):
     # the verifier's terms against the kept ones of all p terms, case by
-    # case; every term it drops has a product 0 mod p^3.  At k0 = (2p-1)/3
-    # (p = 2 mod 3) the binomial factor carries p^2, so only the harmonic
-    # factor mod p reaches the sum, and the verifier's harmonic cache holds
-    # fewer digits than the p^3 one these terms were built from: there the
-    # harmonic factors agree mod p and the products mod p^3.
+    # case, and the products mod p^3; every term it drops has a product 0
+    # mod p^3.  Below (p+1)/2 the verifier's binomial factors come from
+    # units mod p^2, so they agree with these p^3 ones mod p^2, and the
+    # harmonic factor's p makes the products agree mod p^3; at 3k+1 = p
+    # (p = 1 mod 3) that factor is a unit, so the binomial factors must
+    # agree mod p^3.  At k0 = (2p-1)/3 (p = 2 mod 3) the binomial factor
+    # carries p^2, so only the harmonic factor mod p reaches the sum, and
+    # the verifier's harmonic cache holds fewer digits than the p^3 one
+    # these terms were built from: there the harmonic factors agree mod p.
     p = pv.p
     kept = _sh55_kept(p)
     got = pv._lemma_sh55_terms()
     want = [terms[k] for k in kept]
-    if p % 3 == 2:
-        (b, h), (wb, wh) = got.pop(), want.pop()
-        assert b == wb, (label, "k0")
-        assert h % p == wh % p, (label, "k0")
-        assert b * h % p**3 == wb * wh % p**3, (label, "k0")
-    _assert_cases_equal(got, want, label)
+    assert len(got) == len(want), label
+    for k, (b, h), (wb, wh) in zip(kept, got, want):
+        if p % 3 == 2 and k == kept[-1]:
+            assert b == wb and h % p == wh % p, (label, "k0")
+        else:
+            assert h == wh and b % p**2 == wb % p**2, (label, k)
+        assert b * h % p**3 == wb * wh % p**3, (label, k)
     assert len(terms) == p, label
     for k in sorted(set(range(p)) - set(kept)):
         b, h = terms[k]
@@ -735,7 +774,7 @@ def _lemma_verifier(p, k):
     lemmas = [t for t in (T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55) if applicable(t, p)]
     pv = PrimeVerifier(p, lemmas + EXTRA_FOR_K[k])
     assert pv.precision == k, (p, k)
-    assert pv.ctx.precision == 3, (p, k)
+    assert pv.ctx.precision == 2, (p, k)
     return pv
 
 
@@ -795,14 +834,16 @@ def test_oracle_primes_cover_every_valuation_shift():
 
 
 # ---- oracles: the per-case loops that the strided-slice lemma forms replaced ----
+# They read the tables of truth_ctx, at p^3, not the verifier's.
 
 
 def per_case_lemma22_cases(pv, m):
     p = pv.p
-    pw = pv.ctx.powers
+    ctx = truth_ctx(p)
+    pw = ctx.powers
     mod = pw[m]
-    fv, fu, fi = pv.ctx.factorial_tables(3 * p)
-    h = special.harmonic_scaled(p - 1, pv.ctx)
+    fv, fu, fi = ctx.factorial_tables(3 * p)
+    h = special.harmonic_scaled(p - 1, ctx)
     f = pv._p_over_3j1
     cases = []
     for j in range((p + 1) // 2):
@@ -815,10 +856,11 @@ def per_case_lemma22_cases(pv, m):
 
 def per_case_lemma_p2j_cases(pv, m):
     p = pv.p
-    pw = pv.ctx.powers
+    ctx = truth_ctx(p)
+    pw = ctx.powers
     mod = pw[m]
-    fv, fu, fi = pv.ctx.factorial_tables(3 * p)
-    h = special.harmonic_scaled(2 * p - 2, pv.ctx)
+    fv, fu, fi = ctx.factorial_tables(3 * p)
+    h = special.harmonic_scaled(2 * p - 2, ctx)
     half = (p - 1) // 2
     cases = []
     for j in range(p):
@@ -837,10 +879,11 @@ def per_case_lemma_sh55_terms(pv, m):
     """All p terms; p/(3k+1) from the verifier's list below (p+1)/2 and
     computed here from there, where the list stops."""
     p = pv.p
-    pw = pv.ctx.powers
+    ctx = truth_ctx(p)
+    pw = ctx.powers
     mod = pw[m]
-    _, fu, fi = pv.ctx.factorial_tables(3 * p)
-    h = special.harmonic_scaled(2 * p - 2, pv.ctx)
+    _, fu, fi = ctx.factorial_tables(3 * p)
+    h = special.harmonic_scaled(2 * p - 2, ctx)
     f = pv._p_over_3j1
     i16 = pow(16, -1, mod)
     half = (p + 1) // 2
@@ -910,7 +953,7 @@ def _perturbed_run(p, target, table, i):
     entries = {
         "fu": pv.ctx._fact_unit,
         "fi": pv.ctx._fact_inv,
-        "h": special.harmonic_scaled(2 * p - 1, pv.harmonic_ctx),
+        "h": special.harmonic_scaled(2 * p - 1, pv.ctx),
     }[table]
     entries[i] += 1
     return getattr(pv, SPECS[target].method)()
@@ -929,16 +972,40 @@ def test_split_cases_carry_weight(p):
             continue
         assert getattr(PrimeVerifier(p, [target]), SPECS[target].method)().passed, target
         for j in sorted(j for j in splits if j < LEMMA_RANGES[target](p)):
-            # from k = (p+1)/2 on, a LEMMA_SH55 term carries p^2 from
-            # C(2k,k)^2 and p from p/(3k+1), so it is 0 mod p^3 and no
-            # entry of it can show, except where 3k+1 = 2p
-            silent = target is T.LEMMA_SH55 and 2 * j > p and 3 * j + 1 != 2 * p
             for table, i in reads(p, j):
+                # from k = (p+1)/2 on, a LEMMA_SH55 term carries p^2 from
+                # C(2k,k)^2 and p from p/(3k+1), so it is 0 mod p^3 and no
+                # entry of it can show, except where 3k+1 = 2p.  At
+                # 3j+1 = p, LEMMA22 and LEMMA_SH55 take their binomials mod
+                # p^3 from helpers of their own, not the factorial tables
+                silent = (target is T.LEMMA_SH55 and 2 * j > p and 3 * j + 1 != 2 * p) or (
+                    target is not T.LEMMA_P2J and 3 * j + 1 == p and table != "h"
+                )
                 row = _perturbed_run(p, target, table, i)
                 assert row.passed == silent, (target, j, table, i)
                 checked += not silent
-    # 1009: 6 + 12 + 6; 1013 (no LEMMA22, five splits): 15 + 9
-    assert checked == 24
+    # 1009: 4 + 12 + 4; 1013 (no LEMMA22, five splits): 15 + 9
+    assert checked == (20 if p % 3 == 1 else 24)
+    if p % 3 == 1:
+        # the helpers' values, moved by one, fail the lemma that reads each
+        for target, helper in (
+            (T.LEMMA22, "_lemma22_where_3j1_is_p"),
+            (T.LEMMA_SH55, "_central_where_3j1_is_p"),
+        ):
+            real = getattr(congruences, helper)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(congruences, helper, lambda q: real(q) + 1)
+                assert not getattr(PrimeVerifier(p, [target]), SPECS[target].method)().passed, helper
+
+
+def test_helpers_where_3j1_is_p_match_comb():
+    # the two binomials read mod p^3 at j = (p-1)/3, from chunked products,
+    # against math.comb
+    for p in [q for q in sieve_primes(5, 2000) if q % 3 == 1] + [4003, 20011]:
+        j, mod = (p - 1) // 3, p**3
+        want = math.comb(p - 1, j) * math.comb(p + j, j) % mod
+        assert congruences._lemma22_where_3j1_is_p(p) == want, p
+        assert congruences._central_where_3j1_is_p(p) == math.comb(2 * j, j) % mod, p
 
 
 @pytest.mark.parametrize("p", [1009, 1013, 4001, 4003])
@@ -954,7 +1021,7 @@ def test_short_tables_match_the_p3_ground_truth(p):
             short = special.harmonic_scaled(top, full.with_precision(k), order)
             assert short == [x % p**k for x in truth], (order, k)
     pv = PrimeVerifier(p, [T.LEMMA_SH55])
-    assert pv.ctx.precision == 3
+    assert pv.ctx.precision == 2
     want = [1 if 3 * j + 1 == p else p * pow(3 * j + 1, -1, p**3) % p**3 for j in range((p + 1) // 2)]
     assert pv._p_over_3j1 == want
 
@@ -978,7 +1045,7 @@ def test_p_over_3j1_is_one_batch_per_verifier(monkeypatch):
             pv = PrimeVerifier(p, targets)
             assert all(r.passed for r in pv.run()), (p, targets)
             assert lengths == [(p + 1) // 2], (p, targets)
-            f, pk = pv._p_over_3j1, pv.ctx.pk
+            f, pk = pv._p_over_3j1, p**3
             assert all((3 * j + 1) * x % pk == p for j, x in enumerate(f)), (p, targets)
             if p % 3 == 1:
                 assert f[(p - 1) // 3] == 1
@@ -1029,7 +1096,7 @@ def test_from_residue_roundtrip():
 
 
 def oracle_r3(pv):
-    ctx, p = pv.ctx, pv.p
+    ctx, p = truth_ctx(pv.p), pv.p
     hi = p ** (ctx.precision + 1)
     t2 = from_residue(pow(2, p - 1, hi) - 1, ctx, ctx.precision + 1)
     t3 = from_residue(pow(3, p - 1, hi) - 1, ctx, ctx.precision + 1)
@@ -1039,7 +1106,7 @@ def oracle_r3(pv):
 
 
 def oracle_thm11_rhs(pv, sign_for_16k):
-    ctx, p = pv.ctx, pv.p
+    ctx, p = truth_ctx(pv.p), pv.p
     if p % 3 == 1:
         x = pv.decomposition.x
         q = Fraction(4 * x * x) - 2 * p - Fraction(p * p, 4 * x * x)
@@ -1052,8 +1119,8 @@ def oracle_thm11_rhs(pv, sign_for_16k):
 def oracle_rhs(pv):
     """The right side of every theorem-level row that the PAdicValue forms
     built, by target.  MUSUN_P5 reads no kernel table, so its oracle works
-    at the verifier's precision K, not at the kernel context's."""
-    ctx, p = pv.ctx, pv.p
+    at the verifier's precision K, not at p^3."""
+    ctx, p = truth_ctx(pv.p), pv.p
     musun_ctx = PrimeContext(p, pv.precision)
     out = {
         T.THM11_4K: oracle_thm11_rhs(pv, False),
@@ -1084,7 +1151,7 @@ def oracle_rhs(pv):
 
 
 def oracle_lemma_mpt_rhs(pv, m, t_samples):
-    ctx, p = pv.ctx, pv.p
+    ctx, p = truth_ctx(pv.p), pv.p
     base = (2 * p - 2) // 3
     c0 = binomial_int(base, (p - 1) // 2, ctx)
     slope = harmonic(base, 1, ctx) - harmonic((p - 1) // 6, 1, ctx)
@@ -1092,7 +1159,7 @@ def oracle_lemma_mpt_rhs(pv, m, t_samples):
 
 
 def oracle_lemma_sunh_cases(pv, m):
-    ctx, p = pv.ctx, pv.p
+    ctx, p = truth_ctx(pv.p), pv.p
     q2 = fermat_quotient(2, ctx)
     q3 = fermat_quotient(3, ctx)
     chi = 1 if p % 3 == 1 else -1
@@ -1148,9 +1215,10 @@ def _check_closed_forms(p, targets):
 @pytest.mark.parametrize("alone", [True, False], ids=["alone", "together"])
 def test_closed_forms_match_padic_oracles(alone):
     # each THM row, each LEMMA_MPT case and each LEMMA_SUNH sub-congruence
-    # (both sides) on its own, against the PAdicValue form it replaced: each
-    # target alone, at precision its own m, and all of them together, at
-    # precision 5 (MUSUN_P5's m) with the kernel tables at 3
+    # (both sides) on its own, against the PAdicValue form it replaced, on
+    # a context of its own at p^3: each target alone, at precision its own
+    # m, and all of them together, at precision 5 (MUSUN_P5's m) with the
+    # kernel tables at p^2
     for p in CLOSED_FORM_PRIMES:
         if alone:
             for t in ORACLE_TARGETS:
@@ -1282,7 +1350,7 @@ def test_applicable_set_is_built_once_per_prime(monkeypatch):
 
 
 def test_prime_is_proved_prime_once_per_verifier(monkeypatch):
-    # the kernel context at p^3 tests p; the Domb table's context at p^5 is
+    # the kernel context at p^2 tests p; the Domb table's context at p^5 is
     # made from it and does not test p again, and nor does the x^2 + 3y^2
     # descent at p = 1 mod 3
     calls = []
@@ -1298,7 +1366,7 @@ def test_prime_is_proved_prime_once_per_verifier(monkeypatch):
         calls.clear()
         pv = PrimeVerifier(p)
         assert pv.run()
-        assert (pv.ctx.precision, pv.domb_table.ctx.precision) == (3, 5)
+        assert (pv.ctx.precision, pv.domb_table.ctx.precision) == (2, 5)
         assert calls == [p], p
 
 
