@@ -1,7 +1,10 @@
 """Both sides of every supercongruence target, evaluated per prime.
 
 Left-hand sides of the Domb targets are partial sums of the Domb residue
-table against geometric weights, nothing else; their right-hand sides go
+table against geometric weights, nothing else: three moment sums
+sum k^i D_k b^(-k) per base b, each by Horner in b with one reduction
+every 16 terms and one final product with b^(-(p-1)), so no weight is
+inverted or reduced per term.  Their right-hand sides go
 through the p-adic kernel's tables (binomials, harmonic numbers, Fermat
 quotients, Bernoulli values).  Every right side is a plain int mod p^m:
 binomials are read off the factorial tables as unit * p^v (but for
@@ -287,9 +290,9 @@ class PrimeVerifier:
 
     def weighted_sum(self, base: int, weight: str) -> int:
         """sum_{k<p} w(k) D_k base^(-k) mod p^K for w in 1, k, k2, 3k+2,
-        3k+1, 3k2+k.  Every k below p contributes; nothing is truncated.
-        The first call at a base fills all six weights there from one pass
-        of three moment sums."""
+        3k+1, 3k2+k, and any base prime to p.  Every k below p contributes;
+        nothing is truncated.  The first call at a base fills all six
+        weights there from one Horner pass of three moment sums."""
         key = f"{weight}/{base}"
         if key not in self._sums:
             pk = self.powers[-1]
@@ -299,19 +302,23 @@ class PrimeVerifier:
         return self._sums[key]
 
     def _moment_sums(self, base: int) -> tuple[int, int, int]:
-        """sum_{k<p} k^i D_k base^(-k) mod p^K for i = 0, 1, 2."""
+        """sum_{k<p} k^i D_k base^(-k) mod p^K for i = 0, 1, 2, by Horner in
+        the base: s = s*base + k^i D_k over k = 0 .. p-1 gives sum k^i D_k
+        base^(p-1-k), reduced mod p^K once every 16 steps, and one product
+        with base^(-(p-1)) ends it.  No weight is inverted per k."""
         pk = self.powers[-1]
-        ib = pow(base, -1, pk)
         s0 = s1 = s2 = 0
-        w = 1
         for k, d in enumerate(self.domb_table.residues):
-            t = d * w % pk
-            s0 += t
-            t *= k
-            s1 += t
-            s2 += k * t
-            w = w * ib % pk
-        return s0 % pk, s1 % pk, s2 % pk
+            t = k * d
+            s0 = s0 * base + d
+            s1 = s1 * base + t
+            s2 = s2 * base + k * t
+            if k & 15 == 15:
+                s0 %= pk
+                s1 %= pk
+                s2 %= pk
+        w = pow(base, 1 - self.p, pk)
+        return s0 * w % pk, s1 * w % pk, s2 * w % pk
 
     @cached_property
     def decomposition(self):
@@ -809,7 +816,10 @@ def sweep(lo: int, hi: int, targets=None, workers: int = 1) -> list[CongruenceRe
     prime and per CPU runs.  With more than one, the primes go out largest
     first off a shared counter, so the slowest primes do not come last.
     A failure in any process raises here, after every child has ended.
+    ``workers`` below 1 raises ValueError.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     targets = list(Target) if targets is None else list(targets)
     primes = sieve_primes(max(lo, 5), hi)
     workers = min(workers, len(primes), os.cpu_count() or 1)

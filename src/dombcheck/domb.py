@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .padic import PrimeContext
 
@@ -64,12 +64,56 @@ def domb_via_sun(n: int) -> int:
     )
 
 
+# Consecutive factors that _product_mod multiplies exactly before reducing.
+_CHUNK = 32
+
+
+def _product_mod(lo: int, hi: int, mod: int) -> int:
+    """lo (lo+1) ... (hi-1) mod `mod`: exact products of _CHUNK
+    consecutive integers, each reduced once.  Linear in hi - lo, where
+    math.factorial's cost grows faster than its argument.  Written out here
+    and not shared with the right sides' helpers, so that the left sides
+    share no code with them."""
+    x = 1
+    for i in range(lo, hi, _CHUNK):
+        x = x * prod(range(i, min(i + _CHUNK, hi))) % mod
+    return x
+
+
+# (A_n, 64 n^6, n^3) for n below the largest table size requested so far,
+# A_n = 2(2n+1)(5n^2+5n+2): the integer coefficients of the recurrence,
+# which do not depend on p, so every table in the process shares them.
+# Grown only by rebinding this one tuple to a longer one built in full.
+_coeffs: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = ((), (), ())
+
+
+def _coefficients(size: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The memo's (A_n, 64 n^6, n^3), each of length at least ``size``."""
+    global _coeffs
+    coeffs = _coeffs
+    n0 = len(coeffs[0])
+    if n0 < size:
+        a, c, cubes = coeffs
+        new_cubes = tuple(n**3 for n in range(n0, size))
+        coeffs = (
+            a + tuple(2 * (2 * n + 1) * (5 * n * n + 5 * n + 2) for n in range(n0, size)),
+            c + tuple(64 * x * x for x in new_cubes),
+            cubes + new_cubes,
+        )
+        _coeffs = coeffs
+    return coeffs
+
+
 class DombTable:
-    """D_0 .. D_(size-1) mod p^K, size <= p, in O(size) plain residue steps
-    (no p-adic kernel) of (n+1)^3 D_(n+1) = 2(2n+1)(5n^2+5n+2) D_n -
-    64 n^3 D_(n-1) (Chan, Chan and Liu, Adv. Math. 186, 2004).  Below p
-    every (n+1)^3 is a unit, and all of them are inverted up front in one
-    batch.  The targets read D_k for k < p only; larger sizes are refused.
+    """D_0 .. D_(size-1) mod p^K, size <= p, with no p-adic kernel (Chan,
+    Chan and Liu, Adv. Math. 186, 2004).  Domb's recurrence (n+1)^3
+    D_(n+1) = A_n D_n - 64 n^3 D_(n-1), A_n = 2(2n+1)(5n^2+5n+2), times
+    (n!)^3 is division-free in E_n = (n!)^3 D_n: E_(n+1) = A_n E_n -
+    64 n^6 E_(n-1).  One pass runs it mod p^K; a second walks back from the
+    one inverse of ((size-1)!)^3, a unit below p, multiplying by n^3 at
+    each step, and gives D_n = E_n (n!)^(-3).  The integers A_n, 64 n^6 and
+    n^3 come from a memo shared by every table in the process.  The targets
+    read D_k for k < p only; larger sizes are refused.
     """
 
     def __init__(self, ctx: PrimeContext, size: int | None = None):
@@ -81,23 +125,17 @@ class DombTable:
             raise ValueError(f"table size must be in 1..{p}")
         self.size = size
         mod = ctx.pk
-        # (n+1)^3 for n = 1 .. size-2, inverted in one batch (prefix
-        # products, one pow, a walk back), written out here so that the left
-        # sides share no code with the kernel behind the right sides.
-        cubes = [k**3 for k in range(2, size)]
-        inv = []
-        x = 1
-        for c in cubes:
-            inv.append(x)  # the product of the cubes before this one
-            x = x * c % mod
-        x = pow(x, -1, mod)
-        for i in range(len(cubes) - 1, -1, -1):
-            inv[i] = inv[i] * x % mod
-            x = x * cubes[i] % mod
-        vals = [1, 4][:size]
-        for n in range(1, size - 1):
-            num = 2 * (2 * n + 1) * (5 * n * n + 5 * n + 2) * vals[n] - 64 * n**3 * vals[n - 1]
-            vals.append(num * inv[n - 1] % mod)
+        a, c, cubes = _coefficients(size)
+        e_prev, e = 0, 1
+        vals = [1]
+        for n in range(size - 1):
+            e_prev, e = e, (a[n] * e - c[n] * e_prev) % mod
+            vals.append(e)
+        f = _product_mod(1, size, mod)
+        inv = pow(f * f * f, -1, mod)  # ((n!)^3)^(-1) at n = size-1
+        for n in range(size - 1, 0, -1):
+            vals[n] = vals[n] * inv % mod
+            inv = inv * cubes[n] % mod
         self.residues = vals
 
     def __len__(self) -> int:

@@ -438,6 +438,19 @@ def test_sweep_starts_no_more_workers_than_primes(monkeypatch):
         assert processes(5000) == 1 and started == []
 
 
+def test_sweep_refuses_fewer_than_one_worker(monkeypatch):
+    # a count below 1 is a misuse, as the CLI's --workers 0 is, and must not
+    # fall through to the one-process path; nothing is verified first
+    def refuse(*args):
+        raise AssertionError("a prime was verified")
+
+    monkeypatch.setattr(congruences, "verify_prime", refuse)
+    for workers in (0, -1):
+        for lo, hi in [(5, 40), (8, 10)]:  # primes to verify, and none
+            with pytest.raises(ValueError, match="workers"):
+                sweep(lo, hi, workers=workers)
+
+
 def test_sweep_schedule_every_process_verifies_largest_first(monkeypatch, tmp_path):
     # each process appends the primes it verifies to a file named by its pid
     real = congruences.verify_prime
@@ -642,24 +655,80 @@ def test_lemma_sides_read_separate_tables():
         assert moved_harmonics[name][1] != harmonic_side, name
 
 
-@pytest.mark.parametrize("p", [5, 7, 101, 997])
-def test_weighted_sums_match_direct_loops(p):
-    # the six weights, each summed on its own, against the moment sums
-    weights = {
-        "1": lambda k: 1,
-        "k": lambda k: k,
-        "k2": lambda k: k * k,
-        "3k+2": lambda k: 3 * k + 2,
-        "3k+1": lambda k: 3 * k + 1,
-        "3k2+k": lambda k: 3 * k * k + k,
-    }
+# The six weights of weighted_sum, each as a function of k.
+WEIGHTS = {
+    "1": lambda k: 1,
+    "k": lambda k: k,
+    "k2": lambda k: k * k,
+    "3k+2": lambda k: 3 * k + 2,
+    "3k+1": lambda k: 3 * k + 1,
+    "3k2+k": lambda k: 3 * k * k + k,
+}
+
+
+def moment_sums_by_weights(residues, base, pk):
+    """sum_k k^i D_k base^(-k) mod pk for i = 0, 1, 2 by the per-k loop that
+    Horner in the base replaced: a weight base^(-k) kept mod pk, and every
+    term reduced."""
+    ib = pow(base, -1, pk)
+    s0 = s1 = s2 = 0
+    w = 1
+    for k, d in enumerate(residues):
+        t = d * w % pk
+        s0 += t
+        t *= k
+        s1 += t
+        s2 += k * t
+        w = w * ib % pk
+    return s0 % pk, s1 % pk, s2 % pk
+
+
+def verifier_at(p, K):
+    """A verifier of every target whose Domb table and weighted sums work
+    mod p^K."""
     pv = PrimeVerifier(p)
-    pk = pv.domb_table.ctx.pk
-    for base in (4, 16):
-        ib = pow(base, -1, pk)
-        for name, fn in weights.items():
-            want = sum(fn(k) * d * pow(ib, k, pk) for k, d in enumerate(pv.domb_table.residues)) % pk
-            assert pv.weighted_sum(base, name) == want, (base, name)
+    pv.precision, pv.powers = K, tuple(p**i for i in range(K + 1))
+    return pv
+
+
+@pytest.mark.parametrize("p", sieve_primes(5, 300) + [997, 1999, 4001, 4003])
+def test_weighted_sums_match_direct_loops(p):
+    # the moment sums against the per-k loop they replaced, and the six
+    # weights, each summed on its own, against the moment sums, at every
+    # precision up to 6 and at bases 4, 16, 3 and -8
+    for K in range(1, 7):
+        pv = verifier_at(p, K)
+        pk = p**K
+        residues = pv.domb_table.residues
+        assert pv.domb_table.ctx.pk == pk
+        for base in (4, 16, 3, -8):
+            assert pv._moment_sums(base) == moment_sums_by_weights(residues, base, pk), (K, base)
+            ib = pow(base, -1, pk)
+            direct = dict.fromkeys(WEIGHTS, 0)
+            w = 1
+            for k, d in enumerate(residues):
+                t = d * w % pk
+                for name, fn in WEIGHTS.items():
+                    direct[name] += fn(k) * t
+                w = w * ib % pk
+            for name in WEIGHTS:
+                assert pv.weighted_sum(base, name) == direct[name] % pk, (K, base, name)
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_weighted_sums_see_every_term_across_blocks(p):
+    # the moment sums reduce once every 16 terms: one more at k, on either
+    # side of a block boundary or at either end, moves each of the twelve
+    # weighted sums by exactly w(k) base^(-k)
+    before = PrimeVerifier(p)
+    pk = before.powers[-1]
+    sums = {(b, name): before.weighted_sum(b, name) for b in (4, 16) for name in WEIGHTS}
+    for k in (0, 1, 15, 16, 17, 31, 32, p - 2, p - 1):
+        pv = PrimeVerifier(p)
+        pv.domb_table.residues[k] += 1
+        for (b, name), s in sums.items():
+            want = (s + WEIGHTS[name](k) * pow(b, -k, pk)) % pk
+            assert pv.weighted_sum(b, name) == want, (k, b, name)
 
 
 # ---- oracles: the PAdicValue loops that the plain-residue lemma cases replaced ----

@@ -1,9 +1,13 @@
 """Domb sequence: exact values, modular tables, series and integrality checks."""
 
+import random
+import sys
+import threading
 from math import comb
 
 import pytest
 
+from dombcheck import domb
 from dombcheck.domb import (
     DombTable,
     domb_exact,
@@ -58,18 +62,20 @@ def test_table_matches_exact(p, K, sample):
 
 
 def test_table_custom_size():
-    # every size up to p, where the last (n+1)^3 inverted is (p-1)^3
-    for p, K in [(5, 2), (5, 3), (7, 6)]:
-        ctx = PrimeContext(p, K)
-        for size in range(1, p + 1):
-            table = DombTable(ctx, size=size)
-            assert len(table) == size
-            for n in range(size):
-                assert table[n] == domb_exact(n) % ctx.pk
+    # every size up to p, where the last factorial inverted is (p-1)!, at
+    # every prime below 60 and every precision up to 6
+    exact = [domb_exact(n) for n in range(60)]
+    for p in [q for q in range(5, 60) if all(q % d for d in range(2, q))]:
+        for K in range(1, 7):
+            ctx = PrimeContext(p, K)
+            for size in range(1, p + 1):
+                table = DombTable(ctx, size=size)
+                assert len(table) == size
+                assert table.residues == [d % ctx.pk for d in exact[:size]], (p, K, size)
 
 
 def test_table_refuses_sizes_past_p():
-    # the targets read D_k for k < p only, where every (n+1)^3 is a unit
+    # the targets read D_k for k < p only, where every n! is a unit
     ctx = PrimeContext(7, 3)
     for size in (0, 8, 50):
         with pytest.raises(ValueError, match="table size"):
@@ -140,3 +146,99 @@ def test_liu_first_quotients_by_hand():
 def test_liu_rejects_bad_bound():
     with pytest.raises(ValueError):
         liu_integrality_check(0)
+
+
+def cube_inversion_table(ctx, size):
+    """D_0 .. D_(size-1) mod p^K by the loop that the division-free
+    recurrence replaced: (n+1)^3 D_(n+1) = A_n D_n - 64 n^3 D_(n-1) with
+    every (n+1)^3 inverted in one batch (prefix products, one pow, a walk
+    back)."""
+    mod = ctx.pk
+    cubes = [k**3 for k in range(2, size)]
+    inv = []
+    x = 1
+    for c in cubes:
+        inv.append(x)
+        x = x * c % mod
+    x = pow(x, -1, mod)
+    for i in range(len(cubes) - 1, -1, -1):
+        inv[i] = inv[i] * x % mod
+        x = x * cubes[i] % mod
+    vals = [1, 4 % mod][:size]
+    for n in range(1, size - 1):
+        num = 2 * (2 * n + 1) * (5 * n * n + 5 * n + 2) * vals[n] - 64 * n**3 * vals[n - 1]
+        vals.append(num * inv[n - 1] % mod)
+    return vals
+
+
+def test_tables_in_any_order_equal_fresh_ones(monkeypatch):
+    # the coefficient memo grows to the largest size asked and is shared;
+    # tables built after larger and smaller ones equal tables built on an
+    # empty memo, and the replaced loop
+    fresh = {}
+    for p in (5, 499, 1999, 4003):
+        monkeypatch.setattr(domb, "_coeffs", ((), (), ()))
+        fresh[p] = DombTable(PrimeContext(p, 5)).residues
+        assert len(domb._coeffs[0]) == p
+        assert fresh[p] == cube_inversion_table(PrimeContext(p, 5), p), p
+    monkeypatch.setattr(domb, "_coeffs", ((), (), ()))
+    for p in (4003, 5, 499, 1999, 4003):
+        assert DombTable(PrimeContext(p, 5)).residues == fresh[p], p
+        assert len(domb._coeffs[0]) == 4003
+
+
+def _check_coefficients(coeffs, size):
+    a, c, cubes = coeffs
+    assert len(a) == len(c) == len(cubes) >= size
+    for n in {0, size // 2, size - 1, len(a) - 1}:
+        assert a[n] == 2 * (2 * n + 1) * (5 * n * n + 5 * n + 2), n
+        assert c[n] == 64 * n**6, n
+        assert cubes[n] == n**3, n
+
+
+def test_coefficient_memo_grows_by_rebinding(monkeypatch):
+    # each growth binds a new tuple built in full; one handed out before
+    # is never changed, and none is shorter than asked
+    monkeypatch.setattr(domb, "_coeffs", ((), (), ()))
+    held = []
+    for size in (1, 2, 300, 5, 1000, 999, 1000, 1001):
+        before = domb._coeffs
+        coeffs = domb._coefficients(size)
+        _check_coefficients(coeffs, size)
+        assert coeffs is domb._coeffs
+        assert (coeffs is before) == (len(before[0]) >= size)
+        assert all(isinstance(x, tuple) for x in coeffs)
+        held.append((coeffs, [len(x) for x in coeffs]))
+    for coeffs, lengths in held:
+        assert [len(x) for x in coeffs] == lengths
+
+
+def test_coefficient_memo_under_threads(monkeypatch):
+    # more threads than cores, switching as often as the interpreter lets
+    # them, grow and read the one memo from empty, round after round; none
+    # is ever handed a short or partly built one
+    errors = []
+
+    def work(seed):
+        sizes = list(range(1, 3000, 37))
+        random.Random(seed).shuffle(sizes)
+        try:
+            for size in sizes:
+                _check_coefficients(domb._coefficients(size), size)
+        except Exception as e:  # handed to the main thread's assert
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round in range(8):
+            monkeypatch.setattr(domb, "_coeffs", ((), (), ()))
+            threads = [threading.Thread(target=work, args=(6 * round + i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []
