@@ -15,18 +15,25 @@ B_(p-2)(1/3), and the Euler number E_(p-3) as B_(p-2)(1/4)/8) is one
 bernoulli_poly pass mod p over the memoized series sigma, with no
 Bernoulli table built, and each rational coefficient is an int times the
 inverse of its denominator, which is prime to p.  The three
-range-quantified lemmas (LEMMA22, LEMMA_P2J, LEMMA_SH55) zip strided
-slices of the factorial tables, the harmonic cache and one p/(3j+1) list
-over j < (p+1)/2, from one batch inversion of its own.  Every factorial
-they read is below 3p < p^2, where v_p(n!) = floor(n/p), so each
-quotient's valuation is a constant over a range, written once: 1 at every
-case of LEMMA_P2J; 1 at every case of LEMMA22 but 3j+1 = p, where it is 0;
-and for C(2k,k) in LEMMA_SH55, 0 below k = (p+1)/2 and 1 from there.
-LEMMA_SH55 sums only the terms that can be nonzero mod p^3: from k =
-(p+1)/2 on, a term is p^2 from C(2k,k)^2 times p from p/(3k+1), except the
-one with 3k+1 = 2p.  Only LEMMA_MPT's left side, a binomial at a rational
-top index, is still a PAdicValue.  The PAdicValue forms and the per-case
-loops these replaced are kept as oracles in the tests.  The two sides meet
+range-quantified lemmas (LEMMA22, LEMMA_P2J, LEMMA_SH55) read strided
+slices of the factorial tables, the harmonic cache and one list of the
+inverses of 3j+1 mod p^2 over j < (p+1)/2, from one batch inversion of its
+own.  Every factorial they read is below 3p < p^2, where v_p(n!) =
+floor(n/p), so each quotient's valuation is a constant over a range: 1 at
+every case of LEMMA_P2J; 1 at every case of LEMMA22 but 3j+1 = p, where it
+is 0; and for C(2k,k) in LEMMA_SH55, 0 below k = (p+1)/2 and 1 from there.
+A case p X against p Y holds mod p^3 exactly when X = Y mod p^2, so each
+side of LEMMA22 and LEMMA_P2J is one list of units mod p^2, the cases
+divided by their common p, and one list comparison decides the lemma; only
+on a mismatch is the first failing case looked for, and only the row's case
+is multiplied back by p.  LEMMA_SH55 sums only the terms that can be
+nonzero mod p^3, below k = (p+1)/2 as p times units mod p^2: from (p+1)/2
+on, a term is p^2 from C(2k,k)^2 times p from p/(3k+1), except the one with
+3k+1 = 2p.  The cases of another valuation, 3j+1 = p in LEMMA22 and in
+LEMMA_SH55, and LEMMA_SH55's term at 3k+1 = 2p, are taken whole, mod p^3.
+Only LEMMA_MPT's left side, a binomial at a rational top index, is still a
+PAdicValue.  The PAdicValue forms, the per-case loops and the mod p^3 slice
+forms these replaced are kept as oracles in the tests.  The two sides meet
 only in the final residue comparison, so a bug in the closed forms cannot
 silently cancel against one in the sums.
 
@@ -38,15 +45,15 @@ a right side reads off it: 1 for THM11 and THM12 (p^2/C^2 needs C mod p),
 CONJ1_DP1 (B_(p-3) mod p); 2 for THM13 (r3 mod p^2) and every lemma; 0
 for CONJ2_MODP2 and MUSUN_P5.  A lemma's factorial quotients carry v = 1,
 so p times their units mod p^2 gives them mod p^3, and each harmonic sum
-enters times p under mod p^3 or mod p^2.  So the kernel works mod p^2
-when a lemma or THM13 is requested and mod p otherwise, and a sweep of
-every target keeps the kernel mod p^2 and the Domb table mod p^5, on two
-contexts.  Closed forms and lemma cases reduce by the verifier's own
-powers of p, which reach p^K.  Two reads need a third digit of a unit
-binomial, both at j = (p-1)/3 (p = 1 mod 3), where 3j+1 = p and
-p/(3j+1) = 1: LEMMA22's case of valuation 0, C(p-1, j) C(p+j, j), and
-LEMMA_SH55's C(2j, j).  Each is taken mod p^3 by a helper of its own from
-exact products of consecutive integers, with no table read.
+enters times p under mod p^3 or mod p^2, so the lemmas compare units mod
+p^2.  So the kernel works mod p^2 when a lemma or THM13 is requested and
+mod p otherwise, and a sweep of every target keeps the kernel mod p^2 and
+the Domb table mod p^5, on two contexts.  Closed forms and lemma cases
+reduce by the verifier's own powers of p, which reach p^K.  Two reads need
+a third digit of a unit binomial, both at j = (p-1)/3 (p = 1 mod 3), where
+3j+1 = p and p/(3j+1) = 1: LEMMA22's case of valuation 0, C(p-1, j) C(p+j,
+j), and LEMMA_SH55's C(2j, j).  Each is taken mod p^3 by a helper of its
+own from exact products of consecutive integers, with no table read.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import comb, prod
+from operator import mul
 from time import perf_counter
 
 from .domb import DombTable
@@ -211,6 +219,10 @@ def _product_mod(lo: int, hi: int, mod: int) -> int:
     return x
 
 
+# 16^15, ..., 16, 1: LEMMA_SH55's weights within one block of Horner in 16
+_POW16 = [16**i for i in range(15, -1, -1)]
+
+
 def _lemma22_where_3j1_is_p(p: int) -> int:
     """LEMMA22's case j = (p-1)/3 at p = 1 (mod 3), where 3j+1 = p and the
     quotient has valuation 0: C(3j, j) C(p+j, 3j+1) = C(p-1, j) C(p+j, j),
@@ -258,13 +270,16 @@ class PrimeVerifier:
     (``TargetSpec.kernel_exp``) in ``want``, at least 1, and the factorial
     tables and the harmonic cache on it are kept to that many digits: p^2
     when a lemma or THM13 is requested, as in an all-targets sweep, and p
-    otherwise.  The three Bernoulli values are taken mod p by
-    bernoulli_poly from one series sigma memoized on ``ctx``; no Bernoulli
-    table is built.  Each right side is reduced by the verifier's own
-    ``powers``, not the kernel's.  Every side is ring arithmetic with no
-    division by p, so no digit above a target's m is needed, and a
-    target's residues do not depend on which other targets are requested.
-    The shared tables are built on first read and kept.
+    otherwise.  The three Bernoulli values are taken mod p by bernoulli_poly
+    from one series sigma memoized on ``ctx``; no Bernoulli table is built.
+    Each right side is reduced by the verifier's own ``powers``, not the
+    kernel's.  The range lemmas compare their cases divided by their common
+    p, two lists of units mod p^2 per lemma, and multiply only the row's
+    case back by p; the inverses of 3j+1 mod p^2 that LEMMA22 and LEMMA_SH55
+    read are one list, ``_inv_3j1``.  Every side is ring arithmetic with no
+    division by p, so no digit above a target's m is needed, and a target's
+    residues do not depend on which other targets are requested.  The shared
+    tables are built on first read and kept.
     """
 
     def __init__(self, p: int, targets=None):
@@ -340,17 +355,19 @@ class PrimeVerifier:
         return core * c * c % pk
 
     @cached_property
-    def _p_over_3j1(self) -> list[int]:
-        """p/(3j+1) mod p^3 for 0 <= j < (p+1)/2, the range both LEMMA22
-        and LEMMA_SH55 read: p times the inverse of 3j+1 mod p^2, an exact
-        int below p^3 whatever the kernel precision, from one batch
-        inversion with no read of the factorial tables or the harmonic
-        cache.  Below (p+1)/2, 3j+1 < 2p, so p divides 3j+1 only at
-        3j+1 = p (p = 1 mod 3), where p/(3j+1) = 1."""
+    def _inv_3j1(self) -> list[int]:
+        """The inverse of 3j+1 mod p^2 for 0 <= j < (p+1)/2, the range both
+        LEMMA22 and LEMMA_SH55 read, from one batch inversion with no read
+        of the factorial tables or the harmonic cache; p/(3j+1) mod p^3 is
+        p times it.  Below (p+1)/2, 3j+1 < 2p, so p divides 3j+1 only at
+        3j+1 = p (p = 1 mod 3), where p/(3j+1) = 1 and the entry is 0: both
+        lemmas take that case whole, mod p^3."""
         p = self.p
         units = range(1, 3 * ((p + 1) // 2), 3)
         inv = batch_inverse([1 if u == p else u for u in units], p * p)
-        return [1 if u == p else p * x for u, x in zip(units, inv)]
+        if p % 3 == 1:
+            inv[(p - 1) // 3] = 0
+        return inv
 
     def _exponent(self, target: Target) -> int:
         """The target's m at this prime; WrongPrimeClass where it is not stated,
@@ -387,6 +404,24 @@ class PrimeVerifier:
             raise ValueError(f"{target.value}: no cases to check")
         lhs, rhs = next((c for c in cases if c[0] != c[1]), cases[-1])
         return self._report(target, lhs, rhs)
+
+    def _range_report(self, target, lhs: list[int], rhs: list[int], whole=None) -> CongruenceReport:
+        """One row for a range lemma from its cases divided by their common
+        p: case j is p lhs[j] against p rhs[j] mod p^3, each entry a unit
+        mod p^2, since p X = p Y (mod p^3) exactly when X = Y (mod p^2); at
+        j = ``whole``, a case of valuation 0, the entries are the case
+        itself mod p^3.  One list comparison decides the lemma, and only on
+        a mismatch is the first failing j looked for.  The row holds that
+        case, or the last one when every case passed, multiplied back by p:
+        the row _first_failure gives on the cases themselves.  No cases at
+        all is an error, not a pass."""
+        if not lhs or len(lhs) != len(rhs):
+            raise ValueError(f"{target.value}: {len(lhs)} left and {len(rhs)} right cases")
+        j = len(lhs) - 1
+        if lhs != rhs:
+            j = next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+        s = 1 if j == whole else self.p
+        return self._report(target, s * lhs[j], s * rhs[j])
 
     # ---- theorem-level targets ----
 
@@ -483,29 +518,32 @@ class PrimeVerifier:
 
     def lemma22_check(self) -> CongruenceReport:
         """C(3j,j) C(p+j,3j+1) = (p/(3j+1))(1 - p H_2j + p H_j) mod p^3 for
-        every 0 <= j <= (p-1)/2, case by case in plain residues, the left
-        side of each case as one factorial quotient (see _lemma22_cases).
-        The j with 3j+1 = p is included; there p/(3j+1) = 1."""
-        return self._first_failure(Target.LEMMA22, self._lemma22_cases())
+        every 0 <= j <= (p-1)/2, as two lists of the cases divided by their
+        common p (see _lemma22_units), compared whole.  The j with
+        3j+1 = p is included; there p/(3j+1) = 1 and the case has valuation
+        0, so it is compared mod p^3 in its place."""
+        return self._range_report(Target.LEMMA22, *self._lemma22_units(), (self.p - 1) // 3)
 
-    def _lemma22_cases(self) -> list[tuple[int, int]]:
-        """(lhs, rhs) mod p^m at each j <= (p-1)/2, each side one
-        comprehension over strided slices.  The left side is the factorial
-        quotient (p+j)! (3j)! / (j! (2j)! (3j+1)! (p-2j-1)!), p^v times six
-        units off the factorial tables.  Every index is below 3p < p^2, so
-        v_p(n!) = floor(n/p) and v = 1 at every j but the one with 3j+1 = p
-        (p = 1 mod 3), where v = 0: elsewhere p times units mod p^2 gives
-        the quotient mod p^3, but that case needs three digits of its units
-        and is taken from _lemma22_where_3j1_is_p.  The right side reads H_j
-        and H_2j (2j < p, both p-integral) from the harmonic cache and
-        p/(3j+1) from _p_over_3j1."""
+    def _lemma22_units(self) -> tuple[list[int], list[int]]:
+        """The two sides of every case j <= (p-1)/2 over p, as units mod
+        p^2, one comprehension over strided slices each.  The left side is
+        the factorial quotient (p+j)! (3j)! / (j! (2j)! (3j+1)! (p-2j-1)!),
+        p^v times six units off the factorial tables.  Every index is below
+        3p < p^2, so v_p(n!) = floor(n/p) and v = 1 at every j but the one
+        with 3j+1 = p (p = 1 mod 3), where v = 0: elsewhere the entry is
+        the product of the six units mod p^2.  The right side is
+        inv(3j+1) (1 + p (H_j - H_2j)) mod p^2, from _inv_3j1 and H_j and
+        H_2j (2j < p, both p-integral) off the harmonic cache.  At
+        3j+1 = p both entries are the case itself mod p^3: the left from
+        _lemma22_where_3j1_is_p, the right 1 + p (H_j - H_2j)."""
         p = self.p
         mod = self.powers[self._exponent(Target.LEMMA22)]
+        pp = self.powers[2]
         _, fu, fi = self.ctx.factorial_tables(3 * p)
         h = harmonic_scaled(p - 1, self.ctx)
         n = (p + 1) // 2
         lhs = [
-            p * a * b * c * d * e * g % mod
+            a * b * c * d * e * g % pp
             for a, b, c, d, e, g in zip(
                 fu[p : p + n],  # (p+j)!
                 fu[0 : 3 * n : 3],  # (3j)!
@@ -515,10 +553,11 @@ class PrimeVerifier:
                 fi[p - 1 :: -2],  # 1/(p-2j-1)!
             )
         ]
-        if p % 3 == 1:
-            lhs[(p - 1) // 3] = _lemma22_where_3j1_is_p(p)
-        rhs = [x * (1 + p * (a - b)) % mod for x, a, b in zip(self._p_over_3j1, h[:n], h[0:p:2])]
-        return list(zip(lhs, rhs))
+        rhs = [x * (1 + p * (a - b)) % pp for x, a, b in zip(self._inv_3j1, h[:n], h[0:p:2])]
+        j = (p - 1) // 3
+        lhs[j] = _lemma22_where_3j1_is_p(p)
+        rhs[j] = (1 + p * (h[j] - h[2 * j])) % mod
+        return lhs, rhs
 
     def lemma_mpt_check(self, t_samples=None) -> CongruenceReport:
         """C((2p-2)/3 + pt, (p-1)/2) against its first-order expansion in t
@@ -566,27 +605,30 @@ class PrimeVerifier:
         p(-1)^j (1 + p H_2j - p H_j) on the lower half, and
         2 p^2 (-1)^j (H_2j - H_j) on the upper half, where H_2j is no
         longer p-integral and the negative valuation must cancel the p^2.
-        Case by case in plain residues, the left side of each case as one
-        factorial quotient (see _lemma_p2j_cases)."""
-        return self._first_failure(Target.LEMMA_P2J, self._lemma_p2j_cases())
+        Every case is p times a unit, so the two sides are compared as two
+        lists of units mod p^2 (see _lemma_p2j_units)."""
+        return self._range_report(Target.LEMMA_P2J, *self._lemma_p2j_units())
 
-    def _lemma_p2j_cases(self) -> list[tuple[int, int]]:
-        """(lhs, rhs) mod p^m at each j < p, each side built from strided
-        slices.  The left side is the factorial quotient (p+2j)! / (j! (2j)!
-        (p-j-1)!), p^v times four units off the factorial tables; every
-        index is below 3p < p^2, so v_p(n!) = floor(n/p) and v = 1 at every
-        j, and p times units mod p^2 gives it mod p^3.  The harmonic numbers
-        come from the harmonic cache, which holds H_n below p and p H_n from
-        p on.  On the upper half (2j >= p) the
-        stored p H_2j carries H_2j's negative valuation, so the right side
-        is 2p (p H_2j - p H_j), one comprehension per half."""
+    def _lemma_p2j_units(self) -> tuple[list[int], list[int]]:
+        """The two sides of every case j < p over p, as units mod p^2, each
+        built from strided slices.  The left side is the factorial quotient
+        (p+2j)! / (j! (2j)! (p-j-1)!), p^v times four units off the
+        factorial tables; every index is below 3p < p^2, so v_p(n!) =
+        floor(n/p) and v = 1 at every j, and the entry is the product of
+        the four units mod p^2.  The harmonic numbers come from the harmonic
+        cache, which holds H_n below p and p H_n from p on.  The right side
+        is (-1)^j (1 + p (H_2j - H_j)) on the lower half (2j < p) and, as
+        the stored p H_2j carries H_2j's negative valuation there,
+        2 (-1)^j (p H_2j - p H_j) on the upper half, one comprehension
+        each."""
         p = self.p
-        mod = self.powers[self._exponent(Target.LEMMA_P2J)]
+        self._exponent(Target.LEMMA_P2J)  # raises before any table is built
+        pp = self.powers[2]
         _, fu, fi = self.ctx.factorial_tables(3 * p)
         h = harmonic_scaled(2 * p - 2, self.ctx)
         n = (p + 1) // 2  # the lower half, 2j < p
         lhs = [
-            p * a * b * c * d % mod
+            a * b * c * d % pp
             for a, b, c, d in zip(
                 fu[p : 3 * p : 2],  # (p+2j)!
                 fi[:p],  # 1/j!
@@ -594,63 +636,72 @@ class PrimeVerifier:
                 fi[p - 1 :: -1],  # 1/(p-j-1)!
             )
         ]
-        sp = (p, -p) * n  # p (-1)^j
-        rhs = [s * (1 + p * (a - b)) % mod for s, a, b in zip(sp[:n], h[0:p:2], h[:n])]
-        rhs += [
-            2 * s * (a - p * b) % mod
-            for s, a, b in zip(sp[n:p], h[p + 1 : 2 * p - 1 : 2], h[n:p])
-        ]
-        return list(zip(lhs, rhs))
+        sg = (1, -1) * n  # (-1)^j
+        rhs = [s * (1 + p * (a - b)) % pp for s, a, b in zip(sg[:n], h[0:p:2], h[:n])]
+        rhs += [2 * s * (a - p * b) % pp for s, a, b in zip(sg[n:p], h[p + 1 : 2 * p - 1 : 2], h[n:p])]
+        return lhs, rhs
 
     def lemma_sh55_check(self) -> CongruenceReport:
         """The full Domb sum against the central-binomial expansion:
         sum D_k/16^k = sum C(2k,k)^2 16^(-k) (p/(3k+1))(1 + p H_2k - p H_k)
-        mod p^3, both sums over 0 <= k <= p-1.  The right side is the sum of
-        the products of _lemma_sh55_terms, the terms of the expansion that
-        are not 0 mod p^3 by their valuation alone."""
+        mod p^3, both sums over 0 <= k <= p-1.  The right side sums only the
+        terms of _lemma_sh55_terms, those that are not 0 mod p^3 by their
+        valuation alone: p times the regular ones' units mod p^2, each
+        weighted by 16^(-k), plus the one term of another valuation."""
+        p = self.p
         lhs = self.weighted_sum(16, "1")
-        rhs = sum(b * h for b, h in self._lemma_sh55_terms())
-        return self._report(Target.LEMMA_SH55, lhs, rhs)
+        mod = self.powers[self._exponent(Target.LEMMA_SH55)]
+        pp = self.powers[2]
+        binomials, harmonics, (b, x) = self._lemma_sh55_terms()
+        # sum_k y_k 16^(-k) mod p^2 for y_k = b_k x_k, by Horner in 16,
+        # sixteen terms a step: each block is one exact sum against
+        # 16^15 .. 1, and a short last block reads as one padded with
+        # zeros, so s ends as sum_k y_k 16^(16 blocks - 1 - k)
+        y = [u * v for u, v in zip(binomials, harmonics)]
+        s = 0
+        for i in range(0, len(y), 16):
+            s = ((s << 64) + sum(map(mul, y[i : i + 16], _POW16))) % pp
+        s = s * pow(16, 1 - 16 * ((len(y) + 15) // 16), pp) % pp
+        return self._report(Target.LEMMA_SH55, lhs, (p * s + b * x) % mod)
 
-    def _lemma_sh55_terms(self) -> list[tuple[int, int]]:
-        """(C(2k,k)^2 16^(-k), (p/(3k+1))(1 + p H_2k - p H_k)) mod p^m = p^3
-        at each k < (p+1)/2, then, at p = 2 (mod 3), at k0 = (2p-1)/3.  No
-        other term can be nonzero mod p^3: from k = (p+1)/2 on, p < 2k < 2p,
-        so C(2k,k) carries exactly one p and its square p^2, and
-        3p/2 < 3k+1 < 3p, so p/(3k+1) carries one more p unless
-        3k+1 = 2p, where it is 1/2.  Below (p+1)/2, 2k < p: C(2k,k) is a
-        unit and H_2k is p-integral.  The binomial is read off the factorial
-        tables and the harmonic factor from the harmonic cache and
-        _p_over_3j1, in one zip loop over strided slices that carries the
-        weight 16^(-k) from term to term.  The tables hold units mod p^2,
-        so a binomial factor is known mod p^2 only, which the harmonic
-        factor's p makes enough, except at 3k+1 = p (p = 1 mod 3), where
-        p/(3k+1) = 1 and C(2k,k) is taken from _central_where_3j1_is_p.  At
-        k0 the cache's stored p H_2k0 absorbs H_2k0's negative valuation; it
-        is kept mod p^2, so the harmonic factor there is known mod p^2 only,
-        which the binomial factor's p^2 makes enough."""
+    def _lemma_sh55_terms(self) -> tuple[list[int], list[int], tuple[int, int]]:
+        """The terms of the expansion that can be nonzero mod p^3.  From
+        k = (p+1)/2 on, p < 2k < 2p, so C(2k,k) carries exactly one p and
+        its square p^2, and 3p/2 < 3k+1 < 3p, so p/(3k+1) carries one more
+        p unless 3k+1 = 2p, where it is 1/2.  Below (p+1)/2, 2k < p:
+        C(2k,k) is a unit, H_2k is p-integral, and the term is p times a
+        unit but at 3k+1 = p (p = 1 mod 3).  So the terms are:
+
+        - for each k < (p+1)/2, the binomial unit C(2k,k)^2 mod p^2, off
+          the factorial tables, and the harmonic unit
+          inv(3k+1) (1 + p (H_2k - H_k)) mod p^2, off _inv_3j1 and the
+          harmonic cache; the term is p 16^(-k) times their product.  At
+          3k+1 = p the harmonic unit is 0, as _inv_3j1 holds 0 there;
+        - the one term of another valuation, as its factors
+          C(2k,k)^2 16^(-k) and (p/(3k+1))(1 + p H_2k - p H_k) mod p^3: at
+          3k+1 = p, C(2k,k) from _central_where_3j1_is_p, the harmonic
+          factor's p/(3k+1) being 1; at k0 = (2p-1)/3 (p = 2 mod 3), the
+          binomial factor p^2 times a unit off the tables, and the cache's
+          stored p H_2k0, which absorbs H_2k0's negative valuation and is
+          kept mod p^2, enough under that p^2."""
         p = self.p
         mod = self.powers[self._exponent(Target.LEMMA_SH55)]
+        pp = self.powers[2]
         _, fu, fi = self.ctx.factorial_tables(3 * p)
         h = harmonic_scaled(4 * p // 3, self.ctx)  # to 2k0 = (4p-2)/3
-        i16 = pow(16, -1, mod)
         n = (p + 1) // 2
-        w = 1
-        terms = []
-        for a, b, x, s, t in zip(fu[0:p:2], fi[:n], self._p_over_3j1, h[0:p:2], h[:n]):
-            c = a * b * b % mod
-            terms.append((c * c * w % mod, x * (1 + p * (s - t)) % mod))
-            w = w * i16 % mod
+        binomials = [(a * b * b % pp) ** 2 % pp for a, b in zip(fu[0:p:2], fi[:n])]
+        harmonics = [x * (1 + p * (s - t)) % pp for x, s, t in zip(self._inv_3j1, h[0:p:2], h[:n])]
         if p % 3 == 1:
             k = (p - 1) // 3
             c = _central_where_3j1_is_p(p)
-            terms[k] = (c * c * pow(i16, k, mod) % mod, terms[k][1])
+            whole = (c * c * pow(16, -k, mod) % mod, (1 + p * (h[2 * k] - h[k])) % mod)
         else:
             k = (2 * p - 1) // 3
             c = fu[2 * k] * fi[k] * fi[k] % mod
-            w = p * p * pow(i16, k, mod)
-            terms.append((c * c * w % mod, pow(2, -1, mod) * (1 + h[2 * k] - p * h[k]) % mod))
-        return terms
+            b = p * p * c * c * pow(16, -k, mod) % mod
+            whole = (b, pow(2, -1, mod) * (1 + h[2 * k] - p * h[k]) % mod)
+        return binomials, harmonics, whole
 
     def lemma_sunh_check(self) -> CongruenceReport:
         """The harmonic-number evaluations at p/6, p/4, p/3, 2p/3 and the

@@ -159,21 +159,13 @@ def harmonic_scaled(n: int, ctx: PrimeContext, order: int = 1) -> list[int]:
     return _harmonic_cache(ctx)._sums(order, n)
 
 
-# the standard little-endian struct fields that read one w-byte slot, lowest
-# first, and the bit offset of each field after the first
-_SLOT_FIELDS = {
-    1: ("B", ()),
-    2: ("H", ()),
-    3: ("HB", (16,)),
-    4: ("I", ()),
-    5: ("IB", (32,)),
-    6: ("IH", (32,)),
-    7: ("IHB", (32, 48)),
-    8: ("Q", ()),
-}
+# the standard little-endian struct field that reads a w-byte slot, and its
+# width: the next standard width up from w
+_SLOT_FIELDS = {1: ("B", 1), 2: ("H", 2), 3: ("I", 4), 4: ("I", 4)}
+_SLOT_FIELDS.update(dict.fromkeys((5, 6, 7, 8), ("Q", 8)))
 
 
-def _slot_fields(w: int) -> tuple[str, tuple[int, ...]]:
+def _slot_fields(w: int) -> tuple[str, int]:
     try:
         return _SLOT_FIELDS[w]
     except KeyError:
@@ -195,21 +187,20 @@ def _pack(c: list[int], w: int, p: int) -> int:
 
 
 def _unpack(x: int, size: int, lo: int, hi: int, w: int, p: int) -> list[int]:
-    """Slots lo..hi-1 of x, mod p, as one struct.unpack_from call: a slot is
-    one field, or two or three joined by shifts.  x must fit in `size`
+    """Slots lo..hi-1 of x, mod p, as one struct.unpack call.  A slot of 3,
+    5, 6 or 7 bytes is first copied into a zeroed one of the next standard
+    width, one strided slice assignment per byte.  x must fit in `size`
     slots (to_bytes raises OverflowError otherwise, so an operand longer
     than its caller claims cannot pass unnoticed)."""
-    fields, shifts = _slot_fields(w)
+    code, f = _slot_fields(w)
     raw = x.to_bytes(size * w, "little")
     k = hi - lo
-    if not shifts:
-        return [v % p for v in struct.unpack_from(f"<{k}{fields}", raw, lo * w)]
-    t = struct.unpack_from("<" + fields * k, raw, lo * w)
-    if len(shifts) == 1:
-        (s,) = shifts
-        return [(a | b << s) % p for a, b in zip(t[::2], t[1::2])]
-    s, r = shifts
-    return [(a | b << s | c << r) % p for a, b, c in zip(t[::3], t[1::3], t[2::3])]
+    if f == w:
+        return [v % p for v in struct.unpack_from(f"<{k}{code}", raw, lo * w)]
+    wide = bytearray(k * f)
+    for i in range(w):
+        wide[i::f] = raw[lo * w + i : hi * w : w]
+    return [v % p for v in struct.unpack(f"<{k}{code}", wide)]
 
 
 def _slot_bytes(n: int, p: int) -> int:

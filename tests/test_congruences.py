@@ -620,20 +620,23 @@ def test_lemma_sides_read_separate_tables():
     # perturbing every stored harmonic sum only the harmonic sides
     p = 1009
     samples = [0, 1, -1, 2, 37]
+    # each helper gives the binomial side and the harmonic side, of every
+    # case or term
     helpers = {
-        "_lemma22_cases": lambda pv: pv._lemma22_cases(),
-        "_lemma_p2j_cases": lambda pv: pv._lemma_p2j_cases(),
-        "_lemma_sh55_terms": lambda pv: pv._lemma_sh55_terms(),
+        "_lemma22_units": lambda pv: pv._lemma22_units(),
+        "_lemma_p2j_units": lambda pv: pv._lemma_p2j_units(),
+        # the regular terms' units, then the factors of the whole term
+        "_lemma_sh55_terms": lambda pv: (lambda b, x, w: (b + [w[0]], x + [w[1]]))(*pv._lemma_sh55_terms()),
         # one case per sample t: the row of a one-sample check
-        "lemma_mpt_check": lambda pv: [
-            (r.lhs, r.rhs) for r in (pv.lemma_mpt_check([t]) for t in samples)
-        ],
+        "lemma_mpt_check": lambda pv: list(
+            zip(*[(r.lhs, r.rhs) for r in (pv.lemma_mpt_check([t]) for t in samples)])
+        ),
     }
 
     def sides(perturb):
         pv = PrimeVerifier(p, [T.LEMMA22, T.LEMMA_MPT, T.LEMMA_P2J, T.LEMMA_SH55])
         perturb(pv)
-        return {name: list(zip(*cases(pv))) for name, cases in helpers.items()}
+        return {name: sides_of(pv) for name, sides_of in helpers.items()}
 
     def bump_inverse_factorials(pv):
         pv.ctx.factorial_decomposed(3 * p)
@@ -805,6 +808,23 @@ def _assert_cases_equal(got, want, label):
         assert g == w, (label, j)
 
 
+def _times_p(p, units, whole=None):
+    """The cases of a range lemma from its two lists of units mod p^2: p
+    times each entry, but at j = whole, where the entries are the case
+    itself mod p^3."""
+    lhs, rhs = units
+    assert len(lhs) == len(rhs)
+    return [(a, b) if j == whole else (p * a, p * b) for j, (a, b) in enumerate(zip(lhs, rhs))]
+
+
+def _lemma22_cases(pv):
+    return _times_p(pv.p, pv._lemma22_units(), (pv.p - 1) // 3)
+
+
+def _lemma_p2j_cases(pv):
+    return _times_p(pv.p, pv._lemma_p2j_units())
+
+
 def _sh55_kept(p):
     """The k of the LEMMA_SH55 terms the verifier sums, in its order: every
     k < (p+1)/2, then k0 = (2p-1)/3 at p = 2 (mod 3)."""
@@ -814,26 +834,36 @@ def _sh55_kept(p):
 def _assert_sh55_terms(pv, terms, label):
     # the verifier's terms against the kept ones of all p terms, case by
     # case, and the products mod p^3; every term it drops has a product 0
-    # mod p^3.  Below (p+1)/2 the verifier's binomial factors come from
-    # units mod p^2, so they agree with these p^3 ones mod p^2, and the
-    # harmonic factor's p makes the products agree mod p^3; at 3k+1 = p
-    # (p = 1 mod 3) that factor is a unit, so the binomial factors must
-    # agree mod p^3.  At k0 = (2p-1)/3 (p = 2 mod 3) the binomial factor
-    # carries p^2, so only the harmonic factor mod p reaches the sum, and
-    # the verifier's harmonic cache holds fewer digits than the p^3 one
+    # mod p^3.  Below (p+1)/2 the verifier holds a term as p 16^(-k) times
+    # a binomial and a harmonic unit mod p^2: the binomial unit times
+    # 16^(-k) agrees with the p^3 binomial factor mod p^2, p times the
+    # harmonic unit is the p^3 harmonic factor, and the harmonic factor's p
+    # makes the products agree mod p^3.  The one term of another valuation
+    # is held as its two factors mod p^3.  At 3k+1 = p (p = 1 mod 3) its
+    # harmonic unit is 0, the binomial factor is a unit and both factors
+    # must agree mod p^3.  At k0 = (2p-1)/3 (p = 2 mod 3) the binomial
+    # factor carries p^2, so only the harmonic factor mod p reaches the sum,
+    # and the verifier's harmonic cache holds fewer digits than the p^3 one
     # these terms were built from: there the harmonic factors agree mod p.
     p = pv.p
+    pp, mod = p**2, p**3
+    binomials, harmonics, (wb, wh) = pv._lemma_sh55_terms()
     kept = _sh55_kept(p)
-    got = pv._lemma_sh55_terms()
-    want = [terms[k] for k in kept]
-    assert len(got) == len(want), label
-    for k, (b, h), (wb, wh) in zip(kept, got, want):
-        if p % 3 == 2 and k == kept[-1]:
-            assert b == wb and h % p == wh % p, (label, "k0")
-        else:
-            assert h == wh and b % p**2 == wb % p**2, (label, k)
-        assert b * h % p**3 == wb * wh % p**3, (label, k)
+    assert len(binomials) == len(harmonics) == (p + 1) // 2, label
     assert len(terms) == p, label
+    for k, (b, x) in enumerate(zip(binomials, harmonics)):
+        tb, th = terms[k]
+        assert 0 <= b < pp and 0 <= x < pp, (label, k)
+        if 3 * k + 1 == p:
+            assert x == 0 and wb == tb and wh == th, (label, k)
+            assert wb * wh % mod == tb * th % mod, (label, k)
+        else:
+            assert p * x == th and b * pow(16, -k, pp) % pp == tb % pp, (label, k)
+            assert p * b * x * pow(16, -k, mod) % mod == tb * th % mod, (label, k)
+    if p % 3 == 2:
+        tb, th = terms[kept[-1]]
+        assert wb == tb and wh % p == th % p, (label, "k0")
+        assert wb * wh % mod == tb * th % mod, (label, "k0")
     for k in sorted(set(range(p)) - set(kept)):
         b, h = terms[k]
         assert b * h % p**3 == 0, (label, k)
@@ -853,8 +883,8 @@ def test_lemma_cases_match_padic_oracles(k):
         pv = _lemma_verifier(p, k)
         m = modulus_exponent(T.LEMMA_P2J, p)
         if T.LEMMA22 in pv.want:
-            _assert_cases_equal(pv._lemma22_cases(), oracle_lemma22_cases(pv, m), ("LEMMA22", p))
-        _assert_cases_equal(pv._lemma_p2j_cases(), oracle_lemma_p2j_cases(pv, m), ("LEMMA_P2J", p))
+            _assert_cases_equal(_lemma22_cases(pv), oracle_lemma22_cases(pv, m), ("LEMMA22", p))
+        _assert_cases_equal(_lemma_p2j_cases(pv), oracle_lemma_p2j_cases(pv, m), ("LEMMA_P2J", p))
         terms, rhs = oracle_lemma_sh55_terms(pv, m)
         _assert_sh55_terms(pv, terms, ("LEMMA_SH55", p))
         assert pv.lemma_sh55_check().rhs == rhs, p
@@ -906,6 +936,11 @@ def test_oracle_primes_cover_every_valuation_shift():
 # They read the tables of truth_ctx, at p^3, not the verifier's.
 
 
+def _p_over_3j1(p, mod):
+    """p/(3j+1) mod `mod` for j < (p+1)/2, by pow: 1 at 3j+1 = p."""
+    return [1 if 3 * j + 1 == p else p * pow(3 * j + 1, -1, mod) % mod for j in range((p + 1) // 2)]
+
+
 def per_case_lemma22_cases(pv, m):
     p = pv.p
     ctx = truth_ctx(p)
@@ -913,7 +948,7 @@ def per_case_lemma22_cases(pv, m):
     mod = pw[m]
     fv, fu, fi = ctx.factorial_tables(3 * p)
     h = special.harmonic_scaled(p - 1, ctx)
-    f = pv._p_over_3j1
+    f = _p_over_3j1(p, mod)
     cases = []
     for j in range((p + 1) // 2):
         a, b, c, d, e = p + j, 3 * j, 2 * j, 3 * j + 1, p - 2 * j - 1
@@ -945,15 +980,15 @@ def per_case_lemma_p2j_cases(pv, m):
 
 
 def per_case_lemma_sh55_terms(pv, m):
-    """All p terms; p/(3k+1) from the verifier's list below (p+1)/2 and
-    computed here from there, where the list stops."""
+    """All p terms; p/(3k+1) from pow below (p+1)/2, and from there with
+    the one p/(3k+1) of valuation 0 at 3k+1 = 2p."""
     p = pv.p
     ctx = truth_ctx(p)
     pw = ctx.powers
     mod = pw[m]
     _, fu, fi = ctx.factorial_tables(3 * p)
     h = special.harmonic_scaled(2 * p - 2, ctx)
-    f = pv._p_over_3j1
+    f = _p_over_3j1(p, mod)
     i16 = pow(16, -1, mod)
     half = (p + 1) // 2
     w = 1
@@ -981,8 +1016,8 @@ def test_lemma_slices_match_per_case_loops(k):
     for p in [q for q, g in SLICE_RUNS if g == k]:
         pv = _lemma_verifier(p, k)
         if T.LEMMA22 in pv.want:
-            _assert_cases_equal(pv._lemma22_cases(), per_case_lemma22_cases(pv, 3), ("LEMMA22", p))
-        _assert_cases_equal(pv._lemma_p2j_cases(), per_case_lemma_p2j_cases(pv, 3), ("LEMMA_P2J", p))
+            _assert_cases_equal(_lemma22_cases(pv), per_case_lemma22_cases(pv, 3), ("LEMMA22", p))
+        _assert_cases_equal(_lemma_p2j_cases(pv), per_case_lemma_p2j_cases(pv, 3), ("LEMMA_P2J", p))
         _assert_sh55_terms(pv, per_case_lemma_sh55_terms(pv, 3), ("LEMMA_SH55", p))
 
 
@@ -1067,6 +1102,166 @@ def test_split_cases_carry_weight(p):
                 assert not getattr(PrimeVerifier(p, [target]), SPECS[target].method)().passed, helper
 
 
+# ---- oracles: the mod p^3 slice forms that the lists of units replaced ----
+# They read the verifier's own tables, as those forms did, so a moved entry
+# moves them too; p/(3j+1) comes from pow, and the binomials of valuation 0
+# at 3j+1 = p from math.comb.
+
+
+def slice_lemma22_cases(pv):
+    p = pv.p
+    mod = p**3
+    _, fu, fi = pv.ctx.factorial_tables(3 * p)
+    h = special.harmonic_scaled(p - 1, pv.ctx)
+    n = (p + 1) // 2
+    lhs = [
+        p * a * b * c * d * e * g % mod
+        for a, b, c, d, e, g in zip(
+            fu[p : p + n], fu[0 : 3 * n : 3], fi[:n], fi[0 : 2 * n : 2], fi[1 : 3 * n : 3], fi[p - 1 :: -2]
+        )
+    ]
+    j = (p - 1) // 3
+    lhs[j] = math.comb(p - 1, j) * math.comb(p + j, j) % mod
+    rhs = [x * (1 + p * (a - b)) % mod for x, a, b in zip(_p_over_3j1(p, mod), h[:n], h[0:p:2])]
+    return list(zip(lhs, rhs))
+
+
+def slice_lemma_p2j_cases(pv):
+    p = pv.p
+    mod = p**3
+    _, fu, fi = pv.ctx.factorial_tables(3 * p)
+    h = special.harmonic_scaled(2 * p - 2, pv.ctx)
+    n = (p + 1) // 2
+    lhs = [
+        p * a * b * c * d % mod
+        for a, b, c, d in zip(fu[p : 3 * p : 2], fi[:p], fi[0 : 2 * p : 2], fi[p - 1 :: -1])
+    ]
+    sp = (p, -p) * n
+    rhs = [s * (1 + p * (a - b)) % mod for s, a, b in zip(sp[:n], h[0:p:2], h[:n])]
+    rhs += [2 * s * (a - p * b) % mod for s, a, b in zip(sp[n:p], h[p + 1 : 2 * p - 1 : 2], h[n:p])]
+    return list(zip(lhs, rhs))
+
+
+def slice_lemma_sh55_cases(pv):
+    """The one case: the Domb sum against the sum of the kept terms, each
+    term's weight 16^(-k) carried from term to term."""
+    p = pv.p
+    mod = p**3
+    _, fu, fi = pv.ctx.factorial_tables(3 * p)
+    h = special.harmonic_scaled(4 * p // 3, pv.ctx)
+    i16 = pow(16, -1, mod)
+    n = (p + 1) // 2
+    w = 1
+    terms = []
+    for a, b, x, s, t in zip(fu[0:p:2], fi[:n], _p_over_3j1(p, mod), h[0:p:2], h[:n]):
+        c = a * b * b % mod
+        terms.append((c * c * w % mod, x * (1 + p * (s - t)) % mod))
+        w = w * i16 % mod
+    if p % 3 == 1:
+        k = (p - 1) // 3
+        c = math.comb(2 * k, k)
+        terms[k] = (c * c * pow(i16, k, mod) % mod, terms[k][1])
+    else:
+        k = (2 * p - 1) // 3
+        c = fu[2 * k] * fi[k] * fi[k] % mod
+        w = p * p * pow(i16, k, mod)
+        terms.append((c * c * w % mod, pow(2, -1, mod) * (1 + h[2 * k] - p * h[k]) % mod))
+    return [(pv.weighted_sum(16, "1") % mod, sum(b * x for b, x in terms) % mod)]
+
+
+SLICE_FORMS = {
+    T.LEMMA22: slice_lemma22_cases,
+    T.LEMMA_P2J: slice_lemma_p2j_cases,
+    T.LEMMA_SH55: slice_lemma_sh55_cases,
+}
+
+
+SLICE_FAILURES = {
+    (1009, T.LEMMA22): 16,
+    (1009, T.LEMMA_P2J): 17,
+    (1009, T.LEMMA_SH55): 11,
+    (1013, T.LEMMA_P2J): 17,
+    (1013, T.LEMMA_SH55): 14,
+}
+
+
+@pytest.mark.parametrize("p", [1009, 1013])
+def test_failure_rows_match_the_p3_slice_forms(p):
+    # with one inverse factorial or one harmonic sum moved by one at a split
+    # j, or two entries at once, one of them at (p-1)/3, each lemma's row
+    # must hold the first failing case of the mod p^3 slice forms (the last
+    # case when all pass), and its verdict
+    third = (p - 1) // 3
+    splits = [0, third, (p - 1) // 2, (p + 1) // 2, p - 1]
+    moves = [[(table, j)] for table in ("fi", "h") for j in splits]
+    moves += [[("fi", third), ("h", j)] for j in splits if j != third]
+    moves += [[("h", third), ("fi", j)] for j in splits if j != third]
+    for target, cases_of in SLICE_FORMS.items():
+        if not applicable(target, p):
+            continue
+        failed = 0
+        for move in moves:
+            pv = PrimeVerifier(p, [target])
+            pv.ctx.factorial_decomposed(3 * p)
+            tables = {"fi": pv.ctx._fact_inv, "h": special.harmonic_scaled(2 * p - 1, pv.ctx)}
+            for table, i in move:
+                tables[table][i] += 1
+            row = getattr(pv, SPECS[target].method)()
+            cases = cases_of(pv)
+            lhs, rhs = next((c for c in cases if c[0] != c[1]), cases[-1])
+            assert (row.lhs, row.rhs, row.passed) == (lhs, rhs, lhs == rhs), (target, move)
+            failed += not row.passed
+        # the silent moves: H_0 alone, as every case reads H_2j - H_j;
+        # H_((p+1)/2), odd, in LEMMA22 and LEMMA_SH55, which read H_j below
+        # (p+1)/2 and H_2j at even 2j (and 2k0); and in LEMMA_SH55, 1/j!
+        # from (p+1)/2 on, and at 3j+1 = p (1009), whose C(2j, j) mod p^3
+        # comes from a helper of its own
+        assert failed == SLICE_FAILURES[p, target], (target, failed)
+
+
+@pytest.mark.parametrize("p", [1009, 1013])
+def test_every_unit_entry_carries_weight(p, monkeypatch):
+    # one entry of a range lemma's lists moved by one, on either side, at
+    # either end, at a split or at the case taken whole, must fail the
+    # lemma with that case in the row; so must a LEMMA_SH55 binomial or
+    # harmonic unit moved by one, or either factor of its whole term
+    third = (p - 1) // 3
+    for target, name, whole in (
+        (T.LEMMA22, "_lemma22_units", third),
+        (T.LEMMA_P2J, "_lemma_p2j_units", None),
+    ):
+        if not applicable(target, p):
+            continue
+        real = getattr(PrimeVerifier, name)
+        n = len(real(PrimeVerifier(p, [target]))[0])
+        for side in (0, 1):
+            for j in sorted({0, third, (p - 1) // 2, (p + 1) // 2, n - 1} - {n}):
+
+                def moved(self, side=side, j=j):
+                    units = [list(x) for x in real(self)]
+                    units[side][j] += 1
+                    return units
+
+                monkeypatch.setattr(PrimeVerifier, name, moved)
+                row = getattr(PrimeVerifier(p, [target]), SPECS[target].method)()
+                case = _times_p(p, moved(PrimeVerifier(p, [target])), whole)[j]
+                assert not row.passed, (target, side, j)
+                assert (row.lhs, row.rhs) == tuple(x % p**3 for x in case), (target, side, j)
+    # at 3k+1 = p the harmonic unit is 0 and the whole term stands in for
+    # the binomial unit, which no sum reads
+    real = PrimeVerifier._lemma_sh55_terms
+    kb = [0, (p - 1) // 2] + ([third] if p % 3 == 2 else [])
+    for part, k in [(0, k) for k in kb] + [(1, 0), (1, third), (1, (p - 1) // 2), (2, 0), (2, 1)]:
+
+        def moved(self, part=part, k=k):
+            parts = [list(x) for x in real(self)]
+            parts[part][k] += 1
+            return parts[0], parts[1], tuple(parts[2])
+
+        monkeypatch.setattr(PrimeVerifier, "_lemma_sh55_terms", moved)
+        assert not PrimeVerifier(p, [T.LEMMA_SH55]).lemma_sh55_check().passed, (part, k)
+
+
 def test_helpers_where_3j1_is_p_match_comb():
     # the two binomials read mod p^3 at j = (p-1)/3, from chunked products,
     # against math.comb
@@ -1081,8 +1276,8 @@ def test_helpers_where_3j1_is_p_match_comb():
 def test_short_tables_match_the_p3_ground_truth(p):
     # past 1024 a residue mod p^2 fits one 30-bit int digit where one mod
     # p^3 needs two.  The harmonic lists built mod p and p^2 are the p^3
-    # lists reduced, and p/(3j+1), from inverses mod p^2, is p times the
-    # inverse of 3j+1 mod p^3, with 1 at 3j+1 = p
+    # lists reduced, and the list behind p/(3j+1) holds the inverse of 3j+1
+    # mod p^2, with 0 at 3j+1 = p
     full = PrimeContext(p, 3)
     for order, top in ((1, 2 * p - 1), (2, p - 1)):
         truth = special.harmonic_scaled(top, full, order)
@@ -1091,8 +1286,9 @@ def test_short_tables_match_the_p3_ground_truth(p):
             assert short == [x % p**k for x in truth], (order, k)
     pv = PrimeVerifier(p, [T.LEMMA_SH55])
     assert pv.ctx.precision == 2
-    want = [1 if 3 * j + 1 == p else p * pow(3 * j + 1, -1, p**3) % p**3 for j in range((p + 1) // 2)]
-    assert pv._p_over_3j1 == want
+    want = [0 if 3 * j + 1 == p else pow(3 * j + 1, -1, p**2) for j in range((p + 1) // 2)]
+    assert pv._inv_3j1 == want
+    assert all((3 * j + 1) * x % p**2 == 1 for j, x in enumerate(want) if 3 * j + 1 != p)
 
 
 def test_p_over_3j1_is_one_batch_per_verifier(monkeypatch):
@@ -1114,13 +1310,13 @@ def test_p_over_3j1_is_one_batch_per_verifier(monkeypatch):
             pv = PrimeVerifier(p, targets)
             assert all(r.passed for r in pv.run()), (p, targets)
             assert lengths == [(p + 1) // 2], (p, targets)
-            f, pk = pv._p_over_3j1, p**3
-            assert all((3 * j + 1) * x % pk == p for j, x in enumerate(f)), (p, targets)
+            f, pp = pv._inv_3j1, p**2
+            assert all((3 * j + 1) * x % pp == 1 for j, x in enumerate(f) if 3 * j + 1 != p), (p, targets)
             if p % 3 == 1:
-                assert f[(p - 1) // 3] == 1
+                assert f[(p - 1) // 3] == 0
     for q in (7, 13, 31, 997):
         alone = PrimeVerifier(q, [T.LEMMA22])
-        _assert_cases_equal(alone._lemma22_cases(), oracle_lemma22_cases(alone, 3), ("LEMMA22", q))
+        _assert_cases_equal(_lemma22_cases(alone), oracle_lemma22_cases(alone, 3), ("LEMMA22", q))
 
 
 # ---- oracles: the PAdicValue closed forms that the plain right sides replaced ----

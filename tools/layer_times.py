@@ -8,9 +8,10 @@ PrimeVerifier, so no table built in one run is read in the next.  Within a
 run the layers are timed in an order that builds what each one reads
 first: the Domb table, its moment sums at bases 4 and 16, the factorial
 tables to 3p, sigma, the three bernoulli_poly passes, the harmonic cache
-(both orders), p/(3j+1), then each lemma alone on the built tables.
-"total" is a separate fresh verify_prime.  LEMMA22 and LEMMA_MPT are not
-stated at 7919 (2 mod 3), so their entry there is null.
+(both orders), the inverses of 3j+1 behind p/(3j+1), then each lemma
+alone on the built tables.  "total" is a separate fresh verify_prime.
+LEMMA22 and LEMMA_MPT are not stated at 7919 (2 mod 3), so their entry
+there is null.
 
 The Domb recurrence's integer coefficients are memoized for the process
 and grown on a table's first build at each prime; with N > 1 the minimum
@@ -47,7 +48,7 @@ def _layers(pv: PrimeVerifier) -> dict:
             bernoulli_poly(n, x, ctx) for n, x in [(p - 3, 0), (p - 2, Fraction(1, 3)), (p - 2, Fraction(1, 4))]
         ],
         "harmonic_cache": lambda: (harmonic_scaled(2 * p - 2, ctx), harmonic_scaled(p - 1, ctx, order=2)),
-        "p_over_3j1": lambda: pv._p_over_3j1,
+        "inv_3j1": lambda: pv._inv_3j1,
         "lemma22_mpt": lambda: (pv.lemma22_check(), pv.lemma_mpt_check()),
         "lemma_p2j": pv.lemma_p2j_check,
         "lemma_sh55": pv.lemma_sh55_check,
