@@ -18,10 +18,12 @@ inverse of its denominator, which is prime to p.  The three
 range-quantified lemmas (LEMMA22, LEMMA_P2J, LEMMA_SH55) read strided
 slices of the factorial tables, the harmonic cache and one list of the
 inverses of 3j+1 mod p^2 over j < (p+1)/2, from one batch inversion of its
-own.  Every factorial they read is below 3p < p^2, where v_p(n!) =
-floor(n/p), so each quotient's valuation is a constant over a range: 1 at
-every case of LEMMA_P2J; 1 at every case of LEMMA22 but 3j+1 = p, where it
-is 0; and for C(2k,k) in LEMMA_SH55, 0 below k = (p+1)/2 and 1 from there.
+own; they read inverse factorials below 2p - 1 only, and the inverse
+walk stops there.  Every factorial they read is below 3p < p^2, where
+v_p(n!) = floor(n/p), so each quotient's valuation is a constant over a
+range: 1 at every case of LEMMA_P2J; 1 at every case of LEMMA22 but
+3j+1 = p, where it is 0; and for C(2k,k) in LEMMA_SH55, 0 below
+k = (p+1)/2 and 1 from there.
 A case p X against p Y holds mod p^3 exactly when X = Y mod p^2, so each
 side of LEMMA22 and LEMMA_P2J is one list of units mod p^2, the cases
 divided by their common p, and one list comparison decides the lemma; only
@@ -539,7 +541,7 @@ class PrimeVerifier:
         p = self.p
         mod = self.powers[self._exponent(Target.LEMMA22)]
         pp = self.powers[2]
-        _, fu, fi = self.ctx.factorial_tables(3 * p)
+        _, fu, fi = self.ctx.factorial_tables(2 * p - 2)
         h = harmonic_scaled(p - 1, self.ctx)
         n = (p + 1) // 2
         lhs = [
@@ -624,7 +626,7 @@ class PrimeVerifier:
         p = self.p
         self._exponent(Target.LEMMA_P2J)  # raises before any table is built
         pp = self.powers[2]
-        _, fu, fi = self.ctx.factorial_tables(3 * p)
+        _, fu, fi = self.ctx.factorial_tables(2 * p - 2)
         h = harmonic_scaled(2 * p - 2, self.ctx)
         n = (p + 1) // 2  # the lower half, 2j < p
         lhs = [
@@ -687,7 +689,7 @@ class PrimeVerifier:
         p = self.p
         mod = self.powers[self._exponent(Target.LEMMA_SH55)]
         pp = self.powers[2]
-        _, fu, fi = self.ctx.factorial_tables(3 * p)
+        _, fu, fi = self.ctx.factorial_tables(2 * p - 2)
         h = harmonic_scaled(4 * p // 3, self.ctx)  # to 2k0 = (4p-2)/3
         n = (p + 1) // 2
         binomials = [(a * b * b % pp) ** 2 % pp for a, b in zip(fu[0:p:2], fi[:n])]

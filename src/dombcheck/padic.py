@@ -9,7 +9,7 @@ and shrinks the known precision accordingly, interval style.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -107,19 +107,21 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def batch_inverse(units: list[int], mod: int) -> list[int]:
-    """The inverses mod `mod` of a list of units, from one pow: prefix
+def batch_inverse(units: Sequence[int], mod: int) -> list[int]:
+    """The inverses mod `mod` of a sequence of units, from one pow: prefix
     products, the inverse of their total, and a walk back that peels one
     factor off per step (Montgomery's trick)."""
-    inv = []
+    prefix = []
     x = 1
     for u in units:
-        inv.append(x)  # the product of the units before this one
+        prefix.append(x)  # the product of the units before this one
         x = x * u % mod
     x = pow(x, -1, mod)
-    for i in range(len(units) - 1, -1, -1):
-        inv[i] = inv[i] * x % mod
-        x = x * units[i] % mod
+    inv = []
+    for before, u in zip(reversed(prefix), reversed(units)):
+        inv.append(before * x % mod)
+        x = x * u % mod
+    inv.reverse()
     return inv
 
 
@@ -128,7 +130,9 @@ class PrimeContext:
 
     The factorial cache is the one factorial table of the prime: for each
     n, the valuation of n!, its p-free unit mod p^K and the inverse of that
-    unit, so a binomial needs no modular inversion.  The binomials, the
+    unit, so a binomial needs no modular inversion.  Valuations and units
+    reach at least 3p from the first read; inverses reach only the highest
+    index asked for, 2p - 2 in the verifier.  The binomials, the
     gamma function and the Bernoulli and Euler series (reduced mod p) all
     read it through factorial_tables.  The context is logically immutable;
     the factorial cache and the per-prime tables underneath are append-only
@@ -180,18 +184,26 @@ class PrimeContext:
         """Inverse of a p-free residue modulo p^K."""
         return pow(u, -1, self.pk)
 
+    def _p_free_parts(self, lo: int, hi: int) -> tuple[list[int], list[int]]:
+        """The p-free parts of lo..hi-1 and their valuations: the plain
+        indices, with only the multiples of p split."""
+        p = self.p
+        parts = list(range(lo, hi))
+        steps = [0] * len(parts)
+        for m in range(lo + -lo % p, hi, p):
+            steps[m - lo], parts[m - lo] = split_p(m, p)
+        return parts, steps
+
     def factorial_decomposed(self, n: int) -> tuple[int, int]:
         """n! as (valuation, p-free unit mod p^K).
 
         The valuation grows by v_p(m) at each step m, matching Legendre's
         digit-sum formula; the unit is the running product of the p-free
         parts of 1..n reduced mod p^K.  The cache grows in blocks, at least
-        to 3p (the largest n the lemma loops read) and at least doubling.
-        A block starts as the plain list of its indices; only the multiples
-        of p are split, and the valuations are the running sum of their
-        v_p.  Each block costs one inversion, of its last unit, and a
-        backward walk inv[m-1] = inv[m] * (p-free part of m) fills the
-        inverses.
+        to 3p (past 3p - 2, the largest n whose unit the lemma loops read)
+        and at least doubling, and the valuations are the running sum of
+        the steps' v_p.  The inverses are not walked here but by
+        factorial_tables, only as far as a reader asks.
         """
         if n < 0:
             raise ValueError("factorial of a negative integer")
@@ -199,34 +211,37 @@ class PrimeContext:
         fu = self._fact_unit
         if n < len(fv):
             return fv[n], fu[n]
-        p = self.p
         pk = self.pk
         start = len(fv)
-        parts = list(range(start, max(n, 2 * start, 3 * p) + 1))
-        steps = [0] * len(parts)
-        for m in range(start + -start % p, start + len(parts), p):
-            steps[m - start], parts[m - start] = split_p(m, p)
+        parts, steps = self._p_free_parts(start, max(n, 2 * start, 3 * self.p) + 1)
         steps[0] += fv[-1]
         fv.extend(accumulate(steps))
-        del steps
         unit = fu[-1]
         for u in parts:
             unit = unit * u % pk
             fu.append(unit)
-        inv = [0] * len(parts)
-        x = pow(unit, -1, pk)
-        for i in range(len(parts) - 1, -1, -1):
-            inv[i] = x
-            x = x * parts[i] % pk
-        self._fact_inv.extend(inv)
         return fv[n], fu[n]
 
     def factorial_tables(self, n: int) -> tuple[list[int], list[int], list[int]]:
         """The factorial caches grown to index n, for loops that read many
-        entries: v_p(m!), the p-free unit of m! mod p^K, and its inverse."""
-        if n >= len(self._fact_val):
+        entries: v_p(m!), the p-free unit of m! mod p^K, and its inverse.
+        Units reach at least 3p from the first read (factorial_decomposed),
+        inverses only n.  New inverses cost one inversion, at index n, and
+        a backward walk inv[m-1] = inv[m] * (p-free part of m)."""
+        fv, fu, fi = self._fact_val, self._fact_unit, self._fact_inv
+        if n >= len(fv):
             self.factorial_decomposed(n)
-        return self._fact_val, self._fact_unit, self._fact_inv
+        if n >= len(fi):
+            pk = self.pk
+            parts, _ = self._p_free_parts(len(fi) + 1, n + 1)
+            x = pow(fu[n], -1, pk)
+            inv = [x]
+            for u in reversed(parts):
+                x = x * u % pk
+                inv.append(x)
+            inv.reverse()
+            fi.extend(inv)
+        return fv, fu, fi
 
 
 @dataclass(frozen=True, slots=True)
@@ -435,13 +450,13 @@ def binomial_int(n: int, k: int, ctx: PrimeContext) -> PAdicValue:
 
 
 def binomial_residues(ctx: PrimeContext) -> Callable[[int, int], int]:
-    """A function (n, k) -> C(n, k) mod ctx.pk = p^K for n <= 3p, read off
-    the factorial tables as unit * p^v (0 once v >= K): binomial_int's
-    arithmetic in plain ints, for loops that need residues only.  The
-    verifier passes its kernel context, so its binomials are residues mod
-    the kernel modulus, p^2 in a sweep of every target.  As with
-    binomial_int, k < 0 or k > n gives 0 and n < 0 raises ValueError."""
-    fv, fu, fi = ctx.factorial_tables(3 * ctx.p)
+    """A function (n, k) -> C(n, k) mod ctx.pk = p^K, read off the
+    factorial tables as unit * p^v (0 once v >= K): binomial_int's
+    arithmetic in plain ints, for callers that need residues only.  A read
+    grows the tables to n when they stop short of it.  The verifier passes
+    its kernel context, so its binomials are residues mod the kernel
+    modulus, p^2 in a sweep of every target.  As with binomial_int, k < 0
+    or k > n gives 0 and n < 0 raises ValueError."""
     pw = ctx.powers
     pk = ctx.pk
 
@@ -450,6 +465,7 @@ def binomial_residues(ctx: PrimeContext) -> Callable[[int, int], int]:
             raise ValueError("binomial_residues needs n >= 0")
         if k < 0 or k > n:
             return 0
+        fv, fu, fi = ctx.factorial_tables(n)
         v = fv[n] - fv[k] - fv[n - k]
         return fu[n] * fi[k] * fi[n - k] * pw[v] % pk if v < ctx.precision else 0
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import struct
 import weakref
 from itertools import accumulate
+from operator import mul, sub
 
 from .padic import (
     DenominatorDivisibleByP,
@@ -67,10 +68,10 @@ class HarmonicCache:
     order-1 list is built here from
     one batch inversion of 1..p-1, and no read of the factorial tables:
     the lemma checks compare these sums with binomials, which the
-    factorial tables build.  The term at k = p is p/p = 1, and from there
-    each term p/(p+r) is u/(1+u) = u - u^2 + ... +- u^(K-1) mod p^K with
-    u = p/r, so the inverses below p serve both halves; at K = 2 the term
-    is u itself.
+    factorial tables build.  The upper half comes from the lower half:
+    summing p/(p+k) = sum_m (-1)^(m-1) (p/k)^m over k <= r, and p/p = 1,
+    p H_(p+r) = p H_(p-1) + 1 + sum_(m<K) (-1)^(m-1) p^m H_r^(m) mod p^K;
+    at K <= 2 that is one pass over H_r.
     The order-2 list is built on its first read; its terms are the squares
     of the order-1 terms, read back as differences of the order-1 list.
 
@@ -87,17 +88,18 @@ class HarmonicCache:
         self._ctx = weakref.ref(ctx)
         p = ctx.p
         pk = ctx.pk
-        inv = batch_inverse(list(range(1, p)), pk)
-        self._h = h = [0]
-        h.extend(s % pk for s in accumulate(inv))
-        # from k = p on the list holds p H_k: p H_(p-1) + p/p, then
-        # p/(p+r) = u (1 - u (1 - u (...))) mod p^K for u = p/r, one pass
-        # per digit past the second
-        u = [p * x % pk for x in inv]
-        high = u
-        for _ in range(ctx.precision - 2):
-            high = [a * (1 - b) % pk for a, b in zip(u, high)]
-        h.extend(s % pk for s in accumulate(high, initial=p * h[-1] + 1))
+        inv = batch_inverse(range(1, p), pk)
+        self._h = h = [s % pk for s in accumulate(inv, initial=0)]
+        # p H_(p+r) from H_r, as in the class docstring; past K = 2 one more
+        # pass per order m, on the powers 1/k^m
+        c = p * h[-1] + 1
+        high = [(c + p * x) % pk for x in h]
+        power = inv
+        for m in range(2, ctx.precision):
+            power = [a * b % pk for a, b in zip(power, inv)]
+            pm = (-p) ** m
+            high = [(a - pm * s) % pk for a, s in zip(high, accumulate(power, initial=0))]
+        h += high
         self._h2 = None
 
     @property
@@ -121,10 +123,9 @@ class HarmonicCache:
             # each term is the square of the order-1 term 1/k, read back as
             # a difference of the stored order-1 sums: no inversion here
             pk = self.ctx.pk
-            h = self._h
-            self._h2 = h2 = [0]
-            terms = ((h[k] - h[k - 1]) ** 2 for k in range(1, len(h) // 2))
-            h2.extend(s % pk for s in accumulate(terms))
+            h = self._h[: len(self._h) // 2]
+            d = list(map(sub, h[1:], h))
+            self._h2 = [s % pk for s in accumulate(map(mul, d, d), initial=0)]
         return self._h2
 
     def get(self, n: int, order: int = 1) -> PAdicValue:

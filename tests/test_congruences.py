@@ -609,7 +609,7 @@ def test_harmonic_and_factorial_tables_carry_weight(p):
         _harmonic_cache(pv.ctx)._h[j] += 1
         assert not run(pv, t).passed, ("H", t)
         pv = PrimeVerifier(p, targets)
-        pv.ctx.factorial_decomposed(3 * p)
+        pv.ctx.factorial_tables(2 * p - 2)
         pv.ctx._fact_inv[j] += 1
         assert not run(pv, t).passed, ("1/j!", t)
 
@@ -639,7 +639,7 @@ def test_lemma_sides_read_separate_tables():
         return {name: sides_of(pv) for name, sides_of in helpers.items()}
 
     def bump_inverse_factorials(pv):
-        pv.ctx.factorial_decomposed(3 * p)
+        pv.ctx.factorial_tables(2 * p - 2)
         pv.ctx._fact_inv[:] = [x + 1 for x in pv.ctx._fact_inv]
 
     def bump_harmonic_sums(pv):
@@ -1053,7 +1053,7 @@ LEMMA_RANGES = {T.LEMMA22: lambda p: (p + 1) // 2, T.LEMMA_P2J: lambda p: p, T.L
 
 def _perturbed_run(p, target, table, i):
     pv = PrimeVerifier(p, [target])
-    pv.ctx.factorial_decomposed(3 * p)
+    pv.ctx.factorial_tables(2 * p - 2)
     entries = {
         "fu": pv.ctx._fact_unit,
         "fi": pv.ctx._fact_inv,
@@ -1202,7 +1202,7 @@ def test_failure_rows_match_the_p3_slice_forms(p):
         failed = 0
         for move in moves:
             pv = PrimeVerifier(p, [target])
-            pv.ctx.factorial_decomposed(3 * p)
+            pv.ctx.factorial_tables(2 * p - 2)
             tables = {"fi": pv.ctx._fact_inv, "h": special.harmonic_scaled(2 * p - 1, pv.ctx)}
             for table, i in move:
                 tables[table][i] += 1
@@ -1633,6 +1633,28 @@ def test_prime_is_proved_prime_once_per_verifier(monkeypatch):
         assert pv.run()
         assert (pv.ctx.precision, pv.domb_table.ctx.precision) == (2, 5)
         assert calls == [p], p
+
+
+@pytest.mark.parametrize("p", [1009, 1013, 4001, 4003])
+def test_verifier_walks_inverse_factorials_to_2p_only(p):
+    # no target reads 1/n! past n = 2p - 2 (LEMMA_P2J's 1/(2j)!), so a run
+    # leaves the inverse walk there; a later read past it, up to 3p, walks
+    # on and still gives math.comb
+    rng = random.Random(p)
+    for targets in (None, [T.LEMMA22, T.LEMMA_MPT, T.LEMMA_P2J]):
+        pv = PrimeVerifier(p, targets)
+        pv.run()
+        ctx = pv.ctx
+        fu, fi = ctx._fact_unit, ctx._fact_inv
+        assert 2 * p - 1 <= len(fi) <= 2 * p + 1 and len(fu) >= 3 * p - 1, targets
+        assert all(u * i % ctx.pk == 1 for u, i in zip(fu, fi)), targets
+        binom = padic.binomial_residues(ctx)
+        for n in (2 * p - 1, 2 * p, 3 * p - 2, 3 * p, *rng.sample(range(2 * p, 3 * p + 1), 8)):
+            k = rng.randrange(n + 1)
+            want = math.comb(n, k) % ctx.pk
+            assert binomial_int(n, k, ctx).residue(ctx.precision) == want, (targets, n, k)
+            assert binom(n, k) == want, (targets, n, k)
+        assert len(fi) == 3 * p + 1 and all(u * i % ctx.pk == 1 for u, i in zip(fu, fi)), targets
 
 
 def test_run_stamps_each_method_time_on_its_rows():

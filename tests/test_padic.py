@@ -177,13 +177,14 @@ def test_factorial_unit_is_p_free_product():
 
 
 def test_factorial_blocks_start_anywhere():
-    # blocks that start on p^2 (25), on another multiple of p (55) and on a
-    # unit (111), against the running product taken one factor at a time
+    # blocks, and walks of the inverses, that start on p^2 (25), on another
+    # multiple of p (55) and on a unit (111), against the running product
+    # taken one factor at a time
     p = 5
     ctx = PrimeContext(p, 3)
     for n in (24, 54, 110, 400):
-        ctx.factorial_decomposed(n)
-        assert len(ctx._fact_val) == n + 1
+        ctx.factorial_tables(n)
+        assert len(ctx._fact_val) == len(ctx._fact_inv) == n + 1
     val, unit = 0, 1
     for n in range(1, 401):
         w, u = split_p(n, p)
@@ -196,10 +197,12 @@ def test_factorial_blocks_start_anywhere():
 @pytest.mark.parametrize("p,k", [(5, 3), (7, 6), (101, 4)])
 def test_inverse_factorial_units(p, k):
     ctx = PrimeContext(p, k)
-    ctx.factorial_decomposed(1)  # the first block reaches 3p
-    assert len(ctx._fact_inv) == len(ctx._fact_unit) >= 3 * p + 1
-    ctx.factorial_decomposed(10 * p)  # a second block, inverted on its own
-    assert len(ctx._fact_inv) == len(ctx._fact_unit) >= 10 * p + 1
+    ctx.factorial_decomposed(1)  # the first block reaches 3p, with no inverse
+    assert len(ctx._fact_unit) >= 3 * p + 1 and ctx._fact_inv == [1]
+    ctx.factorial_tables(2 * p - 2)  # inverses as far as asked
+    assert len(ctx._fact_inv) == 2 * p - 1
+    ctx.factorial_tables(10 * p)  # a second block, the inverses walked on to it
+    assert len(ctx._fact_inv) == len(ctx._fact_unit) == 10 * p + 1
     fv, fu, fi = ctx.factorial_tables(10 * p)  # the caches, not copies
     assert fv is ctx._fact_val and fu is ctx._fact_unit and fi is ctx._fact_inv
     for n in range(10 * p + 1):

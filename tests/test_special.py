@@ -114,8 +114,8 @@ def _harmonics_by_full_inversion(ctx):
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_harmonic_cache_matches_full_inversion(k):
-    # p/(p+r) from u = p/r as u - u^2 + ... against the inverse of p+r
-    # itself, at every precision 1..5 (K = 1 and 2 take no correction pass)
+    # p H_(p+r) from the sums H_r^(m) below p against the inverse of p+r
+    # itself, at every precision 1..5 (K = 1 and 2 read no order above 1)
     for p in [*filter(is_prime, range(5, 301)), 1009, 4001, 4003]:
         ctx = PrimeContext(p, k)
         h, h2 = _harmonics_by_full_inversion(ctx)
