@@ -83,14 +83,17 @@ def render_rows(rows, fmt: str, timings: bool) -> str:
     explicitly requested."""
     if fmt not in _FORMATS:
         raise ValueError(f"unknown report format {fmt!r}; expected one of {_FORMATS}")
-    records = list(_rows_as_records(rows, timings))
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(_FIELDS)
-        for rec in records:
-            w.writerow([rec[f] if f != "pass" else str(rec[f]).lower() for f in _FIELDS])
+        w.writerows(
+            (r.prime, r.target.value, r.modulus_exponent, r.lhs, r.rhs, str(r.passed).lower(),
+             round(r.millis, 3) if timings else 0)
+            for r in rows
+        )
         return buf.getvalue()
+    records = list(_rows_as_records(rows, timings))
     if fmt == "jsonl":
         return "".join(json.dumps(rec) + "\n" for rec in records)
     widths = {f: len(f) for f in _FIELDS}

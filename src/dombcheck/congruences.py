@@ -2,9 +2,10 @@
 
 Left-hand sides of the Domb targets are partial sums of the Domb residue
 table against geometric weights, nothing else: three moment sums
-sum k^i D_k b^(-k) per base b, each by Horner in b with one reduction
-every 16 terms and one final product with b^(-(p-1)), so no weight is
-inverted or reduced per term.  Their right-hand sides go
+sum k^i D_k b^(-k) at b = 4 and at 16, from one pass over the table by
+Horner with derivatives in both bases, one reduction every 16 terms and
+one product with b^(-(p-1)) per base, so no weight is inverted or reduced
+per term.  Their right-hand sides go
 through the p-adic kernel's tables (binomials, harmonic numbers, Fermat
 quotients, Bernoulli values).  Every right side is a plain int mod p^m:
 binomials are read off the factorial tables as unit * p^v (but for
@@ -17,8 +18,8 @@ Bernoulli table built, and each rational coefficient is an int times the
 inverse of its denominator, which is prime to p.  The three
 range-quantified lemmas (LEMMA22, LEMMA_P2J, LEMMA_SH55) read strided
 slices of the factorial tables, the harmonic cache and one list of the
-inverses of 3j+1 mod p^2 over j < (p+1)/2, from one batch inversion of its
-own; they read inverse factorials below 2p - 1 only, and the inverse
+inverses of 3j+1 mod p^2 over j < (p+1)/2, read off the harmonic cache;
+they read inverse factorials below 2p - 1 only, and the inverse
 walk stops there.  Every factorial they read is below 3p < p^2, where
 v_p(n!) = floor(n/p), so each quotient's valuation is a constant over a
 range: 1 at every case of LEMMA_P2J; 1 at every case of LEMMA22 but
@@ -29,9 +30,8 @@ side of LEMMA22 and LEMMA_P2J is one list of units mod p^2, the cases
 divided by their common p, and one list comparison decides the lemma; only
 on a mismatch is the first failing case looked for, and only the row's case
 is multiplied back by p.  LEMMA_SH55 sums only the terms that can be
-nonzero mod p^3, below k = (p+1)/2 as p times units mod p^2: from (p+1)/2
-on, a term is p^2 from C(2k,k)^2 times p from p/(3k+1), except the one with
-3k+1 = 2p.  The cases of another valuation, 3j+1 = p in LEMMA22 and in
+nonzero mod p^3 (see _lemma_sh55_terms), below k = (p+1)/2 as p times
+units mod p^2.  The cases of another valuation, 3j+1 = p in LEMMA22 and in
 LEMMA_SH55, and LEMMA_SH55's term at 3k+1 = 2p, are taken whole, mod p^3.
 Only LEMMA_MPT's left side, a binomial at a rational top index, is still a
 PAdicValue.  The PAdicValue forms, the per-case loops and the mod p^3 slice
@@ -68,11 +68,11 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import comb, prod
-from operator import mul
+from operator import mul, sub
 from time import perf_counter
 
 from .domb import DombTable
-from .padic import PrimeContext, batch_inverse, binomial_rational, binomial_residues
+from .padic import PrimeContext, binomial_rational, binomial_residues
 from .quadform import decompose_known_prime
 from .special import bernoulli_poly, harmonic_scaled
 
@@ -155,11 +155,8 @@ def _k2_exp(p: int) -> int:
 
 
 # The catalog.  A new target is one entry here plus the method it names.
-# The last field is the digits read off the kernel context: THM11 and THM12
-# read p^2/C^2, so C mod p; THM13 reads r3 mod p^2; CONJ1_DP1 reads
-# B_(p-3) mod p and CONJ2_MODP2 and MUSUN_P5 no kernel table, their other
-# digits coming from the Domb table, a Fermat quotient or a power.  Every
-# lemma reads units mod p^2 and harmonic sums that p multiplies.
+# The last field, the digits read off the kernel context, is argued for in
+# the module docstring.
 SPECS: dict[Target, TargetSpec] = {
     Target.THM11_4K: TargetSpec("thm1.1", _every, _exp(3), "thm11_4k", _exp(1)),
     Target.THM11_16K: TargetSpec("thm1.1", _every, _exp(3), "thm11_16k", _exp(1)),
@@ -269,16 +266,9 @@ class PrimeVerifier:
     ``want`` (1 when it is empty); the Domb table and the weighted sums are
     kept mod p^K, and each row is reduced mod p^m from ``powers``.  ``ctx``
     is the kernel context: its precision is the largest kernel exponent
-    (``TargetSpec.kernel_exp``) in ``want``, at least 1, and the factorial
-    tables and the harmonic cache on it are kept to that many digits: p^2
-    when a lemma or THM13 is requested, as in an all-targets sweep, and p
-    otherwise.  The three Bernoulli values are taken mod p by bernoulli_poly
-    from one series sigma memoized on ``ctx``; no Bernoulli table is built.
-    Each right side is reduced by the verifier's own ``powers``, not the
-    kernel's.  The range lemmas compare their cases divided by their common
-    p, two lists of units mod p^2 per lemma, and multiply only the row's
-    case back by p; the inverses of 3j+1 mod p^2 that LEMMA22 and LEMMA_SH55
-    read are one list, ``_inv_3j1``.  Every side is ring arithmetic with no
+    (``TargetSpec.kernel_exp``) in ``want``, at least 1, and its tables are
+    kept to that many digits.  Each right side is reduced by the verifier's
+    own ``powers``, not the kernel's.  Every side is ring arithmetic with no
     division by p, so no digit above a target's m is needed, and a target's
     residues do not depend on which other targets are requested.  The shared
     tables are built on first read and kept.
@@ -307,35 +297,45 @@ class PrimeVerifier:
 
     def weighted_sum(self, base: int, weight: str) -> int:
         """sum_{k<p} w(k) D_k base^(-k) mod p^K for w in 1, k, k2, 3k+2,
-        3k+1, 3k2+k, and any base prime to p.  Every k below p contributes;
-        nothing is truncated.  The first call at a base fills all six
-        weights there from one Horner pass of three moment sums."""
+        3k+1, 3k2+k, and any base prime to p; nothing is truncated.  The
+        first call at 4 or 16 fills the twelve weights of both bases, and
+        at another base its six, from one _moment_sums pass."""
         key = f"{weight}/{base}"
         if key not in self._sums:
             pk = self.powers[-1]
-            moments = self._moment_sums(base)
-            for name, coeffs in _WEIGHTS.items():
-                self._sums[f"{name}/{base}"] = sum(c * s for c, s in zip(coeffs, moments)) % pk
+            bases = (4, 16) if base in (4, 16) else (base, base)
+            for b, moments in zip(bases, self._moment_sums(*bases)):
+                for name, coeffs in _WEIGHTS.items():
+                    self._sums[f"{name}/{b}"] = sum(c * s for c, s in zip(coeffs, moments)) % pk
         return self._sums[key]
 
-    def _moment_sums(self, base: int) -> tuple[int, int, int]:
-        """sum_{k<p} k^i D_k base^(-k) mod p^K for i = 0, 1, 2, by Horner in
-        the base: s = s*base + k^i D_k over k = 0 .. p-1 gives sum k^i D_k
-        base^(p-1-k), reduced mod p^K once every 16 steps, and one product
-        with base^(-(p-1)) ends it.  No weight is inverted per k."""
+    def _moment_sums(self, a: int, b: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        """sum_{k<p} k^i D_k c^(-k) mod p^K for i = 0, 1, 2 at c = a and b,
+        from one pass.  Horner with derivatives in c over k = 0 .. p-1,
+        reduced once every 16 steps, leaves t0, t1, t2 = P(c), P'(c),
+        P''(c)/2 for P(c) = sum D_k c^(n-k), n = p-1, so that sum k D_k
+        c^(n-k) = n t0 - c t1 and sum k^2 D_k c^(n-k) = n^2 t0 - (2n-1) c t1
+        + 2 c^2 t2; one product with c^(-n) ends each sum."""
         pk = self.powers[-1]
-        s0 = s1 = s2 = 0
-        for k, d in enumerate(self.domb_table.residues):
-            t = k * d
-            s0 = s0 * base + d
-            s1 = s1 * base + t
-            s2 = s2 * base + k * t
-            if k & 15 == 15:
-                s0 %= pk
-                s1 %= pk
-                s2 %= pk
-        w = pow(base, 1 - self.p, pk)
-        return s0 * w % pk, s1 * w % pk, s2 * w % pk
+        r = self.domb_table.residues
+        a0 = a1 = a2 = b0 = b1 = b2 = 0
+        for i in range(0, len(r), 16):
+            for d in r[i : i + 16]:
+                a2 = a2 * a + a1
+                a1 = a1 * a + a0
+                a0 = a0 * a + d
+                b2 = b2 * b + b1
+                b1 = b1 * b + b0
+                b0 = b0 * b + d
+            a0, a1, a2, b0, b1, b2 = a0 % pk, a1 % pk, a2 % pk, b0 % pk, b1 % pk, b2 % pk
+        n = self.p - 1
+        sums = []
+        for c, t0, t1, t2 in ((a, a0, a1, a2), (b, b0, b1, b2)):
+            w = pow(c, -n, pk)
+            ct1 = c * t1
+            s2 = n * n * t0 - (2 * n - 1) * ct1 + 2 * c * c * t2
+            sums.append((t0 * w % pk, (n * t0 - ct1) * w % pk, s2 * w % pk))
+        return sums[0], sums[1]
 
     @cached_property
     def decomposition(self):
@@ -358,18 +358,19 @@ class PrimeVerifier:
 
     @cached_property
     def _inv_3j1(self) -> list[int]:
-        """The inverse of 3j+1 mod p^2 for 0 <= j < (p+1)/2, the range both
-        LEMMA22 and LEMMA_SH55 read, from one batch inversion with no read
-        of the factorial tables or the harmonic cache; p/(3j+1) mod p^3 is
-        p times it.  Below (p+1)/2, 3j+1 < 2p, so p divides 3j+1 only at
-        3j+1 = p (p = 1 mod 3), where p/(3j+1) = 1 and the entry is 0: both
-        lemmas take that case whole, mod p^3."""
+        """The inverse of 3j+1 mod p^2 for 0 <= j < (p+1)/2, which the right
+        sides of LEMMA22 and LEMMA_SH55 read, off the harmonic cache: 1/k =
+        H_k - H_(k-1) for k < p, and 1/(p+r) = (1/r)(1 - p/r).  3j+1 < 2p,
+        so p divides it only at 3j+1 = p, where the entry is 0: both lemmas
+        take that case whole, mod p^3."""
         p = self.p
-        units = range(1, 3 * ((p + 1) // 2), 3)
-        inv = batch_inverse([1 if u == p else u for u in units], p * p)
-        if p % 3 == 1:
-            inv[(p - 1) // 3] = 0
-        return inv
+        pp = p * p
+        h = harmonic_scaled(p - 1, self.ctx)
+        r = (1 - p) % 3 or 3  # the least r > 0 with p + r = 1 (mod 3)
+        n = (p + 1) // 2
+        low = [(a - b) % pp for a, b in zip(h[1:p:3], h[0 : p - 1 : 3])]
+        high = [x * (1 - p * x) % pp for x in map(sub, h[r:n:3], h[r - 1 : n - 1 : 3])]
+        return low + [0] * (p % 3 == 1) + high
 
     def _exponent(self, target: Target) -> int:
         """The target's m at this prime; WrongPrimeClass where it is not stated,

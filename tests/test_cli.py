@@ -1,5 +1,6 @@
 """Driver behavior: parsing, formats, exit codes, reproducible reports."""
 
+import csv
 import io
 import json
 import os
@@ -7,7 +8,7 @@ import os
 import pytest
 
 from dombcheck import cli
-from dombcheck.cli import _LABELS, _parse_targets, main, render_rows
+from dombcheck.cli import _FIELDS, _LABELS, _parse_targets, _rows_as_records, main, render_rows
 from dombcheck.congruences import Target, sieve_primes, verify_prime
 
 T = Target
@@ -291,6 +292,22 @@ def test_render_rows_roundtrip():
     assert len(jsonl_text.splitlines()) == 2
     table = render_rows(rows, "table", timings=False)
     assert table.splitlines()[0].startswith("prime")
+
+
+@pytest.mark.parametrize("timings", [False, True])
+def test_csv_matches_a_writer_over_the_records(timings):
+    # the csv is written straight from the rows' fields; a csv.writer over
+    # the records that jsonl and table output read gives the same bytes
+    rows = verify_prime(1009) + verify_prime(1013)
+    for r, ms in zip(rows, (0.0, 1.23456, 7.0, 1e-4)):
+        r.millis = ms
+    rows[1].passed = False  # a failing row reads "false"
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(_FIELDS)
+    for rec in _rows_as_records(rows, timings):
+        w.writerow([str(rec[f]).lower() if f == "pass" else rec[f] for f in _FIELDS])
+    assert render_rows(rows, "csv", timings) == buf.getvalue()
 
 
 @pytest.mark.parametrize("fmt", ["xml", "CSV"])

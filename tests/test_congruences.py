@@ -705,7 +705,8 @@ def test_weighted_sums_match_direct_loops(p):
         residues = pv.domb_table.residues
         assert pv.domb_table.ctx.pk == pk
         for base in (4, 16, 3, -8):
-            assert pv._moment_sums(base) == moment_sums_by_weights(residues, base, pk), (K, base)
+            want = moment_sums_by_weights(residues, base, pk)
+            assert pv._moment_sums(base, base) == (want, want), (K, base)
             ib = pow(base, -1, pk)
             direct = dict.fromkeys(WEIGHTS, 0)
             w = 1
@@ -716,6 +717,24 @@ def test_weighted_sums_match_direct_loops(p):
                 w = w * ib % pk
             for name in WEIGHTS:
                 assert pv.weighted_sum(base, name) == direct[name] % pk, (K, base, name)
+
+
+@pytest.mark.parametrize("p", [1009, 1013])
+def test_all_targets_run_one_moment_pass(p, monkeypatch):
+    # every target of both bases reads its sums off the one pass that the
+    # first weighted_sum call makes
+    calls = []
+    real = PrimeVerifier._moment_sums
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(PrimeVerifier, "_moment_sums", counting)
+    pv = PrimeVerifier(p)
+    assert all(r.passed for r in pv.run())
+    assert calls == [(4, 16)]
+    assert {k.split("/")[1] for k in pv._sums} == {"4", "16"} and len(pv._sums) == 12
 
 
 @pytest.mark.parametrize("p", [101, 1009])
@@ -1203,6 +1222,10 @@ def test_failure_rows_match_the_p3_slice_forms(p):
         for move in moves:
             pv = PrimeVerifier(p, [target])
             pv.ctx.factorial_tables(2 * p - 2)
+            # the inverses of 3j+1 are differences of the harmonic sums: take
+            # them before the move, so that a moved entry is read as a sum,
+            # as the slice forms read it, and not as two inverses too
+            pv._inv_3j1
             tables = {"fi": pv.ctx._fact_inv, "h": special.harmonic_scaled(2 * p - 1, pv.ctx)}
             for table, i in move:
                 tables[table][i] += 1
@@ -1291,17 +1314,30 @@ def test_short_tables_match_the_p3_ground_truth(p):
     assert all((3 * j + 1) * x % p**2 == 1 for j, x in enumerate(want) if 3 * j + 1 != p)
 
 
+def test_inverses_of_3j1_match_pow():
+    # the differences of the harmonic cache, and 1/(p+r) from 1/r, against
+    # one pow per entry, on both sides of 3j+1 = p and in both classes mod 3
+    for p in sieve_primes(5, 400):
+        pv = PrimeVerifier(p, [T.LEMMA_SH55])
+        pp = p * p
+        want = [0 if 3 * j + 1 == p else pow(3 * j + 1, -1, pp) for j in range((p + 1) // 2)]
+        assert pv._inv_3j1 == want, p
+
+
 def test_p_over_3j1_is_one_batch_per_verifier(monkeypatch):
-    # LEMMA22 and LEMMA_SH55 read the same (p+1)/2 entries, so whichever of
-    # them is requested, the list is one batch inversion of (p+1)/2 units
+    # LEMMA22 and LEMMA_SH55 read the same (p+1)/2 entries, and whichever of
+    # them is requested, the list comes off the harmonic cache: congruences
+    # makes no batch inversion, and the verifier's one batch is the cache's
+    # inversion of 1..p-1
+    assert not hasattr(congruences, "batch_inverse")
     lengths = []
-    real = congruences.batch_inverse
+    real = special.batch_inverse
 
     def counting(units, mod):
         lengths.append(len(units))
         return real(units, mod)
 
-    monkeypatch.setattr(congruences, "batch_inverse", counting)
+    monkeypatch.setattr(special, "batch_inverse", counting)
     for p in (1009, 1013):
         for targets in ([T.LEMMA22], [T.LEMMA_SH55], [T.LEMMA22, T.LEMMA_SH55]):
             if not all(applicable(t, p) for t in targets):
@@ -1309,8 +1345,9 @@ def test_p_over_3j1_is_one_batch_per_verifier(monkeypatch):
             lengths.clear()
             pv = PrimeVerifier(p, targets)
             assert all(r.passed for r in pv.run()), (p, targets)
-            assert lengths == [(p + 1) // 2], (p, targets)
+            assert lengths == [p - 1], (p, targets)
             f, pp = pv._inv_3j1, p**2
+            assert len(f) == (p + 1) // 2, (p, targets)
             assert all((3 * j + 1) * x % pp == 1 for j, x in enumerate(f) if 3 * j + 1 != p), (p, targets)
             if p % 3 == 1:
                 assert f[(p - 1) // 3] == 0

@@ -6,10 +6,11 @@ work at the fixed primes 997, 1999 and 7919, every target requested:
 Each figure is the minimum over N runs (default 3), each run on a fresh
 PrimeVerifier, so no table built in one run is read in the next.  Within a
 run the layers are timed in an order that builds what each one reads
-first: the Domb table, its moment sums at bases 4 and 16, the factorial
-tables as the lemmas read them (units to 3p, inverses to 2p - 2), sigma,
-the three bernoulli_poly passes, the harmonic cache (both orders), the
-inverses of 3j+1 behind p/(3j+1), then each lemma alone on the built
+first: the Domb table, its moment sums at bases 4 and 16 (one pass for
+both), the factorial tables as the lemmas read them (units to 3p, inverses
+to 2p - 2), sigma, the three bernoulli_poly passes, the harmonic cache
+(both orders), the inverses of 3j+1 behind p/(3j+1) (differences of the
+harmonic cache, so timed after it), then each lemma alone on the built
 tables.  "total" is a separate fresh verify_prime.
 LEMMA22 and LEMMA_MPT are not stated at 7919 (2 mod 3), so their entry
 there is null.
