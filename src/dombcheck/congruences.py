@@ -19,11 +19,11 @@ inverse of its denominator, which is prime to p.  The three
 range-quantified lemmas (LEMMA22, LEMMA_P2J, LEMMA_SH55) read strided
 slices of the factorial tables, the harmonic cache and one list of the
 inverses of 3j+1 mod p^2 over j < (p+1)/2, read off the harmonic cache;
-they read inverse factorials below 2p - 1 only, and the inverse
-walk stops there.  Every factorial they read is below 3p < p^2, where
-v_p(n!) = floor(n/p), so each quotient's valuation is a constant over a
-range: 1 at every case of LEMMA_P2J; 1 at every case of LEMMA22 but
-3j+1 = p, where it is 0; and for C(2k,k) in LEMMA_SH55, 0 below
+they read inverse factorials below 2p - 1 and units below 3p - 1 only,
+and each table stops there.  Every factorial they read is below 3p < p^2,
+where v_p(n!) = floor(n/p), so each quotient's valuation is a constant
+over a range: 1 at every case of LEMMA_P2J; 1 at every case of LEMMA22
+but 3j+1 = p, where it is 0; and for C(2k,k) in LEMMA_SH55, 0 below
 k = (p+1)/2 and 1 from there.
 A case p X against p Y holds mod p^3 exactly when X = Y mod p^2, so each
 side of LEMMA22 and LEMMA_P2J is one list of units mod p^2, the cases
@@ -40,22 +40,15 @@ only in the final residue comparison, so a bug in the closed forms cannot
 silently cancel against one in the sums.
 
 Each table is kept to the digits its readers need.  The Domb table and its
-weighted sums work mod p^K, K the largest requested m.  The kernel context
-holds the factorial tables, sigma and the harmonic cache, and works mod
-the largest requested kernel exponent (TargetSpec.kernel_exp), the digits
-a right side reads off it: 1 for THM11 and THM12 (p^2/C^2 needs C mod p),
-CONJ1_DP1 (B_(p-3) mod p); 2 for THM13 (r3 mod p^2) and every lemma; 0
-for CONJ2_MODP2 and MUSUN_P5.  A lemma's factorial quotients carry v = 1,
-so p times their units mod p^2 gives them mod p^3, and each harmonic sum
-enters times p under mod p^3 or mod p^2, so the lemmas compare units mod
-p^2.  So the kernel works mod p^2 when a lemma or THM13 is requested and
-mod p otherwise, and a sweep of every target keeps the kernel mod p^2 and
-the Domb table mod p^5, on two contexts.  Closed forms and lemma cases
-reduce by the verifier's own powers of p, which reach p^K.  Two reads need
-a third digit of a unit binomial, both at j = (p-1)/3 (p = 1 mod 3), where
-3j+1 = p and p/(3j+1) = 1: LEMMA22's case of valuation 0, C(p-1, j) C(p+j,
-j), and LEMMA_SH55's C(2j, j).  Each is taken mod p^3 by a helper of its
-own from exact products of consecutive integers, with no table read.
+weighted sums work mod p^K, K the largest requested m, on a context of
+their own.  The kernel context holds the factorial tables, sigma and the
+harmonic cache, and always works mod p^2 (_KERNEL_EXP), the most digits
+any right side reads off it.  Closed forms and lemma cases reduce by the
+verifier's own powers of p, which reach p^K.  Two reads need a third
+digit of a unit binomial, both at j = (p-1)/3 (p = 1 mod 3), where 3j+1 = p
+and p/(3j+1) = 1: LEMMA22's case of valuation 0, C(p-1, j) C(p+j, j), and
+LEMMA_SH55's C(2j, j).  Each is taken mod p^3 by a helper of its own from
+exact products of consecutive integers, with no table read.
 """
 
 from __future__ import annotations
@@ -90,6 +83,10 @@ __all__ = [
     "modulus_exponent",
 ]
 
+# The precision of the kernel context: r3 mod p^2 (THM13) and the lemmas'
+# units mod p^2 are the most digits any right side reads off its tables.
+_KERNEL_EXP = 2
+
 
 class WrongPrimeClass(ValueError):
     """The target's congruence is only stated for the other residue class."""
@@ -122,16 +119,12 @@ class TargetSpec:
     """Every fact about a target except its closed form: the CLI group it
     belongs to, the primes it is stated for, the exponent m of its modulus
     p^m, the PrimeVerifier method that evaluates it (by name, so the
-    method is looked up on the verifier at call time), and the digits its
-    right side reads off the kernel context (the factorial tables, sigma
-    and the harmonic cache).  Every target that reads the harmonic cache
-    declares 2, and none declares more, so the cache is kept mod p^2."""
+    method is looked up on the verifier at call time)."""
 
     group: str
     applies: Callable[[int], bool]
     mod_exp: Callable[[int], int]
     method: str
-    kernel_exp: Callable[[int], int]
 
 
 def _every(p: int) -> bool:
@@ -155,25 +148,23 @@ def _k2_exp(p: int) -> int:
 
 
 # The catalog.  A new target is one entry here plus the method it names.
-# The last field, the digits read off the kernel context, is argued for in
-# the module docstring.
 SPECS: dict[Target, TargetSpec] = {
-    Target.THM11_4K: TargetSpec("thm1.1", _every, _exp(3), "thm11_4k", _exp(1)),
-    Target.THM11_16K: TargetSpec("thm1.1", _every, _exp(3), "thm11_16k", _exp(1)),
-    Target.THM12_4K: TargetSpec("thm1.2", _one_mod_3, _exp(3), "thm12", _exp(1)),
-    Target.THM12_16K: TargetSpec("thm1.2", _one_mod_3, _exp(3), "thm12", _exp(1)),
-    Target.THM13_K2_4K: TargetSpec("thm1.3", _every, _k2_exp, "thm13_all", _exp(2)),
-    Target.THM13_K2_16K: TargetSpec("thm1.3", _every, _k2_exp, "thm13_all", _exp(2)),
-    Target.THM13_K_4K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all", _exp(2)),
-    Target.THM13_K_16K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all", _exp(2)),
-    Target.CONJ1_DP1: TargetSpec("conj1", _every, _exp(4), "conj1_dp1", _exp(1)),
-    Target.CONJ2_MODP2: TargetSpec("conj2", _every, _exp(2), "conj2_mod_p2", _exp(0)),
-    Target.MUSUN_P5: TargetSpec("musun", _every, _exp(5), "musun", _exp(0)),
-    Target.LEMMA22: TargetSpec("lemmas", _one_mod_3, _exp(3), "lemma22_check", _exp(2)),
-    Target.LEMMA_MPT: TargetSpec("lemmas", _one_mod_3, _exp(2), "lemma_mpt_check", _exp(2)),
-    Target.LEMMA_P2J: TargetSpec("lemmas", _every, _exp(3), "lemma_p2j_check", _exp(2)),
-    Target.LEMMA_SUNH: TargetSpec("lemmas", lambda p: p > 5, _exp(2), "lemma_sunh_check", _exp(2)),
-    Target.LEMMA_SH55: TargetSpec("lemmas", _every, _exp(3), "lemma_sh55_check", _exp(2)),
+    Target.THM11_4K: TargetSpec("thm1.1", _every, _exp(3), "thm11_4k"),
+    Target.THM11_16K: TargetSpec("thm1.1", _every, _exp(3), "thm11_16k"),
+    Target.THM12_4K: TargetSpec("thm1.2", _one_mod_3, _exp(3), "thm12"),
+    Target.THM12_16K: TargetSpec("thm1.2", _one_mod_3, _exp(3), "thm12"),
+    Target.THM13_K2_4K: TargetSpec("thm1.3", _every, _k2_exp, "thm13_all"),
+    Target.THM13_K2_16K: TargetSpec("thm1.3", _every, _k2_exp, "thm13_all"),
+    Target.THM13_K_4K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all"),
+    Target.THM13_K_16K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all"),
+    Target.CONJ1_DP1: TargetSpec("conj1", _every, _exp(4), "conj1_dp1"),
+    Target.CONJ2_MODP2: TargetSpec("conj2", _every, _exp(2), "conj2_mod_p2"),
+    Target.MUSUN_P5: TargetSpec("musun", _every, _exp(5), "musun"),
+    Target.LEMMA22: TargetSpec("lemmas", _one_mod_3, _exp(3), "lemma22_check"),
+    Target.LEMMA_MPT: TargetSpec("lemmas", _one_mod_3, _exp(2), "lemma_mpt_check"),
+    Target.LEMMA_P2J: TargetSpec("lemmas", _every, _exp(3), "lemma_p2j_check"),
+    Target.LEMMA_SUNH: TargetSpec("lemmas", lambda p: p > 5, _exp(2), "lemma_sunh_check"),
+    Target.LEMMA_SH55: TargetSpec("lemmas", _every, _exp(3), "lemma_sh55_check"),
 }
 
 
@@ -265,20 +256,19 @@ class PrimeVerifier:
     out once here.  ``precision``, K, is the largest modulus exponent m in
     ``want`` (1 when it is empty); the Domb table and the weighted sums are
     kept mod p^K, and each row is reduced mod p^m from ``powers``.  ``ctx``
-    is the kernel context: its precision is the largest kernel exponent
-    (``TargetSpec.kernel_exp``) in ``want``, at least 1, and its tables are
-    kept to that many digits.  Each right side is reduced by the verifier's
-    own ``powers``, not the kernel's.  Every side is ring arithmetic with no
-    division by p, so no digit above a target's m is needed, and a target's
-    residues do not depend on which other targets are requested.  The shared
-    tables are built on first read and kept.
+    is the kernel context, at precision _KERNEL_EXP = 2 whatever is
+    requested, and its tables are kept mod p^2.  Each right side is reduced
+    by the verifier's own ``powers``, not the kernel's.  Every side is ring
+    arithmetic with no division by p, so no digit above a target's m is
+    needed, and a target's residues do not depend on which other targets
+    are requested.  The shared tables are built on first read and kept.
     """
 
     def __init__(self, p: int, targets=None):
         if targets is None:
             targets = Target
         self.want = frozenset(t for t in targets if applicable(t, p))
-        self.ctx = PrimeContext(p, max([1] + [SPECS[t].kernel_exp(p) for t in self.want]))
+        self.ctx = PrimeContext(p, _KERNEL_EXP)
         self.precision = max((modulus_exponent(t, p) for t in self.want), default=1)
         self.powers = tuple(p**i for i in range(self.precision + 1))
         self.p = p
@@ -288,12 +278,9 @@ class PrimeVerifier:
 
     @cached_property
     def domb_table(self) -> DombTable:
-        """D_0 .. D_(p-1) mod p^K, on ``ctx`` when the kernel works to K
-        digits too and on a context of its own at K otherwise."""
-        ctx = self.ctx
-        if ctx.precision != self.precision:
-            ctx = ctx.with_precision(self.precision)
-        return DombTable(ctx)
+        """D_0 .. D_(p-1) mod p^K, on a context of its own at K, never on
+        ``ctx``."""
+        return DombTable(self.ctx.with_precision(self.precision))
 
     def weighted_sum(self, base: int, weight: str) -> int:
         """sum_{k<p} w(k) D_k base^(-k) mod p^K for w in 1, k, k2, 3k+2,
@@ -347,7 +334,7 @@ class PrimeVerifier:
         modulus of every THM13 target there: the Fermat quotient
         combination (1 + 2p + (4/3)(2^(p-1)-1) - (3/2)(3^(p-1)-1)) times
         the square of C((p-1)/2, floor(p/6)), whose unit the kernel holds
-        mod p^2 whenever THM13 is requested."""
+        mod p^2."""
         p = self.p
         pk = p * p
         t2 = pow(2, p - 1, pk) - 1
@@ -374,9 +361,8 @@ class PrimeVerifier:
 
     def _exponent(self, target: Target) -> int:
         """The target's m at this prime; WrongPrimeClass where it is not stated,
-        ValueError where the precision K is below m or the kernel precision
-        below the target's kernel exponent (the target was not requested,
-        and the verifier works to fewer digits)."""
+        ValueError where the precision K is below m (the target was not
+        requested, and the verifier works to fewer digits)."""
         spec = SPECS[target]
         p = self.p
         if not spec.applies(p):
@@ -384,9 +370,6 @@ class PrimeVerifier:
         m = spec.mod_exp(p)
         if self.precision < m:
             raise ValueError(f"{target.value} needs precision {m}, not {self.precision}")
-        k = spec.kernel_exp(p)
-        if self.ctx.precision < k:
-            raise ValueError(f"{target.value} needs kernel precision {k}, not {self.ctx.precision}")
         return m
 
     def _report(self, target, lhs: int, rhs: int) -> CongruenceReport:
@@ -542,7 +525,7 @@ class PrimeVerifier:
         p = self.p
         mod = self.powers[self._exponent(Target.LEMMA22)]
         pp = self.powers[2]
-        _, fu, fi = self.ctx.factorial_tables(2 * p - 2)
+        fu, fi = self.ctx.factorial_tables(2 * p - 2)
         h = harmonic_scaled(p - 1, self.ctx)
         n = (p + 1) // 2
         lhs = [
@@ -618,7 +601,9 @@ class PrimeVerifier:
         (p+2j)! / (j! (2j)! (p-j-1)!), p^v times four units off the
         factorial tables; every index is below 3p < p^2, so v_p(n!) =
         floor(n/p) and v = 1 at every j, and the entry is the product of
-        the four units mod p^2.  The harmonic numbers come from the harmonic
+        the four units mod p^2.  This is the one reader of units past its
+        inverses: it grows the units to (3p-2)! and the inverses to
+        1/(2p-2)!.  The harmonic numbers come from the harmonic
         cache, which holds H_n below p and p H_n from p on.  The right side
         is (-1)^j (1 + p (H_2j - H_j)) on the lower half (2j < p) and, as
         the stored p H_2j carries H_2j's negative valuation there,
@@ -627,7 +612,8 @@ class PrimeVerifier:
         p = self.p
         self._exponent(Target.LEMMA_P2J)  # raises before any table is built
         pp = self.powers[2]
-        _, fu, fi = self.ctx.factorial_tables(2 * p - 2)
+        self.ctx.factorial_decomposed(3 * p - 2)
+        fu, fi = self.ctx.factorial_tables(2 * p - 2)
         h = harmonic_scaled(2 * p - 2, self.ctx)
         n = (p + 1) // 2  # the lower half, 2j < p
         lhs = [
@@ -690,7 +676,7 @@ class PrimeVerifier:
         p = self.p
         mod = self.powers[self._exponent(Target.LEMMA_SH55)]
         pp = self.powers[2]
-        _, fu, fi = self.ctx.factorial_tables(2 * p - 2)
+        fu, fi = self.ctx.factorial_tables(2 * p - 2)
         h = harmonic_scaled(4 * p // 3, self.ctx)  # to 2k0 = (4p-2)/3
         n = (p + 1) // 2
         binomials = [(a * b * b % pp) ** 2 % pp for a, b in zip(fu[0:p:2], fi[:n])]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import prod
 from numbers import Rational
 
@@ -98,6 +97,16 @@ def split_p(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
+def _factorial_valuation(n: int, p: int) -> int:
+    """v_p(n!) for n >= 0, by Legendre: (n - s_p(n))/(p - 1), s_p(n) the
+    sum of n's digits in base p."""
+    s, m = 0, n
+    while m:
+        m, d = divmod(m, p)
+        s += d
+    return (n - s) // (p - 1)
+
+
 def as_fraction(x) -> Fraction:
     """An int or a Fraction (any numbers.Rational) as an exact Fraction.
     Anything else raises TypeError: a float would enter at its binary
@@ -129,15 +138,14 @@ class PrimeContext:
     """A prime p > 3 together with the working modulus p^K and its caches.
 
     The factorial cache is the one factorial table of the prime: for each
-    n, the valuation of n!, its p-free unit mod p^K and the inverse of that
-    unit, so a binomial needs no modular inversion.  Valuations and units
-    reach at least 3p from the first read; inverses reach only the highest
-    index asked for, 2p - 2 in the verifier.  The binomials, the
-    gamma function and the Bernoulli and Euler series (reduced mod p) all
-    read it through factorial_tables.  The context is logically immutable;
-    the factorial cache and the per-prime tables underneath are append-only
-    memos, so sharing one context across helpers inside a single process
-    is safe.
+    n, the p-free unit of n! mod p^K and the inverse of that unit, so a
+    binomial needs no modular inversion; v_p(n!) is Legendre's digit sum,
+    taken when asked.  Units and inverses each reach the highest index
+    asked for, no further.  The binomials, the gamma function and the
+    Bernoulli and Euler series (reduced mod p) all read it through
+    factorial_tables.  The context is logically immutable; the factorial
+    cache and the per-prime tables underneath are append-only memos, so
+    sharing one context across helpers inside a single process is safe.
     """
 
     def __init__(self, p: int, precision: int):
@@ -160,9 +168,8 @@ class PrimeContext:
         self.precision = precision
         self.pk = p**precision
         self.powers = tuple(p**i for i in range(precision + 1))
-        # factorial caches: valuation of n!, the p-free part of n! mod p^K
-        # and its inverse mod p^K
-        self._fact_val = [0]
+        # factorial caches: the p-free part of n! mod p^K and its inverse
+        # mod p^K
         self._fact_unit = [1]
         self._fact_inv = [1]
         # per-prime tables that special.py builds on first use
@@ -184,56 +191,47 @@ class PrimeContext:
         """Inverse of a p-free residue modulo p^K."""
         return pow(u, -1, self.pk)
 
-    def _p_free_parts(self, lo: int, hi: int) -> tuple[list[int], list[int]]:
-        """The p-free parts of lo..hi-1 and their valuations: the plain
-        indices, with only the multiples of p split."""
+    def _p_free_parts(self, lo: int, hi: int) -> list[int]:
+        """The p-free parts of lo..hi-1: the plain indices, with only the
+        multiples of p split."""
         p = self.p
         parts = list(range(lo, hi))
-        steps = [0] * len(parts)
         for m in range(lo + -lo % p, hi, p):
-            steps[m - lo], parts[m - lo] = split_p(m, p)
-        return parts, steps
+            parts[m - lo] = split_p(m, p)[1]
+        return parts
 
     def factorial_decomposed(self, n: int) -> tuple[int, int]:
         """n! as (valuation, p-free unit mod p^K).
 
-        The valuation grows by v_p(m) at each step m, matching Legendre's
-        digit-sum formula; the unit is the running product of the p-free
-        parts of 1..n reduced mod p^K.  The cache grows in blocks, at least
-        to 3p (past 3p - 2, the largest n whose unit the lemma loops read)
-        and at least doubling, and the valuations are the running sum of
-        the steps' v_p.  The inverses are not walked here but by
+        The valuation is Legendre's (n - s_p(n))/(p - 1); the unit is the
+        running product of the p-free parts of 1..n reduced mod p^K, cached
+        to exactly n.  The inverses are not walked here but by
         factorial_tables, only as far as a reader asks.
         """
         if n < 0:
             raise ValueError("factorial of a negative integer")
-        fv = self._fact_val
         fu = self._fact_unit
-        if n < len(fv):
-            return fv[n], fu[n]
-        pk = self.pk
-        start = len(fv)
-        parts, steps = self._p_free_parts(start, max(n, 2 * start, 3 * self.p) + 1)
-        steps[0] += fv[-1]
-        fv.extend(accumulate(steps))
-        unit = fu[-1]
-        for u in parts:
-            unit = unit * u % pk
-            fu.append(unit)
-        return fv[n], fu[n]
+        if n >= len(fu):
+            pk = self.pk
+            parts = self._p_free_parts(len(fu), n + 1)
+            unit = fu[-1]
+            for u in parts:
+                unit = unit * u % pk
+                fu.append(unit)
+        return _factorial_valuation(n, self.p), fu[n]
 
-    def factorial_tables(self, n: int) -> tuple[list[int], list[int], list[int]]:
+    def factorial_tables(self, n: int) -> tuple[list[int], list[int]]:
         """The factorial caches grown to index n, for loops that read many
-        entries: v_p(m!), the p-free unit of m! mod p^K, and its inverse.
-        Units reach at least 3p from the first read (factorial_decomposed),
-        inverses only n.  New inverses cost one inversion, at index n, and
-        a backward walk inv[m-1] = inv[m] * (p-free part of m)."""
-        fv, fu, fi = self._fact_val, self._fact_unit, self._fact_inv
-        if n >= len(fv):
+        entries: the p-free unit of m! mod p^K and its inverse.  Each
+        reaches n, or further if an earlier read asked for more.  New
+        inverses cost one inversion, at index n, and a backward walk
+        inv[m-1] = inv[m] * (p-free part of m)."""
+        fu, fi = self._fact_unit, self._fact_inv
+        if n >= len(fu):
             self.factorial_decomposed(n)
         if n >= len(fi):
             pk = self.pk
-            parts, _ = self._p_free_parts(len(fi) + 1, n + 1)
+            parts = self._p_free_parts(len(fi) + 1, n + 1)
             x = pow(fu[n], -1, pk)
             inv = [x]
             for u in reversed(parts):
@@ -241,7 +239,7 @@ class PrimeContext:
                 inv.append(x)
             inv.reverse()
             fi.extend(inv)
-        return fv, fu, fi
+        return fu, fi
 
 
 @dataclass(frozen=True, slots=True)
@@ -435,18 +433,19 @@ def binomial_int(n: int, k: int, ctx: PrimeContext) -> PAdicValue:
     """C(n, k) for integer n >= 0 as an exact p-adic value.
 
     Out-of-range k gives an exact zero.  The valuation equals the number of
-    carries when adding k and n-k in base p, by way of the factorial cache;
-    the unit is n!'s unit times the cached inverse units of k! and (n-k)!,
-    with no modular inversion.
+    carries when adding k and n-k in base p, by Legendre's formula for each
+    factorial; the unit is n!'s unit times the cached inverse units of k!
+    and (n-k)!, with no modular inversion.
     """
     if n < 0:
         raise ValueError("binomial_int needs n >= 0; use binomial_rational otherwise")
     if k < 0 or k > n:
         return PAdicValue.zero(ctx)
-    fv, fu, fi = ctx.factorial_tables(n)
+    fu, fi = ctx.factorial_tables(n)
     m = n - k
-    unit = fu[n] * fi[k] * fi[m] % ctx.pk
-    return PAdicValue(ctx, fv[n] - fv[k] - fv[m], unit, ctx.precision)
+    p = ctx.p
+    v = _factorial_valuation(n, p) - _factorial_valuation(k, p) - _factorial_valuation(m, p)
+    return PAdicValue(ctx, v, fu[n] * fi[k] * fi[m] % ctx.pk, ctx.precision)
 
 
 def binomial_residues(ctx: PrimeContext) -> Callable[[int, int], int]:
@@ -454,9 +453,9 @@ def binomial_residues(ctx: PrimeContext) -> Callable[[int, int], int]:
     factorial tables as unit * p^v (0 once v >= K): binomial_int's
     arithmetic in plain ints, for callers that need residues only.  A read
     grows the tables to n when they stop short of it.  The verifier passes
-    its kernel context, so its binomials are residues mod the kernel
-    modulus, p^2 in a sweep of every target.  As with binomial_int, k < 0
-    or k > n gives 0 and n < 0 raises ValueError."""
+    its kernel context, so its binomials are residues mod p^2.  As with
+    binomial_int, k < 0 or k > n gives 0 and n < 0 raises ValueError."""
+    p = ctx.p
     pw = ctx.powers
     pk = ctx.pk
 
@@ -465,8 +464,8 @@ def binomial_residues(ctx: PrimeContext) -> Callable[[int, int], int]:
             raise ValueError("binomial_residues needs n >= 0")
         if k < 0 or k > n:
             return 0
-        fv, fu, fi = ctx.factorial_tables(n)
-        v = fv[n] - fv[k] - fv[n - k]
+        fu, fi = ctx.factorial_tables(n)
+        v = _factorial_valuation(n, p) - _factorial_valuation(k, p) - _factorial_valuation(n - k, p)
         return fu[n] * fi[k] * fi[n - k] * pw[v] % pk if v < ctx.precision else 0
 
     return binom
@@ -504,6 +503,6 @@ def binomial_rational(a, m: int, ctx: PrimeContext) -> PAdicValue:
         unit = unit * u % pk
     if den != 1:
         unit = unit * ctx.inverse_unit(pow(den, m, pk)) % pk
-    fv, _, fi = ctx.factorial_tables(m)
-    inverse_factorial = PAdicValue(ctx, -fv[m], fi[m], ctx.precision)
+    _, fi = ctx.factorial_tables(m)
+    inverse_factorial = PAdicValue(ctx, -_factorial_valuation(m, p), fi[m], ctx.precision)
     return PAdicValue(ctx, val, unit, ctx.precision) * inverse_factorial

@@ -63,9 +63,8 @@ class HarmonicCache:
     The cache stores plain ints mod p^K, one list per order: H_n below p,
     and the p-integral p H_n from p on, where 1/p enters the sum.  The
     verifier reads both lists through ``harmonic_scaled``, on its one
-    kernel context, which is at precision 2 whenever a target reads a sum:
-    each sum enters a right side mod p^3 times p, or one mod p^2.  The
-    order-1 list is built here from
+    kernel context, which is at precision 2: each sum enters a right side
+    mod p^3 times p, or one mod p^2.  The order-1 list is built here from
     one batch inversion of 1..p-1, and no read of the factorial tables:
     the lemma checks compare these sums with binomials, which the
     factorial tables build.  The upper half comes from the lower half:
@@ -247,7 +246,7 @@ def _sinh_inverse(ctx: PrimeContext) -> list[int]:
     context memoizes it; bernoulli_poly and bernoulli_table both read it."""
     if ctx._sigma_mod_p is None:
         p = ctx.p
-        _, _, fi = ctx.factorial_tables(p - 1)
+        _, fi = ctx.factorial_tables(p - 1)
         ctx._sigma_mod_p = _series_inverse(fi[1 : p - 1 : 2], (p - 1) // 2, p)
     return ctx._sigma_mod_p
 
@@ -266,7 +265,7 @@ def bernoulli_table(ctx: PrimeContext) -> list[int]:
     """
     p = ctx.p
     n = (p - 1) // 2
-    _, f, fi = ctx.factorial_tables(p - 1)
+    f, fi = ctx.factorial_tables(p - 1)
     w = _slot_bytes(n, p)
     cosh = _pack([u % p for u in fi[0 : p - 2 : 2]], w, p)
     c = _unpack(_pack(_sinh_inverse(ctx), w, p) * cosh, 2 * n, 0, n, w, p)
@@ -289,7 +288,7 @@ def euler_table(ctx: PrimeContext) -> list[int]:
     never from harmonic sums, which LEMMA_SUNH checks against this table.
     """
     p = ctx.p
-    _, f, fi = ctx.factorial_tables(p - 1)
+    f, fi = ctx.factorial_tables(p - 1)
     c = _series_inverse(fi[0 : p - 2 : 2], (p - 1) // 2, p)
     e = [0] * (p - 2)
     e[::2] = [ck * f[2 * k] % p for k, ck in enumerate(c)]
@@ -314,7 +313,7 @@ def bernoulli_poly(n: int, x, ctx: PrimeContext) -> int:
         raise DenominatorDivisibleByP(f"denominator of {x} is divisible by {p}")
     z = (x.numerator * pow(x.denominator, -1, p) - (p + 1) // 2) % p
     sigma = _sinh_inverse(ctx)
-    _, f, fi = ctx.factorial_tables(p - 1)
+    f, fi = ctx.factorial_tables(p - 1)
     y = 4 * z * z % p
     total = 0
     # fi[n::-2] holds the J + 1 factors 1/(n-2j)!, so zip stops at sigma_J
@@ -325,7 +324,7 @@ def bernoulli_poly(n: int, x, ctx: PrimeContext) -> int:
 
 def _first_level_unit(m: int, ctx: PrimeContext) -> int:
     # product of 1 <= k <= m with p not dividing k, mod p^K
-    _, fu, fi = ctx.factorial_tables(m)
+    fu, fi = ctx.factorial_tables(m)
     return fu[m] * fi[m // ctx.p] % ctx.pk
 
 

@@ -239,23 +239,25 @@ def test_precision_below_target_raises():
     [(T.CONJ1_DP1, T.THM13_K2_4K, 17), (T.MUSUN_P5, T.LEMMA22, 7)],
     ids=["CONJ1_DP1-THM13_K2_4K", "MUSUN_P5-LEMMA22"],
 )
-def test_kernel_precision_below_target_raises(built_for, target, p):
+def test_cross_target_read_gives_the_targets_own_row(built_for, target, p):
     # a CONJ1_DP1 or MUSUN_P5 verifier keeps the Domb table mod p^4 or p^5
-    # but its kernel tables mod p only.  Read off anyway, THM13_K2_4K's r3
-    # would take C(8, 2) mod 17 only, a false failure (lhs=39, rhs=260),
-    # and LEMMA22's cases would read units mod 7 where they need them mod
-    # 7^2, a false failure at j = 0 (lhs=252, rhs=7)
+    # and, as every verifier does, its kernel tables mod p^2.  So
+    # THM13_K2_4K's r3 and LEMMA22's units read off it, though neither
+    # target was requested, are the ones a verifier of that target alone
+    # reads: the row is that verifier's row, and it passes
+    strip = lambda r: (r.target, r.modulus_exponent, r.lhs, r.rhs, r.passed)
     pv = PrimeVerifier(p, [built_for])
-    assert pv.ctx.precision == 1
-    with pytest.raises(ValueError, match=target.value):
-        getattr(pv, SPECS[target].method)()
+    assert target not in pv.want and pv.ctx.precision == 2
+    out = getattr(pv, SPECS[target].method)()
+    rows = [strip(r) for r in (out if isinstance(out, list) else [out]) if r.target is target]
+    assert rows == [strip(r) for r in verify_prime(p, [target])] and rows[0][-1]
 
 
 def test_kernel_tables_at_p3_give_the_one_precision_rows(monkeypatch):
-    # the short tables against the ground truth they replace: with every
-    # kernel exponent set back to its m, an all-targets verifier works to
-    # p^5 on one context again, factorial tables and harmonic cache
-    # included, and every row must be the same as with the kernel at p^2
+    # the short tables against the ground truth they replace: with the
+    # kernel context set to p^5, an all-targets verifier keeps its
+    # factorial tables and harmonic cache to every digit of the Domb table
+    # again, and every row must be the same as with the kernel at p^2
     primes = sieve_primes(5, 300) + [1009, 1013, 1999, 4001, 4003]
     strip = lambda r: (r.target, r.modulus_exponent, r.lhs, r.rhs, r.passed)
     fast = {}
@@ -263,11 +265,10 @@ def test_kernel_tables_at_p3_give_the_one_precision_rows(monkeypatch):
         pv = PrimeVerifier(p)
         assert (pv.precision, pv.ctx.precision) == (5, 2), p
         fast[p] = [strip(r) for r in pv.run()]
-    for t in Target:
-        monkeypatch.setitem(SPECS, t, dataclasses.replace(SPECS[t], kernel_exp=SPECS[t].mod_exp))
+    monkeypatch.setattr(congruences, "_KERNEL_EXP", 5)
     for p in primes:
         pv = PrimeVerifier(p)
-        assert pv.ctx.precision == 5 and pv.domb_table.ctx is pv.ctx, p
+        assert pv.ctx.precision == pv.domb_table.ctx.precision == 5, p
         assert [strip(r) for r in pv.run()] == fast[p], p
         assert pv.ctx._harmonic_cache is not None, p  # the harmonic reads went to p^5 too
 
@@ -286,52 +287,55 @@ def test_precision_is_the_largest_requested_exponent():
     assert PrimeVerifier(5, [T.THM12_4K, T.LEMMA_SUNH]).precision == 1  # neither is stated
 
 
-def test_kernel_precision_is_the_largest_requested_kernel_exponent():
-    # the kernel tables work to the digits their readers need: 1 for THM11,
-    # THM12 and CONJ1_DP1, 2 for THM13 and the lemmas, none for CONJ2_MODP2
-    # and MUSUN_P5; the Domb table shares the kernel context when the two
-    # agree
-    cases = [
-        ([T.THM11_4K], 3, 1),
-        ([T.LEMMA_MPT], 2, 2),
-        ([T.THM13_K2_4K], 3, 2),
-        ([T.CONJ1_DP1], 4, 1),
-        ([T.CONJ2_MODP2], 2, 1),
-        ([T.MUSUN_P5], 5, 1),
-        ([T.CONJ1_DP1, T.LEMMA_SUNH], 4, 2),
-        ([T.MUSUN_P5, T.THM12_4K], 5, 1),
-        (list(Target), 5, 2),
-    ]
-    for targets, k, kernel in cases:
-        pv = PrimeVerifier(7, targets)
-        assert (pv.precision, pv.ctx.precision) == (k, kernel), targets
-        assert pv.domb_table.ctx.precision == k, targets
-        assert (pv.domb_table.ctx is pv.ctx) == (k == kernel), targets
-        assert pv.powers == tuple(7**i for i in range(k + 1)), targets
+def test_kernel_precision_is_p2_for_every_target_set():
+    # the kernel tables work mod p^2 whatever is requested, and the Domb
+    # table sits on a context of its own at K, never on the kernel's
+    rng = random.Random(7)
+    cases = [[t] for t in Target] + [[], list(Target), [T.CONJ1_DP1, T.LEMMA_SUNH], [T.MUSUN_P5, T.THM12_4K]]
+    cases += [rng.sample(list(Target), rng.randrange(2, 16)) for _ in range(20)]
+    for p in (7, 11):
+        for targets in cases:
+            pv = PrimeVerifier(p, targets)
+            k = max((modulus_exponent(t, p) for t in pv.want), default=1)
+            assert (pv.precision, pv.ctx.precision) == (k, 2), (p, targets)
+            assert pv.domb_table.ctx.precision == k and pv.domb_table.ctx is not pv.ctx, (p, targets)
+            assert pv.powers == tuple(p**i for i in range(k + 1)), (p, targets)
+
+
+@pytest.mark.parametrize("p", [1009, 1013, 10007])
+def test_factorial_tables_reach_only_what_the_targets_read(p):
+    # units and inverses reach the highest index a requested target reads:
+    # the theorems read factorials below p only, and a run of every target
+    # leaves the units at (3p-2)! (LEMMA_P2J's (p+2j)!) and the inverses at
+    # 1/(2p-2)! (its 1/(2j)!)
+    theorems = [t for t in Target if SPECS[t].group in ("thm1.1", "thm1.2", "conj1")]
+    pv = PrimeVerifier(p, theorems)
+    rows = pv.run()
+    assert rows and all(r.passed for r in rows)
+    assert len(pv.ctx._fact_unit) < 2 * p
+    pv = PrimeVerifier(p)
+    assert all(r.passed for r in pv.run())
+    assert (len(pv.ctx._fact_unit), len(pv.ctx._fact_inv)) == (3 * p - 1, 2 * p - 1)
 
 
 def test_kernel_context_is_at_most_p2_with_one_harmonic_cache():
-    # no target reads more than two digits off the kernel context: at p^2
-    # when a lemma or THM13 is requested and at p otherwise, for each target
-    # alone and for all of them.  The harmonic cache lives on that one
-    # context, mod p^2, and no other context of the verifier holds one
-    two_digits = {
-        T.THM13_K2_4K, T.THM13_K2_16K, T.THM13_K_4K, T.THM13_K_16K,
-        T.LEMMA22, T.LEMMA_MPT, T.LEMMA_P2J, T.LEMMA_SUNH, T.LEMMA_SH55,
-    }
-    harmonic_readers = two_digits - {T.THM13_K2_4K, T.THM13_K2_16K, T.THM13_K_4K, T.THM13_K_16K}
+    # no target reads more than two digits off the kernel context, which is
+    # at p^2 for each target alone and for all of them, and every row
+    # passes there.  The harmonic cache lives on that one context, mod p^2,
+    # and the Domb table's context holds none
+    harmonic_readers = {T.LEMMA22, T.LEMMA_MPT, T.LEMMA_P2J, T.LEMMA_SUNH, T.LEMMA_SH55}
     assert not hasattr(PrimeVerifier, "harmonic_ctx")
     for p in (7, 11, 1009, 1013):
         cases = [[t] for t in Target if applicable(t, p)] + [list(Target)]
         for targets in cases:
             pv = PrimeVerifier(p, targets)
-            assert pv.ctx.precision == (2 if two_digits & pv.want else 1), (p, targets)
+            assert pv.ctx.precision == 2, (p, targets)
             assert all(r.passed for r in pv.run()), (p, targets)
             cache = pv.ctx._harmonic_cache
             assert (cache is not None) == bool(harmonic_readers & pv.want), (p, targets)
             if cache is not None:
                 assert max(cache._h) < p**2, (p, targets)
-            if "domb_table" in vars(pv) and pv.domb_table.ctx is not pv.ctx:
+            if "domb_table" in vars(pv):
                 assert pv.domb_table.ctx._harmonic_cache is None, (p, targets)
 
 
@@ -523,7 +527,7 @@ def test_lemma_mpt_sees_the_inverse_factorial_of_half(p):
     # wrong entry would cancel out of the comparison
     assert verify_prime(p, [T.LEMMA_MPT])[0].passed
     pv = PrimeVerifier(p, [T.LEMMA_MPT])
-    _, _, fi = pv.ctx.factorial_tables(3 * p)
+    _, fi = pv.ctx.factorial_tables(3 * p)
     fi[(p - 1) // 2] = 2 * fi[(p - 1) // 2] % pv.ctx.pk
     assert not pv.lemma_mpt_check().passed
 
@@ -756,6 +760,17 @@ def test_weighted_sums_see_every_term_across_blocks(p):
 # ---- oracles: the PAdicValue loops that the plain-residue lemma cases replaced ----
 
 
+def floor_valuations(p, n):
+    """v_p(m!) for 0 <= m <= n by Legendre's sum of floor(m/p^i), apart
+    from the kernel's digit-sum form."""
+    v = [0] * (n + 1)
+    q = p
+    while q <= n:
+        v = [a + m // q for m, a in enumerate(v)]
+        q *= p
+    return v
+
+
 @functools.lru_cache(maxsize=4)
 def truth_ctx(p):
     """A context of p's own at p^3, the largest m the oracles read, apart
@@ -965,7 +980,8 @@ def per_case_lemma22_cases(pv, m):
     ctx = truth_ctx(p)
     pw = ctx.powers
     mod = pw[m]
-    fv, fu, fi = ctx.factorial_tables(3 * p)
+    fu, fi = ctx.factorial_tables(3 * p)
+    fv = floor_valuations(p, 3 * p)
     h = special.harmonic_scaled(p - 1, ctx)
     f = _p_over_3j1(p, mod)
     cases = []
@@ -982,7 +998,8 @@ def per_case_lemma_p2j_cases(pv, m):
     ctx = truth_ctx(p)
     pw = ctx.powers
     mod = pw[m]
-    fv, fu, fi = ctx.factorial_tables(3 * p)
+    fu, fi = ctx.factorial_tables(3 * p)
+    fv = floor_valuations(p, 3 * p)
     h = special.harmonic_scaled(2 * p - 2, ctx)
     half = (p - 1) // 2
     cases = []
@@ -1005,7 +1022,7 @@ def per_case_lemma_sh55_terms(pv, m):
     ctx = truth_ctx(p)
     pw = ctx.powers
     mod = pw[m]
-    _, fu, fi = ctx.factorial_tables(3 * p)
+    fu, fi = ctx.factorial_tables(3 * p)
     h = special.harmonic_scaled(2 * p - 2, ctx)
     f = _p_over_3j1(p, mod)
     i16 = pow(16, -1, mod)
@@ -1042,11 +1059,12 @@ def test_lemma_slices_match_per_case_loops(k):
 
 def test_each_quotient_has_its_per_range_valuation():
     # the slice forms write each valuation once per range; below 3p < p^2,
-    # v_p(n!) = floor(n/p) makes it a constant there, read here off fv:
+    # v_p(n!) = floor(n/p) makes it a constant there, read here off
+    # Legendre's floor-division sum:
     # LEMMA_P2J 1; LEMMA22 1, but 0 at 3j+1 = p; C(2k,k) 0 below (p+1)/2
     # and 1 from there
     for p in sieve_primes(5, 3000):
-        fv, _, _ = PrimeContext(p, 1).factorial_tables(3 * p)
+        fv = floor_valuations(p, 3 * p)
         n = (p + 1) // 2
         p2j = [fv[p + 2 * j] - fv[j] - fv[2 * j] - fv[p - j - 1] for j in range(p)]
         assert p2j == [1] * p, p
@@ -1071,7 +1089,9 @@ LEMMA_RANGES = {T.LEMMA22: lambda p: (p + 1) // 2, T.LEMMA_P2J: lambda p: p, T.L
 
 
 def _perturbed_run(p, target, table, i):
+    # the reaches of a lemma run: units to (3p-2)!, inverses to 1/(2p-2)!
     pv = PrimeVerifier(p, [target])
+    pv.ctx.factorial_decomposed(3 * p - 2)
     pv.ctx.factorial_tables(2 * p - 2)
     entries = {
         "fu": pv.ctx._fact_unit,
@@ -1130,7 +1150,7 @@ def test_split_cases_carry_weight(p):
 def slice_lemma22_cases(pv):
     p = pv.p
     mod = p**3
-    _, fu, fi = pv.ctx.factorial_tables(3 * p)
+    fu, fi = pv.ctx.factorial_tables(3 * p)
     h = special.harmonic_scaled(p - 1, pv.ctx)
     n = (p + 1) // 2
     lhs = [
@@ -1148,7 +1168,7 @@ def slice_lemma22_cases(pv):
 def slice_lemma_p2j_cases(pv):
     p = pv.p
     mod = p**3
-    _, fu, fi = pv.ctx.factorial_tables(3 * p)
+    fu, fi = pv.ctx.factorial_tables(3 * p)
     h = special.harmonic_scaled(2 * p - 2, pv.ctx)
     n = (p + 1) // 2
     lhs = [
@@ -1166,7 +1186,7 @@ def slice_lemma_sh55_cases(pv):
     term's weight 16^(-k) carried from term to term."""
     p = pv.p
     mod = p**3
-    _, fu, fi = pv.ctx.factorial_tables(3 * p)
+    fu, fi = pv.ctx.factorial_tables(3 * p)
     h = special.harmonic_scaled(4 * p // 3, pv.ctx)
     i16 = pow(16, -1, mod)
     n = (p + 1) // 2

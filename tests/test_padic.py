@@ -184,27 +184,33 @@ def test_factorial_blocks_start_anywhere():
     ctx = PrimeContext(p, 3)
     for n in (24, 54, 110, 400):
         ctx.factorial_tables(n)
-        assert len(ctx._fact_val) == len(ctx._fact_inv) == n + 1
+        assert len(ctx._fact_unit) == len(ctx._fact_inv) == n + 1
     val, unit = 0, 1
     for n in range(1, 401):
         w, u = split_p(n, p)
         val += w
         unit = unit * u % ctx.pk
-        assert (ctx._fact_val[n], ctx._fact_unit[n]) == (val, unit), n
+        assert ctx.factorial_decomposed(n) == (val, unit), n
         assert ctx._fact_unit[n] * ctx._fact_inv[n] % ctx.pk == 1, n
 
 
 @pytest.mark.parametrize("p,k", [(5, 3), (7, 6), (101, 4)])
 def test_inverse_factorial_units(p, k):
+    # units and inverses each reach exactly the index asked for, and a
+    # read below the reach grows nothing
     ctx = PrimeContext(p, k)
-    ctx.factorial_decomposed(1)  # the first block reaches 3p, with no inverse
-    assert len(ctx._fact_unit) >= 3 * p + 1 and ctx._fact_inv == [1]
-    ctx.factorial_tables(2 * p - 2)  # inverses as far as asked
-    assert len(ctx._fact_inv) == 2 * p - 1
+    ctx.factorial_decomposed(1)
+    assert ctx._fact_unit == [1, 1] and ctx._fact_inv == [1]
+    ctx.factorial_tables(2 * p - 2)
+    assert len(ctx._fact_unit) == len(ctx._fact_inv) == 2 * p - 1
+    ctx.factorial_decomposed(3 * p - 2)  # units on, no inverse
+    assert (len(ctx._fact_unit), len(ctx._fact_inv)) == (3 * p - 1, 2 * p - 1)
+    ctx.factorial_tables(p)
+    assert (len(ctx._fact_unit), len(ctx._fact_inv)) == (3 * p - 1, 2 * p - 1)
     ctx.factorial_tables(10 * p)  # a second block, the inverses walked on to it
     assert len(ctx._fact_inv) == len(ctx._fact_unit) == 10 * p + 1
-    fv, fu, fi = ctx.factorial_tables(10 * p)  # the caches, not copies
-    assert fv is ctx._fact_val and fu is ctx._fact_unit and fi is ctx._fact_inv
+    fu, fi = ctx.factorial_tables(10 * p)  # the caches, not copies
+    assert fu is ctx._fact_unit and fi is ctx._fact_inv
     for n in range(10 * p + 1):
         assert fu[n] * fi[n] % ctx.pk == 1
 

@@ -454,7 +454,7 @@ def test_tables_read_the_context_factorial_table():
     p = 1009
     assert bernoulli_table(PrimeContext(p, 3)) == bernoulli_table(PrimeContext(p, 1))
     ctx = PrimeContext(p, 3)
-    _, _, fi = ctx.factorial_tables(3 * p)
+    _, fi = ctx.factorial_tables(3 * p)
     fi[2 * 100] += 1
     assert bernoulli_table(ctx) != bernoulli_table(PrimeContext(p, 3))
 

@@ -3,6 +3,7 @@ loaded by its path and run at small primes, so a renamed name that a
 script reads fails here and not in the script."""
 
 import importlib.util
+import runpy
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,19 @@ def test_row_digest_counts_every_row():
     rows, digest = _load("row_digest").row_digest(primes)
     assert rows == sum(len(verify_prime(p)) for p in primes)
     assert len(digest) == 64 and int(digest, 16) >= 0
+
+
+def test_code_lines_sum_to_the_total(capsys, monkeypatch):
+    module = _load("code_lines")
+    counts = module.code_lines()
+    assert sorted(counts) == sorted(p.name for p in module.SRC.glob("*.py"))
+    assert all(n > 0 for n in counts.values())
+    # a docstring, a comment and a blank line count nothing; a string that
+    # spans lines counts each line
+    assert module.count_code_lines('"""doc\n\nstring"""\n\n# note\nx = """a\nb"""\n') == 2
+    monkeypatch.setattr("sys.argv", ["code_lines.py"])
+    runpy.run_path(str(TOOLS / "code_lines.py"), run_name="__main__")
+    *modules, total = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in modules] == list(counts)
+    assert sum(int(line.split()[1]) for line in modules) == int(total.split()[1])
+    assert total == f"total {sum(counts.values())}"

@@ -7,11 +7,11 @@ Each figure is the minimum over N runs (default 3), each run on a fresh
 PrimeVerifier, so no table built in one run is read in the next.  Within a
 run the layers are timed in an order that builds what each one reads
 first: the Domb table, its moment sums at bases 4 and 16 (one pass for
-both), the factorial tables as the lemmas read them (units to 3p, inverses
-to 2p - 2), sigma, the three bernoulli_poly passes, the harmonic cache
-(both orders), the inverses of 3j+1 behind p/(3j+1) (differences of the
-harmonic cache, so timed after it), then each lemma alone on the built
-tables.  "total" is a separate fresh verify_prime.
+both), the factorial tables as the verifier builds them (units to 3p - 2,
+which LEMMA_P2J reads, then inverses to 2p - 2), sigma, the three
+bernoulli_poly passes, the harmonic cache (both orders), the inverses of
+3j+1 behind p/(3j+1) (differences of the harmonic cache, so timed after
+it), then each lemma alone on the built tables.  "total" is a separate fresh verify_prime.
 LEMMA22 and LEMMA_MPT are not stated at 7919 (2 mod 3), so their entry
 there is null.
 
@@ -44,7 +44,7 @@ def _layers(pv: PrimeVerifier) -> dict:
     layers = {
         "domb_table": lambda: pv.domb_table,
         "moment_sums": lambda: (pv.weighted_sum(4, "1"), pv.weighted_sum(16, "1")),
-        "factorial_tables": lambda: ctx.factorial_tables(2 * p - 2),
+        "factorial_tables": lambda: (ctx.factorial_decomposed(3 * p - 2), ctx.factorial_tables(2 * p - 2)),
         "sigma": lambda: _sinh_inverse(ctx),
         "bernoulli_poly": lambda: [
             bernoulli_poly(n, x, ctx) for n, x in [(p - 3, 0), (p - 2, Fraction(1, 3)), (p - 2, Fraction(1, 4))]
