@@ -11,11 +11,12 @@ quotients, Bernoulli values).  Every right side is a plain int mod p^m:
 binomials are read off the factorial tables as unit * p^v (but for
 LEMMA_MPT's, a unit by math.comb, since its left side reads those tables),
 harmonic sums are the harmonic cache's stored ints, a Fermat quotient is
-(a^(p-1) mod p^(n+1) - 1) / p, each Bernoulli value (B_(p-3) = B_(p-3)(0),
-B_(p-2)(1/3), and the Euler number E_(p-3) as B_(p-2)(1/4)/8) is one
-bernoulli_poly pass mod p over the memoized series sigma, with no
-Bernoulli table built, and each rational coefficient is an int times the
-inverse of its denominator, which is prime to p.  The three
+(a^(p-1) mod p^(n+1) - 1) / p, the three Bernoulli values (B_(p-3),
+B_(p-2)(1/3), and the Euler number E_(p-3) as B_(p-2)(1/4)/8) come mod p
+from one O(p) special.bernoulli_values call by Voronoi's congruence,
+memoized on the verifier, with no series and no Bernoulli table built, and
+each rational coefficient is an int times the inverse of its denominator,
+which is prime to p.  The three
 range-quantified lemmas (LEMMA22, LEMMA_P2J, LEMMA_SH55) read strided
 slices of the factorial tables, the harmonic cache and one list of the
 inverses of 3j+1 mod p^2 over j < (p+1)/2, read off the harmonic cache;
@@ -41,7 +42,7 @@ silently cancel against one in the sums.
 
 Each table is kept to the digits its readers need.  The Domb table and its
 weighted sums work mod p^K, K the largest requested m, on a context of
-their own.  The kernel context holds the factorial tables, sigma and the
+their own.  The kernel context holds the factorial tables and the
 harmonic cache, and always works mod p^2 (_KERNEL_EXP), the most digits
 any right side reads off it.  Closed forms and lemma cases reduce by the
 verifier's own powers of p, which reach p^K.  Two reads need a third
@@ -58,7 +59,6 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from math import comb, prod
 from operator import mul, sub
@@ -67,7 +67,7 @@ from time import perf_counter
 from .domb import DombTable
 from .padic import PrimeContext, binomial_rational, binomial_residues
 from .quadform import decompose_known_prime
-from .special import bernoulli_poly, harmonic_scaled
+from .special import bernoulli_values, harmonic_scaled
 
 __all__ = [
     "Target",
@@ -359,6 +359,13 @@ class PrimeVerifier:
         high = [x * (1 - p * x) % pp for x in map(sub, h[r:n:3], h[r - 1 : n - 1 : 3])]
         return low + [0] * (p % 3 == 1) + high
 
+    @cached_property
+    def _bernoulli_values(self) -> tuple[int, int, int]:
+        """B_(p-3), B_(p-2)(1/3) and B_(p-2)(1/4) mod p, which CONJ1_DP1 and
+        LEMMA_SUNH read: one special.bernoulli_values pass, whose power
+        tables are dropped once the three ints are taken."""
+        return bernoulli_values(self.ctx)
+
     def _exponent(self, target: Target) -> int:
         """The target's m at this prime; WrongPrimeClass where it is not stated,
         ValueError where the precision K is below m (the target was not
@@ -485,11 +492,11 @@ class PrimeVerifier:
 
     def conj1_dp1(self) -> CongruenceReport:
         """D_(p-1) against 64^(p-1) - (p^3/6) B_(p-3) mod p^4: the power
-        mod p^K, the Bernoulli number mod p as B_(p-3)(0), one pass of
-        bernoulli_poly with no Bernoulli table built."""
+        mod p^K, the Bernoulli number mod p from the verifier's Bernoulli
+        values, with no Bernoulli table built."""
         p = self.p
         lhs = self.domb_table[p - 1]
-        b = bernoulli_poly(p - 3, 0, self.ctx)
+        b = self._bernoulli_values[0]
         rhs = pow(64, p - 1, self.powers[-1]) - p**3 * (b * pow(6, -1, p) % p)
         return self._report(Target.CONJ1_DP1, lhs, rhs)
 
@@ -695,8 +702,9 @@ class PrimeVerifier:
     def lemma_sunh_check(self) -> CongruenceReport:
         """The harmonic-number evaluations at p/6, p/4, p/3, 2p/3 and the
         half/full range, against Fermat quotients, B_(p-2)(1/3) and
-        E_(p-3), the last read as B_(p-2)(1/4)/8 mod p, both through
-        bernoulli_poly.  All sub-congruences must hold; p = 5 is excluded."""
+        E_(p-3), the last read as B_(p-2)(1/4)/8 mod p, both from the
+        verifier's Bernoulli values.  All sub-congruences must hold; p = 5
+        is excluded."""
         return self._first_failure(Target.LEMMA_SUNH, self._lemma_sunh_cases())
 
     def _lemma_sunh_cases(self) -> list[tuple[int, int]]:
@@ -715,8 +723,9 @@ class PrimeVerifier:
         q2 = _fermat_quotient(2, p, m)
         q3 = _fermat_quotient(3, p, m)
         chi = 1 if p % 3 == 1 else -1
-        w = chi * bernoulli_poly(p - 2, Fraction(1, 3), ctx) % p
-        e = bernoulli_poly(p - 2, Fraction(1, 4), ctx) * pow(8, -1, p) % p
+        _, b3, b4 = self._bernoulli_values
+        w = chi * b3 % p
+        e = b4 * pow(8, -1, p) % p
         sign = -1 if (p - 1) // 2 % 2 else 1
         i2, i3, i4, i5, i6, i12 = (pow(d, -1, mod) for d in (2, 3, 4, 5, 6, 12))
         # the q2 and q3 parts of the right sides: -2 q2 + p q2^2 and

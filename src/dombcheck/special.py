@@ -2,28 +2,31 @@
 gamma function.
 
 Everything here is evaluated against a PrimeContext.  The harmonic cache
-and the series sigma behind every Bernoulli value are memoized on the
-context object so that the congruence checks can share them.  The
-factorials the series need, of 0..p-1 mod p, are the context's factorial
-table reduced mod p; the binomials and the gamma function read the same
-table.  Bernoulli and Euler residues come from generating series mod p in
-O(M(p) log p), M(p) the cost of a degree-p polynomial product (Buhler,
-Crandall, Ernvall and Metsankyla, Math. Comp. 61, 1993; Harvey, J. Symb.
-Comp. 44, 2009), both series in x^2 of (p-1)/2 terms: the Euler numbers
-invert cosh x, and sigma inverts sinh x / x, so u / sinh u = sum sigma_j
-u^(2j).  Each inverse is Newton doubling whose steps read only the middle
-of a product (Hanrot, Quercia and Zimmermann, AAECC 14, 2004).  Each
-product is one big-integer multiply by Kronecker substitution, its
-operands packed and its slots read by struct, in slots of at most 8 bytes
-(p < 2^21 for sigma).  Never via harmonic sums (Lehmer, Ann. Math. 39,
-1938): LEMMA_SUNH compares the two, and would then hold by construction.
+and the series sigma behind bernoulli_poly and bernoulli_table are
+memoized on the context object.  The factorials the series need, of
+0..p-1 mod p, are the context's factorial table reduced mod p; the
+binomials and the gamma function read the same table.
 
-The verifier reads three Bernoulli values, each one O(p) pass of
-bernoulli_poly over sigma: B_(p-3) = B_(p-3)(0) for CONJ1_DP1, and
-B_(p-2)(1/3) and E_(p-3) = B_(p-2)(1/4)/8 mod p for LEMMA_SUNH.  It builds
-no full table and takes no product past the inverse.  bernoulli_table (the
-quotient x coth x = cosh x / (sinh x / x), sigma times cosh) and
-euler_table stay public, not memoized, and the tests use them as oracles.
+The verifier reads three Bernoulli values mod p, B_(p-3), B_(p-2)(1/3)
+and E_(p-3) = B_(p-2)(1/4)/8, from bernoulli_values: O(p) sums by
+Voronoi's congruence (Harvey, Math. Comp. 79, 2010), with no series.
+
+Full tables come from generating series mod p in O(M(p) log p), M(p) the
+cost of a degree-p polynomial product (Buhler, Crandall, Ernvall and
+Metsankyla, Math. Comp. 61, 1993; Harvey, J. Symb. Comp. 44, 2009), both
+series in x^2 of (p-1)/2 terms: the Euler numbers invert cosh x, and sigma
+inverts sinh x / x, so u / sinh u = sum sigma_j u^(2j).  Each inverse is
+Newton doubling whose steps read only the middle of a product (Hanrot,
+Quercia and Zimmermann, AAECC 14, 2004).  Each product is one big-integer
+multiply by Kronecker substitution, its operands packed and its slots read
+by struct, in slots of at most 8 bytes (p < 2^21 for sigma).
+bernoulli_poly (one O(p) pass over sigma), bernoulli_table (x coth x =
+cosh x / (sinh x / x), sigma times cosh) and euler_table stay public as
+library API, not memoized, and the tests' oracles for bernoulli_values.
+
+No Bernoulli value comes via harmonic sums (Lehmer, Ann. Math. 39, 1938)
+or shares code with the harmonic cache or batch_inverse: LEMMA_SUNH
+compares the two, and would then hold by construction.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import struct
 import weakref
 from itertools import accumulate
+from math import gcd
 from operator import mul, sub
 
 from .padic import (
@@ -48,6 +52,7 @@ __all__ = [
     "harmonic_scaled",
     "bernoulli_table",
     "bernoulli_poly",
+    "bernoulli_values",
     "euler_table",
     "padic_gamma_int",
     "padic_gamma_rational",
@@ -260,7 +265,7 @@ def bernoulli_table(ctx: PrimeContext) -> list[int]:
     sum y^k/(2k)! follows, then B_2k = c_k (2k)! / 4^k; in all
     O(M(p) log p).  Never from harmonic sums, which LEMMA_SUNH checks
     against these values.  The verifier reads its three Bernoulli values
-    through bernoulli_poly and never builds this table; it is kept, not
+    from bernoulli_values and never builds this table; it is kept, not
     memoized, as the tests' oracle.
     """
     p = ctx.p
@@ -303,7 +308,9 @@ def bernoulli_poly(n: int, x, ctx: PrimeContext) -> int:
     sigma the context's memoized inverse of sinh x / x.  Taken by Horner in
     Y = 4 z^2 over sigma_j / (n-2j)!, then B_n(x) = n! z^(n mod 2) 4^(-J)
     times that sum: one O(n) pass, no full Bernoulli table and no product.
-    J is at most (p-3)/2, the last sigma_j kept, and n! is a unit.
+    J is at most (p-3)/2, the last sigma_j kept, and n! is a unit.  The
+    verifier reads bernoulli_values instead, and the tests check one
+    against the other.
     """
     p = ctx.p
     if n < 0 or n > p - 2:
@@ -320,6 +327,113 @@ def bernoulli_poly(n: int, x, ctx: PrimeContext) -> int:
     for s, i in zip(sigma, fi[n::-2]):
         total = (total * y + s * i) % p
     return total * f[n] * pow(z, n % 2, p) * pow(4, -(n // 2), p) % p
+
+
+def _primitive_root(p: int) -> int:
+    """The least primitive root mod p: the least g with g^((p-1)/q) != 1
+    for each prime q dividing p - 1, its primes found by trial division."""
+    m = n = p - 1
+    primes = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        primes.append(n)
+    g = 2
+    while any(pow(g, m // q, p) == 1 for q in primes):
+        g += 1
+    return g
+
+
+def _inverse_power_tables(p: int) -> tuple[list[int], list[int]]:
+    """r^(-2) and r^(-3) mod p at index r < p, 0 at r = 0: one walk r = g^i
+    over the powers of a primitive root g, with g^(-2i) and g^(-3i) as
+    running products beside it, so nothing is inverted."""
+    g = _primitive_root(p)
+    g2, g3 = pow(g, -2, p), pow(g, -3, p)
+    t2, t3 = [0] * p, [0] * p
+    r = a = b = 1
+    for _ in range(p - 1):
+        t2[r] = a
+        t3[r] = b
+        r, a, b = r * g % p, a * g2 % p, b * g3 % p
+    return t2, t3
+
+
+# chi(j) by j mod f: the trivial character at f = 1, and the odd characters
+# mod 3 and mod 4
+_CHARACTERS = {1: (1,), 3: (0, 1, -1), 4: (0, 1, 0, -1)}
+
+
+def _character_bernoulli(t: list[int], n: int, f: int, c: int) -> int:
+    """B_(n,chi) mod p by Voronoi's congruence at multiplier c, for chi in
+    _CHARACTERS[f] and t[j] = j^(n-1) mod p (p = len(t), t[0] = 0); see
+    bernoulli_values.  ValueError where c is not prime to fp, where the
+    derivation fails, or c^n = chi(c) mod p, where the congruence cannot be
+    solved for B_(n,chi)."""
+    p = len(t)
+    chi = _CHARACTERS[f]
+    d = (pow(c, n, p) - chi[c % f]) % p
+    if gcd(c, f * p) != 1 or d == 0:
+        raise ValueError(f"c = {c} is not admissible at p = {p}, n = {n}, f = {f}")
+    # floor(cj/(fp)) = #{q in 1..c-1 : j >= qfp/c}; t repeated f times holds
+    # j^(n-1) at every 0 <= j < fp, so each q and class e mod f is one slice
+    tf = t * f
+    total = 0
+    for q in range(1, c):
+        a = -(-q * f * p // c)
+        total += sum(x * sum(tf[a + (e - a) % f :: f]) for e, x in enumerate(chi) if x)
+    return n * pow(c, n - 1, p) * total * pow(d, -1, p) % p
+
+
+def bernoulli_values(ctx: PrimeContext) -> tuple[int, int, int]:
+    """(B_(p-3), B_(p-2)(1/3), B_(p-2)(1/4)) mod p, the three Bernoulli
+    values the verifier reads, in O(p) by Voronoi's congruence, as in
+    Harvey's multimodular Bernoulli algorithm (Math. Comp. 79, 2010).
+
+    Let chi be a real character mod f, S = sum chi(j) j^n over 0 < j < fp
+    with p not dividing j, and c prime to fp.  For 2 <= n <= p - 2,
+    S = fp B_(n,chi) mod p^2.  As j runs over those j, so does r = cj mod
+    fp, with chi(r) = chi(c) chi(j) and cj = r + fp q, q = floor(cj/(fp)).
+    So c^n S = sum chi(j) (r + fp q)^n = chi(c) S + n fp sum chi(j) q
+    r^(n-1), and r = cj mod p; divided by fp,
+    (c^n - chi(c)) B_(n,chi) = n c^(n-1) sum chi(j) floor(cj/(fp)) j^(n-1)
+    mod p, which gives B_(n,chi) where c^n - chi(c) is a unit.
+    - At f = 1 (chi = 1) and n = p - 3 that is B_(p-3), with j^(n-1) =
+      j^(-3).
+    - At f = 3 and 4, chi odd and n = p - 2 odd, B_(n,chi) = f^(n-1)
+      sum_(a<f) chi(a) B_n(a/f) = 2 f^(n-1) B_n(1/f), as B_n(1 - x) =
+      -B_n(x).  Here j^(n-1) = j^(-2) and f^(n-1) = f^(-2), so B_n(1/f) =
+      f^2 B_(n,chi) / 2.
+    Both power tables come from one walk over a primitive root
+    (_inverse_power_tables).
+
+    c is the least multiplier prime to fp: 2 at f = 1 and f = 3, and 3 at
+    f = 4.  The floor then takes c values, so each sum is at most 2(c-1)
+    strided slice sums: one at f = 1, Z.-H. Sun's half-range sum of j^(-3)
+    over p/2 < j < p.  Each c is admissible at every p > 3: c^n - chi(c)
+    is 1/4 - 1, 1/2 + 1 and 1/3 + 1 mod p, a unit but at p = 2, 3.
+
+    At these small c the sums are sums of inverse powers over ranges, and
+    LEMMA_SUNH sets harmonic sums over ranges against them.  The power
+    tables share no code with the harmonic cache or batch_inverse, so the
+    lemma still compares two independent computations of related sums, as
+    it did against sigma.  Only p is read off the context, and nothing is
+    memoized: the verifier keeps the three ints.  bernoulli_poly over sigma
+    stays public as library API and as the tests' oracle for these values.
+    """
+    p = ctx.p
+    t2, t3 = _inverse_power_tables(p)
+    half = (p + 1) // 2
+    return (
+        _character_bernoulli(t3, p - 3, 1, 2),
+        _character_bernoulli(t2, p - 2, 3, 2) * 9 * half % p,
+        _character_bernoulli(t2, p - 2, 4, 3) * 16 * half % p,
+    )
 
 
 def _first_level_unit(m: int, ctx: PrimeContext) -> int:

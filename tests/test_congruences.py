@@ -576,25 +576,21 @@ def test_sweep_runs_every_target_past_1000():
 
 # one prime of each class mod 3, past the primes the acceptance criteria read
 @pytest.mark.parametrize("p", [1009, 1013])
-def test_bernoulli_and_euler_tables_carry_weight(p, monkeypatch):
-    # LEMMA_SUNH reads E_(p-3) as B_(p-2)(1/4)/8: the last sigma_j, which
-    # enters B_(p-3) and every B_(p-2)(x) with x != 1/2, moves both
-    # targets, and B_(p-2)(1/4) alone moves LEMMA_SUNH
+def test_bernoulli_and_euler_tables_carry_weight(p):
+    # +1 on one of the verifier's memoized Bernoulli values: B_(p-3) moves
+    # CONJ1_DP1 alone, and B_(p-2)(1/3) or B_(p-2)(1/4) (E_(p-3) times 8)
+    # LEMMA_SUNH alone
     targets = [T.CONJ1_DP1, T.LEMMA_SUNH]
     run = lambda pv, t: getattr(pv, SPECS[t].method)()
     pv = PrimeVerifier(p, targets)
     assert all(run(pv, t).passed for t in targets)
-    for t in targets:
+    for i, moved in ((0, T.CONJ1_DP1), (1, T.LEMMA_SUNH), (2, T.LEMMA_SUNH)):
         pv = PrimeVerifier(p, targets)
-        special._sinh_inverse(pv.ctx)[-1] += 1
-        assert not run(pv, t).passed, t
-
-    def off_at_a_quarter(n, x, ctx):
-        return (bernoulli_poly(n, x, ctx) + (x == Fraction(1, 4))) % ctx.p
-
-    monkeypatch.setattr(congruences, "bernoulli_poly", off_at_a_quarter)
-    assert run(PrimeVerifier(p, targets), T.CONJ1_DP1).passed
-    assert not run(PrimeVerifier(p, targets), T.LEMMA_SUNH).passed
+        values = list(pv._bernoulli_values)
+        values[i] = (values[i] + 1) % p
+        pv.__dict__["_bernoulli_values"] = tuple(values)
+        for t in targets:
+            assert run(pv, t).passed == (t is not moved), (i, t)
 
 
 # LEMMA22 applies at 1009 only; LEMMA_P2J and LEMMA_SH55 at both
@@ -1643,15 +1639,28 @@ def test_verifier_builds_no_euler_table(monkeypatch):
 
 
 def test_verifier_builds_no_bernoulli_table(monkeypatch):
-    # CONJ1_DP1 and LEMMA_SUNH read their three Bernoulli values through
-    # bernoulli_poly off sigma; the full table is left to the tests as an
-    # oracle
+    # CONJ1_DP1 and LEMMA_SUNH read their three Bernoulli values from
+    # bernoulli_values; the full table is left to the tests as an oracle
     def refuse(*args):
         raise AssertionError("the verifier built the Bernoulli table")
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "dombcheck" and module.__dict__.get("bernoulli_table") is bernoulli_table:
             monkeypatch.setattr(module, "bernoulli_table", refuse)
+    for p in (7, 13, 1009, 1013):
+        assert _row_digest(verify_prime(p)) == FROZEN_ROW_DIGESTS[p], p
+
+
+def test_verifier_builds_no_sigma(monkeypatch):
+    # the three Bernoulli values come from Voronoi's sums; sigma and
+    # bernoulli_poly over it are left to the tests as oracles
+    def refuse(*args):
+        raise AssertionError("the verifier built sigma")
+
+    for fn in (special._sinh_inverse, bernoulli_poly):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "dombcheck" and module.__dict__.get(fn.__name__) is fn:
+                monkeypatch.setattr(module, fn.__name__, refuse)
     for p in (7, 13, 1009, 1013):
         assert _row_digest(verify_prime(p)) == FROZEN_ROW_DIGESTS[p], p
 

@@ -446,6 +446,10 @@ def test_tables_use_no_harmonic_sums_or_padic_kernel(monkeypatch):
     for n in (98, 99):
         for x in POLY_XS:
             assert bernoulli_poly(n, x, ctx) == _bernoulli_poly_by_recurrence(n, x, 101, b), (n, x)
+    # and so does bernoulli_values, which also inverts nothing in a batch
+    monkeypatch.setattr(special, "batch_inverse", refuse)
+    want = tuple(_bernoulli_poly_by_recurrence(n, x, 101, b) for n, x in _verifier_points(101))
+    assert special.bernoulli_values(PrimeContext(101, 4)) == want
 
 
 def test_tables_read_the_context_factorial_table():
@@ -554,6 +558,79 @@ def test_bernoulli_poly_at_zero_matches_table():
     for n in range(2, 9):
         assert bernoulli_poly(n, Fraction(0), ctx) == table[n]
         assert bernoulli_poly(n, Fraction(1), ctx) == table[n]
+
+
+# (n, x) of B_n(x) for the three values the verifier reads, in the order
+# bernoulli_values returns them
+def _verifier_points(p):
+    return [(p - 3, Fraction(0)), (p - 2, Fraction(1, 3)), (p - 2, Fraction(1, 4))]
+
+
+def test_bernoulli_values_match_bernoulli_poly():
+    # Voronoi's sums against sigma, at every prime the acceptance sweep reads
+    # and two past it
+    for p in [*filter(is_prime, range(5, 2001)), 10007, 20011]:
+        ctx = PrimeContext(p, 1)
+        want = tuple(bernoulli_poly(n, x, ctx) for n, x in _verifier_points(p))
+        assert special.bernoulli_values(ctx) == want, p
+
+
+def test_bernoulli_values_match_power_sums():
+    # B_n(x) = p^(-1) sum_(k<p) (x+k)^n mod p for 1 <= n <= p - 2 and x
+    # p-integral: the sum taken mod p^2, with no Bernoulli number in it
+    for p in filter(is_prime, range(5, 601)):
+        pp = p * p
+        want = []
+        for n, x in _verifier_points(p):
+            xi = x.numerator * pow(x.denominator, -1, pp)
+            s = sum(pow(xi + k, n, pp) for k in range(p)) % pp
+            assert s % p == 0, (p, n, x)
+            want.append(s // p)
+        assert special.bernoulli_values(PrimeContext(p, 1)) == tuple(want), p
+
+
+def test_voronoi_sums_agree_at_a_second_multiplier():
+    # each B_(n,chi) at the verifier's c and at a second admissible one, so a
+    # wrong floor range cannot hide behind one choice of c: the ranges of
+    # floor(cj/(fp)) differ with c
+    for p in filter(is_prime, range(7, 501)):
+        t2, t3 = special._inverse_power_tables(p)
+        for t, n, f, c, other in ((t3, p - 3, 1, 2, 3), (t2, p - 2, 3, 2, 5), (t2, p - 2, 4, 3, 5)):
+            want = special._character_bernoulli(t, n, f, c)
+            assert special._character_bernoulli(t, n, f, other) == want, (p, f, other)
+
+
+def test_character_bernoulli_rejects_inadmissible_multipliers():
+    # at p = 13, where the congruence says nothing of B_(n,chi): c not prime
+    # to fp (13 at f = 1, and 26 at f = 3 and 2 at f = 4, where c^n - chi(c)
+    # is still a unit), and c^n = chi(c) mod p.  c^(p-3) = 1/c^2 is 1 =
+    # chi(c) at c = 1 and 12 = -1 for f = 1; c^(p-2) = 1/c is chi(c) at
+    # c = 1 for f = 4, and at c = 38 (-1 mod 13, 2 mod 3, so chi(38) = -1)
+    # for f = 3
+    p = 13
+    t2, t3 = special._inverse_power_tables(p)
+    cases = [(t3, p - 3, 1, 13), (t2, p - 2, 3, 26), (t2, p - 2, 4, 2), (t3, p - 3, 1, 1), (t3, p - 3, 1, 12),
+             (t2, p - 2, 4, 1), (t2, p - 2, 3, 38)]
+    for t, n, f, c in cases:
+        with pytest.raises(ValueError):
+            special._character_bernoulli(t, n, f, c)
+
+
+def _check_inverse_power_tables(p):
+    t2, t3 = special._inverse_power_tables(p)
+    assert len(t2) == len(t3) == p and t2[0] == t3[0] == 0, p
+    for r in range(1, p):
+        assert t2[r] * r * r % p == 1 and t3[r] * r * r * r % p == 1, (p, r)
+
+
+def test_inverse_power_tables_hold_every_inverse(monkeypatch):
+    for p in filter(is_prime, range(5, 2001)):
+        _check_inverse_power_tables(p)
+    # a g that is not a primitive root walks a subgroup only and leaves zeros
+    # that the check finds: 4 = 2^2 is a square mod 13
+    monkeypatch.setattr(special, "_primitive_root", lambda p: 4)
+    with pytest.raises(AssertionError):
+        _check_inverse_power_tables(13)
 
 
 def test_gamma_int_spots():

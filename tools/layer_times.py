@@ -8,10 +8,11 @@ PrimeVerifier, so no table built in one run is read in the next.  Within a
 run the layers are timed in an order that builds what each one reads
 first: the Domb table, its moment sums at bases 4 and 16 (one pass for
 both), the factorial tables as the verifier builds them (units to 3p - 2,
-which LEMMA_P2J reads, then inverses to 2p - 2), sigma, the three
-bernoulli_poly passes, the harmonic cache (both orders), the inverses of
-3j+1 behind p/(3j+1) (differences of the harmonic cache, so timed after
-it), then each lemma alone on the built tables.  "total" is a separate fresh verify_prime.
+which LEMMA_P2J reads, then inverses to 2p - 2), the three Bernoulli
+values by Voronoi's congruence (which read none of those), the harmonic
+cache (both orders), the inverses of 3j+1 behind p/(3j+1) (differences of
+the harmonic cache, so timed after it), then each lemma alone on the built
+tables.  "total" is a separate fresh verify_prime.
 LEMMA22 and LEMMA_MPT are not stated at 7919 (2 mod 3), so their entry
 there is null.
 
@@ -25,14 +26,13 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dombcheck.congruences import PrimeVerifier, verify_prime  # noqa: E402
-from dombcheck.special import _sinh_inverse, bernoulli_poly, harmonic_scaled  # noqa: E402
+from dombcheck.special import harmonic_scaled  # noqa: E402
 
 PRIMES = (997, 1999, 7919)
 
@@ -45,10 +45,7 @@ def _layers(pv: PrimeVerifier) -> dict:
         "domb_table": lambda: pv.domb_table,
         "moment_sums": lambda: (pv.weighted_sum(4, "1"), pv.weighted_sum(16, "1")),
         "factorial_tables": lambda: (ctx.factorial_decomposed(3 * p - 2), ctx.factorial_tables(2 * p - 2)),
-        "sigma": lambda: _sinh_inverse(ctx),
-        "bernoulli_poly": lambda: [
-            bernoulli_poly(n, x, ctx) for n, x in [(p - 3, 0), (p - 2, Fraction(1, 3)), (p - 2, Fraction(1, 4))]
-        ],
+        "bernoulli_values": lambda: pv._bernoulli_values,
         "harmonic_cache": lambda: (harmonic_scaled(2 * p - 2, ctx), harmonic_scaled(p - 1, ctx, order=2)),
         "inv_3j1": lambda: pv._inv_3j1,
         "lemma22_mpt": lambda: (pv.lemma22_check(), pv.lemma_mpt_check()),
