@@ -16,7 +16,7 @@ import sys
 from time import perf_counter
 
 from .congruences import SPECS, Target, sieve_primes, sweep
-from .domb import domb_exact
+from .domb import domb_numbers
 from .identities import check_all_identities
 from .padic import is_prime
 from .quadform import NotRepresentable, decompose_known_prime
@@ -152,8 +152,18 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_domb(args) -> int:
-    for k in range(args.n + 1):
-        print(f"{k}\t{domb_exact(k)}")
+    # D_n has about 1.2 n decimal digits, past the 4300 that CPython 3.11+
+    # converts by default from n = 3600 on; the limit guards parsing input,
+    # not printing these numbers, so it is lifted here and put back after
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for k, d in enumerate(domb_numbers(args.n + 1)):
+            print(f"{k}\t{d}")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -1,11 +1,16 @@
 """Both sides of every supercongruence target, evaluated per prime.
 
-Left-hand sides of the Domb targets are partial sums of the Domb residue
-table against geometric weights, nothing else: three moment sums
-sum k^i D_k b^(-k) at b = 4 and at 16, from one pass over the table by
-Horner with derivatives in both bases, one reduction every 16 terms and
-one product with b^(-(p-1)) per base, so no weight is inverted or reduced
-per term.  Their right-hand sides go
+Left-hand sides of the Domb targets are partial sums of the Domb numbers
+against geometric weights, nothing else: three moment sums
+sum k^i D_k b^(-k) at b = 4 and at 16, finished by one product with
+b^(-(p-1)) per base from P(b), P'(b) and P''(b)/2, P(b) = sum D_k
+b^(p-1-k).  Those triples come by Horner with derivatives in both bases:
+for one prime, from one pass over its Domb table, one reduction every 16
+terms; for a sweep, from one walk over the exact Domb numbers up to its
+largest prime, reduced at each prime (domb.horner_walk), when its primes
+make the walk pay (_walk).  No weight is inverted or reduced per term.
+CONJ1_DP1 reads D_(p-1) off the prime's Domb table in both cases.
+Their right-hand sides go
 through the p-adic kernel's tables (binomials, harmonic numbers, Fermat
 quotients, Bernoulli values).  Every right side is a plain int mod p^m:
 binomials are read off the factorial tables as unit * p^v (but for
@@ -64,7 +69,7 @@ from math import comb, prod
 from operator import mul, sub
 from time import perf_counter
 
-from .domb import DombTable
+from .domb import DombTable, HornerTriples, horner_walk
 from .padic import PrimeContext, binomial_rational, binomial_residues
 from .quadform import decompose_known_prime
 from .special import bernoulli_values, harmonic_scaled
@@ -119,12 +124,14 @@ class TargetSpec:
     """Every fact about a target except its closed form: the CLI group it
     belongs to, the primes it is stated for, the exponent m of its modulus
     p^m, the PrimeVerifier method that evaluates it (by name, so the
-    method is looked up on the verifier at call time)."""
+    method is looked up on the verifier at call time), and whether that
+    method reads a weighted sum, which decides whether a sweep walks."""
 
     group: str
     applies: Callable[[int], bool]
     mod_exp: Callable[[int], int]
     method: str
+    reads_sums: bool
 
 
 def _every(p: int) -> bool:
@@ -149,22 +156,22 @@ def _k2_exp(p: int) -> int:
 
 # The catalog.  A new target is one entry here plus the method it names.
 SPECS: dict[Target, TargetSpec] = {
-    Target.THM11_4K: TargetSpec("thm1.1", _every, _exp(3), "thm11_4k"),
-    Target.THM11_16K: TargetSpec("thm1.1", _every, _exp(3), "thm11_16k"),
-    Target.THM12_4K: TargetSpec("thm1.2", _one_mod_3, _exp(3), "thm12"),
-    Target.THM12_16K: TargetSpec("thm1.2", _one_mod_3, _exp(3), "thm12"),
-    Target.THM13_K2_4K: TargetSpec("thm1.3", _every, _k2_exp, "thm13_all"),
-    Target.THM13_K2_16K: TargetSpec("thm1.3", _every, _k2_exp, "thm13_all"),
-    Target.THM13_K_4K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all"),
-    Target.THM13_K_16K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all"),
-    Target.CONJ1_DP1: TargetSpec("conj1", _every, _exp(4), "conj1_dp1"),
-    Target.CONJ2_MODP2: TargetSpec("conj2", _every, _exp(2), "conj2_mod_p2"),
-    Target.MUSUN_P5: TargetSpec("musun", _every, _exp(5), "musun"),
-    Target.LEMMA22: TargetSpec("lemmas", _one_mod_3, _exp(3), "lemma22_check"),
-    Target.LEMMA_MPT: TargetSpec("lemmas", _one_mod_3, _exp(2), "lemma_mpt_check"),
-    Target.LEMMA_P2J: TargetSpec("lemmas", _every, _exp(3), "lemma_p2j_check"),
-    Target.LEMMA_SUNH: TargetSpec("lemmas", lambda p: p > 5, _exp(2), "lemma_sunh_check"),
-    Target.LEMMA_SH55: TargetSpec("lemmas", _every, _exp(3), "lemma_sh55_check"),
+    Target.THM11_4K: TargetSpec("thm1.1", _every, _exp(3), "thm11_4k", True),
+    Target.THM11_16K: TargetSpec("thm1.1", _every, _exp(3), "thm11_16k", True),
+    Target.THM12_4K: TargetSpec("thm1.2", _one_mod_3, _exp(3), "thm12", True),
+    Target.THM12_16K: TargetSpec("thm1.2", _one_mod_3, _exp(3), "thm12", True),
+    Target.THM13_K2_4K: TargetSpec("thm1.3", _every, _k2_exp, "thm13_all", True),
+    Target.THM13_K2_16K: TargetSpec("thm1.3", _every, _k2_exp, "thm13_all", True),
+    Target.THM13_K_4K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all", True),
+    Target.THM13_K_16K: TargetSpec("thm1.3", _two_mod_3, _exp(2), "thm13_all", True),
+    Target.CONJ1_DP1: TargetSpec("conj1", _every, _exp(4), "conj1_dp1", False),
+    Target.CONJ2_MODP2: TargetSpec("conj2", _every, _exp(2), "conj2_mod_p2", True),
+    Target.MUSUN_P5: TargetSpec("musun", _every, _exp(5), "musun", True),
+    Target.LEMMA22: TargetSpec("lemmas", _one_mod_3, _exp(3), "lemma22_check", False),
+    Target.LEMMA_MPT: TargetSpec("lemmas", _one_mod_3, _exp(2), "lemma_mpt_check", False),
+    Target.LEMMA_P2J: TargetSpec("lemmas", _every, _exp(3), "lemma_p2j_check", False),
+    Target.LEMMA_SUNH: TargetSpec("lemmas", lambda p: p > 5, _exp(2), "lemma_sunh_check", False),
+    Target.LEMMA_SH55: TargetSpec("lemmas", _every, _exp(3), "lemma_sh55_check", True),
 }
 
 
@@ -188,6 +195,15 @@ def applicable(target: Target, p: int) -> bool:
 def modulus_exponent(target: Target, p: int) -> int:
     """The exponent m such that the target is a congruence mod p^m."""
     return SPECS[target].mod_exp(p)
+
+
+def _wanted(p: int, targets) -> tuple[frozenset[Target], int]:
+    """The requested targets stated at p, and K, the largest modulus
+    exponent m among them (1 when there is none): the precision of the
+    Domb table and the weighted sums, for the verifier and the walk
+    alike."""
+    want = frozenset(t for t in targets if applicable(t, p))
+    return want, max((modulus_exponent(t, p) for t in want), default=1)
 
 
 def _fermat_quotient(a: int, p: int, n: int) -> int:
@@ -255,23 +271,29 @@ class PrimeVerifier:
     ``want`` is the set of requested targets that are stated at p, worked
     out once here.  ``precision``, K, is the largest modulus exponent m in
     ``want`` (1 when it is empty); the Domb table and the weighted sums are
-    kept mod p^K, and each row is reduced mod p^m from ``powers``.  ``ctx``
-    is the kernel context, at precision _KERNEL_EXP = 2 whatever is
-    requested, and its tables are kept mod p^2.  Each right side is reduced
-    by the verifier's own ``powers``, not the kernel's.  Every side is ring
-    arithmetic with no division by p, so no digit above a target's m is
-    needed, and a target's residues do not depend on which other targets
-    are requested.  The shared tables are built on first read and kept.
+    kept mod p^K, and each row is reduced mod p^m from ``powers``.
+    ``triples``, the walk's HornerTriples for this p, replace the pass over
+    the Domb table at bases 4 and 16; triples of another p, or below K,
+    raise ValueError.  ``ctx`` is the kernel context, at precision
+    _KERNEL_EXP = 2 whatever is requested, and its tables are kept mod p^2.
+    Each right side is reduced by the verifier's own ``powers``, not the
+    kernel's.  Every side is ring arithmetic with no division by p, so no
+    digit above a target's m is needed, and a target's residues do not
+    depend on which other targets are requested.  The shared tables are
+    built on first read and kept.
     """
 
-    def __init__(self, p: int, targets=None):
-        if targets is None:
-            targets = Target
-        self.want = frozenset(t for t in targets if applicable(t, p))
+    def __init__(self, p: int, targets=None, *, triples: HornerTriples | None = None):
+        self.want, self.precision = _wanted(p, Target if targets is None else targets)
+        if triples is not None and (triples.p != p or triples.precision < self.precision):
+            raise ValueError(
+                f"triples for p = {triples.p} mod p^{triples.precision} "
+                f"cannot serve p = {p} at precision {self.precision}"
+            )
         self.ctx = PrimeContext(p, _KERNEL_EXP)
-        self.precision = max((modulus_exponent(t, p) for t in self.want), default=1)
         self.powers = tuple(p**i for i in range(self.precision + 1))
         self.p = p
+        self._triples = triples
         self._sums: dict[str, int] = {}
 
     # ---- shared pieces ----
@@ -298,11 +320,18 @@ class PrimeVerifier:
 
     def _moment_sums(self, a: int, b: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         """sum_{k<p} k^i D_k c^(-k) mod p^K for i = 0, 1, 2 at c = a and b,
-        from one pass.  Horner with derivatives in c over k = 0 .. p-1,
-        reduced once every 16 steps, leaves t0, t1, t2 = P(c), P'(c),
-        P''(c)/2 for P(c) = sum D_k c^(n-k), n = p-1, so that sum k D_k
-        c^(n-k) = n t0 - c t1 and sum k^2 D_k c^(n-k) = n^2 t0 - (2n-1) c t1
-        + 2 c^2 t2; one product with c^(-n) ends each sum."""
+        each finished by _finish from c's Horner triple: the walk's, when
+        the verifier was given them and (a, b) = (4, 16), else _horner's."""
+        if self._triples is not None and (a, b) == (4, 16):
+            ta, tb = self._triples.at4, self._triples.at16
+        else:
+            ta, tb = self._horner(a, b)
+        return self._finish(a, ta), self._finish(b, tb)
+
+    def _horner(self, a: int, b: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        """(P(c), P'(c), P''(c)/2) mod p^K at c = a and b for P(c) =
+        sum_{k<p} D_k c^(p-1-k), from one pass over the Domb table: Horner
+        with derivatives in c, reduced once every 16 steps."""
         pk = self.powers[-1]
         r = self.domb_table.residues
         a0 = a1 = a2 = b0 = b1 = b2 = 0
@@ -315,14 +344,20 @@ class PrimeVerifier:
                 b1 = b1 * b + b0
                 b0 = b0 * b + d
             a0, a1, a2, b0, b1, b2 = a0 % pk, a1 % pk, a2 % pk, b0 % pk, b1 % pk, b2 % pk
+        return (a0, a1, a2), (b0, b1, b2)
+
+    def _finish(self, c: int, triple: tuple[int, int, int]) -> tuple[int, int, int]:
+        """The three moment sums at c from t0, t1, t2 = P(c), P'(c),
+        P''(c)/2, n = p-1: sum k D_k c^(n-k) = n t0 - c t1 and
+        sum k^2 D_k c^(n-k) = n^2 t0 - (2n-1) c t1 + 2 c^2 t2, and one
+        product with c^(-n) ends each sum, mod p^K."""
+        pk = self.powers[-1]
         n = self.p - 1
-        sums = []
-        for c, t0, t1, t2 in ((a, a0, a1, a2), (b, b0, b1, b2)):
-            w = pow(c, -n, pk)
-            ct1 = c * t1
-            s2 = n * n * t0 - (2 * n - 1) * ct1 + 2 * c * c * t2
-            sums.append((t0 * w % pk, (n * t0 - ct1) * w % pk, s2 * w % pk))
-        return sums[0], sums[1]
+        t0, t1, t2 = triple
+        w = pow(c, -n, pk)
+        ct1 = c * t1
+        s2 = n * n * t0 - (2 * n - 1) * ct1 + 2 * c * c * t2
+        return t0 * w % pk, (n * t0 - ct1) * w % pk, s2 * w % pk
 
     @cached_property
     def decomposition(self):
@@ -764,13 +799,16 @@ class PrimeVerifier:
         return rows
 
 
-def verify_prime(p: int, targets=None) -> list[CongruenceReport]:
+def verify_prime(
+    p: int, targets=None, *, triples: HornerTriples | None = None
+) -> list[CongruenceReport]:
     """All requested targets for one prime, in catalog order.
 
     Targets whose congruence is not stated for this prime's residue class
-    are skipped, not failed.
+    are skipped, not failed.  ``triples``, the walk's HornerTriples for p
+    (see sweep), stand in for the per-prime pass over the Domb table.
     """
-    return PrimeVerifier(p, targets).run()
+    return PrimeVerifier(p, targets, triples=triples).run()
 
 
 def sieve_primes(lo: int, hi: int) -> list[int]:
@@ -785,25 +823,50 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
     return [i for i in range(max(lo, 2), hi + 1) if flags[i]]
 
 
-def _verify_from(primes, targets, counter, i: int) -> list[CongruenceReport]:
+# In CPython 3.11 the walk to hi costs about 2.8e-9 hi^2 s, and the
+# per-prime Horner pass it replaces about 0.4 us per table entry, so the
+# two break even near sum p = hi^2/140.  A sweep walks from sum p >=
+# hi^2/_WALK_SHARE, with room for the error in both figures: every sweep
+# from 5 walks, sum p being about hi^2/(2 ln hi) there, and a narrow window
+# far above 5, such as 4000..4060 or 100003..100019, does not.
+_WALK_SHARE = 64
+
+
+def _walk(primes, targets) -> dict[int, HornerTriples]:
+    """The walk's triples for each of ``primes`` at which a wanted target
+    reads a weighted sum, at the verifier's K there; none when there is no
+    such prime, or when their sum is below hi^2/_WALK_SHARE, hi the
+    largest of them."""
+    need = {}
+    for p in primes:
+        want, k = _wanted(p, targets)
+        if any(SPECS[t].reads_sums for t in want):
+            need[p] = k
+    if not need or _WALK_SHARE * sum(need) < max(need) ** 2:
+        return {}
+    return horner_walk(need)
+
+
+def _verify_from(primes, targets, walked, counter, i: int) -> list[CongruenceReport]:
     """Verify primes[i], then each prime whose index this process takes off
-    the shared counter, until an index runs past the end of the list."""
+    the shared counter, until an index runs past the end of the list; each
+    with its triples from ``walked``, if it has any."""
     rows: list[CongruenceReport] = []
     while i < len(primes):
-        rows.extend(verify_prime(primes[i], targets))
+        rows.extend(verify_prime(primes[i], targets, triples=walked.get(primes[i])))
         with counter.get_lock():
             i = counter.value
             counter.value = i + 1
     return rows
 
 
-def _sweep_child(primes, targets, counter, i: int, conn) -> None:
+def _sweep_child(primes, targets, walked, counter, i: int, conn) -> None:
     """Send a child's share of the sweep to the parent in one message: its
     rows, or the traceback of its failure.  A failure also moves the
     counter past the end, so the other processes stop after their current
     prime."""
     try:
-        out = _verify_from(primes, targets, counter, i)
+        out = _verify_from(primes, targets, walked, counter, i)
     except Exception:
         import traceback
 
@@ -813,7 +876,7 @@ def _sweep_child(primes, targets, counter, i: int, conn) -> None:
     conn.send(out)
 
 
-def _sweep_parallel(primes, targets, workers: int) -> list[list[CongruenceReport]]:
+def _sweep_parallel(primes, targets, walked, workers: int) -> list[list[CongruenceReport]]:
     """The rows of ``primes`` from ``workers`` processes, the calling one
     included.  Process r first verifies primes[r]; after that every process
     takes the next index off one shared counter, so each process started
@@ -827,12 +890,12 @@ def _sweep_parallel(primes, targets, workers: int) -> list[list[CongruenceReport
         for i in range(1, workers):
             recv, send = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(
-                target=_sweep_child, args=(primes, targets, counter, i, send), daemon=True
+                target=_sweep_child, args=(primes, targets, walked, counter, i, send), daemon=True
             )
             child.start()
             send.close()  # so that recv sees EOF if the child dies without sending
             children.append((child, recv))
-        chunks = [_verify_from(primes, targets, counter, 0)]
+        chunks = [_verify_from(primes, targets, walked, counter, 0)]
         for child, recv in children:
             # received before the join: a large message blocks the child's
             # send until it is read
@@ -866,16 +929,25 @@ def sweep(lo: int, hi: int, targets=None, workers: int = 1) -> list[CongruenceRe
     first off a shared counter, so the slowest primes do not come last.
     A failure in any process raises here, after every child has ended.
     ``workers`` below 1 raises ValueError.
+
+    Before any prime is verified or any child starts, this process walks
+    the exact Domb numbers once up to the largest prime whose targets read
+    a weighted sum (domb.horner_walk), when the sweep's primes make the
+    walk pay (_walk), and each such prime's verifier finishes its moment
+    sums from the walk's triples, handed to it through verify_prime, in
+    place of its own pass over the Domb table.  Every prime still builds
+    its Domb table, for CONJ1_DP1's D_(p-1).
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
     targets = list(Target) if targets is None else list(targets)
     primes = sieve_primes(max(lo, 5), hi)
     workers = min(workers, len(primes), os.cpu_count() or 1)
+    walked = _walk(primes, targets)
     if workers > 1:
-        chunks = _sweep_parallel(primes[::-1], targets, workers)
+        chunks = _sweep_parallel(primes[::-1], targets, walked, workers)
     else:
-        chunks = [verify_prime(p, targets) for p in primes]
+        chunks = [verify_prime(p, targets, triples=walked.get(p)) for p in primes]
     rows = [r for chunk in chunks for r in chunk]
     rows.sort(key=lambda r: (r.prime, _TARGET_INDEX[r.target]))
     return rows

@@ -2,15 +2,20 @@
 
 D_n counts returning walks of length 2n on the diamond lattice and equals
 sum_k C(n,k)^2 C(2k,k) C(2n-2k,n-k).  The defining sum is the oracle: the
-residue table (built from Domb's recurrence), the two rewritten forms (the
-alternating 16^(n-k) sum and the 4^(n-2j) half-range sum) and the
-generating-function product are tested against it, never the reverse.
+exact values and the residue table (both from Domb's recurrence), the two
+rewritten forms (the alternating 16^(n-k) sum and the 4^(n-2j) half-range
+sum) and the generating-function product are tested against it, never the
+reverse.  The exact values also feed one walk that gives a whole sweep's
+primes the Horner triples their moment sums are finished from
+(horner_walk); the per-prime pass over each residue table is its oracle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import comb, prod
 
 from .padic import PrimeContext
@@ -19,7 +24,10 @@ __all__ = [
     "domb_exact",
     "domb_via_cz",
     "domb_via_sun",
+    "domb_numbers",
     "DombTable",
+    "HornerTriples",
+    "horner_walk",
     "SeriesMatchReport",
     "rogers_series_check",
     "IntegralityReport",
@@ -104,6 +112,27 @@ def _coefficients(size: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[in
     return coeffs
 
 
+def domb_numbers(size: int) -> Iterator[int]:
+    """D_0 .. D_(size-1) exactly, by Domb's recurrence (n+1)^3 D_(n+1) =
+    A_n D_n - 64 n^3 D_(n-1) on the coefficient memo.  Each division by
+    (n+1)^3 is checked, and a remainder raises ValueError, so a wrong
+    coefficient cannot pass silently.  Linear in size steps, each on
+    integers of O(n) bits, where domb_exact(n) alone sums n + 1 products of
+    binomials."""
+    if size < 0:
+        raise ValueError("size must be nonnegative")
+    a, _, cubes = _coefficients(size)
+    d_prev, d = 0, 1
+    for n in range(size - 1):
+        yield d
+        x, r = divmod(a[n] * d - (cubes[n] << 6) * d_prev, cubes[n + 1])
+        if r:
+            raise ValueError(f"Domb's recurrence leaves a remainder at n = {n + 1}")
+        d_prev, d = d, x
+    if size:
+        yield d
+
+
 class DombTable:
     """D_0 .. D_(size-1) mod p^K, size <= p, with no p-adic kernel (Chan,
     Chan and Liu, Adv. Math. 186, 2004).  Domb's recurrence (n+1)^3
@@ -145,6 +174,47 @@ class DombTable:
         if not 0 <= k < self.size:
             raise IndexError(f"Domb index {k} is outside 0..{self.size - 1}")
         return self.residues[k]
+
+
+@dataclass(frozen=True)
+class HornerTriples:
+    """(P(c), P'(c), P''(c)/2) mod p^K at c = 4 and at c = 16, for
+    P(c) = sum_{k<p} D_k c^(p-1-k): what a prime's moment sums at both
+    bases are finished from (PrimeVerifier._moment_sums), tagged with the p
+    and K they belong to."""
+
+    p: int
+    precision: int
+    at4: tuple[int, int, int]
+    at16: tuple[int, int, int]
+
+
+def horner_walk(precisions: dict[int, int]) -> dict[int, HornerTriples]:
+    """The HornerTriples of every p in ``precisions``, mod
+    p^precisions[p], from one walk over the exact D_0 .. D_(hi-1), hi the
+    largest p.  Horner with derivatives in both bases runs in exact
+    integers, t2 = c t2 + t1, t1 = c t1 + t0, t0 = c t0 + D_n, each a
+    shift and an add since 4 and 16 are powers of 2; as n reaches p - 1
+    the six accumulators are reduced mod p^K and only the residues are
+    kept, so O(hi) bits stay live.  The walk is O(hi^2) bit operations,
+    the per-prime passes it replaces O(sum p) residue operations."""
+    out = {}
+    a0 = a1 = a2 = b0 = b1 = b2 = 0
+    ds = domb_numbers(max(precisions, default=0))
+    n = 0
+    for p in sorted(precisions):
+        for d in islice(ds, p - n):
+            a2 = (a2 << 2) + a1
+            a1 = (a1 << 2) + a0
+            a0 = (a0 << 2) + d
+            b2 = (b2 << 4) + b1
+            b1 = (b1 << 4) + b0
+            b0 = (b0 << 4) + d
+        n = p
+        k = precisions[p]
+        pk = p**k
+        out[p] = HornerTriples(p, k, (a0 % pk, a1 % pk, a2 % pk), (b0 % pk, b1 % pk, b2 % pk))
+    return out
 
 
 @dataclass

@@ -4,12 +4,14 @@ import csv
 import io
 import json
 import os
+import sys
 
 import pytest
 
 from dombcheck import cli
 from dombcheck.cli import _FIELDS, _LABELS, _parse_targets, _rows_as_records, main, render_rows
 from dombcheck.congruences import Target, sieve_primes, verify_prime
+from dombcheck.domb import domb_exact
 
 T = Target
 
@@ -36,6 +38,21 @@ def test_domb_subcommand(capsys):
     assert main(["domb", "--n", "4"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["0\t1", "1\t4", "2\t28", "3\t256", "4\t2716"]
+
+
+def test_domb_subcommand_prints_the_defining_sums(capsys):
+    assert main(["domb", "--n", "60"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{k}\t{domb_exact(k)}" for k in range(61)]
+
+
+def test_domb_subcommand_prints_numbers_past_the_str_digit_limit(capsys):
+    # D_3600 has 4330 digits, over CPython's default conversion limit
+    assert main(["domb", "--n", "3600"]) == 0
+    k, digits = capsys.readouterr().out.splitlines()[-1].split("\t")
+    assert k == "3600" and len(digits) == 4330 and digits.isdigit()
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert sys.get_int_max_str_digits() == 4300  # put back
 
 
 def test_domb_rejects_negative(capsys):

@@ -32,6 +32,7 @@ from dombcheck.congruences import (
     sweep,
     verify_prime,
 )
+from dombcheck.domb import horner_walk
 from dombcheck.padic import PAdicValue, PrimeContext, binomial_int, binomial_rational, split_p
 from dombcheck.special import (
     _harmonic_cache,
@@ -444,11 +445,13 @@ def test_sweep_starts_no_more_workers_than_primes(monkeypatch):
 
 def test_sweep_refuses_fewer_than_one_worker(monkeypatch):
     # a count below 1 is a misuse, as the CLI's --workers 0 is, and must not
-    # fall through to the one-process path; nothing is verified first
-    def refuse(*args):
-        raise AssertionError("a prime was verified")
+    # fall through to the one-process path; nothing is walked or verified
+    # first
+    def refuse(*args, **kwargs):
+        raise AssertionError("a prime was verified, or the Domb numbers walked")
 
     monkeypatch.setattr(congruences, "verify_prime", refuse)
+    monkeypatch.setattr(congruences, "horner_walk", refuse)
     for workers in (0, -1):
         for lo, hi in [(5, 40), (8, 10)]:  # primes to verify, and none
             with pytest.raises(ValueError, match="workers"):
@@ -459,10 +462,10 @@ def test_sweep_schedule_every_process_verifies_largest_first(monkeypatch, tmp_pa
     # each process appends the primes it verifies to a file named by its pid
     real = congruences.verify_prime
 
-    def recording(p, targets=None):
+    def recording(p, targets=None, **kwargs):
         with open(spool / str(os.getpid()), "a") as fh:
             fh.write(f"{p}\n")
-        return real(p, targets)
+        return real(p, targets, **kwargs)
 
     monkeypatch.setattr(congruences, "verify_prime", recording)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -491,7 +494,7 @@ def test_sweep_failure_raises_in_the_parent(where, monkeypatch):
     real = congruences.verify_prime
     verified = []  # the primes this process verifies
 
-    def failing(p, targets=None):
+    def failing(p, targets=None, **kwargs):
         if p == bad:
             if where == "child_exit":
                 os._exit(3)
@@ -501,7 +504,7 @@ def test_sweep_failure_raises_in_the_parent(where, monkeypatch):
             for child in multiprocessing.active_children():
                 child.join(30)
         verified.append(p)
-        return real(p, targets)
+        return real(p, targets, **kwargs)
 
     monkeypatch.setattr(congruences, "verify_prime", failing)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -564,6 +567,39 @@ def test_lemma_loops_build_no_order_2_harmonics():
     cache = _harmonic_cache(pv.ctx)
     assert len(cache._h) == 2 * p
     assert cache._h2 is None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_rows_equal_verify_prime_rows(workers, monkeypatch):
+    # the walk's triples leave every row as verify_prime alone gives it
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    want = [r for p in sieve_primes(5, 700) for r in verify_prime(p)]
+    with _deadline(120):
+        assert _strip(sweep(5, 700, workers=workers)) == _strip(want)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_walks_only_where_it_pays(monkeypatch):
+    walks = []
+    real = congruences.horner_walk
+
+    def spy(precisions):
+        walks.append(dict(precisions))
+        return real(precisions)
+
+    monkeypatch.setattr(congruences, "horner_walk", spy)
+    sweep(5, 500)
+    assert walks == [{p: 5 for p in sieve_primes(5, 500)}]
+    # a window far from 5, no prime at all, and no target that reads a sum
+    sweep(995, 1010)
+    sweep(8, 10)
+    sweep(5, 500, [T.CONJ1_DP1, T.LEMMA22, T.LEMMA_MPT, T.LEMMA_P2J, T.LEMMA_SUNH])
+    assert len(walks) == 1
+    # only the primes whose wanted targets read a sum, each at its own K
+    sweep(5, 100, [T.THM12_4K, T.LEMMA22, T.LEMMA_P2J])
+    assert walks[1] == {p: 3 for p in sieve_primes(5, 100) if p % 3 == 1}
+    sweep(5, 100, [T.THM13_K2_16K, T.CONJ2_MODP2])
+    assert walks[2] == {p: 3 if p % 3 == 1 else 2 for p in sieve_primes(5, 100)}
 
 
 def test_sweep_runs_every_target_past_1000():
@@ -717,6 +753,65 @@ def test_weighted_sums_match_direct_loops(p):
                 w = w * ib % pk
             for name in WEIGHTS:
                 assert pv.weighted_sum(base, name) == direct[name] % pk, (K, base, name)
+
+
+@pytest.mark.parametrize("K", [3, 5])
+def test_walk_matches_per_prime_horner(K):
+    # one walk against the per-prime pass over each Domb table it replaces
+    # in sweeps: both bases, all three values, at every prime to 2000 and at
+    # 10007; and the moment sums finished from the walk's triples against
+    # those of a verifier given none
+    primes = sieve_primes(5, 2000) + [10007]
+    walked = horner_walk(dict.fromkeys(primes, K))
+    assert sorted(walked) == primes
+    for p in primes:
+        t = walked[p]
+        assert (t.p, t.precision) == (p, K)
+        pv = verifier_at(p, K)
+        assert (t.at4, t.at16) == pv._horner(4, 16), p
+        if K == 5:  # the precision of a verifier of every target
+            assert PrimeVerifier(p, triples=t)._moment_sums(4, 16) == pv._moment_sums(4, 16), p
+
+
+def test_verifier_refuses_triples_it_cannot_use():
+    # triples of another prime, or below the verifier's K, raise; triples
+    # above K serve it, reduced further
+    walked = horner_walk({97: 5, 101: 5, 103: 4})
+    with pytest.raises(ValueError, match="p = 97"):
+        PrimeVerifier(101, triples=walked[97])
+    with pytest.raises(ValueError, match="precision 5"):
+        verify_prime(103, triples=walked[103])  # MUSUN_P5 wants p^5
+    rows = verify_prime(103, [T.THM11_4K, T.THM11_16K], triples=walked[103])
+    assert _strip(rows) == _strip(verify_prime(103, [T.THM11_4K, T.THM11_16K]))
+
+
+def test_verifier_reads_its_triples_and_keeps_none(monkeypatch):
+    # a verifier given triples makes no pass over its Domb table; moved
+    # triples move its rows; a verifier given none afterwards is unaffected
+    p = 997
+    t = horner_walk({p: 5})[p]
+    want = _strip(verify_prime(p))
+
+    def refuse(self, a, b):
+        raise AssertionError("a pass over the Domb table at (4, 16)")
+
+    with monkeypatch.context() as m:
+        m.setattr(PrimeVerifier, "_horner", refuse)
+        assert _strip(verify_prime(p, triples=t)) == want
+    moved = dataclasses.replace(t, at4=(t.at4[0] + 1, *t.at4[1:]))
+    rows = {r.target: r.passed for r in verify_prime(p, triples=moved)}
+    assert not rows[T.THM11_4K] and rows[T.THM11_16K]
+    assert _strip(verify_prime(p)) == want
+
+
+def test_reads_sums_names_the_targets_that_read_a_weighted_sum():
+    # the one fact the sweep's choice to walk reads, against what each
+    # target's method does
+    for t in Target:
+        p = next(q for q in (13, 11, 7) if applicable(t, q))
+        pv = PrimeVerifier(p, [t])
+        pv.run()
+        assert bool(pv._sums) == SPECS[t].reads_sums, t
 
 
 @pytest.mark.parametrize("p", [1009, 1013])

@@ -12,7 +12,9 @@ from dombcheck.domb import (
     DombTable,
     domb_exact,
     domb_via_cz,
+    domb_numbers,
     domb_via_sun,
+    horner_walk,
     liu_integrality_check,
     rogers_series_check,
 )
@@ -34,6 +36,31 @@ def test_exact_oracle_definition():
             for k in range(n + 1)
         )
         assert domb_exact(n) == s
+
+
+def test_recurrence_numbers_match_exact():
+    # the defining sum is the oracle of the exact recurrence
+    assert list(domb_numbers(301)) == [domb_exact(n) for n in range(301)]
+    assert list(domb_numbers(0)) == [] and list(domb_numbers(1)) == [1]
+    with pytest.raises(ValueError):
+        list(domb_numbers(-1))
+
+
+@pytest.mark.parametrize("n", [1, 10, 40])
+def test_perturbed_coefficient_makes_the_walk_raise(n, monkeypatch):
+    # A_n one off leaves the remainder D_n mod (n+1)^3 at the next division,
+    # nonzero at these n, so neither the numbers nor the walk go on past it
+    a, c, cubes = domb._coefficients(60)
+    a = a[:n] + (a[n] + 1,) + a[n + 1 :]
+    monkeypatch.setattr(domb, "_coeffs", (a, c, cubes))
+    with pytest.raises(ValueError, match=f"n = {n + 1}"):
+        list(domb_numbers(60))
+    with pytest.raises(ValueError, match=f"n = {n + 1}"):
+        horner_walk({53: 3, 59: 5})
+
+
+def test_walk_of_no_prime_is_empty():
+    assert horner_walk({}) == {}
 
 
 def test_alternate_forms_agree():

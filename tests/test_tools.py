@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dombcheck.congruences import verify_prime
+from dombcheck.congruences import sieve_primes, verify_prime
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -40,9 +40,14 @@ def test_layer_times_times_every_layer(p):
 
 def test_row_digest_counts_every_row():
     primes = [5, 7, 11, 13]
-    rows, digest = _load("row_digest").row_digest(primes)
+    module = _load("row_digest")
+    rows, digest = module.row_digest(primes)
     assert rows == sum(len(verify_prime(p)) for p in primes)
     assert len(digest) == 64 and int(digest, 16) >= 0
+    # the sweep line holds the rows of a sweep, which walks, and they are
+    # verify_prime's own
+    assert module.sweep_digest(5, 13) == (rows, digest)
+    assert module.SWEEP == (5, 700) and module.PRIMES[: len(sieve_primes(5, 700))] == sieve_primes(5, 700)
 
 
 def test_code_lines_sum_to_the_total(capsys, monkeypatch):
