@@ -23,11 +23,15 @@ memoized on the verifier, with no series and no Bernoulli table built, and
 each rational coefficient is an int times the inverse of its denominator,
 which is prime to p.  The three
 range-quantified lemmas (LEMMA22, LEMMA_P2J, LEMMA_SH55) read strided
-slices of the factorial tables, the harmonic cache and one list of the
-inverses of 3j+1 mod p^2 over j < (p+1)/2, read off the harmonic cache;
-they read inverse factorials below 2p - 1 and units below 3p - 1 only,
-and each table stops there.  Every factorial they read is below 3p < p^2,
-where v_p(n!) = floor(n/p), so each quotient's valuation is a constant
+slices of the factorial tables and of two lists off the harmonic cache,
+each built once per verifier: the inverses of 3j+1 mod p^2 over
+j < (p+1)/2, a slice of the cache's inverses below p, and
+u_j = 1 + p (H_2j - H_j) mod p^2 over the same j.  They read inverse
+factorials below 2p - 1 and units below 3p - 1 only, and each table stops
+there.  LEMMA_SUNH takes its five order-2 harmonic sums as range sums of
+the squared inverses, so no verifier builds an order-2 list.  Every
+factorial they read is below 3p < p^2, where v_p(n!) = floor(n/p), so
+each quotient's valuation is a constant
 over a range: 1 at every case of LEMMA_P2J; 1 at every case of LEMMA22
 but 3j+1 = p, where it is 0; and for C(2k,k) in LEMMA_SH55, 0 below
 k = (p+1)/2 and 1 from there.
@@ -66,13 +70,13 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import comb, prod
-from operator import mul, sub
+from operator import mul
 from time import perf_counter
 
 from .domb import DombTable, HornerTriples, horner_walk
 from .padic import PrimeContext, binomial_rational, binomial_residues
 from .quadform import decompose_known_prime
-from .special import bernoulli_values, harmonic_scaled
+from .special import bernoulli_values, harmonic_inverses, harmonic_scaled
 
 __all__ = [
     "Target",
@@ -197,13 +201,17 @@ def modulus_exponent(target: Target, p: int) -> int:
     return SPECS[target].mod_exp(p)
 
 
-def _wanted(p: int, targets) -> tuple[frozenset[Target], int]:
-    """The requested targets stated at p, and K, the largest modulus
-    exponent m among them (1 when there is none): the precision of the
-    Domb table and the weighted sums, for the verifier and the walk
-    alike."""
-    want = frozenset(t for t in targets if applicable(t, p))
-    return want, max((modulus_exponent(t, p) for t in want), default=1)
+_Wanted = tuple[dict[Target, int], int]
+
+
+def _wanted(p: int, targets) -> _Wanted:
+    """The requested targets stated at p, each with its modulus exponent
+    m, and K, the largest m among them (1 when there is none): the
+    precision of the Domb table and the weighted sums, for the verifier
+    and the walk alike.  A sweep works it out once per prime, for the
+    walk, and hands it to the prime's verifier."""
+    exps = {t: modulus_exponent(t, p) for t in targets if applicable(t, p)}
+    return exps, max(exps.values(), default=1)
 
 
 def _fermat_quotient(a: int, p: int, n: int) -> int:
@@ -269,7 +277,9 @@ class PrimeVerifier:
     kernel context with its tables on the other.
 
     ``want`` is the set of requested targets that are stated at p, worked
-    out once here.  ``precision``, K, is the largest modulus exponent m in
+    out once, here or by the sweep that passes it as ``wanted``, the
+    _wanted(p, targets) it worked out for its walk (``targets`` is then not
+    read).  ``precision``, K, is the largest modulus exponent m in
     ``want`` (1 when it is empty); the Domb table and the weighted sums are
     kept mod p^K, and each row is reduced mod p^m from ``powers``.
     ``triples``, the walk's HornerTriples for this p, replace the pass over
@@ -283,8 +293,13 @@ class PrimeVerifier:
     built on first read and kept.
     """
 
-    def __init__(self, p: int, targets=None, *, triples: HornerTriples | None = None):
-        self.want, self.precision = _wanted(p, Target if targets is None else targets)
+    def __init__(
+        self, p: int, targets=None, *, triples: HornerTriples | None = None, wanted: _Wanted | None = None
+    ):
+        if wanted is None:
+            wanted = _wanted(p, Target if targets is None else targets)
+        self._exps, self.precision = wanted
+        self.want = self._exps.keys()
         if triples is not None and (triples.p != p or triples.precision < self.precision):
             raise ValueError(
                 f"triples for p = {triples.p} mod p^{triples.precision} "
@@ -381,18 +396,32 @@ class PrimeVerifier:
     @cached_property
     def _inv_3j1(self) -> list[int]:
         """The inverse of 3j+1 mod p^2 for 0 <= j < (p+1)/2, which the right
-        sides of LEMMA22 and LEMMA_SH55 read, off the harmonic cache: 1/k =
-        H_k - H_(k-1) for k < p, and 1/(p+r) = (1/r)(1 - p/r).  3j+1 < 2p,
-        so p divides it only at 3j+1 = p, where the entry is 0: both lemmas
-        take that case whole, mod p^3."""
+        sides of LEMMA22 and LEMMA_SH55 read, off the harmonic cache's
+        inverses below p: for 3j+1 < p a slice of them, reduced mod p^2
+        whatever the kernel's precision, and 1/(p+r) = (1/r)(1 - p/r) above.
+        3j+1 < 2p, so p divides it only at 3j+1 = p, where the entry is 0:
+        both lemmas take that case whole, mod p^3."""
         p = self.p
         pp = p * p
-        h = harmonic_scaled(p - 1, self.ctx)
+        inv = harmonic_inverses(self.ctx)
         r = (1 - p) % 3 or 3  # the least r > 0 with p + r = 1 (mod 3)
         n = (p + 1) // 2
-        low = [(a - b) % pp for a, b in zip(h[1:p:3], h[0 : p - 1 : 3])]
-        high = [x * (1 - p * x) % pp for x in map(sub, h[r:n:3], h[r - 1 : n - 1 : 3])]
+        low = inv[1:p:3]
+        if self.ctx.pk != pp:
+            low = [x % pp for x in low]
+        high = [x * (1 - p * x) % pp for x in inv[r:n:3]]
         return low + [0] * (p % 3 == 1) + high
+
+    @cached_property
+    def _harmonic_units(self) -> list[int]:
+        """u_j = 1 + p (H_2j - H_j) mod p^2 for 0 <= j < (p+1)/2, off the
+        harmonic cache (2j < p, so both sums are p-integral): the factor
+        that LEMMA22 reads as 2 - u_j, LEMMA_P2J's lower half as
+        (-1)^j u_j, and LEMMA_SH55 as u_j.  Taken as 1 + p ((H_2j - H_j)
+        mod p), already below p^2."""
+        p = self.p
+        h = harmonic_scaled(p - 1, self.ctx)
+        return [1 + p * ((a - b) % p) for a, b in zip(h[0:p:2], h[: (p + 1) // 2])]
 
     @cached_property
     def _bernoulli_values(self) -> tuple[int, int, int]:
@@ -404,7 +433,11 @@ class PrimeVerifier:
     def _exponent(self, target: Target) -> int:
         """The target's m at this prime; WrongPrimeClass where it is not stated,
         ValueError where the precision K is below m (the target was not
-        requested, and the verifier works to fewer digits)."""
+        requested, and the verifier works to fewer digits).  A wanted
+        target's m is looked up."""
+        m = self._exps.get(target)
+        if m is not None:
+            return m
         spec = SPECS[target]
         p = self.p
         if not spec.applies(p):
@@ -560,8 +593,8 @@ class PrimeVerifier:
         3p < p^2, so v_p(n!) = floor(n/p) and v = 1 at every j but the one
         with 3j+1 = p (p = 1 mod 3), where v = 0: elsewhere the entry is
         the product of the six units mod p^2.  The right side is
-        inv(3j+1) (1 + p (H_j - H_2j)) mod p^2, from _inv_3j1 and H_j and
-        H_2j (2j < p, both p-integral) off the harmonic cache.  At
+        inv(3j+1) (1 + p (H_j - H_2j)) = inv(3j+1) (2 - u_j) mod p^2, from
+        _inv_3j1 and _harmonic_units.  At
         3j+1 = p both entries are the case itself mod p^3: the left from
         _lemma22_where_3j1_is_p, the right 1 + p (H_j - H_2j)."""
         p = self.p
@@ -581,7 +614,7 @@ class PrimeVerifier:
                 fi[p - 1 :: -2],  # 1/(p-2j-1)!
             )
         ]
-        rhs = [x * (1 + p * (a - b)) % pp for x, a, b in zip(self._inv_3j1, h[:n], h[0:p:2])]
+        rhs = [x * (2 - u) % pp for x, u in zip(self._inv_3j1, self._harmonic_units)]
         j = (p - 1) // 3
         lhs[j] = _lemma22_where_3j1_is_p(p)
         rhs[j] = (1 + p * (h[j] - h[2 * j])) % mod
@@ -647,7 +680,8 @@ class PrimeVerifier:
         inverses: it grows the units to (3p-2)! and the inverses to
         1/(2p-2)!.  The harmonic numbers come from the harmonic
         cache, which holds H_n below p and p H_n from p on.  The right side
-        is (-1)^j (1 + p (H_2j - H_j)) on the lower half (2j < p) and, as
+        is (-1)^j (1 + p (H_2j - H_j)), (-1)^j u_j from _harmonic_units, on
+        the lower half (2j < p) and, as
         the stored p H_2j carries H_2j's negative valuation there,
         2 (-1)^j (p H_2j - p H_j) on the upper half, one comprehension
         each."""
@@ -667,8 +701,10 @@ class PrimeVerifier:
                 fi[p - 1 :: -1],  # 1/(p-j-1)!
             )
         ]
+        u = self._harmonic_units
+        rhs = u.copy()
+        rhs[1::2] = [-x % pp for x in u[1::2]]
         sg = (1, -1) * n  # (-1)^j
-        rhs = [s * (1 + p * (a - b)) % pp for s, a, b in zip(sg[:n], h[0:p:2], h[:n])]
         rhs += [2 * s * (a - p * b) % pp for s, a, b in zip(sg[n:p], h[p + 1 : 2 * p - 1 : 2], h[n:p])]
         return lhs, rhs
 
@@ -705,8 +741,9 @@ class PrimeVerifier:
 
         - for each k < (p+1)/2, the binomial unit C(2k,k)^2 mod p^2, off
           the factorial tables, and the harmonic unit
-          inv(3k+1) (1 + p (H_2k - H_k)) mod p^2, off _inv_3j1 and the
-          harmonic cache; the term is p 16^(-k) times their product.  At
+          inv(3k+1) (1 + p (H_2k - H_k)) = inv(3k+1) u_k mod p^2, off
+          _inv_3j1 and _harmonic_units; the term is p 16^(-k) times their
+          product.  At
           3k+1 = p the harmonic unit is 0, as _inv_3j1 holds 0 there;
         - the one term of another valuation, as its factors
           C(2k,k)^2 16^(-k) and (p/(3k+1))(1 + p H_2k - p H_k) mod p^3: at
@@ -722,7 +759,7 @@ class PrimeVerifier:
         h = harmonic_scaled(4 * p // 3, self.ctx)  # to 2k0 = (4p-2)/3
         n = (p + 1) // 2
         binomials = [(a * b * b % pp) ** 2 % pp for a, b in zip(fu[0:p:2], fi[:n])]
-        harmonics = [x * (1 + p * (s - t)) % pp for x, s, t in zip(self._inv_3j1, h[0:p:2], h[:n])]
+        harmonics = [x * u % pp for x, u in zip(self._inv_3j1, self._harmonic_units)]
         if p % 3 == 1:
             k = (p - 1) // 3
             c = _central_where_3j1_is_p(p)
@@ -745,7 +782,8 @@ class PrimeVerifier:
     def _lemma_sunh_cases(self) -> list[tuple[int, int]]:
         """(lhs, rhs) of the ten sub-congruences, each reduced mod p or mod
         p^m as stated.  Every harmonic index is below p, so the cache's
-        stored ints are the sums themselves.  w = chi B_(p-2)(1/3) is known
+        stored ints are the sums themselves; the order-2 sums come from
+        _order2_sums.  w = chi B_(p-2)(1/3) is known
         mod p only, and enters only as p w, known mod p^2 = p^m.  E_(p-3) =
         B_(p-2)(1/4)/8 mod p, from E_n = -4^(n+1) B_(n+1)(1/4)/(n+1) at
         even n, so no Euler series is built."""
@@ -754,7 +792,7 @@ class PrimeVerifier:
         m = self._exponent(Target.LEMMA_SUNH)
         mod = self.powers[m]
         h = harmonic_scaled(p - 1, ctx)
-        h2 = harmonic_scaled(p - 1, ctx, order=2)
+        h2 = self._order2_sums()
         q2 = _fermat_quotient(2, p, m)
         q3 = _fermat_quotient(3, p, m)
         chi = 1 if p % 3 == 1 else -1
@@ -780,6 +818,24 @@ class PrimeVerifier:
             (h[2 * p // 3] % mod, (f3 + p * i3 * w) % mod),
         ]
 
+    def _order2_sums(self) -> dict[int, int]:
+        """H^(2)_n mod p^K of the kernel at the five n that LEMMA_SUNH reads,
+        p/6, p/4, p/3, (p-1)/2 and p-1 (floors), by n: running sums of the
+        squared inverses off the harmonic cache, one range sum between
+        consecutive n, so no order-2 list is built."""
+        p = self.p
+        pk = self.ctx.pk
+        inv = harmonic_inverses(self.ctx)
+        sums = {}
+        total = 0
+        lo = 1
+        for n in (p // 6, p // 4, p // 3, (p - 1) // 2, p - 1):
+            seg = inv[lo : n + 1]
+            total += sum(map(mul, seg, seg))
+            sums[n] = total % pk
+            lo = n + 1
+        return sums
+
     # ---- dispatch ----
 
     def run(self) -> list[CongruenceReport]:
@@ -800,15 +856,17 @@ class PrimeVerifier:
 
 
 def verify_prime(
-    p: int, targets=None, *, triples: HornerTriples | None = None
+    p: int, targets=None, *, triples: HornerTriples | None = None, wanted: _Wanted | None = None
 ) -> list[CongruenceReport]:
     """All requested targets for one prime, in catalog order.
 
     Targets whose congruence is not stated for this prime's residue class
     are skipped, not failed.  ``triples``, the walk's HornerTriples for p
-    (see sweep), stand in for the per-prime pass over the Domb table.
+    (see sweep), stand in for the per-prime pass over the Domb table, and
+    ``wanted``, the sweep's _wanted(p, targets), for working out the
+    targets stated at p once more.
     """
-    return PrimeVerifier(p, targets, triples=triples).run()
+    return PrimeVerifier(p, targets, triples=triples, wanted=wanted).run()
 
 
 def sieve_primes(lo: int, hi: int) -> list[int]:
@@ -832,41 +890,39 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
 _WALK_SHARE = 64
 
 
-def _walk(primes, targets) -> dict[int, HornerTriples]:
-    """The walk's triples for each of ``primes`` at which a wanted target
-    reads a weighted sum, at the verifier's K there; none when there is no
-    such prime, or when their sum is below hi^2/_WALK_SHARE, hi the
-    largest of them."""
-    need = {}
-    for p in primes:
-        want, k = _wanted(p, targets)
-        if any(SPECS[t].reads_sums for t in want):
-            need[p] = k
+def _walk(wanted: dict[int, _Wanted]) -> dict[int, HornerTriples]:
+    """The walk's triples for each prime p of ``wanted`` (p -> _wanted(p,
+    targets)) at which a wanted target reads a weighted sum, at the
+    verifier's K there; none when there is no such prime, or when their
+    sum is below hi^2/_WALK_SHARE, hi the largest of them."""
+    need = {p: k for p, (exps, k) in wanted.items() if any(SPECS[t].reads_sums for t in exps)}
     if not need or _WALK_SHARE * sum(need) < max(need) ** 2:
         return {}
     return horner_walk(need)
 
 
-def _verify_from(primes, targets, walked, counter, i: int) -> list[CongruenceReport]:
+def _verify_from(primes, wanted, walked, counter, i: int) -> list[CongruenceReport]:
     """Verify primes[i], then each prime whose index this process takes off
     the shared counter, until an index runs past the end of the list; each
-    with its triples from ``walked``, if it has any."""
+    with its entry of ``wanted`` (p -> _wanted(p, targets)) and its triples
+    from ``walked``, if it has any."""
     rows: list[CongruenceReport] = []
     while i < len(primes):
-        rows.extend(verify_prime(primes[i], targets, triples=walked.get(primes[i])))
+        p = primes[i]
+        rows.extend(verify_prime(p, triples=walked.get(p), wanted=wanted[p]))
         with counter.get_lock():
             i = counter.value
             counter.value = i + 1
     return rows
 
 
-def _sweep_child(primes, targets, walked, counter, i: int, conn) -> None:
+def _sweep_child(primes, wanted, walked, counter, i: int, conn) -> None:
     """Send a child's share of the sweep to the parent in one message: its
     rows, or the traceback of its failure.  A failure also moves the
     counter past the end, so the other processes stop after their current
     prime."""
     try:
-        out = _verify_from(primes, targets, walked, counter, i)
+        out = _verify_from(primes, wanted, walked, counter, i)
     except Exception:
         import traceback
 
@@ -876,7 +932,7 @@ def _sweep_child(primes, targets, walked, counter, i: int, conn) -> None:
     conn.send(out)
 
 
-def _sweep_parallel(primes, targets, walked, workers: int) -> list[list[CongruenceReport]]:
+def _sweep_parallel(primes, wanted, walked, workers: int) -> list[list[CongruenceReport]]:
     """The rows of ``primes`` from ``workers`` processes, the calling one
     included.  Process r first verifies primes[r]; after that every process
     takes the next index off one shared counter, so each process started
@@ -890,12 +946,12 @@ def _sweep_parallel(primes, targets, walked, workers: int) -> list[list[Congruen
         for i in range(1, workers):
             recv, send = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(
-                target=_sweep_child, args=(primes, targets, walked, counter, i, send), daemon=True
+                target=_sweep_child, args=(primes, wanted, walked, counter, i, send), daemon=True
             )
             child.start()
             send.close()  # so that recv sees EOF if the child dies without sending
             children.append((child, recv))
-        chunks = [_verify_from(primes, targets, walked, counter, 0)]
+        chunks = [_verify_from(primes, wanted, walked, counter, 0)]
         for child, recv in children:
             # received before the join: a large message blocks the child's
             # send until it is read
@@ -936,18 +992,21 @@ def sweep(lo: int, hi: int, targets=None, workers: int = 1) -> list[CongruenceRe
     walk pay (_walk), and each such prime's verifier finishes its moment
     sums from the walk's triples, handed to it through verify_prime, in
     place of its own pass over the Domb table.  Every prime still builds
-    its Domb table, for CONJ1_DP1's D_(p-1).
+    its Domb table, for CONJ1_DP1's D_(p-1).  The targets stated at each
+    prime and its K are worked out once, before the walk, and handed to
+    its verifier with the triples.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
     targets = list(Target) if targets is None else list(targets)
     primes = sieve_primes(max(lo, 5), hi)
     workers = min(workers, len(primes), os.cpu_count() or 1)
-    walked = _walk(primes, targets)
+    wanted = {p: _wanted(p, targets) for p in primes}
+    walked = _walk(wanted)
     if workers > 1:
-        chunks = _sweep_parallel(primes[::-1], targets, walked, workers)
+        chunks = _sweep_parallel(primes[::-1], wanted, walked, workers)
     else:
-        chunks = [verify_prime(p, targets, triples=walked.get(p)) for p in primes]
+        chunks = [verify_prime(p, triples=walked.get(p), wanted=wanted[p]) for p in primes]
     rows = [r for chunk in chunks for r in chunk]
     rows.sort(key=lambda r: (r.prime, _TARGET_INDEX[r.target]))
     return rows

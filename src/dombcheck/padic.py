@@ -9,7 +9,7 @@ and shrinks the known precision accordingly, interval style.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -26,7 +26,6 @@ __all__ = [
     "is_prime",
     "split_p",
     "as_fraction",
-    "batch_inverse",
     "binomial_int",
     "binomial_rational",
     "binomial_residues",
@@ -114,24 +113,6 @@ def as_fraction(x) -> Fraction:
     if not isinstance(x, Rational):
         raise TypeError(f"expected an int or a Fraction, not {type(x).__name__} {x!r}")
     return Fraction(x)
-
-
-def batch_inverse(units: Sequence[int], mod: int) -> list[int]:
-    """The inverses mod `mod` of a sequence of units, from one pow: prefix
-    products, the inverse of their total, and a walk back that peels one
-    factor off per step (Montgomery's trick)."""
-    prefix = []
-    x = 1
-    for u in units:
-        prefix.append(x)  # the product of the units before this one
-        x = x * u % mod
-    x = pow(x, -1, mod)
-    inv = []
-    for before, u in zip(reversed(prefix), reversed(units)):
-        inv.append(before * x % mod)
-        x = x * u % mod
-    inv.reverse()
-    return inv
 
 
 class PrimeContext:

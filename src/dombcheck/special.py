@@ -3,9 +3,11 @@ gamma function.
 
 Everything here is evaluated against a PrimeContext.  The harmonic cache
 and the series sigma behind bernoulli_poly and bernoulli_table are
-memoized on the context object.  The factorials the series need, of
-0..p-1 mod p, are the context's factorial table reduced mod p; the
-binomials and the gamma function read the same table.
+memoized on the context object.  The harmonic cache inverts 1..p-1 in one
+pass of a recurrence and keeps the inverses beside its sums.  The
+factorials the series need, of 0..p-1 mod p, are the context's factorial
+table reduced mod p; the binomials and the gamma function read the same
+table.
 
 The verifier reads three Bernoulli values mod p, B_(p-3), B_(p-2)(1/3)
 and E_(p-3) = B_(p-2)(1/4)/8, from bernoulli_values: O(p) sums by
@@ -25,7 +27,7 @@ cosh x / (sinh x / x), sigma times cosh) and euler_table stay public as
 library API, not memoized, and the tests' oracles for bernoulli_values.
 
 No Bernoulli value comes via harmonic sums (Lehmer, Ann. Math. 39, 1938)
-or shares code with the harmonic cache or batch_inverse: LEMMA_SUNH
+or shares code with the harmonic cache or its inverses: LEMMA_SUNH
 compares the two, and would then hold by construction.
 """
 
@@ -35,14 +37,13 @@ import struct
 import weakref
 from itertools import accumulate
 from math import gcd
-from operator import mul, sub
+from operator import mul
 
 from .padic import (
     DenominatorDivisibleByP,
     PAdicValue,
     PrimeContext,
     as_fraction,
-    batch_inverse,
     split_p,
 )
 
@@ -50,6 +51,7 @@ __all__ = [
     "HarmonicCache",
     "harmonic",
     "harmonic_scaled",
+    "harmonic_inverses",
     "bernoulli_table",
     "bernoulli_poly",
     "bernoulli_values",
@@ -65,19 +67,31 @@ class HarmonicCache:
     over the ranges the targets read: order 1 for 0 <= n <= 2p-1 (LEMMA_P2J
     and LEMMA_SH55 read H_(2p-2)), order 2 for 0 <= n <= p-1.
 
-    The cache stores plain ints mod p^K, one list per order: H_n below p,
-    and the p-integral p H_n from p on, where 1/p enters the sum.  The
-    verifier reads both lists through ``harmonic_scaled``, on its one
-    kernel context, which is at precision 2: each sum enters a right side
-    mod p^3 times p, or one mod p^2.  The order-1 list is built here from
-    one batch inversion of 1..p-1, and no read of the factorial tables:
-    the lemma checks compare these sums with binomials, which the
-    factorial tables build.  The upper half comes from the lower half:
-    summing p/(p+k) = sum_m (-1)^(m-1) (p/k)^m over k <= r, and p/p = 1,
+    The cache stores plain ints mod p^K: the inverses 1/k for 0 < k < p,
+    and one list of sums per order, H_n below p and the p-integral p H_n
+    from p on, where 1/p enters the sum.  The verifier reads the sums
+    through ``harmonic_scaled`` and the inverses through
+    ``harmonic_inverses``, on its one kernel context, which is at
+    precision 2: each sum enters a right side mod p^3 times p, or one mod
+    p^2.
+
+    The inverses come from one pass of a linear recurrence.  With M = p^K
+    and 1 < k < p, M = floor(M/k) k + (M mod k), so dividing by k (M mod k),
+    1/k = -floor(M/k) / (M mod k) mod M.  Here 0 < M mod k < k < p: M mod k
+    is a unit, and its inverse is already in the list.  So each entry is
+    one multiplication, with no prefix products, no pow and no walk back.
+    The pass reads no factorial table (the lemma checks compare these sums
+    with binomials, which the factorial tables build), and it shares no
+    code with the Bernoulli power tables, which walk a primitive root:
+    LEMMA_SUNH compares these sums with those values.
+    The order-1 list is the prefix sums of the inverses.  Its upper half
+    comes from the lower half: summing p/(p+k) = sum_m (-1)^(m-1) (p/k)^m
+    over k <= r, and p/p = 1,
     p H_(p+r) = p H_(p-1) + 1 + sum_(m<K) (-1)^(m-1) p^m H_r^(m) mod p^K;
     at K <= 2 that is one pass over H_r.
-    The order-2 list is built on its first read; its terms are the squares
-    of the order-1 terms, read back as differences of the order-1 list.
+    The order-2 list, the prefix sums of the squared inverses, is built on
+    its first read; the verifier never reads it, and it serves
+    ``harmonic(n, 2)``, ``get`` and the tests.
 
     ``get`` builds the PAdicValue on read: p H_n / p for n >= p, known mod
     p^(K - 1), with the negative valuation and the bounded precision that
@@ -92,8 +106,12 @@ class HarmonicCache:
         self._ctx = weakref.ref(ctx)
         p = ctx.p
         pk = ctx.pk
-        inv = batch_inverse(range(1, p), pk)
-        self._h = h = [s % pk for s in accumulate(inv, initial=0)]
+        # 1/k = -floor(pk/k) / (pk mod k), as in the class docstring
+        self._inv = inv = [0] * p
+        inv[1] = 1
+        for k in range(2, p):
+            inv[k] = -(pk // k) * inv[pk % k] % pk
+        self._h = h = [s % pk for s in accumulate(inv)]
         # p H_(p+r) from H_r, as in the class docstring; past K = 2 one more
         # pass per order m, on the powers 1/k^m
         c = p * h[-1] + 1
@@ -102,7 +120,7 @@ class HarmonicCache:
         for m in range(2, ctx.precision):
             power = [a * b % pk for a, b in zip(power, inv)]
             pm = (-p) ** m
-            high = [(a - pm * s) % pk for a, s in zip(high, accumulate(power, initial=0))]
+            high = [(a - pm * s) % pk for a, s in zip(high, accumulate(power))]
         h += high
         self._h2 = None
 
@@ -124,12 +142,9 @@ class HarmonicCache:
         if order == 1:
             return self._h
         if self._h2 is None:
-            # each term is the square of the order-1 term 1/k, read back as
-            # a difference of the stored order-1 sums: no inversion here
             pk = self.ctx.pk
-            h = self._h[: len(self._h) // 2]
-            d = list(map(sub, h[1:], h))
-            self._h2 = [s % pk for s in accumulate(map(mul, d, d), initial=0)]
+            inv = self._inv
+            self._h2 = [s % pk for s in accumulate(map(mul, inv, inv))]
         return self._h2
 
     def get(self, n: int, order: int = 1) -> PAdicValue:
@@ -162,6 +177,13 @@ def harmonic_scaled(n: int, ctx: PrimeContext, order: int = 1) -> list[int]:
     (order 1 only; order 2 stops at p-1).  This is the cache's own list,
     not a copy, for loops and closed forms that read many entries."""
     return _harmonic_cache(ctx)._sums(order, n)
+
+
+def harmonic_inverses(ctx: PrimeContext) -> list[int]:
+    """1/k mod p^K at index k for 0 < k < p, and 0 at k = 0: the terms of
+    the harmonic cache's sums below p, from its one pass of inverses.  This
+    is the cache's own list, not a copy."""
+    return _harmonic_cache(ctx)._inv
 
 
 # the standard little-endian struct field that reads a w-byte slot, and its
@@ -420,7 +442,7 @@ def bernoulli_values(ctx: PrimeContext) -> tuple[int, int, int]:
 
     At these small c the sums are sums of inverse powers over ranges, and
     LEMMA_SUNH sets harmonic sums over ranges against them.  The power
-    tables share no code with the harmonic cache or batch_inverse, so the
+    tables share no code with the harmonic cache or its inverses, so the
     lemma still compares two independent computations of related sums, as
     it did against sigma.  Only p is read off the context, and nothing is
     memoized: the verifier keeps the three ints.  bernoulli_poly over sigma

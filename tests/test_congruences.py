@@ -561,12 +561,74 @@ def test_empty_case_list_raises():
 
 
 def test_lemma_loops_build_no_order_2_harmonics():
-    p = 1009
-    pv = PrimeVerifier(p, [T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55])
-    assert all(r.passed for r in pv.run())
-    cache = _harmonic_cache(pv.ctx)
-    assert len(cache._h) == 2 * p
-    assert cache._h2 is None
+    # LEMMA_SUNH takes its order-2 sums as range sums of the squared
+    # inverses, so no verifier, even one of every target, builds that list
+    for p in (1009, 1013):
+        for targets in ([T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55], [T.LEMMA_SUNH], None):
+            pv = PrimeVerifier(p, targets)
+            assert all(r.passed for r in pv.run()), (p, targets)
+            cache = _harmonic_cache(pv.ctx)
+            assert len(cache._h) == 2 * p and len(cache._inv) == p, (p, targets)
+            assert cache._h2 is None, (p, targets)
+
+
+def test_sunh_order_2_sums_match_the_cache_list():
+    # the five range sums of the squared inverses against the cache's
+    # order-2 list, its sums built from the same inverses, at every prime
+    # LEMMA_SUNH is stated at to 2000
+    for p in sieve_primes(7, 2000):
+        pv = PrimeVerifier(p, [T.LEMMA_SUNH])
+        sums = pv._order2_sums()
+        h2 = special.harmonic_scaled(p - 1, pv.ctx, order=2)
+        assert sorted(sums) == sorted({p // 6, p // 4, p // 3, (p - 1) // 2, p - 1}), p
+        assert sums == {n: h2[n] for n in sums}, p
+
+
+def test_harmonic_units_match_their_definition():
+    # u_j = 1 + p (H_2j - H_j) mod p^2 for j < (p+1)/2, from H itself, on
+    # both sides of 3j+1 = p and in both classes mod 3
+    for p in sieve_primes(5, 600) + [1009, 1013]:
+        pv = PrimeVerifier(p, [T.LEMMA_P2J])
+        h, pp = special.harmonic_scaled(p - 1, pv.ctx), p * p
+        want = [(1 + p * (h[2 * j] - h[j])) % pp for j in range((p + 1) // 2)]
+        assert pv._harmonic_units == want, p
+
+
+@pytest.mark.parametrize("p", [1009, 1013])
+def test_a_moved_harmonic_unit_fails_its_three_readers(p):
+    # +1 on one u_j must fail LEMMA22, LEMMA_P2J and LEMMA_SH55 where they
+    # are stated, and no other target: j = 0, a middle j, and the last
+    # (j = (p-1)/3 excepted, where LEMMA22 and LEMMA_SH55 take the case whole)
+    readers = {T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55}
+    for j in (0, (p - 1) // 4, (p - 1) // 2):
+        pv = PrimeVerifier(p)
+        pv._harmonic_units[j] += 1
+        failed = {r.target for r in pv.run() if not r.passed}
+        assert failed == {t for t in readers if applicable(t, p)}, (p, j)
+
+
+@pytest.mark.parametrize("targets", [None, [T.LEMMA22, T.LEMMA_SUNH]])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_works_out_the_wanted_targets_once_per_prime(workers, targets, monkeypatch):
+    # the walk and each verifier, in this process or a forked child, share
+    # one _wanted per swept prime; the rows are verify_prime's own
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    primes = sieve_primes(5, 300)
+    want = [r for p in primes for r in verify_prime(p, targets)]
+    calls = multiprocessing.Value("q", 0)
+    real = congruences._wanted
+
+    def counting(p, targets):
+        with calls.get_lock():
+            calls.value += 1
+        return real(p, targets)
+
+    monkeypatch.setattr(congruences, "_wanted", counting)
+    with _deadline(120):
+        rows = sweep(5, 300, targets, workers=workers)
+    assert _strip(rows) == _strip(want)
+    assert calls.value == len(primes)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1333,10 +1395,8 @@ def test_failure_rows_match_the_p3_slice_forms(p):
         for move in moves:
             pv = PrimeVerifier(p, [target])
             pv.ctx.factorial_tables(2 * p - 2)
-            # the inverses of 3j+1 are differences of the harmonic sums: take
-            # them before the move, so that a moved entry is read as a sum,
-            # as the slice forms read it, and not as two inverses too
-            pv._inv_3j1
+            # the inverses of 3j+1 come off the cache's inverse list, not its
+            # sums, so a moved sum moves no inverse
             tables = {"fi": pv.ctx._fact_inv, "h": special.harmonic_scaled(2 * p - 1, pv.ctx)}
             for table, i in move:
                 tables[table][i] += 1
@@ -1437,28 +1497,31 @@ def test_inverses_of_3j1_match_pow():
 
 def test_p_over_3j1_is_one_batch_per_verifier(monkeypatch):
     # LEMMA22 and LEMMA_SH55 read the same (p+1)/2 entries, and whichever of
-    # them is requested, the list comes off the harmonic cache: congruences
-    # makes no batch inversion, and the verifier's one batch is the cache's
-    # inversion of 1..p-1
-    assert not hasattr(congruences, "batch_inverse")
-    lengths = []
-    real = special.batch_inverse
+    # them is requested, the list comes off the harmonic cache's one pass of
+    # inverses: no module inverts in a batch, the verifier builds one cache,
+    # and the entries below p are that cache's inverses
+    for module in (congruences, padic, special):
+        assert not hasattr(module, "batch_inverse"), module.__name__
+    builds = []
+    real = special.HarmonicCache.__init__
 
-    def counting(units, mod):
-        lengths.append(len(units))
-        return real(units, mod)
+    def counting(self, ctx):
+        builds.append(ctx.p)
+        real(self, ctx)
 
-    monkeypatch.setattr(special, "batch_inverse", counting)
+    monkeypatch.setattr(special.HarmonicCache, "__init__", counting)
     for p in (1009, 1013):
-        for targets in ([T.LEMMA22], [T.LEMMA_SH55], [T.LEMMA22, T.LEMMA_SH55]):
+        for targets in ([T.LEMMA22], [T.LEMMA_SH55], [T.LEMMA22, T.LEMMA_SH55], list(T)):
             if not all(applicable(t, p) for t in targets):
                 continue
-            lengths.clear()
+            builds.clear()
             pv = PrimeVerifier(p, targets)
             assert all(r.passed for r in pv.run()), (p, targets)
-            assert lengths == [p - 1], (p, targets)
+            assert builds == [p], (p, targets)
             f, pp = pv._inv_3j1, p**2
             assert len(f) == (p + 1) // 2, (p, targets)
+            low = special.harmonic_inverses(pv.ctx)[1:p:3]  # 1/(3j+1) for 3j+1 < p
+            assert f[: len(low)] == low, (p, targets)
             assert all((3 * j + 1) * x % pp == 1 for j, x in enumerate(f) if 3 * j + 1 != p), (p, targets)
             if p % 3 == 1:
                 assert f[(p - 1) // 3] == 0

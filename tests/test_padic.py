@@ -16,7 +16,6 @@ from dombcheck.padic import (
     NegativeValuation,
     PAdicValue,
     PrimeContext,
-    batch_inverse,
     binomial_int,
     binomial_rational,
     binomial_residues,
@@ -213,15 +212,6 @@ def test_inverse_factorial_units(p, k):
     assert fu is ctx._fact_unit and fi is ctx._fact_inv
     for n in range(10 * p + 1):
         assert fu[n] * fi[n] % ctx.pk == 1
-
-
-@pytest.mark.parametrize("p,k", [(5, 1), (7, 4), (101, 6)])
-def test_batch_inverse(p, k):
-    mod = p**k
-    assert batch_inverse([], mod) == []
-    rng = random.Random(p)
-    units = [u for u in (rng.randrange(1, 3 * mod) for _ in range(60)) if u % p]
-    assert batch_inverse(units, mod) == [pow(u, -1, mod) for u in units]
 
 
 @pytest.mark.parametrize("p,k", [(5, 3), (13, 4), (101, 6)])

@@ -20,6 +20,7 @@ from dombcheck.special import (
     euler_table,
     gamma_representative,
     harmonic,
+    harmonic_inverses,
     harmonic_scaled,
     padic_gamma_int,
     padic_gamma_rational,
@@ -92,6 +93,49 @@ def test_harmonic_cache_matches_additive_oracle(p, k, n):
             harmonic(n, order, ctx)
 
 
+def batch_inverse(units, mod):
+    # the inverses mod `mod` of a sequence of units, from one pow: prefix
+    # products, the inverse of their total, and a walk back that peels one
+    # factor off per step (Montgomery's trick); the oracle for the harmonic
+    # cache's inverses, which come from a recurrence instead
+    prefix = []
+    x = 1
+    for u in units:
+        prefix.append(x)  # the product of the units before this one
+        x = x * u % mod
+    x = pow(x, -1, mod)
+    inv = []
+    for before, u in zip(reversed(prefix), reversed(units)):
+        inv.append(before * x % mod)
+        x = x * u % mod
+    inv.reverse()
+    return inv
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 4), (101, 6)])
+def test_batch_inverse(p, k):
+    mod = p**k
+    assert batch_inverse([], mod) == []
+    rng = random.Random(p)
+    units = [u for u in (rng.randrange(1, 3 * mod) for _ in range(60)) if u % p]
+    assert batch_inverse(units, mod) == [pow(u, -1, mod) for u in units]
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_cache_inverses_match_pow(k):
+    # the recurrence 1/k = -floor(M/k) / (M mod k) against the inverse
+    # itself, at every prime to 2000 and at 10007: an entry x < p^K with
+    # i x = 1 mod p^K is pow(i, -1, p^K), as the inverse is unique; at
+    # 10007 against pow and the batch oracle too
+    for p in [*filter(is_prime, range(5, 2001)), 10007]:
+        ctx = PrimeContext(p, k)
+        inv, pk = harmonic_inverses(ctx), ctx.pk
+        assert len(inv) == p and inv[0] == 0, p
+        assert all(0 < x < pk and i * x % pk == 1 for i, x in enumerate(inv[1:], 1)), (p, k)
+        assert inv is harmonic_inverses(ctx)  # the cache's own list
+    assert inv == [0] + [pow(i, -1, pk) for i in range(1, p)] == [0] + batch_inverse(range(1, p), pk)
+
+
 def _harmonics_by_full_inversion(ctx):
     # the cache's two lists from one batch inversion of 1..2p-1 (k = p
     # taken as its p-free part 1): each term past p is p times the inverse
@@ -99,7 +143,7 @@ def _harmonics_by_full_inversion(ctx):
     p, pk = ctx.p, ctx.pk
     units = list(range(1, 2 * p))
     units[p - 1] = 1
-    inv = padic.batch_inverse(units, pk)
+    inv = batch_inverse(units, pk)
     h = [0]
     for k in range(1, p):
         h.append((h[-1] + inv[k - 1]) % pk)
@@ -127,7 +171,7 @@ def test_harmonic_cache_matches_full_inversion(k):
 def test_harmonic_orders_grow_apart(first):
     # the order-1 list is built whole up front; a read of order 1 at its top
     # builds no order-2 entry, and the first read of order 2 builds the
-    # whole order-2 list from order 1's terms
+    # whole order-2 list from the squared inverses
     p, k = 5, 3
     oracle = dict(zip((1, 2), _additive_harmonics(PrimeContext(p, k), 2 * p - 1)))
     top = {1: 2 * p - 1, 2: p - 1}
@@ -446,10 +490,15 @@ def test_tables_use_no_harmonic_sums_or_padic_kernel(monkeypatch):
     for n in (98, 99):
         for x in POLY_XS:
             assert bernoulli_poly(n, x, ctx) == _bernoulli_poly_by_recurrence(n, x, 101, b), (n, x)
-    # and so does bernoulli_values, which also inverts nothing in a batch
-    monkeypatch.setattr(special, "batch_inverse", refuse)
+    # and so does bernoulli_values, which reads neither the harmonic cache
+    # nor its inverses: the context holds no cache after it
+    monkeypatch.setattr(special, "_harmonic_cache", refuse)
+    monkeypatch.setattr(special, "harmonic_inverses", refuse)
+    monkeypatch.setattr(special, "harmonic_scaled", refuse)
     want = tuple(_bernoulli_poly_by_recurrence(n, x, 101, b) for n, x in _verifier_points(101))
-    assert special.bernoulli_values(PrimeContext(101, 4)) == want
+    ctx = PrimeContext(101, 4)
+    assert special.bernoulli_values(ctx) == want
+    assert ctx._harmonic_cache is None
 
 
 def test_tables_read_the_context_factorial_table():

@@ -23,6 +23,7 @@ def _load(name):
 LAYERS = [
     "domb_table", "moment_sums", "factorial_tables", "bernoulli_values",
     "harmonic_cache", "inv_3j1", "lemma22_mpt", "lemma_p2j", "lemma_sh55", "lemma_sunh", "total",
+    "walk", "swept_total",
 ]
 
 
@@ -60,7 +61,8 @@ def test_code_lines_sum_to_the_total(capsys, monkeypatch):
     assert module.count_code_lines('"""doc\n\nstring"""\n\n# note\nx = """a\nb"""\n') == 2
     monkeypatch.setattr("sys.argv", ["code_lines.py"])
     runpy.run_path(str(TOOLS / "code_lines.py"), run_name="__main__")
-    *modules, total = capsys.readouterr().out.splitlines()
+    *modules, total, size = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in modules] == list(counts)
     assert sum(int(line.split()[1]) for line in modules) == int(total.split()[1])
     assert total == f"total {sum(counts.values())}"
+    assert size == f"bytes {sum(len(p.read_bytes()) for p in module.SRC.glob('*.py'))}"

@@ -1,11 +1,14 @@
-"""Print the code lines of each module of src/dombcheck, then their total:
+"""Print the code lines of each module of src/dombcheck, then their total,
+then the bytes of those sources:
 
     python3 tools/code_lines.py
 
 A line counts when it holds a token of code; blank lines, comment lines
 and docstrings (the string that opens a module, class or function body)
 do not.  A string that spans lines and is not a docstring counts on every
-line it spans.
+line it spans.  The last line, ``bytes N``, is the size of the sources,
+docstrings and comments included: what an import compiles where no
+bytecode is cached.
 """
 
 from __future__ import annotations
@@ -56,3 +59,4 @@ if __name__ == "__main__":
     for name, n in counts.items():
         print(f"{name} {n}")
     print(f"total {sum(counts.values())}")
+    print(f"bytes {sum(path.stat().st_size for path in SRC.glob('*.py'))}")

@@ -10,9 +10,16 @@ first: the Domb table, its moment sums at bases 4 and 16 (one pass for
 both), the factorial tables as the verifier builds them (units to 3p - 2,
 which LEMMA_P2J reads, then inverses to 2p - 2), the three Bernoulli
 values by Voronoi's congruence (which read none of those), the harmonic
-cache (both orders), the inverses of 3j+1 behind p/(3j+1) (differences of
-the harmonic cache, so timed after it), then each lemma alone on the built
-tables.  "total" is a separate fresh verify_prime.
+cache as a verifier builds it (its one pass of inverses and the order-1
+sums; no verifier reads the order-2 list), the inverses of 3j+1 behind
+p/(3j+1) (a slice of the cache's inverses, so timed after it), then each
+lemma alone on the built tables.  "total" is a separate fresh
+verify_prime, the single-prime path, with its own pass over the Domb
+table for the moment sums.  A swept prime takes those sums from the
+sweep's walk instead: "walk" is domb.horner_walk to p alone, the whole
+walk of a sweep whose largest prime is p, which a sweep shares among its
+primes, and "swept_total" a fresh verify_prime handed that walk's triples,
+what a swept prime costs.
 LEMMA22 and LEMMA_MPT are not stated at 7919 (2 mod 3), so their entry
 there is null.
 
@@ -32,6 +39,7 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dombcheck.congruences import PrimeVerifier, verify_prime  # noqa: E402
+from dombcheck.domb import horner_walk  # noqa: E402
 from dombcheck.special import harmonic_scaled  # noqa: E402
 
 PRIMES = (997, 1999, 7919)
@@ -46,7 +54,7 @@ def _layers(pv: PrimeVerifier) -> dict:
         "moment_sums": lambda: (pv.weighted_sum(4, "1"), pv.weighted_sum(16, "1")),
         "factorial_tables": lambda: (ctx.factorial_decomposed(3 * p - 2), ctx.factorial_tables(2 * p - 2)),
         "bernoulli_values": lambda: pv._bernoulli_values,
-        "harmonic_cache": lambda: (harmonic_scaled(2 * p - 2, ctx), harmonic_scaled(p - 1, ctx, order=2)),
+        "harmonic_cache": lambda: harmonic_scaled(2 * p - 2, ctx),
         "inv_3j1": lambda: pv._inv_3j1,
         "lemma22_mpt": lambda: (pv.lemma22_check(), pv.lemma_mpt_check()),
         "lemma_p2j": pv.lemma_p2j_check,
@@ -70,6 +78,9 @@ def layer_times(p: int, runs: int) -> dict:
     for _ in range(runs):
         timed = {name: None if fn is None else _ms(fn) for name, fn in _layers(PrimeVerifier(p)).items()}
         timed["total"] = _ms(lambda: verify_prime(p))
+        walked, need = {}, {p: PrimeVerifier(p).precision}
+        timed["walk"] = _ms(lambda: walked.update(horner_walk(need)))
+        timed["swept_total"] = _ms(lambda: verify_prime(p, triples=walked[p]))
         for name, ms in timed.items():
             best[name] = ms if ms is None else min(best.get(name, ms), ms)
     return {name: None if ms is None else round(ms, 3) for name, ms in best.items()}
