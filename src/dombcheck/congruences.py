@@ -9,8 +9,10 @@ for one prime, from one pass over its Domb table, one reduction every 16
 terms; for a sweep, from one walk over the exact Domb numbers up to its
 largest prime, reduced at each prime (domb.horner_walk), when its primes
 make the walk pay (_walk).  No weight is inverted or reduced per term.
-CONJ1_DP1 reads D_(p-1) off the prime's Domb table in both cases.
-Their right-hand sides go
+CONJ1_DP1 reads D_(p-1) off the prime's Domb table in both cases: the
+top entry, one product past the table's recurrence pass.  Only the
+per-prime Horner pass reads the rest, so the table of a prime given the
+walk's triples never walks back to D_0.  Their right-hand sides go
 through the p-adic kernel's tables (binomials, harmonic numbers, Fermat
 quotients, Bernoulli values).  Every right side is a plain int mod p^m:
 binomials are read off the factorial tables as unit * p^v (but for
@@ -316,7 +318,8 @@ class PrimeVerifier:
     @cached_property
     def domb_table(self) -> DombTable:
         """D_0 .. D_(p-1) mod p^K, on a context of its own at K, never on
-        ``ctx``."""
+        ``ctx``.  _horner reads its ``residues``, which walks the table
+        back once; conj1_dp1 reads its top entry, which takes no walk."""
         return DombTable(self.ctx.with_precision(self.precision))
 
     def weighted_sum(self, base: int, weight: str) -> int:
@@ -559,9 +562,10 @@ class PrimeVerifier:
         return [self._report(t, self.weighted_sum(b, w), rhs) for t, b, w, rhs in cases]
 
     def conj1_dp1(self) -> CongruenceReport:
-        """D_(p-1) against 64^(p-1) - (p^3/6) B_(p-3) mod p^4: the power
-        mod p^K, the Bernoulli number mod p from the verifier's Bernoulli
-        values, with no Bernoulli table built."""
+        """D_(p-1) against 64^(p-1) - (p^3/6) B_(p-3) mod p^4: D_(p-1) the
+        Domb table's top entry, read with no walk back over the table; the
+        power mod p^K; the Bernoulli number mod p from the verifier's
+        Bernoulli values, with no Bernoulli table built."""
         p = self.p
         lhs = self.domb_table[p - 1]
         b = self._bernoulli_values[0]
@@ -992,9 +996,11 @@ def sweep(lo: int, hi: int, targets=None, workers: int = 1) -> list[CongruenceRe
     walk pay (_walk), and each such prime's verifier finishes its moment
     sums from the walk's triples, handed to it through verify_prime, in
     place of its own pass over the Domb table.  Every prime still builds
-    its Domb table, for CONJ1_DP1's D_(p-1).  The targets stated at each
-    prime and its K are worked out once, before the walk, and handed to
-    its verifier with the triples.
+    its Domb table, for CONJ1_DP1's D_(p-1): the top entry, one product
+    past the table's recurrence pass.  The table of a prime given the
+    walk's triples never walks back to the lower entries.  The targets
+    stated at each prime and its K are worked out once, before the walk,
+    and handed to its verifier with the triples.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")

@@ -12,9 +12,11 @@ primes the Horner triples their moment sums are finished from
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from math import comb, prod
 
@@ -133,16 +135,37 @@ def domb_numbers(size: int) -> Iterator[int]:
         yield d
 
 
+def _scaled_residues(size: int, mod: int) -> list[int]:
+    """E_n = (n!)^3 D_n mod `mod` for n < size, by Domb's recurrence in its
+    division-free form E_(n+1) = A_n E_n - 64 n^6 E_(n-1) on the
+    coefficient memo: DombTable's recurrence pass."""
+    a, c, _ = _coefficients(size)
+    e_prev, e = 0, 1
+    vals = [1]
+    for n in range(size - 1):
+        e_prev, e = e, (a[n] * e - c[n] * e_prev) % mod
+        vals.append(e)
+    return vals
+
+
+# Held by DombTable.residues while it walks a table back in place.
+_walk_lock = threading.Lock()
+
+
 class DombTable:
     """D_0 .. D_(size-1) mod p^K, size <= p, with no p-adic kernel (Chan,
     Chan and Liu, Adv. Math. 186, 2004).  Domb's recurrence (n+1)^3
     D_(n+1) = A_n D_n - 64 n^3 D_(n-1), A_n = 2(2n+1)(5n^2+5n+2), times
     (n!)^3 is division-free in E_n = (n!)^3 D_n: E_(n+1) = A_n E_n -
-    64 n^6 E_(n-1).  One pass runs it mod p^K; a second walks back from the
-    one inverse of ((size-1)!)^3, a unit below p, multiplying by n^3 at
-    each step, and gives D_n = E_n (n!)^(-3).  The integers A_n, 64 n^6 and
-    n^3 come from a memo shared by every table in the process.  The targets
-    read D_k for k < p only; larger sizes are refused.
+    64 n^6 E_(n-1).  One pass runs it mod p^K; a walk back from the one
+    inverse of ((size-1)!)^3, a unit below p, multiplying by n^3 at each
+    step, gives D_n = E_n (n!)^(-3).  The walk's first step, D_(size-1),
+    is taken on construction; the rest runs on the first read of
+    ``residues`` or of an index below the top, once, and turns the E list
+    into the D list in place, so a reader of D_(size-1) alone (a swept
+    prime's CONJ1_DP1) never walks back.  The integers A_n, 64 n^6 and
+    n^3 come from a memo shared by every table in the process.  The
+    targets read D_k for k < p only; larger sizes are refused.
     """
 
     def __init__(self, ctx: PrimeContext, size: int | None = None):
@@ -154,18 +177,30 @@ class DombTable:
             raise ValueError(f"table size must be in 1..{p}")
         self.size = size
         mod = ctx.pk
-        a, c, cubes = _coefficients(size)
-        e_prev, e = 0, 1
-        vals = [1]
-        for n in range(size - 1):
-            e_prev, e = e, (a[n] * e - c[n] * e_prev) % mod
-            vals.append(e)
+        vals = _scaled_residues(size, mod)
         f = _product_mod(1, size, mod)
-        inv = pow(f * f * f, -1, mod)  # ((n!)^3)^(-1) at n = size-1
-        for n in range(size - 1, 0, -1):
-            vals[n] = vals[n] * inv % mod
-            inv = inv * cubes[n] % mod
-        self.residues = vals
+        self._inv = pow(f * f * f, -1, mod)  # ((n!)^3)^(-1) at n = size-1
+        vals[-1] = vals[-1] * self._inv % mod
+        self._vals = vals  # D_(size-1) on top of E_0 .. E_(size-2)
+        self._walked = False
+
+    @cached_property
+    def residues(self) -> list[int]:
+        """D_0 .. D_(size-1): the rest of the walk back, from n = size-2
+        down, on the E list in place.  A second walk would convert the
+        list twice, so the walk runs under a lock and only once, whichever
+        threads read the table first."""
+        vals = self._vals
+        with _walk_lock:
+            if not self._walked:
+                mod = self.ctx.pk
+                cubes = _coefficients(self.size)[2]
+                inv = self._inv * cubes[self.size - 1] % mod
+                for n in range(self.size - 2, 0, -1):
+                    vals[n] = vals[n] * inv % mod
+                    inv = inv * cubes[n] % mod
+                self._walked = True
+        return vals
 
     def __len__(self) -> int:
         return self.size
@@ -173,6 +208,8 @@ class DombTable:
     def __getitem__(self, k: int) -> int:
         if not 0 <= k < self.size:
             raise IndexError(f"Domb index {k} is outside 0..{self.size - 1}")
+        if k == self.size - 1:
+            return self._vals[k]
         return self.residues[k]
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from dombcheck import congruences, padic, quadform, special
+from dombcheck import congruences, domb, padic, quadform, special
 from dombcheck.congruences import (
     SPECS,
     CongruenceReport,
@@ -32,7 +32,7 @@ from dombcheck.congruences import (
     sweep,
     verify_prime,
 )
-from dombcheck.domb import horner_walk
+from dombcheck.domb import DombTable, horner_walk
 from dombcheck.padic import PAdicValue, PrimeContext, binomial_int, binomial_rational, split_p
 from dombcheck.special import (
     _harmonic_cache,
@@ -691,6 +691,35 @@ def test_bernoulli_and_euler_tables_carry_weight(p):
             assert run(pv, t).passed == (t is not moved), (i, t)
 
 
+@pytest.mark.parametrize("p", [1009, 1013])
+def test_domb_recurrence_carries_weight(p, monkeypatch):
+    # +1 on the recurrence's last value E_(p-1) = ((p-1)!)^3 D_(p-1) moves
+    # CONJ1_DP1's lhs by ((p-1)!)^(-3) mod p^4 and fails the row: on the
+    # walked path, which reads the table's top entry alone and leaves every
+    # other row as it was, and on the single-prime path, which walks the
+    # table back first
+    walked = horner_walk({p: 5})[p]
+    clean = {r.target: r for r in verify_prime(p)}
+    real = domb._scaled_residues
+
+    def moved(size, mod):
+        vals = real(size, mod)
+        vals[-1] += 1
+        return vals
+
+    monkeypatch.setattr(domb, "_scaled_residues", moved)
+    step = pow(math.factorial(p - 1) ** 3, -1, p**4)
+    for triples in (walked, None):
+        pv = PrimeVerifier(p, triples=triples)
+        rows = {r.target: r for r in pv.run()}
+        row = rows.pop(T.CONJ1_DP1)
+        assert not row.passed and row.rhs == clean[T.CONJ1_DP1].rhs, triples
+        assert (row.lhs - clean[T.CONJ1_DP1].lhs) % p**4 == step, triples
+        assert ("residues" in vars(pv.domb_table)) == (triples is None)
+        if triples is not None:
+            assert _strip(rows.values()) == _strip(r for t, r in clean.items() if t in rows)
+
+
 # LEMMA22 applies at 1009 only; LEMMA_P2J and LEMMA_SH55 at both
 @pytest.mark.parametrize("p", [1009, 1013])
 def test_harmonic_and_factorial_tables_carry_weight(p):
@@ -864,6 +893,45 @@ def test_verifier_reads_its_triples_and_keeps_none(monkeypatch):
     rows = {r.target: r.passed for r in verify_prime(p, triples=moved)}
     assert not rows[T.THM11_4K] and rows[T.THM11_16K]
     assert _strip(verify_prime(p)) == want
+
+
+def _swap_back_walk(monkeypatch, walk) -> None:
+    """Make walk(table) DombTable's walk back, the cached ``residues``."""
+    prop = functools.cached_property(walk)
+    prop.__set_name__(DombTable, "residues")
+    monkeypatch.setattr(DombTable, "residues", prop)
+
+
+@pytest.mark.parametrize("p", [5, 7, 1009, 1013])
+def test_a_walked_prime_never_walks_its_table_back(p, monkeypatch):
+    # a verifier of every target walks its table back exactly once, for its
+    # Horner pass; one given the walk's triples reads D_(p-1) alone and
+    # walks none, with the same rows
+    walks = []
+    walk = DombTable.residues.func
+    _swap_back_walk(monkeypatch, lambda table: walks.append(table) or walk(table))
+    pv = PrimeVerifier(p)
+    want = _strip(pv.run())
+    assert walks == [pv.domb_table]
+    walked = PrimeVerifier(p, triples=horner_walk({p: pv.precision})[p])
+    assert _strip(walked.run()) == want
+    assert "residues" not in vars(walked.domb_table) and walks == [pv.domb_table]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_walks_no_table_back(workers, monkeypatch):
+    # a sweep that walks the Domb numbers gives every prime its triples, so
+    # no table, here or in a forked child, reads past its top entry
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    want = _strip(r for p in sieve_primes(5, 300) for r in verify_prime(p))
+
+    def refuse(table):
+        raise AssertionError(f"a swept table of size {table.size} walked back")
+
+    _swap_back_walk(monkeypatch, refuse)
+    with _deadline(120):
+        assert _strip(sweep(5, 300, workers=workers)) == want
+    assert multiprocessing.active_children() == []
 
 
 def test_reads_sums_names_the_targets_that_read_a_weighted_sum():

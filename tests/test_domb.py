@@ -90,7 +90,9 @@ def test_table_matches_exact(p, K, sample):
 
 def test_table_custom_size():
     # every size up to p, where the last factorial inverted is (p-1)!, at
-    # every prime below 60 and every precision up to 6
+    # every prime below 60 and every precision up to 6; on a fresh table
+    # the top entry D_(size-1) is read first, with no walk back, and is the
+    # walked list's top once the walk has run
     exact = [domb_exact(n) for n in range(60)]
     for p in [q for q in range(5, 60) if all(q % d for d in range(2, q))]:
         for K in range(1, 7):
@@ -98,6 +100,9 @@ def test_table_custom_size():
             for size in range(1, p + 1):
                 table = DombTable(ctx, size=size)
                 assert len(table) == size
+                top = table[size - 1]
+                assert "residues" not in vars(table), (p, K, size)
+                assert top == exact[size - 1] % ctx.pk, (p, K, size)
                 assert table.residues == [d % ctx.pk for d in exact[:size]], (p, K, size)
 
 
@@ -261,6 +266,41 @@ def test_coefficient_memo_under_threads(monkeypatch):
         for round in range(8):
             monkeypatch.setattr(domb, "_coeffs", ((), (), ()))
             threads = [threading.Thread(target=work, args=(6 * round + i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []
+
+
+def test_back_walk_runs_once_under_threads():
+    # more threads than cores, switching as often as the interpreter lets
+    # them, make the first reads of one fresh table at once, round after
+    # round: the walk back converts its list in place, so a second walk
+    # would leave every entry below the top wrong
+    p = 101
+    ctx = PrimeContext(p, 5)
+    want = [domb_exact(n) % ctx.pk for n in range(p)]
+    errors = []
+
+    def work(table, start, k):
+        try:
+            start.wait(timeout=60)
+            assert table[k] == want[k]
+            assert table.residues == want
+        except Exception as e:  # handed to the main thread's assert
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round in range(8):
+            table = DombTable(ctx)
+            start = threading.Barrier(6)
+            threads = [threading.Thread(target=work, args=(table, start, 11 * round + i)) for i in range(6)]
             for t in threads:
                 t.start()
             for t in threads:

@@ -21,7 +21,7 @@ def _load(name):
 
 
 LAYERS = [
-    "domb_table", "moment_sums", "factorial_tables", "bernoulli_values",
+    "domb_table", "domb_residues", "moment_sums", "factorial_tables", "bernoulli_values",
     "harmonic_cache", "inv_3j1", "lemma22_mpt", "lemma_p2j", "lemma_sh55", "lemma_sunh", "total",
     "walk", "swept_total",
 ]

@@ -6,9 +6,11 @@ work at the fixed primes 997, 1999 and 7919, every target requested:
 Each figure is the minimum over N runs (default 3), each run on a fresh
 PrimeVerifier, so no table built in one run is read in the next.  Within a
 run the layers are timed in an order that builds what each one reads
-first: the Domb table, its moment sums at bases 4 and 16 (one pass for
-both), the factorial tables as the verifier builds them (units to 3p - 2,
-which LEMMA_P2J reads, then inverses to 2p - 2), the three Bernoulli
+first: the Domb table's recurrence pass with its top entry D_(p-1), its
+walk back to the other residues (deferred to their first read, which a
+swept prime never makes), its moment sums at bases 4 and 16 (one pass
+for both), the factorial tables as the verifier builds them (units to
+3p - 2, which LEMMA_P2J reads, then inverses to 2p - 2), the three Bernoulli
 values by Voronoi's congruence (which read none of those), the harmonic
 cache as a verifier builds it (its one pass of inverses and the order-1
 sums; no verifier reads the order-2 list), the inverses of 3j+1 behind
@@ -16,10 +18,10 @@ p/(3j+1) (a slice of the cache's inverses, so timed after it), then each
 lemma alone on the built tables.  "total" is a separate fresh
 verify_prime, the single-prime path, with its own pass over the Domb
 table for the moment sums.  A swept prime takes those sums from the
-sweep's walk instead: "walk" is domb.horner_walk to p alone, the whole
-walk of a sweep whose largest prime is p, which a sweep shares among its
-primes, and "swept_total" a fresh verify_prime handed that walk's triples,
-what a swept prime costs.
+sweep's walk instead, and so never walks its table back: "walk" is
+domb.horner_walk to p alone, the whole walk of a sweep whose largest
+prime is p, which a sweep shares among its primes, and "swept_total" a
+fresh verify_prime handed that walk's triples, what a swept prime costs.
 LEMMA22 and LEMMA_MPT are not stated at 7919 (2 mod 3), so their entry
 there is null.
 
@@ -51,6 +53,7 @@ def _layers(pv: PrimeVerifier) -> dict:
     ctx = pv.ctx
     layers = {
         "domb_table": lambda: pv.domb_table,
+        "domb_residues": lambda: pv.domb_table.residues,
         "moment_sums": lambda: (pv.weighted_sum(4, "1"), pv.weighted_sum(16, "1")),
         "factorial_tables": lambda: (ctx.factorial_decomposed(3 * p - 2), ctx.factorial_tables(2 * p - 2)),
         "bernoulli_values": lambda: pv._bernoulli_values,
