@@ -20,8 +20,9 @@ series in x^2 of (p-1)/2 terms: the Euler numbers invert cosh x, and sigma
 inverts sinh x / x, so u / sinh u = sum sigma_j u^(2j).  Each inverse is
 Newton doubling whose steps read only the middle of a product (Hanrot,
 Quercia and Zimmermann, AAECC 14, 2004).  Each product is one big-integer
-multiply by Kronecker substitution, its operands packed and its slots read
-by struct, in slots of at most 8 bytes (p < 2^21 for sigma).
+multiply by Kronecker substitution: each residue is one slot of whole
+bytes, wide enough that no coefficient of a product carries into the next
+(_slot_bytes), so the series work at any p.
 bernoulli_poly (one O(p) pass over sigma), bernoulli_table (x coth x =
 cosh x / (sinh x / x), sigma times cosh) and euler_table stay public as
 library API, not memoized, and the tests' oracles for bernoulli_values.
@@ -33,7 +34,6 @@ compares the two, and would then hold by construction.
 
 from __future__ import annotations
 
-import struct
 import weakref
 from itertools import accumulate
 from math import gcd
@@ -186,48 +186,20 @@ def harmonic_inverses(ctx: PrimeContext) -> list[int]:
     return _harmonic_cache(ctx)._inv
 
 
-# the standard little-endian struct field that reads a w-byte slot, and its
-# width: the next standard width up from w
-_SLOT_FIELDS = {1: ("B", 1), 2: ("H", 2), 3: ("I", 4), 4: ("I", 4)}
-_SLOT_FIELDS.update(dict.fromkeys((5, 6, 7, 8), ("Q", 8)))
-
-
-def _slot_fields(w: int) -> tuple[str, int]:
-    try:
-        return _SLOT_FIELDS[w]
-    except KeyError:
-        raise ValueError(
-            f"Kronecker slots of {w} bytes: at most 8 are supported, "
-            "enough for the Bernoulli series at p < 2^21"
-        ) from None
-
-
-def _pack(c: list[int], w: int, p: int) -> int:
-    """Kronecker substitution: one w-byte slot per residue mod p, lowest
-    first, as one struct.pack call.  Each residue fills the smallest
-    standard field that holds p, followed by pad bytes up to w.  Widths
-    above 8 bytes raise ValueError, as _unpack cannot read them."""
-    _slot_fields(w)
-    code, size = next(f for f in (("B", 1), ("H", 2), ("I", 4), ("Q", 8)) if p <= 1 << 8 * f[1])
-    fmt = f"<{len(c)}{code}" if size == w else "<" + f"{code}{w - size}x" * len(c)
-    return int.from_bytes(struct.pack(fmt, *c), "little")
+def _pack(c: list[int], w: int) -> int:
+    """Kronecker substitution: one w-byte slot per residue, lowest first,
+    the slots' little-endian bytes joined into one int.  A residue that
+    does not fit in w bytes raises OverflowError."""
+    return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in c]), "little")
 
 
 def _unpack(x: int, size: int, lo: int, hi: int, w: int, p: int) -> list[int]:
-    """Slots lo..hi-1 of x, mod p, as one struct.unpack call.  A slot of 3,
-    5, 6 or 7 bytes is first copied into a zeroed one of the next standard
-    width, one strided slice assignment per byte.  x must fit in `size`
-    slots (to_bytes raises OverflowError otherwise, so an operand longer
-    than its caller claims cannot pass unnoticed)."""
-    code, f = _slot_fields(w)
+    """Slots lo..hi-1 of x, each w-byte slice read as an int, mod p.  x must
+    fit in `size` slots (to_bytes raises OverflowError otherwise, so an
+    operand longer than its caller claims cannot pass unnoticed)."""
     raw = x.to_bytes(size * w, "little")
-    k = hi - lo
-    if f == w:
-        return [v % p for v in struct.unpack_from(f"<{k}{code}", raw, lo * w)]
-    wide = bytearray(k * f)
-    for i in range(w):
-        wide[i::f] = raw[lo * w + i : hi * w : w]
-    return [v % p for v in struct.unpack(f"<{k}{code}", wide)]
+    read = int.from_bytes
+    return [read(raw[i : i + w], "little") % p for i in range(lo * w, hi * w, w)]
 
 
 def _slot_bytes(n: int, p: int) -> int:
@@ -244,13 +216,14 @@ def _series_inverse(a: list[int], n: int, p: int) -> list[int]:
     t's m - h coefficients are read, the slots h..m-1 of the product
     (a mod x^m) b (a middle product: Hanrot, Quercia and Zimmermann, AAECC
     14, 2004); the new half is one (m-h) x (m-h) product.  Each product is
-    one big-integer multiply by Kronecker substitution; -a is packed once
+    one big-integer multiply by Kronecker substitution, in slots of
+    _slot_bytes(n, p) bytes, as wide as p needs; -a is packed once
     and masked to m slots each round, so its middle slots are -t directly,
     and b stays packed with each new half OR-ed in above it.
     """
     w = _slot_bytes(n, p)
     bits = 8 * w
-    neg_a = _pack([-c % p for c in a[:n]], w, p)
+    neg_a = _pack([-c % p for c in a[:n]], w)
     b = [pow(a[0], -1, p)]
     packed_b = b[0]
     h = 1
@@ -258,8 +231,8 @@ def _series_inverse(a: list[int], n: int, p: int) -> list[int]:
         m = min(2 * h, n)
         neg_t = _unpack((neg_a & ((1 << bits * m) - 1)) * packed_b, m + h, h, m, w, p)
         low_b = packed_b & ((1 << bits * (m - h)) - 1)
-        c = _unpack(low_b * _pack(neg_t, w, p), 2 * (m - h), 0, m - h, w, p)
-        packed_b |= _pack(c, w, p) << (bits * h)
+        c = _unpack(low_b * _pack(neg_t, w), 2 * (m - h), 0, m - h, w, p)
+        packed_b |= _pack(c, w) << (bits * h)
         b += c
         h = m
     return b
@@ -294,8 +267,8 @@ def bernoulli_table(ctx: PrimeContext) -> list[int]:
     n = (p - 1) // 2
     f, fi = ctx.factorial_tables(p - 1)
     w = _slot_bytes(n, p)
-    cosh = _pack([u % p for u in fi[0 : p - 2 : 2]], w, p)
-    c = _unpack(_pack(_sinh_inverse(ctx), w, p) * cosh, 2 * n, 0, n, w, p)
+    cosh = _pack([u % p for u in fi[0 : p - 2 : 2]], w)
+    c = _unpack(_pack(_sinh_inverse(ctx), w) * cosh, 2 * n, 0, n, w, p)
     b = [0] * (p - 2)
     quarter = pow(4, -1, p)
     q = 1

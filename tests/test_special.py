@@ -320,31 +320,29 @@ def _schoolbook_inverse(a, n, p):
     return b
 
 
-def _bytes_pack(c, w):
-    # the byte-joining packer the struct packer replaced: one w-byte slot
-    # per coefficient, lowest first
-    return int.from_bytes(b"".join(c_i.to_bytes(w, "little") for c_i in c), "little")
+def _shift_pack(c, w):
+    # the packed value by arithmetic: sum c_i << 8wi
+    return sum(c_i << 8 * w * i for i, c_i in enumerate(c))
 
 
-def _bytes_unpack(x, size, lo, hi, w, p):
-    # the byte-slicing reader the struct reader replaced
-    raw = x.to_bytes(size * w, "little")
-    return [int.from_bytes(raw[i : i + w], "little") % p for i in range(lo * w, hi * w, w)]
+def _shift_unpack(x, lo, hi, w, p):
+    # slot i by arithmetic: (x >> 8wi) & (2^(8w) - 1), mod p
+    mask = (1 << 8 * w) - 1
+    return [((x >> 8 * w * i) & mask) % p for i in range(lo, hi)]
 
 
-# over n <= 70 these give every slot width 1..8: 1-2 at 5 and 7, 2-3 at 101,
-# then 4, 5, 6, 7 and 8 bytes at 12, 16, 20, 24 and 28 bits
-SERIES_PRIMES = [5, 7, 101, 4093, 65521, 1048573, 16777213, 268435399]
+# over n <= 70 these give every slot width 1..9: 1-2 at 5 and 7, 2-3 at 101,
+# then 4, 5, 6, 7, 8 and 9 bytes at 12, 16, 20, 24, 28 and 31 bits
+SERIES_PRIMES = [5, 7, 101, 4093, 65521, 1048573, 16777213, 268435399, 2147483647]
 
 
 def test_series_primes_cover_every_slot_width():
     widths = {special._slot_bytes(n, p) for p in SERIES_PRIMES for n in range(1, 71)}
-    assert widths == set(range(1, 9))
+    assert widths == set(range(1, 10))
 
 
-# at each width, a prime whose residues fill a 1-, 2- or 4-byte field, up
-# to the widest field that fits the slot
-@pytest.mark.parametrize("w", range(1, 9))
+# at each width, each of these primes whose residues fit in one slot
+@pytest.mark.parametrize("w", range(1, 10))
 def test_pack_and_unpack_match_byte_oracles(w):
     rng = random.Random(w)
     for p in [5, 251, 65521, 4294967291]:
@@ -352,35 +350,23 @@ def test_pack_and_unpack_match_byte_oracles(w):
             continue
         for n in (1, 2, 7, 64):
             c = [rng.randrange(p) for _ in range(n)] + [0, p - 1]
-            packed = special._pack(c, w, p)
-            assert packed == _bytes_pack(c, w), (p, n)
+            packed = special._pack(c, w)
+            assert packed == _shift_pack(c, w), (p, n)
             assert special._unpack(packed, len(c), 0, len(c), w, p) == c, (p, n)
         # slots of a product fill all 8w bits; read every slice of a few
         slots = [rng.randrange(1 << 8 * w) for _ in range(9)] + [(1 << 8 * w) - 1]
-        x = _bytes_pack(slots, w)
+        x = _shift_pack(slots, w)
         for lo in range(len(slots)):
             for hi in range(lo, len(slots) + 1):
                 got = special._unpack(x, len(slots), lo, hi, w, p)
-                assert got == _bytes_unpack(x, len(slots), lo, hi, w, p), (p, lo, hi)
+                assert got == _shift_unpack(x, lo, hi, w, p), (p, lo, hi)
 
 
 def test_unpack_refuses_a_product_longer_than_claimed():
-    x = _bytes_pack([1, 2, 3], 5)
+    x = _shift_pack([1, 2, 3], 5)
     assert special._unpack(x, 3, 0, 3, 5, 7) == [1, 2, 3]
     with pytest.raises(OverflowError):
         special._unpack(x, 2, 0, 2, 5, 7)
-
-
-def test_slots_wider_than_8_bytes_raise():
-    p = 2147483647  # 31 bits: at n = 70, 2 * 31 + 7 bits need 9-byte slots
-    assert special._slot_bytes(70, p) == 9
-    for call in (
-        lambda: special._pack([1, 2], 9, p),
-        lambda: special._unpack(1, 2, 0, 2, 9, p),
-        lambda: special._series_inverse([1] * 70, 70, p),
-    ):
-        with pytest.raises(ValueError, match="at most 8"):
-            call()
 
 
 # every n in 1..70 crosses each split h -> m = min(2h, n) of Newton's
