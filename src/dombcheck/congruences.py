@@ -28,7 +28,11 @@ range-quantified lemmas (LEMMA22, LEMMA_P2J, LEMMA_SH55) read strided
 slices of the factorial tables and of two lists off the harmonic cache,
 each built once per verifier: the inverses of 3j+1 mod p^2 over
 j < (p+1)/2, a slice of the cache's inverses below p, and
-u_j = 1 + p (H_2j - H_j) mod p^2 over the same j.  They read inverse
+u_j = 1 + p (H_2j - H_j) mod p^2 over the same j.  They read the cache's
+sums below p only: where LEMMA_P2J and LEMMA_SH55 need p H_(p+r), they
+need it mod p^2, and take it as p H_p + p H_r
+(special.harmonic_scaled_at_p), so no verifier builds the cache's sums
+from p on.  They read inverse
 factorials below 2p - 1 and units below 3p - 1 only, and each table stops
 there.  LEMMA_SUNH takes its five order-2 harmonic sums as range sums of
 the squared inverses, so no verifier builds an order-2 list.  Every
@@ -78,7 +82,7 @@ from time import perf_counter
 from .domb import DombTable, HornerTriples, horner_walk
 from .padic import PrimeContext, binomial_rational, binomial_residues
 from .quadform import decompose_known_prime
-from .special import bernoulli_values, harmonic_inverses, harmonic_scaled
+from .special import bernoulli_values, harmonic_inverses, harmonic_scaled, harmonic_scaled_at_p
 
 __all__ = [
     "Target",
@@ -683,18 +687,20 @@ class PrimeVerifier:
         the four units mod p^2.  This is the one reader of units past its
         inverses: it grows the units to (3p-2)! and the inverses to
         1/(2p-2)!.  The harmonic numbers come from the harmonic
-        cache, which holds H_n below p and p H_n from p on.  The right side
-        is (-1)^j (1 + p (H_2j - H_j)), (-1)^j u_j from _harmonic_units, on
-        the lower half (2j < p) and, as
-        the stored p H_2j carries H_2j's negative valuation there,
+        cache's sums below p.  The right side is (-1)^j (1 + p (H_2j - H_j)),
+        (-1)^j u_j from _harmonic_units, on the lower half (2j < p) and,
+        where p H_2j absorbs H_2j's negative valuation,
         2 (-1)^j (p H_2j - p H_j) on the upper half, one comprehension
-        each."""
+        each.  There p H_2j is needed mod p^2 only, and is
+        p H_p + p H_(2j-p) (special.harmonic_scaled_at_p), so the upper
+        half reads H_(2j-p) and H_j below p, and p H_p once."""
         p = self.p
         self._exponent(Target.LEMMA_P2J)  # raises before any table is built
         pp = self.powers[2]
         self.ctx.factorial_decomposed(3 * p - 2)
         fu, fi = self.ctx.factorial_tables(2 * p - 2)
-        h = harmonic_scaled(2 * p - 2, self.ctx)
+        h = harmonic_scaled(p - 1, self.ctx)
+        at_p = harmonic_scaled_at_p(self.ctx)
         n = (p + 1) // 2  # the lower half, 2j < p
         lhs = [
             a * b * c * d % pp
@@ -709,7 +715,8 @@ class PrimeVerifier:
         rhs = u.copy()
         rhs[1::2] = [-x % pp for x in u[1::2]]
         sg = (1, -1) * n  # (-1)^j
-        rhs += [2 * s * (a - p * b) % pp for s, a, b in zip(sg[n:p], h[p + 1 : 2 * p - 1 : 2], h[n:p])]
+        # p H_2j = p H_p + p H_(2j-p) mod p^2, 2j - p odd from 1 to p - 2
+        rhs += [2 * s * (at_p + p * (a - b)) % pp for s, a, b in zip(sg[n:p], h[1 : p - 1 : 2], h[n:p])]
         return lhs, rhs
 
     def lemma_sh55_check(self) -> CongruenceReport:
@@ -753,14 +760,16 @@ class PrimeVerifier:
           C(2k,k)^2 16^(-k) and (p/(3k+1))(1 + p H_2k - p H_k) mod p^3: at
           3k+1 = p, C(2k,k) from _central_where_3j1_is_p, the harmonic
           factor's p/(3k+1) being 1; at k0 = (2p-1)/3 (p = 2 mod 3), the
-          binomial factor p^2 times a unit off the tables, and the cache's
-          stored p H_2k0, which absorbs H_2k0's negative valuation and is
-          kept mod p^2, enough under that p^2."""
+          binomial factor p^2 times a unit off the tables, and
+          p H_2k0, which absorbs H_2k0's negative valuation.  Under that
+          p^2 it is needed mod p only; it is taken mod p^2 as
+          p H_p + p H_(2k0-p) (special.harmonic_scaled_at_p), from the
+          cache's sums below p."""
         p = self.p
         mod = self.powers[self._exponent(Target.LEMMA_SH55)]
         pp = self.powers[2]
         fu, fi = self.ctx.factorial_tables(2 * p - 2)
-        h = harmonic_scaled(4 * p // 3, self.ctx)  # to 2k0 = (4p-2)/3
+        h = harmonic_scaled(p - 1, self.ctx)
         n = (p + 1) // 2
         binomials = [(a * b * b % pp) ** 2 % pp for a, b in zip(fu[0:p:2], fi[:n])]
         harmonics = [x * u % pp for x, u in zip(self._inv_3j1, self._harmonic_units)]
@@ -772,7 +781,8 @@ class PrimeVerifier:
             k = (2 * p - 1) // 3
             c = fu[2 * k] * fi[k] * fi[k] % mod
             b = p * p * c * c * pow(16, -k, mod) % mod
-            whole = (b, pow(2, -1, mod) * (1 + h[2 * k] - p * h[k]) % mod)
+            h2k = (harmonic_scaled_at_p(self.ctx) + p * h[2 * k - p]) % pp  # p H_2k
+            whole = (b, pow(2, -1, mod) * (1 + h2k - p * h[k]) % mod)
         return binomials, harmonics, whole
 
     def lemma_sunh_check(self) -> CongruenceReport:

@@ -4,7 +4,10 @@ gamma function.
 Everything here is evaluated against a PrimeContext.  The harmonic cache
 and the series sigma behind bernoulli_poly and bernoulli_table are
 memoized on the context object.  The harmonic cache inverts 1..p-1 in one
-pass of a recurrence and keeps the inverses beside its sums.  The
+pass, the odd k by a recurrence and the even k by halving, and keeps the
+inverses beside its sums below p.  Its sums p H_n for p <= n < 2p are
+built only on a read that reaches them, which the verifier never makes:
+mod p^2 they are p H_p + p H_(n-p) (harmonic_scaled_at_p).  The
 factorials the series need, of 0..p-1 mod p, are the context's factorial
 table reduced mod p; the binomials and the gamma function read the same
 table.
@@ -51,6 +54,7 @@ __all__ = [
     "HarmonicCache",
     "harmonic",
     "harmonic_scaled",
+    "harmonic_scaled_at_p",
     "harmonic_inverses",
     "bernoulli_table",
     "bernoulli_poly",
@@ -63,9 +67,9 @@ __all__ = [
 
 
 class HarmonicCache:
-    """Prefix sums H_n = sum 1/k and H_n^(2) = sum 1/k^2 as p-adic values,
-    over the ranges the targets read: order 1 for 0 <= n <= 2p-1 (LEMMA_P2J
-    and LEMMA_SH55 read H_(2p-2)), order 2 for 0 <= n <= p-1.
+    """Prefix sums H_n = sum 1/k and H_n^(2) = sum 1/k^2 as p-adic values:
+    order 1 for 0 <= n <= 2p-1, order 2 for 0 <= n <= p-1.  The verifier
+    reads order 1 below p only.
 
     The cache stores plain ints mod p^K: the inverses 1/k for 0 < k < p,
     and one list of sums per order, H_n below p and the p-integral p H_n
@@ -75,20 +79,24 @@ class HarmonicCache:
     precision 2: each sum enters a right side mod p^3 times p, or one mod
     p^2.
 
-    The inverses come from one pass of a linear recurrence.  With M = p^K
-    and 1 < k < p, M = floor(M/k) k + (M mod k), so dividing by k (M mod k),
-    1/k = -floor(M/k) / (M mod k) mod M.  Here 0 < M mod k < k < p: M mod k
-    is a unit, and its inverse is already in the list.  So each entry is
-    one multiplication, with no prefix products, no pow and no walk back.
+    The inverses come from one pass in blocks [m, 2m).  An even k takes
+    1/k = (1/2) (1/(k/2)) from the block below, one slice per block.  An
+    odd k takes a linear recurrence: with M = p^K, M = floor(M/k) k +
+    (M mod k), so dividing by k (M mod k), 1/k = -floor(M/k) / (M mod k)
+    mod M.  Here 0 < M mod k < k < p: M mod k is a unit, and its inverse is
+    already in the list.  So each entry is one multiplication, with no
+    prefix products, no pow and no walk back.
     The pass reads no factorial table (the lemma checks compare these sums
     with binomials, which the factorial tables build), and it shares no
     code with the Bernoulli power tables, which walk a primitive root:
     LEMMA_SUNH compares these sums with those values.
-    The order-1 list is the prefix sums of the inverses.  Its upper half
-    comes from the lower half: summing p/(p+k) = sum_m (-1)^(m-1) (p/k)^m
-    over k <= r, and p/p = 1,
-    p H_(p+r) = p H_(p-1) + 1 + sum_(m<K) (-1)^(m-1) p^m H_r^(m) mod p^K;
-    at K <= 2 that is one pass over H_r.
+    The order-1 list is the prefix sums of the inverses, p entries.  Its
+    upper half, p H_(p+r) for r < p, comes from the lower half by the
+    identity in ``scaled_at_p`` and is built on the first read past p-1.
+    The verifier makes no such read: LEMMA_P2J and LEMMA_SH55 read
+    p H_(p+r) mod p^2 only, and take it as p H_p + p H_r from
+    ``harmonic_scaled_at_p`` and the sums below p.  So the upper half
+    serves ``harmonic(n >= p)``, ``get`` and ``harmonic_scaled(n >= p)``.
     The order-2 list, the prefix sums of the squared inverses, is built on
     its first read; the verifier never reads it, and it serves
     ``harmonic(n, 2)``, ``get`` and the tests.
@@ -106,22 +114,20 @@ class HarmonicCache:
         self._ctx = weakref.ref(ctx)
         p = ctx.p
         pk = ctx.pk
-        # 1/k = -floor(pk/k) / (pk mod k), as in the class docstring
+        # in blocks [m, 2m), as in the class docstring: the even k halve
+        # 1/(k/2) from the block below, then the odd k, in order, take
+        # -floor(pk/k) / (pk mod k), whose pk mod k < k is already filled
         self._inv = inv = [0] * p
         inv[1] = 1
-        for k in range(2, p):
-            inv[k] = -(pk // k) * inv[pk % k] % pk
-        self._h = h = [s % pk for s in accumulate(inv)]
-        # p H_(p+r) from H_r, as in the class docstring; past K = 2 one more
-        # pass per order m, on the powers 1/k^m
-        c = p * h[-1] + 1
-        high = [(c + p * x) % pk for x in h]
-        power = inv
-        for m in range(2, ctx.precision):
-            power = [a * b % pk for a, b in zip(power, inv)]
-            pm = (-p) ** m
-            high = [(a - pm * s) % pk for a, s in zip(high, accumulate(power))]
-        h += high
+        half = (pk + 1) // 2
+        m = 2
+        while m < p:
+            top = min(2 * m, p)
+            inv[m:top:2] = [half * x % pk for x in inv[m // 2 : (top + 1) // 2]]
+            for k in range(m + 1, top, 2):
+                inv[k] = -(pk // k) * inv[pk % k] % pk
+            m *= 2
+        self._h = [s % pk for s in accumulate(inv)]
         self._h2 = None
 
     @property
@@ -131,15 +137,45 @@ class HarmonicCache:
             raise ReferenceError("the PrimeContext of this HarmonicCache is gone")
         return ctx
 
+    def scaled_at_p(self) -> int:
+        """p H_p = p H_(p-1) + 1 mod p^K, the constant of the upper half.
+        Summing p/(p+k) = sum_m (-1)^(m-1) (p/k)^m over k <= r, and p/p = 1,
+        p H_(p+r) = p H_p + sum_(m<K) (-1)^(m-1) p^m H_r^(m) mod p^K, so
+        p H_(p+r) = p H_p + p H_r mod p^2: a reader of p H_(p+r) mod p^2
+        needs only this and the sums below p."""
+        ctx = self.ctx
+        return (ctx.p * self._h[ctx.p - 1] + 1) % ctx.pk
+
+    def _upper_half(self) -> list[int]:
+        """p H_(p+r) for 0 <= r < p, from H_r by scaled_at_p's identity: one
+        pass at K <= 2, and past K = 2 one more pass per order m, on the
+        powers 1/k^m."""
+        ctx = self.ctx
+        p, pk = ctx.p, ctx.pk
+        c = self.scaled_at_p()
+        inv = self._inv
+        high = [(c + p * x) % pk for x in self._h]
+        power = inv
+        for m in range(2, ctx.precision):
+            power = [a * b % pk for a, b in zip(power, inv)]
+            pm = (-p) ** m
+            high = [(a - pm * s) % pk for a, s in zip(high, accumulate(power))]
+        return high
+
     def _sums(self, order: int, n: int) -> list[int]:
-        """The stored list of the given order, after checking that it holds
-        index n: 2p entries for order 1, p for order 2."""
+        """The stored list of the given order, after checking that n is in
+        its range: 0..2p-1 for order 1, 0..p-1 for order 2.  A list is
+        built on the first read that needs it: the order-1 upper half on a
+        read past p-1, the order-2 list on any read of order 2."""
         if order not in (1, 2):
             raise ValueError("only orders 1 and 2 are cached")
-        top = len(self._h) // order - 1
+        p = len(self._inv)
+        top = 2 * p - 1 if order == 1 else p - 1
         if not 0 <= n <= top:
             raise ValueError(f"H^({order})_{n} is outside the cached range 0..{top}")
         if order == 1:
+            if n >= p and len(self._h) == p:
+                self._h += self._upper_half()
             return self._h
         if self._h2 is None:
             pk = self.ctx.pk
@@ -175,14 +211,24 @@ def harmonic_scaled(n: int, ctx: PrimeContext, order: int = 1) -> list[int]:
     """The cache's stored ints mod p^K, after checking that they reach
     index n: H_k^(order) itself below p, and p H_k for p <= k <= 2p-1
     (order 1 only; order 2 stops at p-1).  This is the cache's own list,
-    not a copy, for loops and closed forms that read many entries."""
+    not a copy, for loops and closed forms that read many entries.  The
+    list holds p entries until a read with n >= p builds the upper half;
+    the verifier reads none, as it takes p H_(p+r) mod p^2 from
+    harmonic_scaled_at_p and H_r."""
     return _harmonic_cache(ctx)._sums(order, n)
+
+
+def harmonic_scaled_at_p(ctx: PrimeContext) -> int:
+    """p H_p mod p^K off the context's harmonic cache, with which
+    p H_(p+r) = p H_p + p H_r mod p^2 (HarmonicCache.scaled_at_p), so the
+    order-1 list below p gives every p H_(p+r) mod p^2."""
+    return _harmonic_cache(ctx).scaled_at_p()
 
 
 def harmonic_inverses(ctx: PrimeContext) -> list[int]:
     """1/k mod p^K at index k for 0 < k < p, and 0 at k = 0: the terms of
-    the harmonic cache's sums below p, from its one pass of inverses.  This
-    is the cache's own list, not a copy."""
+    the harmonic cache's sums below p, from its one pass of inverses, the
+    even k by halving.  This is the cache's own list, not a copy."""
     return _harmonic_cache(ctx)._inv
 
 

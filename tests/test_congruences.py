@@ -562,13 +562,15 @@ def test_empty_case_list_raises():
 
 def test_lemma_loops_build_no_order_2_harmonics():
     # LEMMA_SUNH takes its order-2 sums as range sums of the squared
-    # inverses, so no verifier, even one of every target, builds that list
+    # inverses, so no verifier, even one of every target, builds that list;
+    # LEMMA_P2J and LEMMA_SH55 take p H_(p+r) mod p^2 from the sums below
+    # p, so none builds the order-1 upper half either
     for p in (1009, 1013):
         for targets in ([T.LEMMA22, T.LEMMA_P2J, T.LEMMA_SH55], [T.LEMMA_SUNH], None):
             pv = PrimeVerifier(p, targets)
             assert all(r.passed for r in pv.run()), (p, targets)
             cache = _harmonic_cache(pv.ctx)
-            assert len(cache._h) == 2 * p and len(cache._inv) == p, (p, targets)
+            assert len(cache._h) == p and len(cache._inv) == p, (p, targets)
             assert cache._h2 is None, (p, targets)
 
 
@@ -1300,11 +1302,20 @@ def test_each_quotient_has_its_per_range_valuation():
         assert [fv[2 * k] - 2 * fv[k] for k in range(p)] == [0] * n + [1] * (p - n), p
 
 
-# the table entries each lemma reads at case j, by table
+def _h2j_reads(p, j):
+    """The harmonic entries behind H_2j: itself below p, and past p, where
+    p H_2j = p H_p + p H_(2j-p) mod p^2, H_(2j-p) and H_(p-1)."""
+    return [("h", 2 * j)] if 2 * j < p else [("h", 2 * j - p), ("h", p - 1)]
+
+
+# the table entries each lemma reads at case j, by table; a LEMMA_SH55 term
+# from k = (p+1)/2 on but at 3k+1 = 2p is dropped, and reads no harmonic
+# entry of its own
 LEMMA_READS = {
     T.LEMMA22: lambda p, j: [("fu", p + j), ("fi", 3 * j + 1), ("h", 2 * j)],
-    T.LEMMA_P2J: lambda p, j: [("fu", p + 2 * j), ("fi", p - j - 1), ("h", 2 * j)],
-    T.LEMMA_SH55: lambda p, j: [("fu", 2 * j), ("fi", j), ("h", 2 * j)],
+    T.LEMMA_P2J: lambda p, j: [("fu", p + 2 * j), ("fi", p - j - 1), *_h2j_reads(p, j)],
+    T.LEMMA_SH55: lambda p, j: [("fu", 2 * j), ("fi", j)]
+    + (_h2j_reads(p, j) if 2 * j < p or 3 * j + 1 == 2 * p else []),
 }
 LEMMA_RANGES = {T.LEMMA22: lambda p: (p + 1) // 2, T.LEMMA_P2J: lambda p: p, T.LEMMA_SH55: lambda p: p}
 
@@ -1317,10 +1328,12 @@ def _perturbed_run(p, target, table, i):
     entries = {
         "fu": pv.ctx._fact_unit,
         "fi": pv.ctx._fact_inv,
-        "h": special.harmonic_scaled(2 * p - 1, pv.ctx),
+        "h": special.harmonic_scaled(p - 1, pv.ctx),
     }[table]
     entries[i] += 1
-    return getattr(pv, SPECS[target].method)()
+    row = getattr(pv, SPECS[target].method)()
+    assert len(special.harmonic_scaled(p - 1, pv.ctx)) == p  # no upper half
+    return row
 
 
 @pytest.mark.parametrize("p", [1009, 1013])
@@ -1348,8 +1361,11 @@ def test_split_cases_carry_weight(p):
                 row = _perturbed_run(p, target, table, i)
                 assert row.passed == silent, (target, j, table, i)
                 checked += not silent
-    # 1009: 4 + 12 + 4; 1013 (no LEMMA22, five splits): 15 + 9
-    assert checked == (20 if p % 3 == 1 else 24)
+    # 1009: 4 + 14 + 4; 1013 (no LEMMA22, five splits): 18 + 10.  Past
+    # p, each case reads H_(2j-p) and H_(p-1) where it read p H_2j: the
+    # two upper splits of LEMMA_P2J at 1009, three at 1013 (there one is
+    # 3j+1 = 2p, LEMMA_SH55's kept term too)
+    assert checked == (22 if p % 3 == 1 else 28)
     if p % 3 == 1:
         # the helpers' values, moved by one, fail the lemma that reads each
         for target, helper in (
@@ -1360,6 +1376,27 @@ def test_split_cases_carry_weight(p):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(congruences, helper, lambda q: real(q) + 1)
                 assert not getattr(PrimeVerifier(p, [target]), SPECS[target].method)().passed, helper
+
+
+def test_upper_half_right_sides_match_the_cached_upper_half():
+    # LEMMA_P2J's upper half and LEMMA_SH55's term at 3k+1 = 2p take
+    # p H_(p+r) mod p^2 as p H_p + p H_r from the sums below p; against the
+    # forms they replace, which read the stored p H_(p+r) off the cache's
+    # upper half, built here after the verifier's reads, at every prime to
+    # 2000
+    for p in sieve_primes(5, 2000):
+        pv = PrimeVerifier(p, [T.LEMMA_P2J, T.LEMMA_SH55])
+        rhs = pv._lemma_p2j_units()[1]
+        whole = pv._lemma_sh55_terms()[2]
+        assert len(special.harmonic_scaled(p - 1, pv.ctx)) == p, p
+        h = special.harmonic_scaled(2 * p - 1, pv.ctx)
+        pp, mod, n = p**2, p**3, (p + 1) // 2
+        sg = (1, -1) * n  # (-1)^j
+        upper = [2 * s * (a - p * b) % pp for s, a, b in zip(sg[n:p], h[p + 1 : 2 * p - 1 : 2], h[n:p])]
+        assert rhs[n:] == upper, p
+        if p % 3 == 2:
+            k = (2 * p - 1) // 3
+            assert whole[1] == pow(2, -1, mod) * (1 + h[2 * k] - p * h[k]) % mod, p
 
 
 # ---- oracles: the mod p^3 slice forms that the lists of units replaced ----
@@ -1464,8 +1501,10 @@ def test_failure_rows_match_the_p3_slice_forms(p):
             pv = PrimeVerifier(p, [target])
             pv.ctx.factorial_tables(2 * p - 2)
             # the inverses of 3j+1 come off the cache's inverse list, not its
-            # sums, so a moved sum moves no inverse
-            tables = {"fi": pv.ctx._fact_inv, "h": special.harmonic_scaled(2 * p - 1, pv.ctx)}
+            # sums, so a moved sum moves no inverse.  Every move is below p,
+            # and the slice forms build the upper half after it, from the
+            # moved sums, as the verifier reads p H_(p+r) mod p^2
+            tables = {"fi": pv.ctx._fact_inv, "h": special.harmonic_scaled(p - 1, pv.ctx)}
             for table, i in move:
                 tables[table][i] += 1
             row = getattr(pv, SPECS[target].method)()

@@ -10,8 +10,8 @@ from operator import mul
 
 import pytest
 
-from dombcheck import padic, special
-from dombcheck.congruences import _fermat_quotient
+from dombcheck import congruences, padic, special
+from dombcheck.congruences import PrimeVerifier, _fermat_quotient
 from dombcheck.padic import DenominatorDivisibleByP, PAdicValue, PrimeContext, is_prime
 from dombcheck.special import (
     HarmonicCache,
@@ -123,17 +123,41 @@ def test_batch_inverse(p, k):
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_cache_inverses_match_pow(k):
-    # the recurrence 1/k = -floor(M/k) / (M mod k) against the inverse
-    # itself, at every prime to 2000 and at 10007: an entry x < p^K with
-    # i x = 1 mod p^K is pow(i, -1, p^K), as the inverse is unique; at
-    # 10007 against pow and the batch oracle too
-    for p in [*filter(is_prime, range(5, 2001)), 10007]:
+    # the blocked pass, each even k halving 1/(k/2) and each odd k one step
+    # of the recurrence 1/k = -floor(M/k) / (M mod k), against the inverse
+    # itself, at every prime to 2000, at 2053 and 4099, just past 2048 and
+    # 4096, where the last block is five or three entries long, and at
+    # 10007: an entry x < p^K with i x = 1 mod p^K is pow(i, -1, p^K), as
+    # the inverse is unique; at 10007 against pow and the batch oracle too
+    for p in [*filter(is_prime, range(5, 2001)), 2053, 4099, 10007]:
         ctx = PrimeContext(p, k)
         inv, pk = harmonic_inverses(ctx), ctx.pk
         assert len(inv) == p and inv[0] == 0, p
         assert all(0 < x < pk and i * x % pk == 1 for i, x in enumerate(inv[1:], 1)), (p, k)
         assert inv is harmonic_inverses(ctx)  # the cache's own list
     assert inv == [0] + [pow(i, -1, pk) for i in range(1, p)] == [0] + batch_inverse(range(1, p), pk)
+
+
+class _CountingModulus(int):
+    """p^K that records each k it is floor-divided by: the recurrence's
+    floor(M/k).  Nothing else in the inverse pass divides it."""
+
+    def __floordiv__(self, k):
+        self.divisors.append(k)
+        return int(self) // k
+
+
+@pytest.mark.parametrize("p", [5, 7, 1009, 2053])
+def test_inverse_recurrence_runs_at_odd_k_only(p):
+    # the even k come by halving, so the recurrence runs once at each odd
+    # 1 < k < p and nowhere else, and the inverses are still right
+    for k in (1, 2, 3):
+        ctx = PrimeContext(p, k)
+        ctx.pk = pk = _CountingModulus(ctx.pk)
+        pk.divisors = []
+        inv = HarmonicCache(ctx)._inv
+        assert pk.divisors == list(range(3, p, 2)), (p, k)
+        assert all(i * x % pk == 1 for i, x in enumerate(inv[1:], 1)), (p, k)
 
 
 def _harmonics_by_full_inversion(ctx):
@@ -167,20 +191,37 @@ def test_harmonic_cache_matches_full_inversion(k):
         assert harmonic_scaled(p - 1, ctx, order=2) == h2, (p, k)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_upper_half_after_a_verifier_matches_full_inversion(monkeypatch, k):
+    # a verifier of every target, its kernel at p^k, reads no order-1 sum
+    # past p-1; a read there afterwards builds the 2p list the constructor
+    # once built whole, the list of the full inversion of 1..2p-1
+    monkeypatch.setattr(congruences, "_KERNEL_EXP", k)
+    for p in (1009, 1013):
+        pv = PrimeVerifier(p)
+        assert all(r.passed for r in pv.run()), (p, k)
+        assert pv.ctx.precision == k and len(pv.ctx._harmonic_cache._h) == p, (p, k)
+        h, _ = _harmonics_by_full_inversion(pv.ctx)
+        assert harmonic_scaled(p, pv.ctx) == h, (p, k)
+
+
 @pytest.mark.parametrize("first", [1, 2])
 def test_harmonic_orders_grow_apart(first):
-    # the order-1 list is built whole up front; a read of order 1 at its top
-    # builds no order-2 entry, and the first read of order 2 builds the
-    # whole order-2 list from the squared inverses
+    # the order-1 list is built up front to p-1, and a read there builds
+    # nothing more; the first read of order 1 past p-1 builds its upper half
+    # and no order-2 entry, and the first read of order 2 builds the whole
+    # order-2 list from the squared inverses and no order-1 upper half
     p, k = 5, 3
     oracle = dict(zip((1, 2), _additive_harmonics(PrimeContext(p, k), 2 * p - 1)))
     top = {1: 2 * p - 1, 2: p - 1}
     as_tuple = lambda x: (x.v, x.unit, x.prec)
     ctx = PrimeContext(p, k)
     cache = HarmonicCache(ctx)
-    assert len(cache._h) == 2 * p and cache._h2 is None
+    assert len(cache._h) == p and cache._h2 is None
+    assert as_tuple(cache.get(p - 1)) == as_tuple(oracle[1][p - 1])
+    assert len(cache._h) == p and cache._h2 is None
     assert as_tuple(cache.get(top[first], first)) == as_tuple(oracle[first][top[first]])
-    assert len(cache._h) == 2 * p
+    assert len(cache._h) == (2 * p if first == 1 else p)
     assert cache._h2 is None if first == 1 else len(cache._h2) == p
     for order in (3 - first, first):
         for i in range(top[order] + 1):
@@ -189,7 +230,8 @@ def test_harmonic_orders_grow_apart(first):
 
 @pytest.mark.parametrize("p", [5, 101])
 def test_harmonic_reads_outside_the_cached_ranges_raise(p):
-    # order 1 stops at 2p-1 and order 2 at p-1; nothing wraps or grows
+    # order 1 stops at 2p-1 and order 2 at p-1; nothing wraps, and a
+    # refused read builds neither the order-1 upper half nor order 2
     ctx = PrimeContext(p, 3)
     cache = HarmonicCache(ctx)
     for n, order in ((2 * p, 1), (p, 2), (-1, 1), (-1, 2)):
@@ -199,7 +241,7 @@ def test_harmonic_reads_outside_the_cached_ranges_raise(p):
             cache.get(n, order)
         with pytest.raises(ValueError):
             harmonic_scaled(n, ctx, order)
-    assert len(cache._h) == 2 * p and cache._h2 is None
+    assert len(cache._h) == p and cache._h2 is None
     assert len(harmonic_scaled(2 * p - 1, ctx)) == 2 * p
     assert len(harmonic_scaled(p - 1, ctx, order=2)) == p
 

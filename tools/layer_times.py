@@ -13,7 +13,8 @@ for both), the factorial tables as the verifier builds them (units to
 3p - 2, which LEMMA_P2J reads, then inverses to 2p - 2), the three Bernoulli
 values by Voronoi's congruence (which read none of those), the harmonic
 cache as a verifier builds it (its one pass of inverses and the order-1
-sums; no verifier reads the order-2 list), the inverses of 3j+1 behind
+sums below p; no verifier reads the sums from p on or the order-2 list,
+each built on its first read), the inverses of 3j+1 behind
 p/(3j+1) (a slice of the cache's inverses, so timed after it), then each
 lemma alone on the built tables.  "total" is a separate fresh
 verify_prime, the single-prime path, with its own pass over the Domb
@@ -57,7 +58,7 @@ def _layers(pv: PrimeVerifier) -> dict:
         "moment_sums": lambda: (pv.weighted_sum(4, "1"), pv.weighted_sum(16, "1")),
         "factorial_tables": lambda: (ctx.factorial_decomposed(3 * p - 2), ctx.factorial_tables(2 * p - 2)),
         "bernoulli_values": lambda: pv._bernoulli_values,
-        "harmonic_cache": lambda: harmonic_scaled(2 * p - 2, ctx),
+        "harmonic_cache": lambda: harmonic_scaled(p - 1, ctx),
         "inv_3j1": lambda: pv._inv_3j1,
         "lemma22_mpt": lambda: (pv.lemma22_check(), pv.lemma_mpt_check()),
         "lemma_p2j": pv.lemma_p2j_check,
