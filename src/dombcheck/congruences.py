@@ -29,10 +29,10 @@ slices of the factorial tables and of two lists off the harmonic cache,
 each built once per verifier: the inverses of 3j+1 mod p^2 over
 j < (p+1)/2, a slice of the cache's inverses below p, and
 u_j = 1 + p (H_2j - H_j) mod p^2 over the same j.  They read the cache's
-sums below p only: where LEMMA_P2J and LEMMA_SH55 need p H_(p+r), they
-need it mod p^2, and take it as p H_p + p H_r
-(special.harmonic_scaled_at_p), so no verifier builds the cache's sums
-from p on.  They read inverse
+sums below p only: where LEMMA_P2J needs p H_(p+r), it needs it mod
+p^2, and takes it as p H_p + p H_r (special.harmonic_scaled_at_p); the
+one LEMMA_SH55 term past p, at 3k+1 = 2p, needs its harmonic factor mod p
+only, where it is 1.  So no verifier builds the cache's sums from p on.  They read inverse
 factorials below 2p - 1 and units below 3p - 1 only, and each table stops
 there.  LEMMA_SUNH takes its five order-2 harmonic sums as range sums of
 the squared inverses, so no verifier builds an order-2 list.  Every
@@ -760,29 +760,31 @@ class PrimeVerifier:
           C(2k,k)^2 16^(-k) and (p/(3k+1))(1 + p H_2k - p H_k) mod p^3: at
           3k+1 = p, C(2k,k) from _central_where_3j1_is_p, the harmonic
           factor's p/(3k+1) being 1; at k0 = (2p-1)/3 (p = 2 mod 3), the
-          binomial factor p^2 times a unit off the tables, and
-          p H_2k0, which absorbs H_2k0's negative valuation.  Under that
-          p^2 it is needed mod p only; it is taken mod p^2 as
-          p H_p + p H_(2k0-p) (special.harmonic_scaled_at_p), from the
-          cache's sums below p."""
+          binomial factor p^2 times a unit off the tables, and the
+          harmonic factor as 1.  Under that p^2 the harmonic factor is
+          needed mod p only, and there it is 1 at every such p, so this
+          term reads no harmonic sum."""
         p = self.p
         mod = self.powers[self._exponent(Target.LEMMA_SH55)]
         pp = self.powers[2]
         fu, fi = self.ctx.factorial_tables(2 * p - 2)
-        h = harmonic_scaled(p - 1, self.ctx)
         n = (p + 1) // 2
         binomials = [(a * b * b % pp) ** 2 % pp for a, b in zip(fu[0:p:2], fi[:n])]
         harmonics = [x * u % pp for x, u in zip(self._inv_3j1, self._harmonic_units)]
         if p % 3 == 1:
             k = (p - 1) // 3
             c = _central_where_3j1_is_p(p)
+            h = harmonic_scaled(p - 1, self.ctx)
             whole = (c * c * pow(16, -k, mod) % mod, (1 + p * (h[2 * k] - h[k])) % mod)
         else:
             k = (2 * p - 1) // 3
             c = fu[2 * k] * fi[k] * fi[k] % mod
             b = p * p * c * c * pow(16, -k, mod) % mod
-            h2k = (harmonic_scaled_at_p(self.ctx) + p * h[2 * k - p]) % pp  # p H_2k
-            whole = (b, pow(2, -1, mod) * (1 + h2k - p * h[k]) % mod)
+            # b carries p^2, so only the harmonic factor mod p reaches the
+            # row: (1/2)(1 + p H_2k - p H_k) = (1/2)(1 + 1) = 1 mod p, as
+            # p H_2k = p H_p + p H_(2k-p) = 1 and p H_k = 0 mod p (2k - p
+            # and k are below p)
+            whole = (b, 1)
         return binomials, harmonics, whole
 
     def lemma_sunh_check(self) -> CongruenceReport:

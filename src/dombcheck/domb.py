@@ -15,7 +15,6 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import comb, prod
@@ -256,15 +255,16 @@ def horner_walk(precisions: dict[int, int]) -> dict[int, HornerTriples]:
 
 @dataclass
 class SeriesMatchReport:
-    """Outcome of the generating-function comparison up to a given order."""
+    """Outcome of the generating-function comparison up to a given order:
+    each mismatch is (n, the product's coefficient of u^n, D_n)."""
 
     order: int
     passed: bool
-    mismatches: list[tuple[int, Fraction, int]] = field(default_factory=list)
+    mismatches: list[tuple[int, int, int]] = field(default_factory=list)
 
 
-def _mul_trunc(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(0)] * (n + 1)
+def _mul_trunc(a: list[int], b: list[int], n: int) -> list[int]:
+    out = [0] * (n + 1)
     for i, ai in enumerate(a):
         if not ai:
             continue
@@ -279,20 +279,22 @@ def rogers_series_check(order: int) -> SeriesMatchReport:
     """Compare sum D_n u^n with the closed product as formal power series.
 
     The right side is (1-4u)^(-1) * sum_k C(2k,k)^2 C(3k,k) z^k evaluated at
-    z = u^2/(1-4u)^3, expanded exactly over the rationals to the given
-    order and matched coefficient by coefficient against domb_exact.
+    z = u^2/(1-4u)^3, expanded exactly to the given order and matched
+    coefficient by coefficient against domb_exact.  Every coefficient of
+    1/(1-4u), of z and of their products is an integer, so the expansion
+    runs in plain ints.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     n = order
-    geo = [Fraction(4**i) for i in range(n + 1)]  # 1/(1-4u)
+    geo = [4**i for i in range(n + 1)]  # 1/(1-4u)
     cube = _mul_trunc(_mul_trunc(geo, geo, n), geo, n)
-    z = [Fraction(0)] * (n + 1)  # u^2/(1-4u)^3
+    z = [0] * (n + 1)  # u^2/(1-4u)^3
     for i in range(2, n + 1):
         z[i] = cube[i - 2]
-    acc = [Fraction(0)] * (n + 1)
-    term = [Fraction(0)] * (n + 1)
-    term[0] = Fraction(1)
+    acc = [0] * (n + 1)
+    term = [0] * (n + 1)
+    term[0] = 1
     k = 0
     while 2 * k <= n:
         c = comb(2 * k, k) ** 2 * comb(3 * k, k)

@@ -1,18 +1,40 @@
 """Exact-rational checks of the finite binomial-sum identities that feed the
 congruence machinery.
 
-Each identity is evaluated over Fraction, never floating point, and both
-sides must agree exactly case by case.  Identifiers I1..I14 follow the
-internal catalog order; CYID is the partial-fraction inverse-binomial
-expansion, and the two TRANSFORM entries compare the rewritten Domb forms
-with the defining sum.
+Each identity is evaluated over ints and Fraction, never floating point,
+and both sides must agree exactly case by case.  Identifiers I1..I14
+follow the internal catalog order.  Eleven of them fall in two families,
+each checked by one evaluator; the catalog states each such identity as
+its family's parameters only.
+
+- Telescoping, _telescoping(a, w, c), at 1 <= n and 0 <= j <= a n/2:
+  sum_{(3-a)j <= k < n} w(k) C(k+aj, 3j) = c(n, j) C(n+aj, 3j+1).
+  I1, I6 and I11 are a = 1 with w = 1, 3k+2 and k^2; I13 is a = 1 and
+  I14 a = 2 with w = k; I10 is a = 2 with w = 3k+1, I12 a = 2 with k^2.
+  The coefficients c are rationals in n and j (1 for I1).
+- Alternating, in r = 1 or 2, at n >= 1, with
+  P_r(n) = prod_{1<=k<=n} (3k-r)/(3k-3+r):
+  _alternating(r), sum_{k<=n} (-1)^k C(n,k) C(n+k,k)/(3k+r) = P_r(n)/(3n+r),
+  is I5 (r = 1) and I7 (r = 2); _alternating_harmonic(r, sign) is sign
+  times both sides of
+  sum_{k<=n} (-1)^k C(n,k) C(n+k,k) (H_k - H_2k)/(3k+r)
+  = P_r(n)/(3n+r) sum_{1<=k<=n} P_(3-r)(k)/k,
+  I2 (r = 1, sign = 1) and I8 (r = 2, sign = -1).  Neither pins r (both
+  also hold at r = 4, 5 and 7 to n = 8), and the sign scales both sides,
+  so a moved r or sign checks another true identity, not a false one.
+
+I3, I4 and I9 have evaluators of their own.  CYID is the partial-fraction
+inverse-binomial expansion, and the two TRANSFORM entries compare the
+rewritten Domb forms with the defining sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
+from operator import mul, truediv
 
 from .domb import domb_exact, domb_via_cz, domb_via_sun
 from .padic import as_fraction
@@ -62,124 +84,60 @@ class IdentityReport:
     first_failure: tuple | None = None  # (params, lhs, rhs)
 
 
-# ---- the j-indexed telescoping family ----
+# ---- the telescoping family ----
 
 
-def _i1(n, j):
-    lhs = sum(Fraction(comb(k + j, 3 * j)) for k in range(2 * j, n))
-    rhs = Fraction(comb(n + j, 3 * j + 1))
-    return lhs, rhs
+def _telescoping(a: int, weight, coefficient):
+    """The evaluator and the cases of one telescoping identity, with
+    weight(k) and coefficient(n, j) as w and c of the module docstring."""
+
+    def pair(n, j):
+        lhs = sum(weight(k) * comb(k + a * j, 3 * j) for k in range((3 - a) * j, n))
+        return lhs, coefficient(n, j) * comb(n + a * j, 3 * j + 1)
+
+    def cases(n_max):
+        for n in range(1, n_max + 1):
+            for j in range(a * n // 2 + 1):
+                yield (n, j)
+
+    return pair, cases
 
 
-def _i6(n, j):
-    lhs = sum(Fraction((3 * k + 2) * comb(k + j, 3 * j)) for k in range(2 * j, n))
-    rhs = Fraction((3 * n + 1) * (3 * j + 1), 3 * j + 2) * comb(n + j, 3 * j + 1)
-    return lhs, rhs
+# ---- the alternating family ----
 
 
-def _i10(n, j):
-    lhs = sum(Fraction((3 * k + 1) * comb(k + 2 * j, 3 * j)) for k in range(j, n))
-    rhs = Fraction((3 * n - 1) * (3 * j + 1), 3 * j + 2) * comb(n + 2 * j, 3 * j + 1)
-    return lhs, rhs
+def _ratio_prods(r: int, n: int) -> list[Fraction]:
+    # P_r(0), ..., P_r(n), P_r(n) = prod_{k<=n} (3k-r)/(3k-3+r)
+    ratios = (Fraction(3 * k - r, 3 * k - 3 + r) for k in range(1, n + 1))
+    return list(accumulate(ratios, mul, initial=Fraction(1)))
 
 
-def _i11(n, j):
-    lhs = sum(Fraction(k * k * comb(k + j, 3 * j)) for k in range(2 * j, n))
-    num = 1 - j * j - n * (2 * j + 3) * (3 * j + 1) + n * n * (3 * j + 1) * (3 * j + 2)
-    rhs = Fraction(num, (3 * j + 2) * (3 * j + 3)) * comb(n + j, 3 * j + 1)
-    return lhs, rhs
+def _alternating(r: int):
+    """The evaluator and the cases of I5 (r = 1) or I7 (r = 2)."""
+
+    def pair(n, _):
+        lhs = sum(Fraction((-1) ** k * comb(n, k) * comb(n + k, k), 3 * k + r) for k in range(n + 1))
+        return lhs, _ratio_prods(r, n)[n] / (3 * n + r)
+
+    return pair, _cases_n
 
 
-def _i12(n, j):
-    lhs = sum(Fraction(k * k * comb(k + 2 * j, 3 * j)) for k in range(j, n))
-    num = (
-        1
-        + 3 * j
-        + 2 * j * j
-        - n * (4 * j + 3) * (3 * j + 1)
-        + n * n * (3 * j + 1) * (3 * j + 2)
-    )
-    rhs = Fraction(num, (3 * j + 2) * (3 * j + 3)) * comb(n + 2 * j, 3 * j + 1)
-    return lhs, rhs
+def _alternating_harmonic(r: int, sign: int):
+    """The evaluator and the cases of I2 (r = 1, sign = 1) or I8 (r = 2,
+    sign = -1)."""
 
-
-def _i13(n, j):
-    lhs = sum(Fraction(k * comb(k + j, 3 * j)) for k in range(2 * j, n))
-    rhs = Fraction(3 * n * j + n - j - 1, 3 * j + 2) * comb(n + j, 3 * j + 1)
-    return lhs, rhs
-
-
-def _i14(n, j):
-    lhs = sum(Fraction(k * comb(k + 2 * j, 3 * j)) for k in range(j, n))
-    rhs = Fraction(3 * n * j + n - 2 * j - 1, 3 * j + 2) * comb(n + 2 * j, 3 * j + 1)
-    return lhs, rhs
-
-
-# ---- the alternating hypergeometric family ----
-
-
-def _ratio_prod(n: int, flip: bool) -> Fraction:
-    # prod_{k<=n} (3k-1)/(3k-2), inverted when flip is set
-    out = Fraction(1)
-    for k in range(1, n + 1):
-        out *= Fraction(3 * k - 1, 3 * k - 2) if not flip else Fraction(3 * k - 2, 3 * k - 1)
-    return out
-
-
-def _i2(n, _):
-    lhs = Fraction(0)
-    for k in range(n + 1):
-        lhs += (
-            comb(n, k)
-            * comb(n + k, k)
-            * (-1) ** k
-            * (harmonic_exact(k) - harmonic_exact(2 * k))
-            / (3 * k + 1)
+    def pair(n, _):
+        lhs = sum(
+            (-1) ** k * comb(n, k) * comb(n + k, k) * (harmonic_exact(k) - harmonic_exact(2 * k)) / (3 * k + r)
+            for k in range(n + 1)
         )
-    inner = Fraction(0)
-    prod = Fraction(1)
-    for k in range(1, n + 1):
-        prod *= Fraction(3 * k - 2, 3 * k - 1)
-        inner += prod / k
-    rhs = Fraction(1, 3 * n + 1) * _ratio_prod(n, flip=False) * inner
-    return lhs, rhs
+        inner = sum(map(truediv, _ratio_prods(3 - r, n)[1:], range(1, n + 1)))
+        return sign * lhs, sign * _ratio_prods(r, n)[n] / (3 * n + r) * inner
+
+    return pair, _cases_n
 
 
-def _i5(n, _):
-    lhs = sum(
-        Fraction(comb(n, k) * comb(n + k, k) * (-1) ** k, 3 * k + 1)
-        for k in range(n + 1)
-    )
-    rhs = Fraction(1, 3 * n + 1) * _ratio_prod(n, flip=False)
-    return lhs, rhs
-
-
-def _i7(n, _):
-    lhs = sum(
-        Fraction(comb(n, k) * comb(n + k, k) * (-1) ** k, 3 * k + 2)
-        for k in range(n + 1)
-    )
-    rhs = Fraction(1, 3 * n + 2) * _ratio_prod(n, flip=True)
-    return lhs, rhs
-
-
-def _i8(n, _):
-    lhs = Fraction(0)
-    for k in range(n + 1):
-        lhs += (
-            comb(n, k)
-            * comb(n + k, k)
-            * (-1) ** k
-            * (harmonic_exact(2 * k) - harmonic_exact(k))
-            / (3 * k + 2)
-        )
-    inner = Fraction(0)
-    prod = Fraction(1)
-    for k in range(1, n + 1):
-        prod *= Fraction(3 * k - 1, 3 * k - 2)
-        inner += prod / k
-    rhs = -Fraction(1, 3 * n + 2) * _ratio_prod(n, flip=True) * inner
-    return lhs, rhs
+# ---- the identities with evaluators of their own ----
 
 
 def _i3(n, _):
@@ -235,18 +193,6 @@ def _sun(n):
 # ---- case generators ----
 
 
-def _cases_j_half(n_max):
-    for n in range(1, n_max + 1):
-        for j in range(n // 2 + 1):
-            yield (n, j)
-
-
-def _cases_j_full(n_max):
-    for n in range(1, n_max + 1):
-        for j in range(n + 1):
-            yield (n, j)
-
-
 def _cases_n(n_max):
     for n in range(1, n_max + 1):
         yield (n, None)
@@ -264,20 +210,33 @@ def _cases_nk(n_max):
 
 
 _CATALOG: dict[str, tuple] = {
-    "I1": (_i1, _cases_j_half),
-    "I2": (_i2, _cases_n),
+    "I1": _telescoping(1, lambda k: 1, lambda n, j: 1),
+    "I2": _alternating_harmonic(1, 1),
     "I3": (_i3, _cases_n),
     "I4": (_i4, _cases_n),
-    "I5": (_i5, _cases_n),
-    "I6": (_i6, _cases_j_half),
-    "I7": (_i7, _cases_n),
-    "I8": (_i8, _cases_n),
+    "I5": _alternating(1),
+    "I6": _telescoping(1, lambda k: 3 * k + 2, lambda n, j: Fraction((3 * n + 1) * (3 * j + 1), 3 * j + 2)),
+    "I7": _alternating(2),
+    "I8": _alternating_harmonic(2, -1),
     "I9": (_i9, _cases_n),
-    "I10": (_i10, _cases_j_full),
-    "I11": (_i11, _cases_j_half),
-    "I12": (_i12, _cases_j_full),
-    "I13": (_i13, _cases_j_half),
-    "I14": (_i14, _cases_j_full),
+    "I10": _telescoping(2, lambda k: 3 * k + 1, lambda n, j: Fraction((3 * n - 1) * (3 * j + 1), 3 * j + 2)),
+    "I11": _telescoping(
+        1,
+        lambda k: k * k,
+        lambda n, j: Fraction(
+            1 - j * j - n * (2 * j + 3) * (3 * j + 1) + n * n * (3 * j + 1) * (3 * j + 2), (3 * j + 2) * (3 * j + 3)
+        ),
+    ),
+    "I12": _telescoping(
+        2,
+        lambda k: k * k,
+        lambda n, j: Fraction(
+            1 + 3 * j + 2 * j * j - n * (4 * j + 3) * (3 * j + 1) + n * n * (3 * j + 1) * (3 * j + 2),
+            (3 * j + 2) * (3 * j + 3),
+        ),
+    ),
+    "I13": _telescoping(1, lambda k: k, lambda n, j: Fraction(3 * n * j + n - j - 1, 3 * j + 2)),
+    "I14": _telescoping(2, lambda k: k, lambda n, j: Fraction(3 * n * j + n - 2 * j - 1, 3 * j + 2)),
     "CYID": (_cyid, _cases_nk),
     "CZ_TRANSFORM": (_cz, _cases_n0),
     "SUN_TRANSFORM": (_sun, _cases_n0),

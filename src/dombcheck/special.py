@@ -93,9 +93,9 @@ class HarmonicCache:
     The order-1 list is the prefix sums of the inverses, p entries.  Its
     upper half, p H_(p+r) for r < p, comes from the lower half by the
     identity in ``scaled_at_p`` and is built on the first read past p-1.
-    The verifier makes no such read: LEMMA_P2J and LEMMA_SH55 read
-    p H_(p+r) mod p^2 only, and take it as p H_p + p H_r from
-    ``harmonic_scaled_at_p`` and the sums below p.  So the upper half
+    The verifier makes no such read: LEMMA_P2J reads p H_(p+r) mod p^2
+    only, and takes it as p H_p + p H_r from ``harmonic_scaled_at_p`` and
+    the sums below p, and LEMMA_SH55 reads no p H_(p+r).  So the upper half
     serves ``harmonic(n >= p)``, ``get`` and ``harmonic_scaled(n >= p)``.
     The order-2 list, the prefix sums of the squared inverses, is built on
     its first read; the verifier never reads it, and it serves

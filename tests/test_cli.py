@@ -299,6 +299,31 @@ def test_identities_command(capsys):
     out = capsys.readouterr().out
     assert "identities=17 failed=0" in out
     assert out.count("pass") == 17
+    # every line at --max-n 12: names, case counts and verdicts
+    assert main(["identities", "--max-n", "12"]) == 0
+    assert capsys.readouterr().out.splitlines() == IDENTITIES_AT_12
+
+
+IDENTITIES_AT_12 = [
+    "I1             cases=48    pass",
+    "I2             cases=12    pass",
+    "I3             cases=12    pass",
+    "I4             cases=12    pass",
+    "I5             cases=12    pass",
+    "I6             cases=48    pass",
+    "I7             cases=12    pass",
+    "I8             cases=12    pass",
+    "I9             cases=12    pass",
+    "I10            cases=90    pass",
+    "I11            cases=48    pass",
+    "I12            cases=90    pass",
+    "I13            cases=48    pass",
+    "I14            cases=90    pass",
+    "CYID           cases=169   pass",
+    "CZ_TRANSFORM   cases=13    pass",
+    "SUN_TRANSFORM  cases=13    pass",
+    "identities=17 failed=0",
+]
 
 
 def test_render_rows_roundtrip():

@@ -1379,11 +1379,12 @@ def test_split_cases_carry_weight(p):
 
 
 def test_upper_half_right_sides_match_the_cached_upper_half():
-    # LEMMA_P2J's upper half and LEMMA_SH55's term at 3k+1 = 2p take
-    # p H_(p+r) mod p^2 as p H_p + p H_r from the sums below p; against the
-    # forms they replace, which read the stored p H_(p+r) off the cache's
-    # upper half, built here after the verifier's reads, at every prime to
-    # 2000
+    # LEMMA_P2J's upper half takes p H_(p+r) mod p^2 as p H_p + p H_r from
+    # the sums below p, and LEMMA_SH55's term at 3k+1 = 2p takes its
+    # harmonic factor as 1; against the forms they replace, which read the
+    # stored p H_(p+r) off the cache's upper half, built here after the
+    # verifier's reads, at every prime to 2000.  The SH55 factor's binomial
+    # carries p^2, so the replaced form need only be 1 mod p
     for p in sieve_primes(5, 2000):
         pv = PrimeVerifier(p, [T.LEMMA_P2J, T.LEMMA_SH55])
         rhs = pv._lemma_p2j_units()[1]
@@ -1396,7 +1397,7 @@ def test_upper_half_right_sides_match_the_cached_upper_half():
         assert rhs[n:] == upper, p
         if p % 3 == 2:
             k = (2 * p - 1) // 3
-            assert whole[1] == pow(2, -1, mod) * (1 + h[2 * k] - p * h[k]) % mod, p
+            assert whole[1] == 1 == pow(2, -1, mod) * (1 + h[2 * k] - p * h[k]) % p, p
 
 
 # ---- oracles: the mod p^3 slice forms that the lists of units replaced ----

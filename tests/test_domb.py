@@ -149,6 +149,17 @@ def test_rogers_series_check():
     assert report.mismatches == []
 
 
+def test_rogers_series_mismatch_names_its_coefficient(monkeypatch):
+    # a D_7 that is off by one is the one mismatch, as (n, series, D_n)
+    d7 = domb_exact(7)
+    real = domb.domb_exact
+    monkeypatch.setattr(domb, "domb_exact", lambda n: real(n) + (n == 7))
+    report = rogers_series_check(12)
+    assert not report.passed
+    assert report.mismatches == [(7, d7, d7 + 1)]
+    assert all(type(x) is int for x in report.mismatches[0])
+
+
 def test_rogers_series_small_orders():
     for order in (0, 1, 2, 3, 6):
         assert rogers_series_check(order).passed

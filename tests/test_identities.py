@@ -13,15 +13,12 @@ from dombcheck.identities import (
     check_all_identities,
     check_identity,
     harmonic_exact,
-    _cyid,
-    _i1,
-    _i3,
-    _i4,
-    _i5,
-    _i7,
-    _i9,
-    _i11,
 )
+
+
+def pair(name, *params):
+    """One case's (lhs, rhs) of a catalog identity, by its evaluator."""
+    return identities._CATALOG[name][0](*params)
 
 
 def test_identity_ids_complete():
@@ -57,22 +54,43 @@ def test_binom_frac():
 
 def test_spot_values_by_hand():
     # each pair was worked out by hand
-    lhs, rhs = _i5(1, None)
+    lhs, rhs = pair("I5", 1, None)
     assert lhs == rhs == Fraction(1, 2)
-    lhs, rhs = _i7(1, None)
+    lhs, rhs = pair("I7", 1, None)
     assert lhs == rhs == Fraction(1, 10)
-    lhs, rhs = _i1(3, 1)
+    lhs, rhs = pair("I1", 3, 1)
     assert lhs == rhs == 1
-    lhs, rhs = _i11(3, 0)
+    lhs, rhs = pair("I11", 3, 0)
     assert lhs == rhs == 5
-    lhs, rhs = _i3(1, None)
+    lhs, rhs = pair("I3", 1, None)
     assert lhs == rhs == Fraction(-1, 2)
-    lhs, rhs = _i4(1, None)
+    lhs, rhs = pair("I4", 1, None)
     assert lhs == rhs == Fraction(-1, 3)
-    lhs, rhs = _i9(1, None)
+    lhs, rhs = pair("I9", 1, None)
     assert lhs == rhs == Fraction(-2, 3)
-    lhs, rhs = _cyid(2, 3)
+    lhs, rhs = pair("CYID", 2, 3)
     assert lhs == rhs == Fraction(1, 20)
+    # I2: -2 (H_1 - H_2)/4 = 1/4 = (P_1(1)/4) P_2(1) = (2/4)(1/2)
+    lhs, rhs = pair("I2", 1, None)
+    assert lhs == rhs == Fraction(1, 4)
+    # I8: -2 (H_2 - H_1)/5 = -1/5 = -(P_2(1)/5) P_1(1) = -(1/10) 2
+    lhs, rhs = pair("I8", 1, None)
+    assert lhs == rhs == Fraction(-1, 5)
+    # I6: 8 C(3,3) + 11 C(4,3) = 52 = (13 4/5) C(5,4)
+    lhs, rhs = pair("I6", 4, 1)
+    assert lhs == rhs == 52
+    # I10: 4 C(3,3) + 7 C(4,3) = 32 = (8 4/5) C(5,4)
+    lhs, rhs = pair("I10", 3, 1)
+    assert lhs == rhs == 32
+    # I12: 1 C(3,3) + 4 C(4,3) = 17 = ((6 - 84 + 180)/30) C(5,4)
+    lhs, rhs = pair("I12", 3, 1)
+    assert lhs == rhs == 17
+    # I13: 2 C(3,3) + 3 C(4,3) = 14 = (14/5) C(5,4)
+    lhs, rhs = pair("I13", 4, 1)
+    assert lhs == rhs == 14
+    # I14: 1 C(3,3) + 2 C(4,3) = 9 = (9/5) C(5,4)
+    lhs, rhs = pair("I14", 3, 1)
+    assert lhs == rhs == 9
 
 
 def test_check_identity_reports():
@@ -106,6 +124,25 @@ def test_transform_failure_names_its_case(monkeypatch):
     assert params == (7,)
     assert (lhs, rhs) == (domb_exact(7) + 1, domb_exact(7))
     assert check_identity("CZ_TRANSFORM", 10).passed
+    # a moved family parameter fails too.  I13 at a = 2 in place of 1: the
+    # j = 0 cases and (1, 1) still hold, and (2, 1), the fourth case, reads
+    # 1 C(3,3) against (6/5) C(4,4)
+    weight, coefficient = (lambda k: k), (lambda n, j: Fraction(3 * n * j + n - j - 1, 3 * j + 2))
+    monkeypatch.setitem(identities._CATALOG, "I13", identities._telescoping(2, weight, coefficient))
+    rep = check_identity("I13", 10)
+    assert not rep.passed and rep.cases == 4
+    assert rep.first_failure == ((2, 1), 1, Fraction(6, 5))
+    # in the alternating family r and the sign move both sides, and both
+    # identities hold at r = 4 too, so a whole move checks a true identity;
+    # I2's sign moved on its right side alone fails at n = 1
+    for name, family in [("I5", identities._alternating(4)), ("I2", identities._alternating_harmonic(4, -1))]:
+        monkeypatch.setitem(identities._CATALOG, name, family)
+        assert check_identity(name, 8).passed, name
+    real, cases = identities._alternating_harmonic(1, 1)
+    monkeypatch.setitem(identities._CATALOG, "I2", (lambda n, j: (real(n, j)[0], -real(n, j)[1]), cases))
+    rep = check_identity("I2", 10)
+    assert not rep.passed and rep.cases == 1
+    assert rep.first_failure == ((1, None), Fraction(1, 4), Fraction(-1, 4))
 
 
 def test_binom_frac_rejects_floats():
