@@ -16,8 +16,9 @@ walk's triples never walks back to D_0.  Their right-hand sides go
 through the p-adic kernel's tables (binomials, harmonic numbers, Fermat
 quotients, Bernoulli values).  Every right side is a plain int mod p^m:
 binomials are read off the factorial tables as unit * p^v (but for
-LEMMA_MPT's, a unit by math.comb, since its left side reads those tables),
-harmonic sums are the harmonic cache's stored ints, a Fermat quotient is
+LEMMA_MPT's C((2p-2)/3, (p-1)/2), a product of the harmonic cache's
+inverses, since its left side reads those tables), harmonic sums are the
+harmonic cache's stored ints, a Fermat quotient is
 (a^(p-1) mod p^(n+1) - 1) / p, the three Bernoulli values (B_(p-3),
 B_(p-2)(1/3), and the Euler number E_(p-3) as B_(p-2)(1/4)/8) come mod p
 from one O(p) special.bernoulli_values call by Voronoi's congruence,
@@ -49,11 +50,12 @@ is multiplied back by p.  LEMMA_SH55 sums only the terms that can be
 nonzero mod p^3 (see _lemma_sh55_terms), below k = (p+1)/2 as p times
 units mod p^2.  The cases of another valuation, 3j+1 = p in LEMMA22 and in
 LEMMA_SH55, and LEMMA_SH55's term at 3k+1 = 2p, are taken whole, mod p^3.
-Only LEMMA_MPT's left side, a binomial at a rational top index, is still a
-PAdicValue.  The PAdicValue forms, the per-case loops and the mod p^3 slice
-forms these replaced are kept as oracles in the tests.  The two sides meet
-only in the final residue comparison, so a bug in the closed forms cannot
-silently cancel against one in the sums.
+LEMMA_MPT's left side reads its samples t = 0 and 1 off the factorial
+tables too; only its third sample, a binomial at a top index past 2p, is
+still a PAdicValue.  The PAdicValue forms, the per-case loops and the mod
+p^3 slice forms these replaced are kept as oracles in the tests.  The two
+sides meet only in the final residue comparison, so a bug in the closed
+forms cannot silently cancel against one in the sums.
 
 Each table is kept to the digits its readers need.  The Domb table and its
 weighted sums work mod p^K, K the largest requested m, on a context of
@@ -62,9 +64,11 @@ harmonic cache, and always works mod p^2 (_KERNEL_EXP), the most digits
 any right side reads off it.  Closed forms and lemma cases reduce by the
 verifier's own powers of p, which reach p^K.  Two reads need a third
 digit of a unit binomial, both at j = (p-1)/3 (p = 1 mod 3), where 3j+1 = p
-and p/(3j+1) = 1: LEMMA22's case of valuation 0, C(p-1, j) C(p+j, j), and
-LEMMA_SH55's C(2j, j).  Each is taken mod p^3 by a helper of its own from
-exact products of consecutive integers, with no table read.
+and p/(3j+1) = 1.  LEMMA22's case of valuation 0, C(p-1, j) C(p+j, j), is
+(-1)^j (1 - p^2 sum_{i<=j} 1/i^2) mod p^3, which needs the inverses 1/i
+mod p only, and takes them off the factorial tables as (i-1)!/i!.
+LEMMA_SH55's C(2j, j) is taken mod p^3 by a helper of its own from exact
+products of consecutive integers, with no table read.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import comb, prod
+from math import prod
 from operator import mul
 from time import perf_counter
 
@@ -225,33 +229,22 @@ def _fermat_quotient(a: int, p: int, n: int) -> int:
     return (pow(a, p - 1, p ** (n + 1)) - 1) // p
 
 
-# Consecutive factors that _product_mod multiplies exactly before reducing.
+# Factors that _product_mod multiplies exactly before reducing.
 _CHUNK = 32
 
 
-def _product_mod(lo: int, hi: int, mod: int) -> int:
-    """lo (lo+1) ... (hi-1) mod `mod`: exact products of _CHUNK
-    consecutive integers, each reduced once.  Linear in hi - lo, where
-    math.comb's cost grows faster than its arguments."""
+def _product_mod(xs, mod: int) -> int:
+    """The product of the sequence xs (a range or a list) mod `mod`: exact
+    products of _CHUNK consecutive entries, each reduced once.  Linear in
+    len(xs), where math.comb's cost grows faster than its arguments."""
     x = 1
-    for i in range(lo, hi, _CHUNK):
-        x = x * prod(range(i, min(i + _CHUNK, hi))) % mod
+    for i in range(0, len(xs), _CHUNK):
+        x = x * prod(xs[i : i + _CHUNK]) % mod
     return x
 
 
 # 16^15, ..., 16, 1: LEMMA_SH55's weights within one block of Horner in 16
 _POW16 = [16**i for i in range(15, -1, -1)]
-
-
-def _lemma22_where_3j1_is_p(p: int) -> int:
-    """LEMMA22's case j = (p-1)/3 at p = 1 (mod 3), where 3j+1 = p and the
-    quotient has valuation 0: C(3j, j) C(p+j, 3j+1) = C(p-1, j) C(p+j, j),
-    the product of p-j .. p+j but p over (j!)^2, mod p^3 with one
-    inverse."""
-    j = (p - 1) // 3
-    mod = p**3
-    f = _product_mod(1, j + 1, mod)
-    return _product_mod(p - j, p, mod) * _product_mod(p + 1, p + j + 1, mod) * pow(f * f, -1, mod) % mod
 
 
 def _central_where_3j1_is_p(p: int) -> int:
@@ -260,7 +253,7 @@ def _central_where_3j1_is_p(p: int) -> int:
     j!, with one inverse."""
     j = (p - 1) // 3
     mod = p**3
-    return _product_mod(j + 1, 2 * j + 1, mod) * pow(_product_mod(1, j + 1, mod), -1, mod) % mod
+    return _product_mod(range(j + 1, 2 * j + 1), mod) * pow(_product_mod(range(1, j + 1), mod), -1, mod) % mod
 
 
 @dataclass
@@ -602,9 +595,11 @@ class PrimeVerifier:
         with 3j+1 = p (p = 1 mod 3), where v = 0: elsewhere the entry is
         the product of the six units mod p^2.  The right side is
         inv(3j+1) (1 + p (H_j - H_2j)) = inv(3j+1) (2 - u_j) mod p^2, from
-        _inv_3j1 and _harmonic_units.  At
-        3j+1 = p both entries are the case itself mod p^3: the left from
-        _lemma22_where_3j1_is_p, the right 1 + p (H_j - H_2j)."""
+        _inv_3j1 and _harmonic_units.  At 3j+1 = p both entries are the
+        case itself mod p^3.  The left is C(p-1, j) C(p+j, j) =
+        (-1)^j prod_{i<=j} (1 - p/i)(1 + p/i) = (-1)^j (1 - p^2 sum 1/i^2)
+        mod p^3, the sum mod p with 1/i = (i-1)!/i! off the factorial
+        tables; the right is 1 + p (H_j - H_2j)."""
         p = self.p
         mod = self.powers[self._exponent(Target.LEMMA22)]
         pp = self.powers[2]
@@ -624,7 +619,8 @@ class PrimeVerifier:
         ]
         rhs = [x * (2 - u) % pp for x, u in zip(self._inv_3j1, self._harmonic_units)]
         j = (p - 1) // 3
-        lhs[j] = _lemma22_where_3j1_is_p(p)
+        inv = list(map(mul, fu[:j], fi[1 : j + 1]))  # 1/i = (i-1)!/i!, i <= j
+        lhs[j] = (-1) ** j * (1 - pp * (sum(map(mul, inv, inv)) % p)) % mod
         rhs[j] = (1 + p * (h[j] - h[2 * j])) % mod
         return lhs, rhs
 
@@ -640,33 +636,53 @@ class PrimeVerifier:
         t = 1 agree at every integer t, so those two samples decide the
         lemma.  The third, the fourth draw of random.Random(p) in
         -10000..10000, is the case the row stores when every case passes,
-        the one the recorded row digests hold."""
+        the one the recorded row digests hold.  The two sides read
+        separate tables (see _lemma_mpt_lhs and _lemma_mpt_rhs)."""
+        if t_samples is None:
+            rng = random.Random(self.p)
+            t_samples = [0, 1, [rng.randrange(-10000, 10001) for _ in range(4)][-1]]
+        cases = list(zip(self._lemma_mpt_lhs(t_samples), self._lemma_mpt_rhs(t_samples)))
+        return self._first_failure(Target.LEMMA_MPT, cases)
+
+    def _lemma_mpt_lhs(self, t_samples) -> list[int]:
+        """C(a + pt, h) mod p^2 at each t, a = (2p-2)/3 and h = (p-1)/2,
+        a unit at every t (no a + pt - i with i < h is divisible by p).
+        At t = 0 and 1 it is read off the factorial tables as
+        fu[n] fi[h] fi[n-h], n = a + pt below 2p: n! and (n-h)! carry no p
+        at t = 0 and one each at t = 1, where n - h = p + (p-1)/6.  At any
+        other t it is binomial_rational's product of the a + pt - i over
+        1/h!, a PAdicValue."""
         m = self._exponent(Target.LEMMA_MPT)
         p = self.p
-        if t_samples is None:
-            rng = random.Random(p)
-            t_samples = [0, 1, [rng.randrange(-10000, 10001) for _ in range(4)][-1]]
+        mod = self.powers[m]
         base = (2 * p - 2) // 3
         half = (p - 1) // 2
-        cases = [
-            (binomial_rational(base + p * t, half, self.ctx).residue(m), rhs)
-            for t, rhs in zip(t_samples, self._lemma_mpt_rhs(t_samples))
-        ]
-        return self._first_failure(Target.LEMMA_MPT, cases)
+        fu, fi = self.ctx.factorial_tables(base + p)
+        out = []
+        for t in t_samples:
+            n = base + p * t
+            if t in (0, 1):
+                out.append(fu[n] * fi[half] * fi[n - half] % mod)
+            else:
+                out.append(binomial_rational(n, half, self.ctx).residue(m))
+        return out
 
     def _lemma_mpt_rhs(self, t_samples) -> list[int]:
         """c0 (1 + p t slope) mod p^m at each t, with c0 = C((2p-2)/3,
-        (p-1)/2) and slope = H_((2p-2)/3) - H_((p-1)/6) from the harmonic
-        cache; both indices are below p.  c0 is a unit, taken by math.comb
-        and not off the factorial tables: the left side divides by
-        ((p-1)/2)! from those tables, and a table entry read by both sides
-        would cancel out of the comparison."""
+        (p-1)/2) and slope = H_((2p-2)/3) - H_((p-1)/6), both off the
+        harmonic cache; both indices are below p.  c0 = C((2p-2)/3,
+        (p-1)/6) is the product of ((p-1)/2 + i)/i over i <= (p-1)/6, with 1/i the
+        cache's inverses, and not off the factorial tables, which the left
+        side reads: a table entry read by both sides would cancel out of
+        the comparison."""
         p = self.p
         mod = self.powers[self._exponent(Target.LEMMA_MPT)]
         base = (2 * p - 2) // 3
-        c0 = comb(base, (p - 1) // 2) % mod
+        k = (p - 1) // 6  # base - (p-1)/2
+        inv = harmonic_inverses(self.ctx)
+        c0 = _product_mod(list(map(mul, range(base - k + 1, base + 1), inv[1 : k + 1])), mod)
         h = harmonic_scaled(base, self.ctx)
-        slope = h[base] - h[(p - 1) // 6]
+        slope = h[base] - h[k]
         return [c0 * (1 + p * t * slope) % mod for t in t_samples]
 
     def lemma_p2j_check(self) -> CongruenceReport:

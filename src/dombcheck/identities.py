@@ -3,9 +3,9 @@ congruence machinery.
 
 Each identity is evaluated over ints and Fraction, never floating point,
 and both sides must agree exactly case by case.  Identifiers I1..I14
-follow the internal catalog order.  Eleven of them fall in two families,
-each checked by one evaluator; the catalog states each such identity as
-its family's parameters only.
+follow the internal catalog order.  Thirteen of them fall in three
+families, each checked by one evaluator; the catalog states each such
+identity as its family's parameters only.
 
 - Telescoping, _telescoping(a, w, c), at 1 <= n and 0 <= j <= a n/2:
   sum_{(3-a)j <= k < n} w(k) C(k+aj, 3j) = c(n, j) C(n+aj, 3j+1).
@@ -22,8 +22,12 @@ its family's parameters only.
   I2 (r = 1, sign = 1) and I8 (r = 2, sign = -1).  Neither pins r (both
   also hold at r = 4, 5 and 7 to n = 8), and the sign scales both sides,
   so a moved r or sign checks another true identity, not a false one.
+- Convolution, _convolution(a, f, c), at n >= 1:
+  sum_{1<=k<=n} C(a, 2n-k) C(a, k-1) = c(n) prod_{1<=k<=n} f(k).
+  I4 is a = -1/3, f(k) = (3k-2)(6k-1)/(9k(2k-1)), c(n) = -3n/(6n-1);
+  I9 is a = -2/3, f(k) = (3k-1)(6k-5)/(9k(2k-1)), c(n) = -3n.
 
-I3, I4 and I9 have evaluators of their own.  CYID is the partial-fraction
+I3 has an evaluator of its own.  CYID is the partial-fraction
 inverse-binomial expansion, and the two TRANSFORM entries compare the
 rewritten Domb forms with the defining sum.
 """
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import mul, truediv
 
 from .domb import domb_exact, domb_via_cz, domb_via_sun
@@ -137,6 +141,23 @@ def _alternating_harmonic(r: int, sign: int):
     return pair, _cases_n
 
 
+# ---- the convolution family ----
+
+
+def _convolution(a: Fraction, ratio, coefficient):
+    """The evaluator and the cases of I4 or I9 (module docstring).  The
+    C(a, m) come from one running product of (a-m)/(m+1), so a case
+    costs O(n) Fraction products."""
+
+    def pair(n, _):
+        # C(a, 0), ..., C(a, 2n-1)
+        c = list(accumulate(((a - m) / (m + 1) for m in range(2 * n - 1)), mul, initial=Fraction(1)))
+        lhs = sum(c[2 * n - k] * c[k - 1] for k in range(1, n + 1))
+        return lhs, coefficient(n) * prod(ratio(k) for k in range(1, n + 1))
+
+    return pair, _cases_n
+
+
 # ---- the identities with evaluators of their own ----
 
 
@@ -148,26 +169,6 @@ def _i3(n, _):
     rhs = harmonic_exact(n, 2)
     for k in range(1, n + 1):
         rhs -= Fraction((-1) ** k) / (k * k * binom_frac(Fraction(-2, 3), k))
-    return lhs, rhs
-
-
-def _i4(n, _):
-    a = Fraction(-1, 3)
-    lhs = sum(binom_frac(a, 2 * n - k) * binom_frac(a, k - 1) for k in range(1, n + 1))
-    prod = Fraction(1)
-    for k in range(1, n + 1):
-        prod *= Fraction((3 * k - 2) * (6 * k - 1), 9 * k * (2 * k - 1))
-    rhs = -Fraction(3 * n, 6 * n - 1) * prod
-    return lhs, rhs
-
-
-def _i9(n, _):
-    a = Fraction(-2, 3)
-    lhs = sum(binom_frac(a, 2 * n - k) * binom_frac(a, k - 1) for k in range(1, n + 1))
-    prod = Fraction(1)
-    for k in range(1, n + 1):
-        prod *= Fraction((3 * k - 1) * (6 * k - 5), 9 * k * (2 * k - 1))
-    rhs = -3 * n * prod
     return lhs, rhs
 
 
@@ -213,12 +214,20 @@ _CATALOG: dict[str, tuple] = {
     "I1": _telescoping(1, lambda k: 1, lambda n, j: 1),
     "I2": _alternating_harmonic(1, 1),
     "I3": (_i3, _cases_n),
-    "I4": (_i4, _cases_n),
+    "I4": _convolution(
+        Fraction(-1, 3),
+        lambda k: Fraction((3 * k - 2) * (6 * k - 1), 9 * k * (2 * k - 1)),
+        lambda n: -Fraction(3 * n, 6 * n - 1),
+    ),
     "I5": _alternating(1),
     "I6": _telescoping(1, lambda k: 3 * k + 2, lambda n, j: Fraction((3 * n + 1) * (3 * j + 1), 3 * j + 2)),
     "I7": _alternating(2),
     "I8": _alternating_harmonic(2, -1),
-    "I9": (_i9, _cases_n),
+    "I9": _convolution(
+        Fraction(-2, 3),
+        lambda k: Fraction((3 * k - 1) * (6 * k - 5), 9 * k * (2 * k - 1)),
+        lambda n: -3 * n,
+    ),
     "I10": _telescoping(2, lambda k: 3 * k + 1, lambda n, j: Fraction((3 * n - 1) * (3 * j + 1), 3 * j + 2)),
     "I11": _telescoping(
         1,

@@ -776,15 +776,25 @@ def test_lemma_sides_read_separate_tables():
         h = _harmonic_cache(pv.ctx)._h
         h[:] = [x + n for n, x in enumerate(h)]
 
+    def bump_harmonic_inverses(pv):
+        # after the sums are built from them, so only readers of the
+        # inverses themselves see it
+        inv = special.harmonic_inverses(pv.ctx)
+        inv[:] = [x + 1 for x in inv]
+
     clean = sides(lambda pv: None)
     moved_binomials = sides(bump_inverse_factorials)
     moved_harmonics = sides(bump_harmonic_sums)
+    moved_inverses = sides(bump_harmonic_inverses)
     for name in helpers:
         binomial_side, harmonic_side = clean[name]
         assert moved_binomials[name][1] == harmonic_side, name
         assert moved_binomials[name][0] != binomial_side, name
         assert moved_harmonics[name][0] == binomial_side, name
         assert moved_harmonics[name][1] != harmonic_side, name
+        assert moved_inverses[name][0] == binomial_side, name
+    # LEMMA_MPT's c0 is a product of the inverses
+    assert moved_inverses["lemma_mpt_check"][1] != clean["lemma_mpt_check"][1]
 
 
 # The six weights of weighted_sum, each as a function of k.
@@ -1353,8 +1363,9 @@ def test_split_cases_carry_weight(p):
                 # from k = (p+1)/2 on, a LEMMA_SH55 term carries p^2 from
                 # C(2k,k)^2 and p from p/(3k+1), so it is 0 mod p^3 and no
                 # entry of it can show, except where 3k+1 = 2p.  At
-                # 3j+1 = p, LEMMA22 and LEMMA_SH55 take their binomials mod
-                # p^3 from helpers of their own, not the factorial tables
+                # 3j+1 = p, LEMMA_SH55 takes its binomial mod p^3 from a
+                # helper of its own, and LEMMA22 reads only i! and 1/i!
+                # with i <= j there, not the entries of the regular case
                 silent = (target is T.LEMMA_SH55 and 2 * j > p and 3 * j + 1 != 2 * p) or (
                     target is not T.LEMMA_P2J and 3 * j + 1 == p and table != "h"
                 )
@@ -1367,15 +1378,19 @@ def test_split_cases_carry_weight(p):
     # 3j+1 = 2p, LEMMA_SH55's kept term too)
     assert checked == (22 if p % 3 == 1 else 28)
     if p % 3 == 1:
-        # the helpers' values, moved by one, fail the lemma that reads each
-        for target, helper in (
-            (T.LEMMA22, "_lemma22_where_3j1_is_p"),
-            (T.LEMMA_SH55, "_central_where_3j1_is_p"),
-        ):
-            real = getattr(congruences, helper)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(congruences, helper, lambda q: real(q) + 1)
-                assert not getattr(PrimeVerifier(p, [target]), SPECS[target].method)().passed, helper
+        # LEMMA_SH55's helper value, moved by one, fails it
+        real = congruences._central_where_3j1_is_p
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(congruences, "_central_where_3j1_is_p", lambda q: real(q) + 1)
+            assert not PrimeVerifier(p, [T.LEMMA_SH55]).lemma_sh55_check().passed
+        # a unit i! with i < (p-1)/3 and 3 not dividing i is read by
+        # LEMMA22's case of valuation 0 alone, as (i-1)!/i! and i!/(i+1)!:
+        # moved by one at either end of that range, it fails LEMMA22
+        j = (p - 1) // 3
+        for i in (1, max(i for i in range(j) if i % 3)):
+            assert not _perturbed_run(p, T.LEMMA22, "fu", i).passed, i
+        # 1/((p-1)/2)!, which each of LEMMA_MPT's left sides reads
+        assert not _perturbed_run(p, T.LEMMA_MPT, "fi", (p - 1) // 2).passed
 
 
 def test_upper_half_right_sides_match_the_cached_upper_half():
@@ -1564,14 +1579,43 @@ def test_every_unit_entry_carries_weight(p, monkeypatch):
         assert not PrimeVerifier(p, [T.LEMMA_SH55]).lemma_sh55_check().passed, (part, k)
 
 
+def _lemma22_where_3j1_is_p(p):
+    # LEMMA22's case j = (p-1)/3 at p = 1 (mod 3), where 3j+1 = p and the
+    # quotient has valuation 0: C(3j, j) C(p+j, 3j+1) = C(p-1, j) C(p+j, j),
+    # the product of p-j .. p+j but p over (j!)^2, mod p^3 with one inverse;
+    # the verifier's form before it read the inverses 1/i off its tables
+    j = (p - 1) // 3
+    mod = p**3
+    f = congruences._product_mod(range(1, j + 1), mod)
+    top = congruences._product_mod(range(p - j, p), mod) * congruences._product_mod(range(p + 1, p + j + 1), mod)
+    return top * pow(f * f, -1, mod) % mod
+
+
 def test_helpers_where_3j1_is_p_match_comb():
-    # the two binomials read mod p^3 at j = (p-1)/3, from chunked products,
-    # against math.comb
+    # the two binomials taken mod p^3 at j = (p-1)/3 from chunked products,
+    # LEMMA_SH55's helper and LEMMA22's former one, against math.comb
     for p in [q for q in sieve_primes(5, 2000) if q % 3 == 1] + [4003, 20011]:
         j, mod = (p - 1) // 3, p**3
         want = math.comb(p - 1, j) * math.comb(p + j, j) % mod
-        assert congruences._lemma22_where_3j1_is_p(p) == want, p
+        assert _lemma22_where_3j1_is_p(p) == want, p
         assert congruences._central_where_3j1_is_p(p) == math.comb(2 * j, j) % mod, p
+
+
+def test_one_mod_3_special_cases_off_the_tables_match_oracles():
+    # the values that LEMMA22 and LEMMA_MPT read off the tables they already
+    # build at p = 1 (mod 3), against exact binomials: LEMMA22's case of
+    # valuation 0 (1/i off the factorial tables), LEMMA_MPT's samples
+    # t = 0 and 1 (off the factorial tables, against the PAdicValue product
+    # that the third sample still takes) and its c0 (off the harmonic
+    # cache's inverses)
+    for p in [q for q in sieve_primes(5, 2000) if q % 3 == 1] + [10009, 100003]:
+        j, pp, mod = (p - 1) // 3, p**2, p**3
+        a, m = (2 * p - 2) // 3, (p - 1) // 2
+        pv = PrimeVerifier(p, [T.LEMMA22, T.LEMMA_MPT])
+        want = math.comb(p - 1, j) * math.comb(p + j, j) % mod
+        assert pv._lemma22_units()[0][j] == want == _lemma22_where_3j1_is_p(p), p
+        assert pv._lemma_mpt_lhs([0, 1]) == [binomial_rational(a + p * t, m, pv.ctx).residue(2) for t in (0, 1)], p
+        assert pv._lemma_mpt_rhs([0]) == [math.comb(a, m) % pp], p
 
 
 @pytest.mark.parametrize("p", [1009, 1013, 4001, 4003])

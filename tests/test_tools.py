@@ -3,6 +3,7 @@ loaded by its path and run at small primes, so a renamed name that a
 script reads fails here and not in the script."""
 
 import importlib.util
+import json
 import runpy
 from pathlib import Path
 
@@ -66,3 +67,22 @@ def test_code_lines_sum_to_the_total(capsys, monkeypatch):
     assert sum(int(line.split()[1]) for line in modules) == int(total.split()[1])
     assert total == f"total {sum(counts.values())}"
     assert size == f"bytes {sum(len(p.read_bytes()) for p in module.SRC.glob('*.py'))}"
+
+
+def test_frontier_checks_its_recorded_digest(capsys, monkeypatch, tmp_path):
+    module = _load("frontier")
+    recorded = json.loads(module.RECORDS.read_text())
+    assert {"5:300", "5:10000", "99000:100000"} <= set(recorded)
+    got = module.frontier("5:300")
+    assert (got["checks"], got["failed"]) == (recorded["5:300"]["checks"], 0)
+    assert (got["bytes"], got["sha256"]) == (recorded["5:300"]["bytes"], recorded["5:300"]["sha256"])
+    # the printed line, and a digest that differs from the record fails
+    assert module.main(["5:30"]) == 0
+    assert capsys.readouterr().out.endswith("recorded=none\n")
+    moved = tmp_path / "frontier.json"
+    moved.write_text(json.dumps({"5:30": {"sha256": "0" * 64}}))
+    monkeypatch.setattr(module, "RECORDS", moved)
+    assert module.main(["5:30"]) == 1
+    assert capsys.readouterr().out.endswith("recorded=MISMATCH\n")
+    with pytest.raises(ValueError):
+        module.frontier("30:5")
