@@ -9,7 +9,6 @@ and shrinks the known precision accordingly, interval style.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -28,7 +27,6 @@ __all__ = [
     "as_fraction",
     "binomial_int",
     "binomial_rational",
-    "binomial_residues",
 ]
 
 # Valuation bound reported for an exact zero; far above any working precision.
@@ -427,29 +425,6 @@ def binomial_int(n: int, k: int, ctx: PrimeContext) -> PAdicValue:
     p = ctx.p
     v = _factorial_valuation(n, p) - _factorial_valuation(k, p) - _factorial_valuation(m, p)
     return PAdicValue(ctx, v, fu[n] * fi[k] * fi[m] % ctx.pk, ctx.precision)
-
-
-def binomial_residues(ctx: PrimeContext) -> Callable[[int, int], int]:
-    """A function (n, k) -> C(n, k) mod ctx.pk = p^K, read off the
-    factorial tables as unit * p^v (0 once v >= K): binomial_int's
-    arithmetic in plain ints, for callers that need residues only.  A read
-    grows the tables to n when they stop short of it.  The verifier passes
-    its kernel context, so its binomials are residues mod p^2.  As with
-    binomial_int, k < 0 or k > n gives 0 and n < 0 raises ValueError."""
-    p = ctx.p
-    pw = ctx.powers
-    pk = ctx.pk
-
-    def binom(n: int, k: int) -> int:
-        if n < 0:
-            raise ValueError("binomial_residues needs n >= 0")
-        if k < 0 or k > n:
-            return 0
-        fu, fi = ctx.factorial_tables(n)
-        v = _factorial_valuation(n, p) - _factorial_valuation(k, p) - _factorial_valuation(n - k, p)
-        return fu[n] * fi[k] * fi[n - k] * pw[v] % pk if v < ctx.precision else 0
-
-    return binom
 
 
 def binomial_rational(a, m: int, ctx: PrimeContext) -> PAdicValue:

@@ -2024,13 +2024,28 @@ def test_verifier_walks_inverse_factorials_to_2p_only(p):
         fu, fi = ctx._fact_unit, ctx._fact_inv
         assert 2 * p - 1 <= len(fi) <= 2 * p + 1 and len(fu) >= 3 * p - 1, targets
         assert all(u * i % ctx.pk == 1 for u, i in zip(fu, fi)), targets
-        binom = padic.binomial_residues(ctx)
         for n in (2 * p - 1, 2 * p, 3 * p - 2, 3 * p, *rng.sample(range(2 * p, 3 * p + 1), 8)):
             k = rng.randrange(n + 1)
             want = math.comb(n, k) % ctx.pk
             assert binomial_int(n, k, ctx).residue(ctx.precision) == want, (targets, n, k)
-            assert binom(n, k) == want, (targets, n, k)
         assert len(fi) == 3 * p + 1 and all(u * i % ctx.pk == 1 for u, i in zip(fu, fi)), targets
+
+
+def test_one_binomial_serves_thm11_thm12_and_r3():
+    # C((p-1)/2, floor(p/6)) mod p^2 is read once, and every right side
+    # built on it reads it: one more on it fails THM12's two rows at 1009
+    # (1 mod 3), THM11's two and THM13's four at 1013 (2 mod 3), and no other
+    for p, moved in (
+        (1009, {T.THM12_4K, T.THM12_16K}),
+        (1013, {T.THM11_4K, T.THM11_16K, T.THM13_K2_4K, T.THM13_K2_16K, T.THM13_K_4K, T.THM13_K_16K}),
+    ):
+        pv = PrimeVerifier(p)
+        c = pv._binom_half_sixth
+        assert c == math.comb((p - 1) // 2, p // 6) % (p * p), p
+        assert all(r.passed for r in pv.run()), p
+        pv = PrimeVerifier(p)
+        pv._binom_half_sixth = c + 1
+        assert {r.target for r in pv.run() if not r.passed} == moved, p
 
 
 def test_run_stamps_each_method_time_on_its_rows():

@@ -18,7 +18,6 @@ from dombcheck.padic import (
     PrimeContext,
     binomial_int,
     binomial_rational,
-    binomial_residues,
     is_prime,
     split_p,
 )
@@ -227,39 +226,6 @@ def test_binomial_int_carries_against_comb(p, k):
         assert (got.v, got.unit, got.prec) == (v, u % ctx.pk, k)
 
 
-@pytest.mark.parametrize("p,k", [(5, 3), (13, 4), (101, 6)])
-def test_binomial_residues_against_comb(p, k):
-    # residues mod p^K at every K = m up to k, n up to 3p (where C(n, j)
-    # carries up to twice)
-    rng = random.Random(p)
-    pairs = [(n, j) for n in range(3 * p + 1) for j in range(n + 1)]
-    pairs = rng.sample(pairs, min(len(pairs), 400))
-    for m in range(1, k + 1):
-        binom = binomial_residues(PrimeContext(p, m))
-        assert [binom(n, j) for n, j in pairs] == [comb(n, j) % p**m for n, j in pairs], m
-
-
-def test_binomial_residues_out_of_range():
-    # k < 0 and k > n are zero, as in binomial_int, not a read from the far
-    # end of a factorial list
-    binom = binomial_residues(PrimeContext(7, 3))
-    assert binom(3, 5) == 0
-    assert binom(2, -1) == 0
-    for n in range(3 * 7 + 1):
-        for k in range(-3, n + 4):
-            assert binom(n, k) == (comb(n, k) % 7**3 if k >= 0 else 0), (n, k)
-
-
-def test_binomial_residues_rejects_negative_top():
-    # as binomial_int does; fv[-1] would read the far end of a factorial list
-    binom = binomial_residues(PrimeContext(7, 3))
-    for n, k in ((-1, 0), (-1, -1), (-2, 1), (-21, 3)):
-        with pytest.raises(ValueError):
-            binom(n, k)
-        with pytest.raises(ValueError):
-            binomial_int(n, k, CTX7)
-
-
 def test_as_fraction_takes_rationals_only():
     assert padic.as_fraction(3) == 3 and type(padic.as_fraction(3)) is Fraction
     assert padic.as_fraction(Fraction(1, 3)) == Fraction(1, 3)
@@ -330,8 +296,9 @@ def test_binomial_int_against_comb(p):
 def test_binomial_int_out_of_range():
     assert binomial_int(5, -1, CTX5).is_zero
     assert binomial_int(5, 6, CTX5).is_zero
-    with pytest.raises(ValueError):
-        binomial_int(-1, 0, CTX5)
+    for n, k in ((-1, 0), (-1, -1), (-2, 1), (-21, 3)):
+        with pytest.raises(ValueError):
+            binomial_int(n, k, CTX5)
 
 
 def test_binomial_rational_spot():

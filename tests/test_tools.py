@@ -9,8 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from dombcheck.congruences import sieve_primes, verify_prime
-
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -40,18 +38,6 @@ def test_layer_times_times_every_layer(p):
             assert isinstance(ms, float) and ms >= 0, name
 
 
-def test_row_digest_counts_every_row():
-    primes = [5, 7, 11, 13]
-    module = _load("row_digest")
-    rows, digest = module.row_digest(primes)
-    assert rows == sum(len(verify_prime(p)) for p in primes)
-    assert len(digest) == 64 and int(digest, 16) >= 0
-    # the sweep line holds the rows of a sweep, which walks, and they are
-    # verify_prime's own
-    assert module.sweep_digest(5, 13) == (rows, digest)
-    assert module.SWEEP == (5, 700) and module.PRIMES[: len(sieve_primes(5, 700))] == sieve_primes(5, 700)
-
-
 def test_code_lines_sum_to_the_total(capsys, monkeypatch):
     module = _load("code_lines")
     counts = module.code_lines()
@@ -69,20 +55,44 @@ def test_code_lines_sum_to_the_total(capsys, monkeypatch):
     assert size == f"bytes {sum(len(p.read_bytes()) for p in module.SRC.glob('*.py'))}"
 
 
-def test_frontier_checks_its_recorded_digest(capsys, monkeypatch, tmp_path):
+def test_layer_times_rejects_a_bad_count(monkeypatch):
+    # a count that is no integer exits with the usage line, as N < 1 does,
+    # before any layer is timed
+    for argv in (["x"], ["0"], ["-1"], ["1.5"], ["2", "3"]):
+        monkeypatch.setattr("sys.argv", ["layer_times.py", *argv])
+        with pytest.raises(SystemExit, match="^usage: "):
+            runpy.run_path(str(TOOLS / "layer_times.py"), run_name="__main__")
+
+
+def test_frontier_checks_its_recorded_digest(capsys):
+    # with no span, the five recorded spans run, all match and every check
+    # passes; 5:700 is the walked path, the other four the single-prime path
     module = _load("frontier")
     recorded = json.loads(module.RECORDS.read_text())
-    assert {"5:300", "5:10000", "99000:100000"} <= set(recorded)
-    got = module.frontier("5:300")
-    assert (got["checks"], got["failed"]) == (recorded["5:300"]["checks"], 0)
-    assert (got["bytes"], got["sha256"]) == (recorded["5:300"]["bytes"], recorded["5:300"]["sha256"])
-    # the printed line, and a digest that differs from the record fails
+    assert set(module.SPANS) | {"5:10000", "99000:100000"} == set(recorded)
+    assert module.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(module.SPANS)
+    assert all(" failed=0 " in line and line.endswith(" recorded=match") for line in lines)
+    checks = {line.split()[0]: int(line.split()[1].removeprefix("checks=")) for line in lines}
+    assert checks == {span: recorded[span]["checks"] for span in module.SPANS}
+    assert checks["5:700"] == 1593 and sum(checks.values()) == 1659
+
+
+def test_frontier_exit_status(capsys, monkeypatch, tmp_path):
+    module = _load("frontier")
+    real = module.frontier("5:13")["sha256"]
+    # an unrecorded span passes; one moved record among several fails
     assert module.main(["5:30"]) == 0
     assert capsys.readouterr().out.endswith("recorded=none\n")
     moved = tmp_path / "frontier.json"
-    moved.write_text(json.dumps({"5:30": {"sha256": "0" * 64}}))
+    moved.write_text(json.dumps({"5:13": {"sha256": real}, "5:30": {"sha256": "0" * 64}}))
     monkeypatch.setattr(module, "RECORDS", moved)
-    assert module.main(["5:30"]) == 1
-    assert capsys.readouterr().out.endswith("recorded=MISMATCH\n")
+    assert module.main(["5:13", "5:30", "31:60"]) == 1
+    verdicts = [line.rsplit("=", 1)[1] for line in capsys.readouterr().out.splitlines()]
+    assert verdicts == ["match", "MISMATCH", "none"]
+    # a span that the command line rejects is a usage error, not a traceback
     with pytest.raises(ValueError):
         module.frontier("30:5")
+    assert module.main(["30:5"]) == 2
+    assert module.main(["5:13", "30:5"]) == 2

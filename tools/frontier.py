@@ -1,20 +1,25 @@
-"""Run one sweep of every target through the command line and check its
+"""Run sweeps of every target through the command line and check each
 report against a recorded digest:
 
-    python3 tools/frontier.py LO:HI
+    python3 tools/frontier.py [LO:HI ...]
 
-The sweep is `dombcheck verify --primes LO:HI --workers 2 --format csv`,
+Each sweep is `dombcheck verify --primes LO:HI --workers 2 --format csv`,
 run through cli.main on the dombcheck in this tree's src/.  One line is
-printed: the range, the checks in the report and how many failed, the wall
-seconds of the run, the csv's size and its sha256, and how that digest
-compares with the one tools/frontier.json records for LO:HI ("match",
-"MISMATCH" or "none").  The exit status is 1 when a check failed or the
-digest differs from the recorded one, else 0.  The csv holds no timings,
-so it is byte-identical wherever the rows are.
+printed per span: the range, the checks in the report and how many failed,
+the wall seconds of the run, the csv's size and its sha256, and how that
+digest compares with the one tools/frontier.json records for LO:HI
+("match", "MISMATCH" or "none").  The exit status is 2 when the command
+line rejects a span, 1 when a check failed or a digest differs from the
+recorded one, else 0.  The csv holds no timings, so it is byte-identical
+wherever the rows are.
 
-The recorded ranges are 5:300, which the tests run, 5:10000 (about 8 s on
-two workers) and 99000:100000, the frontier of the 10^5 sweep (87 primes,
-about 20 s).
+With no span, the five of SPANS run, about a second in all, and pin both
+paths of a prime.  A sweep over 5:700 walks the Domb numbers once for all
+its primes, so it pins the walked path.  One prime of 997, 1999 and 10007,
+or the two of 4001:4003, are too few to pay for a walk, so each is
+verified on its own, the single-prime path.  The other recorded spans are
+5:10000 (about 8 s on two workers) and 99000:100000, the frontier of the
+10^5 sweep (87 primes, about 20 s).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from dombcheck import cli  # noqa: E402
 
 RECORDS = Path(__file__).with_name("frontier.json")
+SPANS = ("5:700", "997:997", "1999:1999", "4001:4003", "10007:10007")
 
 
 def frontier(span: str) -> dict:
@@ -58,22 +64,24 @@ def frontier(span: str) -> dict:
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: frontier.py LO:HI", file=sys.stderr)
-        return 2
-    span = args[0]
-    got = frontier(span)
-    recorded = json.loads(RECORDS.read_text()).get(span)
-    if recorded is None:
-        verdict = "none"
-    else:
-        verdict = "match" if recorded["sha256"] == got["sha256"] else "MISMATCH"
-    print(
-        f"{span} checks={got['checks']} failed={got['failed']} wall_s={got['wall_s']:.2f} "
-        f"bytes={got['bytes']} sha256={got['sha256']} recorded={verdict}"
-    )
-    return 1 if got["failed"] or verdict == "MISMATCH" else 0
+    spans = (sys.argv[1:] if argv is None else argv) or SPANS
+    records = json.loads(RECORDS.read_text())
+    status = 0
+    for span in spans:
+        try:
+            got = frontier(span)
+        except ValueError as e:
+            print(f"usage: frontier.py [LO:HI ...]: {e}", file=sys.stderr)
+            return 2
+        recorded = records.get(span, {}).get("sha256")
+        verdict = "none" if recorded is None else "match" if recorded == got["sha256"] else "MISMATCH"
+        print(
+            f"{span} checks={got['checks']} failed={got['failed']} wall_s={got['wall_s']:.2f} "
+            f"bytes={got['bytes']} sha256={got['sha256']} recorded={verdict}"
+        )
+        if got["failed"] or verdict == "MISMATCH":
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

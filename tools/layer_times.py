@@ -91,7 +91,8 @@ def layer_times(p: int, runs: int) -> dict:
 
 
 if __name__ == "__main__":
-    runs = int(sys.argv[1]) if len(sys.argv) > 1 else 3
-    if runs < 1 or len(sys.argv) > 2:
+    arg = sys.argv[1] if len(sys.argv) > 1 else "3"
+    if len(sys.argv) > 2 or not arg.isdecimal() or int(arg) < 1:
         sys.exit("usage: python3 tools/layer_times.py [N], N >= 1")
+    runs = int(arg)
     print(json.dumps({"runs": runs, "ms": {str(p): layer_times(p, runs) for p in PRIMES}}))
