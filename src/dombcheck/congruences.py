@@ -14,7 +14,13 @@ top entry, one product past the table's recurrence pass.  Only the
 per-prime Horner pass reads the rest, so the table of a prime given the
 walk's triples never walks back to D_0.  Their right-hand sides go
 through the p-adic kernel's tables (binomials, harmonic numbers, Fermat
-quotients, Bernoulli values).  Every right side is a plain int mod p^m:
+quotients, Bernoulli values).  The ten sum targets (all that read a
+weighted sum but LEMMA_SH55) are rows of one table, SUM_ROWS: per class
+of p mod 3, a denominator d and integer coefficients on six ingredients,
+p, x^2, p^2/x^2, p^2/C^2 (C = C((p-1)/2, floor(p/6))), r3 and p^4 q_p(2),
+each built once per verifier (_INGREDIENTS); one evaluator,
+PrimeVerifier._sum_report, reads them all.  Every right side is a plain
+int mod p^m:
 binomials are read off the factorial tables as unit * p^v (but for
 LEMMA_MPT's C((2p-2)/3, (p-1)/2), a product of the harmonic cache's
 inverses, since its left side reads those tables), harmonic sums are the
@@ -139,7 +145,8 @@ class TargetSpec:
     belongs to, the primes it is stated for, the exponent m of its modulus
     p^m, the PrimeVerifier method that evaluates it (by name, so the
     method is looked up on the verifier at call time), and whether that
-    method reads a weighted sum, which decides whether a sweep walks."""
+    method reads a weighted sum, which decides whether a sweep walks.  A
+    sum target's closed form is its row of SUM_ROWS."""
 
     group: str
     applies: Callable[[int], bool]
@@ -168,7 +175,8 @@ def _k2_exp(p: int) -> int:
     return 3 if p % 3 == 1 else 2
 
 
-# The catalog.  A new target is one entry here plus the method it names.
+# The catalog.  A new sum target is one entry here plus one row of
+# SUM_ROWS; any other target is one entry here plus the method it names.
 SPECS: dict[Target, TargetSpec] = {
     Target.THM11_4K: TargetSpec("thm1.1", _every, _exp(3), "thm11_4k", True),
     Target.THM11_16K: TargetSpec("thm1.1", _every, _exp(3), "thm11_16k", True),
@@ -198,6 +206,53 @@ _WEIGHTS = {
     "3k+2": (2, 3, 0),
     "3k+1": (1, 3, 0),
     "3k2+k": (0, 1, 3),
+}
+
+
+@dataclass(frozen=True)
+class SumRow:
+    """A sum target's two sides.  ``sums`` are its (base, weight) weighted
+    sums: the first is its lhs, and each further one must match the same
+    rhs.  ``rhs`` maps each class of p mod 3 that the target is stated for
+    to (d, {ingredient: c}), the right side sum c I / d mod p^m over the
+    ingredients I of _INGREDIENTS; an empty dict is 0."""
+
+    sums: tuple[tuple[int, str], ...]
+    rhs: dict[int, tuple[int, dict[str, int]]]
+
+
+# The right side of every target that reads a weighted sum but LEMMA_SH55,
+# on the ingredients p, x2 = x^2 for p = x^2 + 3y^2, p2/x2 = p^2/x^2,
+# p2/C2 = p^2/C^2 for C = C((p-1)/2, floor(p/6)), r3 and p4q2 = p^4 q_p(2).
+# So THM11's (4, {"x2": 16, "p": -8, "p2/x2": -1}) at p = 1 (mod 3) is
+# 4x^2 - 2p - p^2/(4x^2).
+SUM_ROWS: dict[Target, SumRow] = {
+    Target.THM11_4K: SumRow(((4, "1"),), {1: (4, {"x2": 16, "p": -8, "p2/x2": -1}), 2: (2, {"p2/C2": 1})}),
+    Target.THM11_16K: SumRow(((16, "1"),), {1: (4, {"x2": 16, "p": -8, "p2/x2": -1}), 2: (4, {"p2/C2": -1})}),
+    Target.THM12_4K: SumRow(((4, "3k+2"),), {1: (1, {"p2/C2": 2})}),
+    Target.THM12_16K: SumRow(((16, "3k+1"),), {1: (1, {"p2/C2": 1})}),
+    Target.THM13_K2_4K: SumRow(((4, "k2"),), {1: (18, {"x2": 32, "p": -16, "p2/x2": -7}), 2: (9, {"r3": -20})}),
+    Target.THM13_K2_16K: SumRow(((16, "k2"),), {1: (18, {"x2": 8, "p": -4, "p2/x2": -1}), 2: (9, {"r3": 4})}),
+    Target.THM13_K_4K: SumRow(((4, "k"),), {2: (3, {"r3": 4})}),
+    Target.THM13_K_16K: SumRow(((16, "k"),), {2: (3, {"r3": -4})}),
+    Target.CONJ2_MODP2: SumRow(((4, "1"), (16, "1")), {1: (1, {"x2": 4, "p": -2}), 2: (1, {})}),
+    Target.MUSUN_P5: SumRow(((16, "3k2+k"),), {1: (1, {"p4q2": -4}), 2: (1, {"p4q2": -4})}),
+}
+
+# The rows that thm13_all evaluates, each where it is stated.
+_THM13 = [t for t in SUM_ROWS if SPECS[t].method == "thm13_all"]
+
+# How a verifier v builds each ingredient, once, mod p^K (r3 mod p^2: only
+# rows at m = 2 read it).  They read the decomposition and the kernel's
+# tables, never the Domb table.  An inverse mod p^K reduces to the inverse
+# mod p^m, so no row depends on which other targets were requested.
+_INGREDIENTS: dict[str, Callable[[PrimeVerifier], int]] = {
+    "p": lambda v: v.p,
+    "x2": lambda v: v.decomposition.x ** 2,
+    "p2/x2": lambda v: v.powers[2] * pow(v.decomposition.x ** 2, -1, v.powers[-1]),
+    "p2/C2": lambda v: v.powers[2] * pow(v._binom_half_sixth ** 2, -1, v.powers[-1]),
+    "r3": lambda v: v.r3(),
+    "p4q2": lambda v: v.powers[4] * _fermat_quotient(2, v.p, v.precision),
 }
 
 
@@ -309,6 +364,7 @@ class PrimeVerifier:
         self.p = p
         self._triples = triples
         self._sums: dict[str, int] = {}
+        self._ingredients: dict[str, int] = {}
 
     # ---- shared pieces ----
 
@@ -388,9 +444,8 @@ class PrimeVerifier:
         pk = p * p
         t2 = pow(2, p - 1, pk) - 1
         t3 = pow(3, p - 1, pk) - 1
-        core = 1 + 2 * p + 4 * t2 * pow(3, -1, pk) - 3 * t3 * pow(2, -1, pk)
         c = self._binom_half_sixth
-        return core * c * c % pk
+        return (6 + 12 * p + 8 * t2 - 9 * t3) * pow(6, -1, pk) * c * c % pk
 
     @cached_property
     def _binom_half_sixth(self) -> int:
@@ -496,77 +551,48 @@ class PrimeVerifier:
 
     # ---- theorem-level targets ----
 
-    def thm11_4k(self) -> CongruenceReport:
-        lhs = self.weighted_sum(4, "1")
-        return self._report(Target.THM11_4K, lhs, self._thm11_rhs(Target.THM11_4K))
-
-    def thm11_16k(self) -> CongruenceReport:
-        lhs = self.weighted_sum(16, "1")
-        return self._report(Target.THM11_16K, lhs, self._thm11_rhs(Target.THM11_16K))
-
-    def _thm11_rhs(self, target: Target) -> int:
-        """4x^2 - 2p - p^2/(4x^2) at p = 1 (mod 3); otherwise p^2/2, or
-        -p^2/4 for the 16^k sum, over C((p-1)/2, (p-5)/6)^2, which p^2
-        makes enough to know mod p; mod p^m."""
-        pk = self.powers[self._exponent(target)]
-        p = self.p
-        if p % 3 == 1:
-            four_xx = 4 * self.decomposition.x ** 2
-            return (four_xx - 2 * p - p * p * pow(four_xx, -1, pk)) % pk
-        c = self._binom_half_sixth
-        scale = -p * p * pow(4, -1, pk) if target is Target.THM11_16K else p * p * pow(2, -1, pk)
-        return scale * pow(c * c, -1, pk) % pk
-
-    def conj2_mod_p2(self) -> CongruenceReport:
-        """Both weighted sums against the mod p^2 closed form; the stored
-        lhs is the 4^k sum, and passing requires the 16^k sum to match too."""
-        p = self.p
-        if p % 3 == 1:
-            x = self.decomposition.x
-            rhs = 4 * x * x - 2 * p
-        else:
-            rhs = 0
-        lhs4 = self.weighted_sum(4, "1")
-        lhs16 = self.weighted_sum(16, "1")
-        rep = self._report(Target.CONJ2_MODP2, lhs4, rhs)
-        rep.passed = rep.passed and lhs16 % p**rep.modulus_exponent == rep.rhs
+    def _sum_report(self, target: Target) -> CongruenceReport:
+        """The row of a sum target off its SUM_ROWS entry: its first
+        weighted sum against sum c I / d mod p^m, one inverse of d, and
+        passing requires every further sum to match that rhs too.  m comes
+        first, so WrongPrimeClass is raised before any table is built."""
+        mod = self.powers[self._exponent(target)]
+        row = SUM_ROWS[target]
+        d, coeffs = row.rhs[self.p % 3]
+        rhs = sum(c * self._ingredient(name) for name, c in coeffs.items()) * pow(d, -1, mod)
+        (base, weight), *more = row.sums
+        rep = self._report(target, self.weighted_sum(base, weight), rhs)
+        rep.passed = rep.passed and all(self.weighted_sum(b, w) % mod == rep.rhs for b, w in more)
         return rep
 
+    def _ingredient(self, name: str) -> int:
+        """The right-side ingredient ``name`` of _INGREDIENTS mod p^K, built
+        on its first read and kept."""
+        x = self._ingredients.get(name)
+        if x is None:
+            x = self._ingredients[name] = _INGREDIENTS[name](self) % self.powers[-1]
+        return x
+
+    # The methods that SPECS names for the sum targets, one bench span each
+    # (bench/tracer.py patches them by name).
+
+    def thm11_4k(self) -> CongruenceReport:
+        return self._sum_report(Target.THM11_4K)
+
+    def thm11_16k(self) -> CongruenceReport:
+        return self._sum_report(Target.THM11_16K)
+
+    def conj2_mod_p2(self) -> CongruenceReport:
+        return self._sum_report(Target.CONJ2_MODP2)
+
     def thm12(self) -> list[CongruenceReport]:
-        # WrongPrimeClass before any table is built
-        pk = self.powers[self._exponent(Target.THM12_4K)]
-        p = self.p
-        c = self._binom_half_sixth
-        base = p * p * pow(c * c, -1, pk)  # p^2 / C((p-1)/2, (p-1)/6)^2
-        return [
-            self._report(Target.THM12_4K, self.weighted_sum(4, "3k+2"), 2 * base),
-            self._report(Target.THM12_16K, self.weighted_sum(16, "3k+1"), base),
-        ]
+        return [self._sum_report(Target.THM12_4K), self._sum_report(Target.THM12_16K)]
 
     def thm13_all(self) -> list[CongruenceReport]:
-        """At p = 1 (mod 3), 16x^2/9 - 8p/9 - 7p^2/(18x^2) and
-        4x^2/9 - 2p/9 - p^2/(18x^2); otherwise -20/9, 4/9, 4/3 and -4/3
-        times r3."""
-        p = self.p
-        pk = self.powers[self._exponent(Target.THM13_K2_4K)]  # m = 3 or 2
-        i9 = pow(9, -1, pk)
-        if p % 3 == 1:
-            xx = self.decomposition.x ** 2
-            i18xx = pow(18 * xx, -1, pk)
-            cases = [
-                (Target.THM13_K2_4K, 4, "k2", (16 * xx - 8 * p) * i9 - 7 * p * p * i18xx),
-                (Target.THM13_K2_16K, 16, "k2", (4 * xx - 2 * p) * i9 - p * p * i18xx),
-            ]
-        else:
-            r3 = self.r3()
-            i3 = pow(3, -1, pk)
-            cases = [
-                (Target.THM13_K2_4K, 4, "k2", -20 * i9 * r3),
-                (Target.THM13_K2_16K, 16, "k2", 4 * i9 * r3),
-                (Target.THM13_K_4K, 4, "k", 4 * i3 * r3),
-                (Target.THM13_K_16K, 16, "k", -4 * i3 * r3),
-            ]
-        return [self._report(t, self.weighted_sum(b, w), rhs) for t, b, w, rhs in cases]
+        return [self._sum_report(t) for t in _THM13 if self.p % 3 in SUM_ROWS[t].rhs]
+
+    def musun(self) -> CongruenceReport:
+        return self._sum_report(Target.MUSUN_P5)
 
     def conj1_dp1(self) -> CongruenceReport:
         """D_(p-1) against 64^(p-1) - (p^3/6) B_(p-3) mod p^4: D_(p-1) the
@@ -578,13 +604,6 @@ class PrimeVerifier:
         b = self._bernoulli_values[0]
         rhs = pow(64, p - 1, self.powers[-1]) - p**3 * (b * pow(6, -1, p) % p)
         return self._report(Target.CONJ1_DP1, lhs, rhs)
-
-    def musun(self) -> CongruenceReport:
-        """sum (3k^2+k) D_k / 16^k against -4 p^4 q_p(2) mod p^5."""
-        m = self._exponent(Target.MUSUN_P5)
-        lhs = self.weighted_sum(16, "3k2+k")
-        rhs = -4 * self.p**4 * _fermat_quotient(2, self.p, m)
-        return self._report(Target.MUSUN_P5, lhs, rhs)
 
     # ---- lemma-level targets ----
 

@@ -22,6 +22,7 @@ import pytest
 from dombcheck import congruences, domb, padic, quadform, special
 from dombcheck.congruences import (
     SPECS,
+    SUM_ROWS,
     CongruenceReport,
     PrimeVerifier,
     Target,
@@ -1754,11 +1755,13 @@ def oracle_rhs(pv):
         T.THM11_4K: oracle_thm11_rhs(pv, False),
         T.THM11_16K: oracle_thm11_rhs(pv, True),
         T.MUSUN_P5: -4 * PAdicValue.from_int(p, musun_ctx) ** 4 * fermat_quotient(2, musun_ctx),
+        T.CONJ2_MODP2: PAdicValue.from_int(0, ctx),
     }
     if p % 3 == 1:
         c = binomial_int((p - 1) // 2, (p - 1) // 6, ctx)
         base = PAdicValue.from_int(p * p, ctx) / (c * c)
         x = pv.decomposition.x
+        out[T.CONJ2_MODP2] = PAdicValue.from_int(4 * x * x - 2 * p, ctx)
         qa = Fraction(16 * x * x, 9) - Fraction(8 * p, 9) - Fraction(7 * p * p, 18 * x * x)
         qb = Fraction(4 * x * x, 9) - Fraction(2 * p, 9) - Fraction(p * p, 18 * x * x)
         out.update({
@@ -1815,7 +1818,7 @@ def oracle_lemma_sunh_cases(pv, m):
 
 CLOSED_FORMS = [
     T.THM11_4K, T.THM11_16K, T.THM12_4K, T.THM12_16K,
-    T.THM13_K2_4K, T.THM13_K2_16K, T.THM13_K_4K, T.THM13_K_16K, T.MUSUN_P5,
+    T.THM13_K2_4K, T.THM13_K2_16K, T.THM13_K_4K, T.THM13_K_16K, T.MUSUN_P5, T.CONJ2_MODP2,
 ]
 ORACLE_TARGETS = CLOSED_FORMS + [T.LEMMA_MPT, T.LEMMA_SUNH]
 CLOSED_FORM_PRIMES = sieve_primes(5, 400) + [997, 1999, 4001, 4003]
@@ -2057,3 +2060,38 @@ def test_run_stamps_each_method_time_on_its_rows():
         assert all(r.millis > 0 for r in rows), p
         shared = [r.millis for r in rows if SPECS[r.target].method == method]
         assert len(shared) == n and len(set(shared)) == 1, (p, shared)
+
+
+def test_conj2_requires_its_16k_sum_to_match():
+    # CONJ2_MODP2 stores the 4^k sum as its lhs, and its 16^k sum must match
+    # the same rhs: one more on the cached 16^k weight-1 sum alone fails it,
+    # and the two other rows that read that sum, while its stored sides and
+    # every other row, THM11_4K's among them, stay as they were
+    strip = lambda r: (r.target, r.modulus_exponent, r.lhs, r.rhs, r.passed)
+    for p in (1009, 1013):
+        before = {r.target: strip(r) for r in verify_prime(p)}
+        assert all(r[-1] for r in before.values()), p
+        pv = PrimeVerifier(p)
+        pv.weighted_sum(16, "1")
+        pv._sums["1/16"] += 1
+        after = {r.target: strip(r) for r in pv.run()}
+        moved = {T.THM11_16K, T.CONJ2_MODP2, T.LEMMA_SH55}
+        assert {t for t, r in after.items() if not r[-1]} == moved, p
+        assert after[T.CONJ2_MODP2][:-1] == before[T.CONJ2_MODP2][:-1], p
+        assert {t: r for t, r in after.items() if t not in moved} == {
+            t: r for t, r in before.items() if t not in moved
+        }, p
+
+
+def test_sum_rows_state_what_specs_state():
+    # SUM_ROWS and SPECS both say at which primes a sum target is stated:
+    # the classes of p mod 3 that a row gives a right side for must be the
+    # primes SPECS accepts.  Each row reads sums at base 4 or 16 with a
+    # weight of _WEIGHTS, names only ingredients the verifier builds, and
+    # divides by a d made of 2s and 3s, a unit at every p >= 5
+    assert set(SUM_ROWS) == {t for t in Target if SPECS[t].reads_sums} - {T.LEMMA_SH55}
+    primes = sieve_primes(5, 200)
+    for t, row in SUM_ROWS.items():
+        assert row.sums and all(b in (4, 16) and w in congruences._WEIGHTS for b, w in row.sums), t
+        assert all(6**4 % d == 0 and set(c) <= set(congruences._INGREDIENTS) for d, c in row.rhs.values()), t
+        assert [p % 3 in row.rhs for p in primes] == [applicable(t, p) for p in primes], t
