@@ -21,7 +21,6 @@ from .domb import (
     liu_integrality_check,
     rogers_series_check,
 )
-from .identities import IDENTITY_IDS, check_all_identities, check_identity
 from .padic import (
     PAdicValue,
     PrimeContext,
@@ -40,6 +39,19 @@ from .special import (
 )
 
 __version__ = "0.1.0"
+
+# Resolved from .identities on first use (__getattr__), so that a verify
+# run, which reads none of them, never imports identities or fractions.
+_IDENTITY_NAMES = ("IDENTITY_IDS", "check_all_identities", "check_identity")
+
+
+def __getattr__(name: str):
+    if name in _IDENTITY_NAMES:
+        from . import identities
+
+        return getattr(identities, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CongruenceReport",

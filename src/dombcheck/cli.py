@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import os
 import sys
@@ -17,7 +15,6 @@ from time import perf_counter
 
 from .congruences import SPECS, Target, sieve_primes, sweep
 from .domb import domb_numbers
-from .identities import check_all_identities
 from .padic import is_prime
 from .quadform import NotRepresentable, decompose_known_prime
 
@@ -80,19 +77,18 @@ def _rows_as_records(rows, timings: bool):
 
 def render_rows(rows, fmt: str, timings: bool) -> str:
     """Rows in the chosen format; stable byte-for-byte unless timings are
-    explicitly requested."""
+    explicitly requested.  The csv is one f-string per row: no field (ints,
+    a target id, true/false and a float) ever needs csv quoting."""
     if fmt not in _FORMATS:
         raise ValueError(f"unknown report format {fmt!r}; expected one of {_FORMATS}")
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(_FIELDS)
-        w.writerows(
-            (r.prime, r.target.value, r.modulus_exponent, r.lhs, r.rhs, str(r.passed).lower(),
-             round(r.millis, 3) if timings else 0)
+        lines = [",".join(_FIELDS) + "\n"]
+        lines.extend(
+            f"{r.prime},{r.target.value},{r.modulus_exponent},{r.lhs},{r.rhs},"
+            f"{'true' if r.passed else 'false'},{round(r.millis, 3) if timings else 0}\n"
             for r in rows
         )
-        return buf.getvalue()
+        return "".join(lines)
     records = list(_rows_as_records(rows, timings))
     if fmt == "jsonl":
         return "".join(json.dumps(rec) + "\n" for rec in records)
@@ -137,6 +133,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    from .identities import check_all_identities  # only this command reads it
+
     reports = check_all_identities(args.max_n)
     width = max(len(r.identity) for r in reports)
     failed = 0

@@ -19,8 +19,12 @@ weighted sum but LEMMA_SH55) are rows of one table, SUM_ROWS: per class
 of p mod 3, a denominator d and integer coefficients on six ingredients,
 p, x^2, p^2/x^2, p^2/C^2 (C = C((p-1)/2, floor(p/6))), r3 and p^4 q_p(2),
 each built once per verifier (_INGREDIENTS); one evaluator,
-PrimeVerifier._sum_report, reads them all.  Every right side is a plain
-int mod p^m:
+PrimeVerifier._sum_reports, builds the wanted rows of a method in one
+pass, each against one inverse per verifier, that of _DENOM, the lcm of
+every row's d.  The Fermat quotients q_p(2) mod p^5 and q_p(3) mod p^2,
+from 2^(p-1) mod p^6 and 3^(p-1) mod p^3, are taken once per verifier too:
+r3, p^4 q_p(2), CONJ1_DP1's 64^(p-1) = (1 + p q_p(2))^6 and LEMMA_SUNH
+all read them.  Every right side is a plain int mod p^m:
 binomials are read off the factorial tables as unit * p^v (but for
 LEMMA_MPT's C((2p-2)/3, (p-1)/2), a product of the harmonic cache's
 inverses, since its left side reads those tables), harmonic sums are the
@@ -85,7 +89,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import prod
+from math import lcm, prod
 from operator import mul
 from time import perf_counter
 
@@ -136,7 +140,10 @@ class Target(str, Enum):
     LEMMA_SH55 = "LEMMA_SH55"
 
 
-_TARGET_INDEX = {t: i for i, t in enumerate(Target)}
+# The targets in catalog order, and each one's place in it: a sweep's
+# children send a row's target as its index.
+_CATALOG = tuple(Target)
+_TARGET_INDEX = {t: i for i, t in enumerate(_CATALOG)}
 
 
 @dataclass(frozen=True)
@@ -215,7 +222,9 @@ class SumRow:
     sums: the first is its lhs, and each further one must match the same
     rhs.  ``rhs`` maps each class of p mod 3 that the target is stated for
     to (d, {ingredient: c}), the right side sum c I / d mod p^m over the
-    ingredients I of _INGREDIENTS; an empty dict is 0."""
+    ingredients I of _INGREDIENTS; an empty dict is 0.  The verifier
+    evaluates it as sum c (D/d) I times its one inverse of D = _DENOM
+    (_RHS_TERMS)."""
 
     sums: tuple[tuple[int, str], ...]
     rhs: dict[int, tuple[int, dict[str, int]]]
@@ -239,8 +248,18 @@ SUM_ROWS: dict[Target, SumRow] = {
     Target.MUSUN_P5: SumRow(((16, "3k2+k"),), {1: (1, {"p4q2": -4}), 2: (1, {"p4q2": -4})}),
 }
 
-# The rows that thm13_all evaluates, each where it is stated.
-_THM13 = [t for t in SUM_ROWS if SPECS[t].method == "thm13_all"]
+# The rows that thm12 and thm13_all evaluate.
+_THM12 = tuple(t for t in SUM_ROWS if SPECS[t].method == "thm12")
+_THM13 = tuple(t for t in SUM_ROWS if SPECS[t].method == "thm13_all")
+
+# The lcm of every row's d (36), and each row's terms per class of p mod 3
+# as (ingredient, c D/d): the right side is their sum times 1/D, one
+# inverse per verifier for every row.
+_DENOM = lcm(*(d for row in SUM_ROWS.values() for d, _ in row.rhs.values()))
+_RHS_TERMS = {
+    t: {cls: tuple((name, c * (_DENOM // d)) for name, c in coeffs.items()) for cls, (d, coeffs) in row.rhs.items()}
+    for t, row in SUM_ROWS.items()
+}
 
 # How a verifier v builds each ingredient, once, mod p^K (r3 mod p^2: only
 # rows at m = 2 read it).  They read the decomposition and the kernel's
@@ -252,7 +271,7 @@ _INGREDIENTS: dict[str, Callable[[PrimeVerifier], int]] = {
     "p2/x2": lambda v: v.powers[2] * pow(v.decomposition.x ** 2, -1, v.powers[-1]),
     "p2/C2": lambda v: v.powers[2] * pow(v._binom_half_sixth ** 2, -1, v.powers[-1]),
     "r3": lambda v: v.r3(),
-    "p4q2": lambda v: v.powers[4] * _fermat_quotient(2, v.p, v.precision),
+    "p4q2": lambda v: v.powers[4] * v._q2,
 }
 
 
@@ -351,7 +370,7 @@ class PrimeVerifier:
         self, p: int, targets=None, *, triples: HornerTriples | None = None, wanted: _Wanted | None = None
     ):
         if wanted is None:
-            wanted = _wanted(p, Target if targets is None else targets)
+            wanted = _wanted(p, _CATALOG if targets is None else targets)
         self._exps, self.precision = wanted
         self.want = self._exps.keys()
         if triples is not None and (triples.p != p or triples.precision < self.precision):
@@ -384,20 +403,24 @@ class PrimeVerifier:
         if key not in self._sums:
             pk = self.powers[-1]
             bases = (4, 16) if base in (4, 16) else (base, base)
-            for b, moments in zip(bases, self._moment_sums(*bases)):
-                for name, coeffs in _WEIGHTS.items():
-                    self._sums[f"{name}/{b}"] = sum(c * s for c, s in zip(coeffs, moments)) % pk
+            for b, (s0, s1, s2) in zip(bases, self._moment_sums(*bases)):
+                for name, (c0, c1, c2) in _WEIGHTS.items():
+                    self._sums[f"{name}/{b}"] = (c0 * s0 + c1 * s1 + c2 * s2) % pk
         return self._sums[key]
 
     def _moment_sums(self, a: int, b: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         """sum_{k<p} k^i D_k c^(-k) mod p^K for i = 0, 1, 2 at c = a and b,
         each finished by _finish from c's Horner triple: the walk's, when
-        the verifier was given them and (a, b) = (4, 16), else _horner's."""
+        the verifier was given them and (a, b) = (4, 16), else _horner's.
+        c^(-(p-1)) is one power at a, and its square at b = a^2."""
         if self._triples is not None and (a, b) == (4, 16):
             ta, tb = self._triples.at4, self._triples.at16
         else:
             ta, tb = self._horner(a, b)
-        return self._finish(a, ta), self._finish(b, tb)
+        pk = self.powers[-1]
+        wa = pow(a, 1 - self.p, pk)
+        wb = wa * wa % pk if b == a * a else pow(b, 1 - self.p, pk)
+        return self._finish(a, wa, ta), self._finish(b, wb, tb)
 
     def _horner(self, a: int, b: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         """(P(c), P'(c), P''(c)/2) mod p^K at c = a and b for P(c) =
@@ -417,15 +440,14 @@ class PrimeVerifier:
             a0, a1, a2, b0, b1, b2 = a0 % pk, a1 % pk, a2 % pk, b0 % pk, b1 % pk, b2 % pk
         return (a0, a1, a2), (b0, b1, b2)
 
-    def _finish(self, c: int, triple: tuple[int, int, int]) -> tuple[int, int, int]:
+    def _finish(self, c: int, w: int, triple: tuple[int, int, int]) -> tuple[int, int, int]:
         """The three moment sums at c from t0, t1, t2 = P(c), P'(c),
         P''(c)/2, n = p-1: sum k D_k c^(n-k) = n t0 - c t1 and
         sum k^2 D_k c^(n-k) = n^2 t0 - (2n-1) c t1 + 2 c^2 t2, and one
-        product with c^(-n) ends each sum, mod p^K."""
+        product with w = c^(-n) ends each sum, mod p^K."""
         pk = self.powers[-1]
         n = self.p - 1
         t0, t1, t2 = triple
-        w = pow(c, -n, pk)
         ct1 = c * t1
         s2 = n * n * t0 - (2 * n - 1) * ct1 + 2 * c * c * t2
         return t0 * w % pk, (n * t0 - ct1) * w % pk, s2 * w % pk
@@ -439,13 +461,31 @@ class PrimeVerifier:
         """The correction unit used on the p = 2 (mod 3) side, mod p^2, the
         modulus of every THM13 target there: the Fermat quotient
         combination (1 + 2p + (4/3)(2^(p-1)-1) - (3/2)(3^(p-1)-1)) times
-        the square of C((p-1)/2, floor(p/6)) mod p^2."""
+        the square of C((p-1)/2, floor(p/6)) mod p^2, with a^(p-1) - 1 =
+        p q_p(a) and 1/6 = 6/_DENOM."""
         p = self.p
         pk = p * p
-        t2 = pow(2, p - 1, pk) - 1
-        t3 = pow(3, p - 1, pk) - 1
         c = self._binom_half_sixth
-        return (6 + 12 * p + 8 * t2 - 9 * t3) * pow(6, -1, pk) * c * c % pk
+        return (6 + 12 * p + 8 * p * self._q2 - 9 * p * self._q3) * 6 * self._inv_denom * c * c % pk
+
+    @cached_property
+    def _q2(self) -> int:
+        """q_p(2) mod p^5, from 2^(p-1) mod p^6: r3, p^4 q_p(2) (MUSUN_P5),
+        CONJ1_DP1's 64^(p-1) and LEMMA_SUNH read it, none past p^5."""
+        return _fermat_quotient(2, self.p, 5)
+
+    @cached_property
+    def _q3(self) -> int:
+        """q_p(3) mod p^2, from 3^(p-1) mod p^3: r3 and LEMMA_SUNH read it."""
+        return _fermat_quotient(3, self.p, 2)
+
+    @cached_property
+    def _inv_denom(self) -> int:
+        """1/_DENOM mod p^max(K, 2): every sum row's 1/d is D/d times it, r3
+        (mod p^2) and CONJ1_DP1 (mod p) read 1/6 as 6 times it.  An inverse
+        mod p^j reduces to the inverse mod p^i below it, so no row depends
+        on which other targets were requested."""
+        return pow(_DENOM, -1, self.p ** max(self.precision, 2))
 
     @cached_property
     def _binom_half_sixth(self) -> int:
@@ -551,19 +591,34 @@ class PrimeVerifier:
 
     # ---- theorem-level targets ----
 
-    def _sum_report(self, target: Target) -> CongruenceReport:
-        """The row of a sum target off its SUM_ROWS entry: its first
-        weighted sum against sum c I / d mod p^m, one inverse of d, and
-        passing requires every further sum to match that rhs too.  m comes
-        first, so WrongPrimeClass is raised before any table is built."""
-        mod = self.powers[self._exponent(target)]
-        row = SUM_ROWS[target]
-        d, coeffs = row.rhs[self.p % 3]
-        rhs = sum(c * self._ingredient(name) for name, c in coeffs.items()) * pow(d, -1, mod)
-        (base, weight), *more = row.sums
-        rep = self._report(target, self.weighted_sum(base, weight), rhs)
-        rep.passed = rep.passed and all(self.weighted_sum(b, w) % mod == rep.rhs for b, w in more)
-        return rep
+    def _sum_reports(self, targets) -> list[CongruenceReport]:
+        """The rows of the sum targets ``targets``, in one pass off their
+        SUM_ROWS entries: each row's first weighted sum against its right
+        side sum c I / d mod p^m, read as sum c (D/d) I (_RHS_TERMS) times
+        the verifier's one inverse of D, and passing requires every further
+        sum to match that rhs too.  Each row's m comes first, so
+        WrongPrimeClass is raised before any table is built for it."""
+        cls = self.p % 3
+        rows = []
+        for t in targets:
+            m = self._exponent(t)
+            rhs = 0
+            for name, c in _RHS_TERMS[t][cls]:
+                rhs += c * self._ingredient(name)
+            sums = SUM_ROWS[t].sums
+            rep = self._report(t, self.weighted_sum(*sums[0]), rhs * self._inv_denom)
+            if len(sums) > 1:
+                mod = self.powers[m]
+                rep.passed = rep.passed and all(self.weighted_sum(b, w) % mod == rep.rhs for b, w in sums[1:])
+            rows.append(rep)
+        return rows
+
+    def _own(self, targets: tuple[Target, ...]) -> list[Target]:
+        """Which of the targets of a method that serves several it
+        evaluates: the wanted ones, so no row is built to be dropped.  A
+        direct call for none of them evaluates them all, and _exponent
+        raises WrongPrimeClass at the first one not stated at p."""
+        return [t for t in targets if t in self.want] or list(targets)
 
     def _ingredient(self, name: str) -> int:
         """The right-side ingredient ``name`` of _INGREDIENTS mod p^K, built
@@ -577,32 +632,33 @@ class PrimeVerifier:
     # (bench/tracer.py patches them by name).
 
     def thm11_4k(self) -> CongruenceReport:
-        return self._sum_report(Target.THM11_4K)
+        return self._sum_reports((Target.THM11_4K,))[0]
 
     def thm11_16k(self) -> CongruenceReport:
-        return self._sum_report(Target.THM11_16K)
+        return self._sum_reports((Target.THM11_16K,))[0]
 
     def conj2_mod_p2(self) -> CongruenceReport:
-        return self._sum_report(Target.CONJ2_MODP2)
+        return self._sum_reports((Target.CONJ2_MODP2,))[0]
 
     def thm12(self) -> list[CongruenceReport]:
-        return [self._sum_report(Target.THM12_4K), self._sum_report(Target.THM12_16K)]
+        return self._sum_reports(self._own(_THM12))
 
     def thm13_all(self) -> list[CongruenceReport]:
-        return [self._sum_report(t) for t in _THM13 if self.p % 3 in SUM_ROWS[t].rhs]
+        return self._sum_reports(self._own(_THM13))
 
     def musun(self) -> CongruenceReport:
-        return self._sum_report(Target.MUSUN_P5)
+        return self._sum_reports((Target.MUSUN_P5,))[0]
 
     def conj1_dp1(self) -> CongruenceReport:
         """D_(p-1) against 64^(p-1) - (p^3/6) B_(p-3) mod p^4: D_(p-1) the
         Domb table's top entry, read with no walk back over the table; the
-        power mod p^K; the Bernoulli number mod p from the verifier's
-        Bernoulli values, with no Bernoulli table built."""
+        power as (2^(p-1))^6 = (1 + p q_p(2))^6 mod p^K; the Bernoulli
+        number mod p from the verifier's Bernoulli values, with no Bernoulli
+        table built, and 1/6 = 6/_DENOM."""
         p = self.p
         lhs = self.domb_table[p - 1]
         b = self._bernoulli_values[0]
-        rhs = pow(64, p - 1, self.powers[-1]) - p**3 * (b * pow(6, -1, p) % p)
+        rhs = pow(1 + p * self._q2, 6, self.powers[-1]) - p**3 * (b * 6 * self._inv_denom % p)
         return self._report(Target.CONJ1_DP1, lhs, rhs)
 
     # ---- lemma-level targets ----
@@ -854,14 +910,16 @@ class PrimeVerifier:
         mod = self.powers[m]
         h = harmonic_scaled(p - 1, ctx)
         h2 = self._order2_sums()
-        q2 = _fermat_quotient(2, p, m)
-        q3 = _fermat_quotient(3, p, m)
+        q2 = self._q2 % mod
+        q3 = self._q3 % mod
         chi = 1 if p % 3 == 1 else -1
         _, b3, b4 = self._bernoulli_values
         w = chi * b3 % p
-        e = b4 * pow(8, -1, p) % p
+        # 1/d = (120/d)/120 for every d here, one inverse; p > 5
+        i = pow(120, -1, mod)
+        i2, i3, i4, i5, i6, i12 = 60 * i, 40 * i, 30 * i, 24 * i, 20 * i, 10 * i
+        e = b4 * 15 * i % p
         sign = -1 if (p - 1) // 2 % 2 else 1
-        i2, i3, i4, i5, i6, i12 = (pow(d, -1, mod) for d in (2, 3, 4, 5, 6, 12))
         # the q2 and q3 parts of the right sides: -2 q2 + p q2^2 and
         # -(3/2) q3 + (3p/4) q3^2
         f2 = -2 * q2 + p * q2 * q2
@@ -902,16 +960,16 @@ class PrimeVerifier:
     def run(self) -> list[CongruenceReport]:
         """Each evaluating method once, in catalog order, timed; each row
         carries its method's time.  A method that covers several targets
-        keeps only the rows that were asked for."""
+        builds only the rows that were asked for (_own)."""
+        want = self.want
         rows: list[CongruenceReport] = []
-        for method in dict.fromkeys(SPECS[t].method for t in Target if t in self.want):
+        for method in dict.fromkeys(SPECS[t].method for t in _CATALOG if t in want):
             t0 = perf_counter()
             out = getattr(self, method)()
             ms = (perf_counter() - t0) * 1000.0
-            for r in out if isinstance(out, list) else [out]:
-                if r.target in self.want:
-                    r.millis = ms
-                    rows.append(r)
+            for r in out if isinstance(out, list) else (out,):
+                r.millis = ms
+                rows.append(r)
         rows.sort(key=lambda r: _TARGET_INDEX[r.target])
         return rows
 
@@ -979,11 +1037,15 @@ def _verify_from(primes, wanted, walked, counter, i: int) -> list[CongruenceRepo
 
 def _sweep_child(primes, wanted, walked, counter, i: int, conn) -> None:
     """Send a child's share of the sweep to the parent in one message: its
-    rows, or the traceback of its failure.  A failure also moves the
-    counter past the end, so the other processes stop after their current
-    prime."""
+    rows as plain tuples (prime, catalog index, m, lhs, rhs, passed,
+    millis), which _sweep_parallel turns back into rows, or the traceback
+    of its failure.  A failure also moves the counter past the end, so the
+    other processes stop after their current prime."""
     try:
-        out = _verify_from(primes, wanted, walked, counter, i)
+        out = [
+            (r.prime, _TARGET_INDEX[r.target], r.modulus_exponent, r.lhs, r.rhs, r.passed, r.millis)
+            for r in _verify_from(primes, wanted, walked, counter, i)
+        ]
     except Exception:
         import traceback
 
@@ -1026,7 +1088,7 @@ def _sweep_parallel(primes, wanted, walked, workers: int) -> list[list[Congruenc
             child.join()
             if isinstance(out, str):
                 raise RuntimeError(f"sweep worker {child.pid} failed:\n{out}")
-            chunks.append(out)
+            chunks.append([CongruenceReport(p, _CATALOG[t], m, a, b, ok, ms) for p, t, m, a, b, ok, ms in out])
     finally:
         for child, recv in children:
             child.terminate()  # a no-op once the child is joined
@@ -1061,7 +1123,7 @@ def sweep(lo: int, hi: int, targets=None, workers: int = 1) -> list[CongruenceRe
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
-    targets = list(Target) if targets is None else list(targets)
+    targets = _CATALOG if targets is None else list(targets)
     primes = sieve_primes(max(lo, 5), hi)
     workers = min(workers, len(primes), os.cpu_count() or 1)
     wanted = {p: _wanted(p, targets) for p in primes}

@@ -10,9 +10,11 @@ and shrinks the known precision accordingly, interval style.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
-from numbers import Rational
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "EXACT_ZERO",
@@ -54,12 +56,17 @@ class DenominatorDivisibleByP(PAdicError):
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+# psi_4, the least strong pseudoprime to the bases 2, 3, 5 and 7 (Jaeschke,
+# Math. Comp. 61, 1993): below it those four bases decide primality.
+_PSI4 = 3_215_031_751
+
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the first 13 prime bases.  Exact below
-    psi_13 = 3317044064679887385961981, the least composite that passes
-    them all (psi_12 = 318665857834031151167461 passes every base to 37);
-    above psi_13 it is a strong probable-prime test."""
+    """Miller-Rabin to the first 4 prime bases below psi_4 = 3215031751,
+    where they are exact, and to the first 13 from there.  Those are
+    exact below psi_13 = 3317044064679887385961981, the least composite
+    that passes them all (psi_12 = 318665857834031151167461 passes every
+    base to 37); above psi_13 it is a strong probable-prime test."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -70,7 +77,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:4] if n < _PSI4 else _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -107,7 +114,12 @@ def _factorial_valuation(n: int, p: int) -> int:
 def as_fraction(x) -> Fraction:
     """An int or a Fraction (any numbers.Rational) as an exact Fraction.
     Anything else raises TypeError: a float would enter at its binary
-    value, so 1/3 would silently become a different rational."""
+    value, so 1/3 would silently become a different rational.  fractions
+    is imported here, on the first call, so a run that passes ints only
+    never imports it."""
+    from fractions import Fraction
+    from numbers import Rational
+
     if not isinstance(x, Rational):
         raise TypeError(f"expected an int or a Fraction, not {type(x).__name__} {x!r}")
     return Fraction(x)
@@ -305,6 +317,8 @@ class PAdicValue:
             return other
         if isinstance(other, int):
             return PAdicValue.from_int(other, self.ctx)
+        from fractions import Fraction  # a non-int operand: imported only now
+
         if isinstance(other, Fraction):
             return PAdicValue.from_fraction(other, self.ctx)
         return NotImplemented
@@ -437,15 +451,17 @@ def binomial_rational(a, m: int, ctx: PrimeContext) -> PAdicValue:
     product is split into p^v * unit and reduced mod p^K once; a zero
     factor makes its chunk's product, and so the result, exactly zero.
     The quotient by m! is one PAdicValue product with 1/m!, whose unit
-    the factorial tables hold.
+    the factorial tables hold.  An int a is read as a / 1, with no
+    Fraction built.
     """
     if m < 0:
         return PAdicValue.zero(ctx)
-    a = as_fraction(a)
-    if a.denominator % ctx.p == 0:
-        raise DenominatorDivisibleByP(f"denominator of {a} is divisible by {ctx.p}")
+    if not isinstance(a, int):
+        a = as_fraction(a)
     num = a.numerator
     den = a.denominator
+    if den % ctx.p == 0:
+        raise DenominatorDivisibleByP(f"denominator of {a} is divisible by {ctx.p}")
     p = ctx.p
     pk = ctx.pk
     val = 0

@@ -15,6 +15,10 @@ table.
 The verifier reads three Bernoulli values mod p, B_(p-3), B_(p-2)(1/3)
 and E_(p-3) = B_(p-2)(1/4)/8, from bernoulli_values: O(p) sums by
 Voronoi's congruence (Harvey, Math. Comp. 79, 2010), with no series.
+The sums read j^(-2) and j^(-3) mod p at every j < p, from one list of
+the powers g^i of a primitive root, one multiply-and-reduce a step: at
+j = g^i they are g^(-2i) and g^(-3i), slices of that same list
+(_inverse_power_tables), so nothing is inverted.
 
 Full tables come from generating series mod p in O(M(p) log p), M(p) the
 cost of a degree-p polynomial product (Buhler, Crandall, Ernvall and
@@ -391,17 +395,24 @@ def _primitive_root(p: int) -> int:
 
 
 def _inverse_power_tables(p: int) -> tuple[list[int], list[int]]:
-    """r^(-2) and r^(-3) mod p at index r < p, 0 at r = 0: one walk r = g^i
-    over the powers of a primitive root g, with g^(-2i) and g^(-3i) as
-    running products beside it, so nothing is inverted."""
+    """r^(-2) and r^(-3) mod p at index r < p, 0 at r = 0: one running
+    product g^i over the powers of a primitive root g, n = p - 1 of them,
+    one multiply-and-reduce a step.  At r = g^i, r^(-2) = g^(-2i mod n)
+    and r^(-3) = g^(-3i mod n) are read off that same list: along i they
+    are its slices at step -2 and -3 from 2n and 3n in the list repeated,
+    so nothing is inverted."""
     g = _primitive_root(p)
-    g2, g3 = pow(g, -2, p), pow(g, -3, p)
+    n = p - 1
+    powers = [1] * n
+    x = 1
+    for i in range(1, n):
+        x = x * g % p
+        powers[i] = x
+    ext = powers * 3 + [1]  # g^j at every 0 <= j <= 3n
     t2, t3 = [0] * p, [0] * p
-    r = a = b = 1
-    for _ in range(p - 1):
+    for r, a, b in zip(powers, ext[2 * n : 0 : -2], ext[3 * n : 0 : -3]):
         t2[r] = a
         t3[r] = b
-        r, a, b = r * g % p, a * g2 % p, b * g3 % p
     return t2, t3
 
 
@@ -450,8 +461,8 @@ def bernoulli_values(ctx: PrimeContext) -> tuple[int, int, int]:
       sum_(a<f) chi(a) B_n(a/f) = 2 f^(n-1) B_n(1/f), as B_n(1 - x) =
       -B_n(x).  Here j^(n-1) = j^(-2) and f^(n-1) = f^(-2), so B_n(1/f) =
       f^2 B_(n,chi) / 2.
-    Both power tables come from one walk over a primitive root
-    (_inverse_power_tables).
+    Both power tables come from one list of the powers of a primitive
+    root (_inverse_power_tables).
 
     c is the least multiplier prime to fp: 2 at f = 1 and f = 3, and 3 at
     f = 4.  The floor then takes c values, so each sum is at most 2(c-1)

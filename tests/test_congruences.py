@@ -2051,6 +2051,47 @@ def test_one_binomial_serves_thm11_thm12_and_r3():
         assert {r.target for r in pv.run() if not r.passed} == moved, p
 
 
+def test_one_power_of_2_and_of_3_serve_every_reader():
+    # 2^(p-1) mod p^6 and 3^(p-1) mod p^3 are taken once, as the Fermat
+    # quotients q_p(2) mod p^5 and q_p(3) mod p^2, and every right side
+    # built on them reads them.  Moving 2^(p-1) by p (q_p(2) by 1) fails
+    # CONJ1_DP1 (64^(p-1)), MUSUN_P5 (p^4 q_p(2)) and LEMMA_SUNH at 1009,
+    # and at 1013 also THM13's four rows, through r3; moving 3^(p-1) by p
+    # fails LEMMA_SUNH at 1009, and it and THM13's four rows at 1013
+    thm13 = {T.THM13_K2_4K, T.THM13_K2_16K, T.THM13_K_4K, T.THM13_K_16K}
+    for p, moved2, moved3 in (
+        (1009, {T.CONJ1_DP1, T.MUSUN_P5, T.LEMMA_SUNH}, {T.LEMMA_SUNH}),
+        (1013, {T.CONJ1_DP1, T.MUSUN_P5, T.LEMMA_SUNH} | thm13, {T.LEMMA_SUNH} | thm13),
+    ):
+        pv = PrimeVerifier(p)
+        assert 1 + p * pv._q2 == pow(2, p - 1, p**6), p
+        assert 1 + p * pv._q3 == pow(3, p - 1, p**3), p
+        assert all(r.passed for r in pv.run()), p
+        for attr, moved in (("_q2", moved2), ("_q3", moved3)):
+            pv = PrimeVerifier(p)
+            setattr(pv, attr, getattr(pv, attr) + 1)
+            assert {r.target for r in pv.run() if not r.passed} == moved, (p, attr)
+
+
+def test_run_builds_only_the_rows_asked_for(monkeypatch):
+    # a method that serves several targets builds the wanted rows only:
+    # one THM13 row of four at 1013, one THM12 row of two at 1009, each
+    # through _report once
+    built = []
+    real = PrimeVerifier._report
+
+    def counting(self, target, lhs, rhs):
+        built.append(target)
+        return real(self, target, lhs, rhs)
+
+    monkeypatch.setattr(PrimeVerifier, "_report", counting)
+    for p, t in ((1013, T.THM13_K2_4K), (1009, T.THM12_4K)):
+        built.clear()
+        rows = PrimeVerifier(p, [t]).run()
+        assert [r.target for r in rows] == built == [t], p
+        assert rows[0].passed, p
+
+
 def test_run_stamps_each_method_time_on_its_rows():
     # run() times each evaluating method once: every row carries a time, and
     # the rows of one method (thm12's two at 13, thm13_all's four at 11)

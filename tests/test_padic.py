@@ -1,5 +1,6 @@
 """Kernel behavior: embedding, precision bookkeeping, factorials, binomials."""
 
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -51,6 +52,31 @@ def test_is_prime_small():
     assert {n for n in range(50) if is_prime(n)} == known
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31 - 2)
+
+
+def test_is_prime_matches_a_sieve():
+    # below psi_4 only the bases 2, 3, 5 and 7 are tried; a sieve of
+    # Eratosthenes below 2 * 10^5 is the ground truth
+    n = 200_000
+    flags = bytearray([1]) * n
+    flags[:2] = b"\x00\x00"
+    for i in range(2, int(n**0.5) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+    assert [is_prime(k) for k in range(n)] == [bool(f) for f in flags]
+
+
+def test_is_prime_rejects_strong_pseudoprimes_to_the_first_bases():
+    # 25326001 = 2251 * 11251 passes bases 2, 3 and 5, and is caught by 7;
+    # psi_4 = 3215031751 = 151 * 751 * 28351 passes 2, 3, 5 and 7, and is
+    # where the thirteen bases take over
+    assert 2251 * 11251 == 25326001 and 151 * 751 * 28351 == padic._PSI4 == 3215031751
+    for n in (25326001, padic._PSI4):
+        assert not is_prime(n), n
+    # on both sides of psi_4, against trial division
+    for n in range(padic._PSI4 - 60, padic._PSI4 + 60):
+        want = n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+        assert is_prime(n) == want, n
 
 
 def test_is_prime_rejects_strong_pseudoprimes_to_37():

@@ -1,5 +1,5 @@
 """Print one JSON line of wall times, in ms, for each layer of a prime's
-work at the fixed primes 997, 1999 and 7919, every target requested:
+work at the fixed primes 13, 997, 1999 and 7919, every target requested:
 
     python3 tools/layer_times.py [N]
 
@@ -24,7 +24,9 @@ domb.horner_walk to p alone, the whole walk of a sweep whose largest
 prime is p, which a sweep shares among its primes, and "swept_total" a
 fresh verify_prime handed that walk's triples, what a swept prime costs.
 LEMMA22 and LEMMA_MPT are not stated at 7919 (2 mod 3), so their entry
-there is null.
+there is null.  At 13 every layer is a few table entries, so its
+"swept_total" is about what a swept prime costs whatever its size, the
+constant beside the per-index layers of the larger primes.
 
 The Domb recurrence's integer coefficients are memoized for the process
 and grown on a table's first build at each prime; with N > 1 the minimum
@@ -45,7 +47,7 @@ from dombcheck.congruences import PrimeVerifier, verify_prime  # noqa: E402
 from dombcheck.domb import horner_walk  # noqa: E402
 from dombcheck.special import harmonic_scaled  # noqa: E402
 
-PRIMES = (997, 1999, 7919)
+PRIMES = (13, 997, 1999, 7919)
 
 
 def _layers(pv: PrimeVerifier) -> dict:
